@@ -5,7 +5,7 @@
 //! bottleneck and grades all 34,400 b14 faults in bulk. This crate is the
 //! software analogue of that move for the workspace's own engines — where
 //! [`Grader`](seugrade_faultsim::Grader) runs one fault list on one core,
-//! this runtime shards a campaign into same-cycle 64-lane batches,
+//! this runtime shards a campaign into cycle-sorted 64-lane batches,
 //! dispatches them across a home-grown chunk-queue thread pool
 //! (`std::thread::scope`, no external dependencies), and merges the
 //! per-shard verdicts **deterministically**: every thread count produces
@@ -16,7 +16,7 @@
 //! | [`plan`] | [`CampaignPlan`] builder: circuit × test bench × fault source × techniques × [`ShardPolicy`] × `TracePolicy` |
 //! | [`runtime`] | [`Engine`]: shard, dispatch, merge; [`CampaignRun`] / [`StreamedRun`] results |
 //! | [`stream`] | cycle-major chunk plans and online [`VerdictSink`]s — the memory-bounded campaign core |
-//! | [`resume`] | `seugrade-campaign-ckpt/v1` checkpoints, [`Fingerprint`] verification, [`PersistentSink`] — the interruption-safety layer |
+//! | [`resume`] | `seugrade-campaign-ckpt/v2` checkpoints, [`Fingerprint`] verification, [`PersistentSink`] — the interruption-safety layer |
 //! | [`error`] | [`EngineError`]: structured failures (worker panics, checkpoint problems) |
 //! | [`cancel`] | [`CancelToken`]: cooperative chunk-boundary cancellation |
 //! | [`progress`] | per-shard [`ProgressEvent`]s, [`ProgressCounter`], [`EngineStats`] |

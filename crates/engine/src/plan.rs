@@ -77,7 +77,7 @@ pub enum FaultSource {
 
 /// How a fault list is split across worker threads.
 ///
-/// Shards are 64-lane batches of faults sharing an injection cycle,
+/// Shards are 64-lane batches of faults sorted by injection cycle,
 /// pulled from a shared chunk queue by each worker; the policy only
 /// controls how many workers pull and when sharding is worth it at all.
 /// Outcomes never depend on the policy — the engine merges per-shard

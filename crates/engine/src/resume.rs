@@ -1,4 +1,4 @@
-//! Persistent campaign checkpoints: the `seugrade-campaign-ckpt/v1`
+//! Persistent campaign checkpoints: the `seugrade-campaign-ckpt/v2`
 //! format, fingerprint verification, and the [`PersistentSink`] contract.
 //!
 //! A multi-hour exhaustive campaign dies to a single SIGINT unless its
@@ -45,8 +45,11 @@ use crate::progress::ProgressHook;
 use crate::stream::{StreamAccumulator, VerdictSink};
 
 /// First line of every checkpoint file; bump the suffix on breaking
-/// format changes.
-pub const CKPT_SCHEMA: &str = "seugrade-campaign-ckpt/v1";
+/// format changes. A change of chunk layout is one: the cursor counts
+/// chunks, so an old file's cursor would land on different faults.
+/// `v2` packs sampled and explicit lists into full chunks across
+/// injection cycles (`v1` cut them per cycle).
+pub const CKPT_SCHEMA: &str = "seugrade-campaign-ckpt/v2";
 
 /// Default chunk interval between checkpoint writes.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 256;
@@ -219,7 +222,7 @@ pub enum ResumeError {
         /// The OS error text.
         msg: String,
     },
-    /// The file is not a well-formed `seugrade-campaign-ckpt/v1`
+    /// The file is not a well-formed `seugrade-campaign-ckpt/v2`
     /// document: wrong schema line, truncated, checksum mismatch, or a
     /// malformed field.
     Corrupt {
@@ -335,10 +338,10 @@ impl Fingerprint {
 // --------------------------------------------------------------------
 // The checkpoint document
 
-/// A parsed (or about-to-be-written) `seugrade-campaign-ckpt/v1` file.
+/// A parsed (or about-to-be-written) `seugrade-campaign-ckpt/v2` file.
 ///
 /// ```text
-/// seugrade-campaign-ckpt/v1
+/// seugrade-campaign-ckpt/v2
 /// circuit <ffs> <cells> <hex16-digest> <name>
 /// bench <cycles> <inputs> <hex16-digest>
 /// source <label>

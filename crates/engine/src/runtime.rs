@@ -216,7 +216,7 @@ impl ResumableRun<StreamAccumulator> {
 ///
 /// # Determinism
 ///
-/// Shards are same-cycle 64-lane batches dispatched through a chunk
+/// Shards are cycle-sorted 64-lane batches dispatched through a chunk
 /// queue; which worker grades which shard varies run to run, but verdicts
 /// depend only on the fault itself, and the engine merges per-shard
 /// results back into submission order. Every `(fault source, seed)` pair
@@ -442,10 +442,9 @@ impl Engine {
         self.check_streamed_plan(plan);
         let num_ffs = self.grader.sim().num_ffs();
         let num_cycles = self.grader.testbench().num_cycles();
-        // Drawing a sample is the one source that inherently
-        // materializes its fault list (a uniform draw needs the whole
-        // space); explicit lists are borrowed, the exhaustive space is
-        // arithmetic.
+        // A sample is materialized as the drawn faults only (the draw
+        // never builds the whole space); explicit lists are borrowed,
+        // the exhaustive space is arithmetic.
         let lanes = self.grader.chunk_lanes();
         let sample: FaultList;
         let chunks = match plan.source() {
@@ -557,16 +556,14 @@ impl Engine {
             let ck = Checkpoint::load(path)?;
             ck.verify(&fingerprint)?;
             // The cursor must sit on a real chunk boundary of *this*
-            // plan; the fingerprint matched, so a disagreement here
-            // means the file's cursor line was rewritten.
-            if ck.faults_done() != chunks.faults_before(ck.chunks_done()) {
-                return Err(ResumeError::Corrupt {
-                    line: 8,
-                    msg: format!(
-                        "cursor {} {} does not sit on a chunk boundary of this plan",
-                        ck.chunks_done(),
-                        ck.faults_done()
-                    ),
+            // plan: the fingerprint pins the chunk count, not where the
+            // chunks cut the fault list.
+            let boundary = chunks.faults_before(ck.chunks_done());
+            if ck.faults_done() != boundary {
+                return Err(ResumeError::Mismatch {
+                    field: "fault cursor",
+                    expected: ck.faults_done().to_string(),
+                    found: boundary.to_string(),
                 }
                 .into());
             }
@@ -738,7 +735,7 @@ impl Engine {
         }
     }
 
-    /// Single-fault path: dispatch the plan's same-cycle 64-lane chunks
+    /// Single-fault path: dispatch the plan's cycle-sorted 64-lane chunks
     /// through the chunk queue, scatter the per-chunk verdicts back into
     /// submission order and pool the per-shard tallies.
     fn grade_single(

@@ -6,10 +6,13 @@
 //! as soon as they are tallied. This module is the software analogue:
 //!
 //! - `ChunkPlan` (crate-internal) turns any single-fault
-//!   [`FaultSource`](crate::FaultSource) into a sequence of same-cycle
+//!   [`FaultSource`](crate::FaultSource) into a sequence of cycle-sorted
 //!   ≤ 64-lane chunks. For the exhaustive source the chunks are
-//!   *computed arithmetically* — no `flip-flops × cycles` fault vector
-//!   ever exists; workers regenerate their chunk from its index.
+//!   *computed arithmetically*, one injection cycle each — no
+//!   `flip-flops × cycles` fault vector ever exists; workers regenerate
+//!   their chunk from its index. Explicit lists are sorted by cycle and
+//!   packed full regardless of cycle boundaries: the grader injects each
+//!   lane at its own cycle, so a sparse sample fills every lane.
 //! - [`VerdictSink`] is the online accumulator contract: each worker
 //!   folds `(fault, outcome)` pairs into a private sink, and the
 //!   per-worker sinks are merged after the join. Sinks must be
@@ -25,7 +28,7 @@
 use seugrade_faultsim::{Fault, FaultClass, FaultOutcome, GradingSummary};
 use seugrade_netlist::FfIndex;
 
-/// A single-fault campaign cut into same-cycle chunks of at most 64
+/// A single-fault campaign cut into cycle-sorted chunks of at most 64
 /// faults, in cycle-major order.
 ///
 /// The chunk sequence is the unit the pool's workers pull lazily; a
@@ -49,15 +52,18 @@ pub(crate) enum ChunkPlan<'a> {
         /// Total faults.
         faults: usize,
     },
-    /// An explicit list, counting-sorted into same-cycle runs; `order`
-    /// maps sorted position → submission index.
+    /// An explicit list, counting-sorted by injection cycle and cut into
+    /// consecutive runs of `lanes` faults that may span several cycles:
+    /// chunk `i` is `order[i × lanes ..]`, the last one holding the
+    /// remainder.
     Ordered {
         /// The faults, in submission order.
         faults: &'a [Fault],
-        /// Cycle-major permutation of `0..faults.len()`.
+        /// Cycle-major permutation of `0..faults.len()`: sorted position
+        /// → submission index.
         order: Vec<u32>,
-        /// `(lo, hi)` ranges into `order`, one per chunk.
-        batches: Vec<(usize, usize)>,
+        /// Fault lanes per chunk.
+        lanes: usize,
     },
 }
 
@@ -81,8 +87,9 @@ impl<'a> ChunkPlan<'a> {
         }
     }
 
-    /// Plans an explicit fault list (stable counting sort by injection
-    /// cycle, then runs cut at `lanes`).
+    /// Plans an explicit fault list: a stable counting sort by injection
+    /// cycle, then consecutive runs of `lanes` faults, ignoring cycle
+    /// boundaries.
     ///
     /// # Panics
     ///
@@ -90,39 +97,32 @@ impl<'a> ChunkPlan<'a> {
     /// or exceeds the 64-lane word width.
     pub(crate) fn ordered(faults: &'a [Fault], num_cycles: usize, lanes: usize) -> Self {
         assert!(lanes >= 1 && lanes <= 64, "chunk lanes out of range");
-        let mut counts = vec![0usize; num_cycles];
+        // Per-cycle counts, turned in place into each cycle's first slot.
+        let mut cursor = vec![0usize; num_cycles];
         for f in faults {
             assert!((f.cycle as usize) < num_cycles, "fault cycle out of range");
-            counts[f.cycle as usize] += 1;
+            cursor[f.cycle as usize] += 1;
         }
-        let mut offsets = vec![0usize; num_cycles + 1];
-        for c in 0..num_cycles {
-            offsets[c + 1] = offsets[c] + counts[c];
+        let mut start = 0;
+        for slot in &mut cursor {
+            let count = *slot;
+            *slot = start;
+            start += count;
         }
-        let mut cursor = offsets.clone();
         let mut order = vec![0u32; faults.len()];
         for (i, f) in faults.iter().enumerate() {
             let c = f.cycle as usize;
             order[cursor[c]] = i as u32;
             cursor[c] += 1;
         }
-        let mut batches: Vec<(usize, usize)> = Vec::new();
-        for c in 0..num_cycles {
-            let (mut start, end) = (offsets[c], offsets[c + 1]);
-            while start < end {
-                let stop = (start + lanes).min(end);
-                batches.push((start, stop));
-                start = stop;
-            }
-        }
-        ChunkPlan::Ordered { faults, order, batches }
+        ChunkPlan::Ordered { faults, order, lanes }
     }
 
     /// Number of chunks.
     pub(crate) fn num_chunks(&self) -> usize {
         match self {
             ChunkPlan::Exhaustive { chunks, .. } => *chunks,
-            ChunkPlan::Ordered { batches, .. } => batches.len(),
+            ChunkPlan::Ordered { faults, lanes, .. } => faults.len().div_ceil(*lanes),
         }
     }
 
@@ -136,8 +136,8 @@ impl<'a> ChunkPlan<'a> {
 
     /// Faults covered by the chunks before `chunk` — the fault-space
     /// position of a resume cursor. Pure arithmetic on the exhaustive
-    /// plan; a prefix-sum lookup on ordered plans (batches partition the
-    /// sorted list contiguously).
+    /// plan and on ordered plans alike (chunks partition the sorted list
+    /// contiguously).
     pub(crate) fn faults_before(&self, chunk: usize) -> usize {
         match self {
             ChunkPlan::Exhaustive { num_ffs, lanes, per_cycle, chunks, faults } => {
@@ -148,20 +148,11 @@ impl<'a> ChunkPlan<'a> {
                 // and j*lanes < num_ffs for every in-cycle index.
                 (chunk / per_cycle) * num_ffs + (chunk % per_cycle) * lanes
             }
-            ChunkPlan::Ordered { faults, batches, .. } => {
-                if chunk == 0 {
-                    0
-                } else if chunk >= batches.len() {
-                    faults.len()
-                } else {
-                    batches[chunk - 1].1
-                }
-            }
+            ChunkPlan::Ordered { faults, lanes, .. } => chunk.saturating_mul(*lanes).min(faults.len()),
         }
     }
 
-    /// Writes chunk `i`'s faults (all sharing one injection cycle) into
-    /// `buf`.
+    /// Writes chunk `i`'s faults, sorted by injection cycle, into `buf`.
     pub(crate) fn fill(&self, i: usize, buf: &mut Vec<Fault>) {
         buf.clear();
         match self {
@@ -171,11 +162,15 @@ impl<'a> ChunkPlan<'a> {
                 let hi = (lo + lanes).min(*num_ffs);
                 buf.extend((lo..hi).map(|ff| Fault::new(FfIndex::new(ff), cycle)));
             }
-            ChunkPlan::Ordered { faults, order, batches } => {
-                let (lo, hi) = batches[i];
-                buf.extend(order[lo..hi].iter().map(|&fi| faults[fi as usize]));
+            ChunkPlan::Ordered { faults, order, .. } => {
+                buf.extend(order[self.sorted_range(i)].iter().map(|&fi| faults[fi as usize]));
             }
         }
+    }
+
+    /// Sorted positions of chunk `i` of an ordered plan.
+    fn sorted_range(&self, i: usize) -> std::ops::Range<usize> {
+        self.faults_before(i)..self.faults_before(i + 1)
     }
 
     /// Scatters chunk `i`'s verdicts back into submission order.
@@ -188,9 +183,8 @@ impl<'a> ChunkPlan<'a> {
                 let start = cycle * num_ffs + (i % per_cycle) * lanes;
                 dest[start..start + out.len()].copy_from_slice(out);
             }
-            ChunkPlan::Ordered { order, batches, .. } => {
-                let (lo, hi) = batches[i];
-                for (&fi, &o) in order[lo..hi].iter().zip(out) {
+            ChunkPlan::Ordered { order, .. } => {
+                for (&fi, &o) in order[self.sorted_range(i)].iter().zip(out) {
                     dest[fi as usize] = o;
                 }
             }
@@ -368,16 +362,40 @@ mod tests {
 
     #[test]
     fn ordered_plan_matches_exhaustive_plan_on_the_same_list() {
+        // The ordered plan packs across cycle boundaries, so its chunks
+        // differ from the arithmetic plan's; the faults covered and the
+        // verdicts scattered back must not.
         let list = FaultList::exhaustive(70, 3);
         let ordered = ChunkPlan::ordered(list.as_slice(), 3, 64);
         let arithmetic = ChunkPlan::exhaustive(70, 3, 64);
-        assert_eq!(ordered.num_chunks(), arithmetic.num_chunks());
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for i in 0..ordered.num_chunks() {
-            ordered.fill(i, &mut a);
-            arithmetic.fill(i, &mut b);
-            assert_eq!(a, b, "chunk {i}");
-        }
+        assert_eq!(ordered.num_faults(), arithmetic.num_faults());
+        let scattered = |plan: &ChunkPlan<'_>| {
+            let mut buf = Vec::new();
+            let mut covered = Vec::new();
+            let mut dest = vec![FaultOutcome::latent(); list.len()];
+            for i in 0..plan.num_chunks() {
+                plan.fill(i, &mut buf);
+                assert!(buf.len() <= 64 && !buf.is_empty());
+                assert!(buf.windows(2).all(|w| w[0].cycle <= w[1].cycle), "chunk {i} sorted");
+                covered.extend_from_slice(&buf);
+                // A verdict that names its fault, so a misplaced scatter
+                // shows.
+                let out: Vec<FaultOutcome> = buf
+                    .iter()
+                    .map(|f| FaultOutcome::failure(f.cycle * 1000 + f.ff.index() as u32))
+                    .collect();
+                plan.scatter(i, &out, &mut dest);
+            }
+            covered.sort();
+            (covered, dest)
+        };
+        let (covered, dest) = scattered(&ordered);
+        assert_eq!(scattered(&arithmetic), (covered.clone(), dest.clone()));
+        let mut all = list.as_slice().to_vec();
+        all.sort();
+        assert_eq!(covered, all, "every fault exactly once");
+        // Full 64-lane chunks, the last one holding the remainder.
+        assert_eq!(ordered.num_chunks(), 210usize.div_ceil(64));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The SEU fault descriptor and fault lists.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use seugrade_netlist::FfIndex;
@@ -55,24 +56,36 @@ impl FaultList {
     }
 
     /// A uniform sample of `count` distinct faults from the exhaustive
-    /// list (deterministic for a given seed). If `count` exceeds the
-    /// exhaustive size the full list is returned.
+    /// list (deterministic for a given seed), sorted. If `count` exceeds
+    /// the exhaustive size the full list is returned.
+    ///
+    /// The draw is a partial Fisher–Yates shuffle over the cycle-major
+    /// positions `k ↦ (ff k % F, cycle k / F)` of the exhaustive list.
+    /// Only displaced positions are stored, so memory is `O(count)`
+    /// rather than `O(flip-flops × cycles)`.
     #[must_use]
     pub fn sampled(num_ffs: usize, num_cycles: usize, count: usize, seed: u64) -> Self {
-        let mut full = Self::exhaustive(num_ffs, num_cycles);
-        if count >= full.faults.len() {
-            return full;
+        let n = num_ffs * num_cycles;
+        if count >= n {
+            return Self::exhaustive(num_ffs, num_cycles);
         }
         let mut rng = SplitMix64::new(seed);
-        // Partial Fisher-Yates: draw `count` distinct elements to the front.
-        let n = full.faults.len();
+        // Position -> the value swapped into it, for displaced positions
+        // (at most one new entry per draw).
+        let mut displaced: HashMap<usize, usize> = HashMap::with_capacity(count);
+        let mut faults = Vec::with_capacity(count);
         for i in 0..count {
             let j = i + rng.index(n - i);
-            full.faults.swap(i, j);
+            let at_i = displaced.remove(&i).unwrap_or(i);
+            let picked = if j == i {
+                at_i
+            } else {
+                displaced.insert(j, at_i).unwrap_or(j)
+            };
+            faults.push(Fault::new(FfIndex::new(picked % num_ffs), (picked / num_ffs) as u32));
         }
-        full.faults.truncate(count);
-        full.faults.sort();
-        FaultList { faults: full.faults, num_ffs, num_cycles }
+        faults.sort();
+        FaultList { faults, num_ffs, num_cycles }
     }
 
     /// Restricts an exhaustive list to one flip-flop (all cycles) — used
@@ -198,6 +211,50 @@ mod tests {
         let full: std::collections::HashSet<Fault> =
             FaultList::exhaustive(10, 10).iter().collect();
         assert!(set.is_subset(&full));
+    }
+
+    /// The materializing draw the sparse one replaced: shuffle the front
+    /// of the whole exhaustive list.
+    fn sampled_by_materializing(
+        num_ffs: usize,
+        num_cycles: usize,
+        count: usize,
+        seed: u64,
+    ) -> Vec<Fault> {
+        let mut full = FaultList::exhaustive(num_ffs, num_cycles).faults;
+        if count >= full.len() {
+            return full;
+        }
+        let mut rng = SplitMix64::new(seed);
+        let n = full.len();
+        for i in 0..count {
+            let j = i + rng.index(n - i);
+            full.swap(i, j);
+        }
+        full.truncate(count);
+        full.sort();
+        full
+    }
+
+    #[test]
+    fn sparse_sample_matches_the_materializing_draw() {
+        for (ffs, cycles, count, seed) in [
+            (10, 10, 25, 7),
+            (1, 50, 49, 3),
+            (37, 1, 36, 11),
+            (70, 9, 150, 3),
+            (13, 17, 13 * 17 - 1, 5),
+            (13, 17, 13 * 17, 5),
+            (13, 17, 1000, 5),
+            (64, 64, 1, 0),
+            (3, 3, 0, 9),
+        ] {
+            assert_eq!(
+                FaultList::sampled(ffs, cycles, count, seed).as_slice(),
+                sampled_by_materializing(ffs, cycles, count, seed),
+                "{ffs}x{cycles} count {count} seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -383,22 +383,27 @@ impl Grader {
         outcomes
     }
 
-    /// Grades up to 64 faults sharing one injection cycle in a single
-    /// bit-parallel pass, reusing `st` as scratch and writing the verdicts
-    /// into `out` (parallel to `chunk`).
+    /// Grades up to 64 faults in a single bit-parallel pass, reusing `st`
+    /// as scratch and writing the verdicts into `out` (parallel to
+    /// `chunk`).
+    ///
+    /// The faults may carry different injection cycles, in non-decreasing
+    /// order: the pass starts at the first lane's cycle and flips each
+    /// lane in at its own cycle, so a lane tracks the golden machine
+    /// until its fault arrives.
     ///
     /// This is the shard-sized building block the batching engines are
-    /// made of: an external runtime can cut any fault list into
-    /// same-cycle chunks, grade each chunk on whichever thread with
-    /// whichever scratch state, and the verdicts stay identical to the
-    /// serial engine's — they depend only on the fault, never on lane
-    /// placement or chunk composition.
+    /// made of: an external runtime can cut any cycle-sorted fault list
+    /// into chunks, grade each chunk on whichever thread with whichever
+    /// scratch state, and the verdicts stay identical to the serial
+    /// engine's — they depend only on the fault, never on lane placement
+    /// or chunk composition.
     ///
     /// # Panics
     ///
-    /// Panics if `chunk` is empty, holds more than 64 faults, mixes
-    /// injection cycles, targets an out-of-range cycle, or if `out` has a
-    /// different length than `chunk`.
+    /// Panics if `chunk` is empty, holds more than 64 faults, is not
+    /// sorted by injection cycle, targets an out-of-range cycle, or if
+    /// `out` has a different length than `chunk`.
     pub fn grade_cycle_chunk(&self, st: &mut SimState, chunk: &[Fault], out: &mut [FaultOutcome]) {
         let mut cache = WindowCache::disabled();
         let mut sim_steps = 0;
@@ -413,11 +418,11 @@ impl Grader {
         );
     }
 
-    /// The lane budget a same-cycle chunk should be cut to for this
-    /// grader: 64 under [`TracePolicy::Dense`], 63 under
-    /// [`TracePolicy::Checkpoint`] — checkpointed chunks reserve lane 63
-    /// for the golden companion machine, which rides the same
-    /// bit-parallel pass and replaces per-cycle window lookups entirely.
+    /// The lane budget a chunk should be cut to for this grader: 64
+    /// under [`TracePolicy::Dense`], 63 under [`TracePolicy::Checkpoint`]
+    /// — checkpointed chunks reserve lane 63 for the golden companion
+    /// machine, which rides the same bit-parallel pass and replaces
+    /// per-cycle window lookups entirely.
     #[must_use]
     pub fn chunk_lanes(&self) -> usize {
         match self.policy {
@@ -483,27 +488,53 @@ impl Grader {
         }
     }
 
-    /// Validates a same-cycle chunk, resets `out` to latent, and returns
-    /// the shared injection cycle plus the used-lane mask.
-    fn validate_chunk(&self, chunk: &[Fault], out: &mut [FaultOutcome]) -> (usize, u64) {
+    /// Validates a chunk (non-empty, at most 64 lanes, sorted by
+    /// injection cycle, in range), resets `out` to latent, and returns
+    /// the first lane's injection cycle — where the walk starts.
+    fn validate_chunk(&self, chunk: &[Fault], out: &mut [FaultOutcome]) -> usize {
         assert!(!chunk.is_empty(), "empty chunk");
         assert!(chunk.len() <= 64, "a chunk holds at most 64 faults");
         assert_eq!(chunk.len(), out.len(), "outcome slice width");
-        let t = chunk[0].cycle as usize;
         assert!(
-            chunk.iter().all(|f| f.cycle as usize == t),
-            "chunk mixes injection cycles"
+            chunk.windows(2).all(|w| w[0].cycle <= w[1].cycle),
+            "chunk injection cycles are not sorted"
         );
-        assert!(t < self.tb.num_cycles(), "fault cycle out of range");
-        for o in out.iter_mut() {
-            *o = FaultOutcome::latent();
+        assert!(
+            (chunk[chunk.len() - 1].cycle as usize) < self.tb.num_cycles(),
+            "fault cycle out of range"
+        );
+        out.fill(FaultOutcome::latent());
+        chunk[0].cycle as usize
+    }
+
+    /// Injects every lane due at cycle `u` — the run of `chunk` from lane
+    /// `*next` whose cycle is `u` — through `flip(fault, lane)`, advances
+    /// `*next` past them, and returns their lane mask.
+    fn inject_due(
+        chunk: &[Fault],
+        next: &mut usize,
+        u: usize,
+        mut flip: impl FnMut(Fault, u32),
+    ) -> u64 {
+        let mut due = 0u64;
+        while let Some(&f) = chunk.get(*next).filter(|f| f.cycle as usize == u) {
+            flip(f, *next as u32);
+            due |= 1u64 << *next;
+            *next += 1;
         }
-        let lanes_used: u64 = if chunk.len() == 64 {
-            !0
-        } else {
-            (1u64 << chunk.len()) - 1
-        };
-        (t, lanes_used)
+        due
+    }
+
+    /// Records `verdict` for every lane set in `lanes`.
+    fn mark(out: &mut [FaultOutcome], lanes: u64, verdict: FaultOutcome) {
+        if lanes == 0 {
+            return;
+        }
+        for (lane, o) in out.iter_mut().enumerate() {
+            if lanes >> lane & 1 == 1 {
+                *o = verdict;
+            }
+        }
     }
 
     /// Runs one full combinational settle with the chunk's kernel.
@@ -514,6 +545,10 @@ impl Grader {
         }
     }
 
+    /// The windowed full-evaluation walk. Every lane is loaded with the
+    /// golden state at the first lane's cycle, so a lane whose fault has
+    /// not arrived yet simply tracks golden; only injected lanes enter
+    /// the verdict masks.
     #[allow(clippy::too_many_arguments)]
     fn grade_chunk_inner(
         &self,
@@ -525,25 +560,24 @@ impl Grader {
         chunk: &[Fault],
         out: &mut [FaultOutcome],
     ) {
-        let (t, lanes_used) = self.validate_chunk(chunk, out);
+        let t = self.validate_chunk(chunk, out);
         let n_cycles = self.tb.num_cycles();
         if matches!(self.policy, TracePolicy::Checkpoint(_)) && chunk.len() < 64 {
-            self.grade_chunk_companion(
-                st, cache, collapse, sim_steps, kernel, chunk, out, lanes_used,
-            );
+            self.grade_chunk_companion(st, cache, collapse, sim_steps, kernel, chunk, out);
             return;
         }
 
         let mut win = self.first_window_cached(t, cache);
         self.sim.load_state(st, win.state_at(t));
-        for (lane, f) in chunk.iter().enumerate() {
-            self.sim.flip_ff_lane(st, f.ff, lane as u32);
-        }
-        let mut undecided = lanes_used;
+        let (mut next, mut undecided) = (0, 0u64);
         for u in t..n_cycles {
             if u >= win.end() {
                 win = self.next_window_cached(&win, cache);
             }
+            undecided |= Self::inject_due(chunk, &mut next, u, |f, lane| {
+                self.sim.flip_ff_lane(st, f.ff, lane);
+            });
+            let settled = collapse == Collapse::Early && next == chunk.len();
             self.sim.set_inputs(st, self.tb.cycle(u));
             self.eval_faulty(st, kernel);
             *sim_steps += 1;
@@ -554,16 +588,10 @@ impl Grader {
                 out_diff |= word ^ broadcast(g);
             }
             let newly_failed = out_diff & undecided;
-            if newly_failed != 0 {
-                for (lane, o) in out.iter_mut().enumerate() {
-                    if newly_failed >> lane & 1 == 1 {
-                        *o = FaultOutcome::failure(u as u32);
-                    }
-                }
-                undecided &= !newly_failed;
-                if undecided == 0 && collapse == Collapse::Early {
-                    return;
-                }
+            Self::mark(out, newly_failed, FaultOutcome::failure(u as u32));
+            undecided &= !newly_failed;
+            if undecided == 0 && settled {
+                return;
             }
             self.sim.step(st);
             // State convergence mask. Once every undecided lane has shown
@@ -581,16 +609,10 @@ impl Grader {
                 }
             }
             let newly_silent = !state_diff & undecided;
-            if newly_silent != 0 {
-                for (lane, o) in out.iter_mut().enumerate() {
-                    if newly_silent >> lane & 1 == 1 {
-                        *o = FaultOutcome::silent(u as u32);
-                    }
-                }
-                undecided &= !newly_silent;
-                if undecided == 0 && collapse == Collapse::Early {
-                    return;
-                }
+            Self::mark(out, newly_silent, FaultOutcome::silent(u as u32));
+            undecided &= !newly_silent;
+            if undecided == 0 && settled {
+                return;
             }
         }
     }
@@ -602,14 +624,15 @@ impl Grader {
     /// Per-cycle comparison then reduces to XOR-ing each signal word
     /// against its own lane 63 broadcast (an arithmetic shift) — no
     /// window replay, no window memory, regardless of how far a latent
-    /// tail walks. Only the injection-cycle state is fetched from the
-    /// golden trace (one span, served by the cache and shared with the
-    /// chunk's cycle-major neighbours).
+    /// tail walks. Only the first lane's injection-cycle state is fetched
+    /// from the golden trace (one span, served by the cache and shared
+    /// with the chunk's cycle-major neighbours); lanes injected later
+    /// track golden exactly like lane 63 until their cycle.
     ///
     /// Verdicts are bit-identical to the windowed path: the compiled
     /// simulator is deterministic per lane, so lane 63 carries exactly
-    /// the bits a replayed window would, and `lanes_used` keeps lane 63
-    /// out of every verdict mask.
+    /// the bits a replayed window would, and only injected lanes enter
+    /// the verdict masks.
     #[allow(clippy::too_many_arguments)]
     fn grade_chunk_companion(
         &self,
@@ -620,7 +643,6 @@ impl Grader {
         kernel: Kernel,
         chunk: &[Fault],
         out: &mut [FaultOutcome],
-        lanes_used: u64,
     ) {
         let t = chunk[0].cycle as usize;
         let n_cycles = self.tb.num_cycles();
@@ -629,13 +651,14 @@ impl Grader {
             let win = self.first_window_cached(t, cache);
             self.sim.load_state(st, win.state_at(t));
         }
-        for (lane, f) in chunk.iter().enumerate() {
-            self.sim.flip_ff_lane(st, f.ff, lane as u32);
-        }
         // Broadcast of a word's golden (lane 63) bit to all 64 lanes.
         let golden = |word: u64| ((word as i64) >> 63) as u64;
-        let mut undecided = lanes_used;
+        let (mut next, mut undecided) = (0, 0u64);
         for u in t..n_cycles {
+            undecided |= Self::inject_due(chunk, &mut next, u, |f, lane| {
+                self.sim.flip_ff_lane(st, f.ff, lane);
+            });
+            let settled = collapse == Collapse::Early && next == chunk.len();
             self.sim.set_inputs(st, self.tb.cycle(u));
             self.eval_faulty(st, kernel);
             *sim_steps += 1;
@@ -644,16 +667,10 @@ impl Grader {
                 out_diff |= word ^ golden(word);
             }
             let newly_failed = out_diff & undecided;
-            if newly_failed != 0 {
-                for (lane, o) in out.iter_mut().enumerate() {
-                    if newly_failed >> lane & 1 == 1 {
-                        *o = FaultOutcome::failure(u as u32);
-                    }
-                }
-                undecided &= !newly_failed;
-                if undecided == 0 && collapse == Collapse::Early {
-                    return;
-                }
+            Self::mark(out, newly_failed, FaultOutcome::failure(u as u32));
+            undecided &= !newly_failed;
+            if undecided == 0 && settled {
+                return;
             }
             self.sim.step(st);
             // Same short-circuit as the windowed path: stop scanning the
@@ -667,16 +684,10 @@ impl Grader {
                 }
             }
             let newly_silent = !state_diff & undecided;
-            if newly_silent != 0 {
-                for (lane, o) in out.iter_mut().enumerate() {
-                    if newly_silent >> lane & 1 == 1 {
-                        *o = FaultOutcome::silent(u as u32);
-                    }
-                }
-                undecided &= !newly_silent;
-                if undecided == 0 && collapse == Collapse::Early {
-                    return;
-                }
+            Self::mark(out, newly_silent, FaultOutcome::silent(u as u32));
+            undecided &= !newly_silent;
+            if undecided == 0 && settled {
+                return;
             }
         }
     }
@@ -708,6 +719,13 @@ impl Grader {
     /// reconverged without scanning a single register (the frontier is
     /// simply empty from then on).
     ///
+    /// A lane not injected yet carries no deviation and costs nothing,
+    /// so each lane is seeded at its own cycle. Under
+    /// [`Collapse::Early`] a lane that fails is retired on the spot
+    /// ([`CompiledSim::diff_retire`]) and stops driving its cone; once
+    /// every injected lane is decided the deviation state is empty and
+    /// the walk jumps straight to the next lane's injection cycle.
+    ///
     /// Verdict semantics are identical to the full-evaluation paths:
     /// failures are claimed before same-cycle silences, each lane
     /// records its first event only, and `sim_steps` counts one per
@@ -721,39 +739,37 @@ impl Grader {
         chunk: &[Fault],
         out: &mut [FaultOutcome],
     ) {
-        let (t, lanes_used) = self.validate_chunk(chunk, out);
+        let mut u = self.validate_chunk(chunk, out);
         let n_cycles = self.tb.num_cycles();
-        for (lane, f) in chunk.iter().enumerate() {
-            self.sim.diff_seed(sc, f.ff, lane as u32);
-        }
-        let mut span = self.bit_span_for(t, bits);
-        let mut undecided = lanes_used;
-        for u in t..n_cycles {
+        let mut span = self.bit_span_for(u, bits);
+        let (mut next, mut undecided) = (0, 0u64);
+        while u < n_cycles {
+            undecided |= Self::inject_due(chunk, &mut next, u, |f, lane| {
+                self.sim.diff_seed(sc, f.ff, lane);
+            });
             if u >= span.end() {
                 span = self.bit_span_for(u, bits);
             }
             let (out_diff, state_diff) = self.sim.diff_cycle(sc, &span, u);
             *sim_steps += 1;
             let newly_failed = out_diff & undecided;
-            if newly_failed != 0 {
-                for (lane, o) in out.iter_mut().enumerate() {
-                    if newly_failed >> lane & 1 == 1 {
-                        *o = FaultOutcome::failure(u as u32);
-                    }
-                }
-                undecided &= !newly_failed;
-            }
+            Self::mark(out, newly_failed, FaultOutcome::failure(u as u32));
+            undecided &= !newly_failed;
             let newly_silent = !state_diff & undecided;
-            if newly_silent != 0 {
-                for (lane, o) in out.iter_mut().enumerate() {
-                    if newly_silent >> lane & 1 == 1 {
-                        *o = FaultOutcome::silent(u as u32);
+            Self::mark(out, newly_silent, FaultOutcome::silent(u as u32));
+            undecided &= !newly_silent;
+            u += 1;
+            if collapse == Collapse::Early {
+                if newly_failed != 0 {
+                    self.sim.diff_retire(sc, newly_failed);
+                }
+                if undecided == 0 {
+                    debug_assert_eq!(sc.active_signals(), 0, "decided lanes left deviations");
+                    match chunk.get(next) {
+                        Some(f) => u = f.cycle as usize,
+                        None => break,
                     }
                 }
-                undecided &= !newly_silent;
-            }
-            if undecided == 0 && collapse == Collapse::Early {
-                break;
             }
         }
         self.sim.diff_reset(sc);
@@ -1019,15 +1035,101 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mixes injection cycles")]
-    fn mixed_cycle_chunk_rejected() {
+    #[should_panic(expected = "not sorted")]
+    fn unsorted_chunk_rejected() {
         let n = generators::counter(2);
         let tb = Testbench::constant_low(0, 4);
         let g = Grader::new(&n, &tb);
         let mut st = g.sim().new_state();
-        let chunk = [Fault::new(FfIndex::new(0), 0), Fault::new(FfIndex::new(1), 1)];
+        let chunk = [Fault::new(FfIndex::new(0), 1), Fault::new(FfIndex::new(1), 0)];
         let mut out = [FaultOutcome::latent(); 2];
         g.grade_cycle_chunk(&mut st, &chunk, &mut out);
+    }
+
+    /// Grades `chunk` through a fresh scratch and checks every lane
+    /// against the serial reference; returns the simulated cycles.
+    fn check_chunk(
+        g: &Grader,
+        kernel: Kernel,
+        collapse: Collapse,
+        chunk: &[Fault],
+        what: &str,
+    ) -> u64 {
+        let mut scratch = g.new_scratch(collapse, 4).with_kernel(kernel);
+        let mut out = vec![FaultOutcome::latent(); chunk.len()];
+        g.grade_chunk(&mut scratch, chunk, &mut out);
+        for (f, o) in chunk.iter().zip(&out) {
+            assert_eq!(
+                *o,
+                g.classify_serial(*f),
+                "{what}: {f} kernel {kernel} {} collapse {}",
+                g.trace_policy(),
+                collapse.label()
+            );
+        }
+        scratch.sim_steps()
+    }
+
+    #[test]
+    fn staggered_chunks_match_serial() {
+        use seugrade_sim::TracePolicy;
+        let n = seugrade_circuits::registry::build("b06s").unwrap();
+        let cycles = 40;
+        let tb = Testbench::random(n.num_inputs(), cycles, 5);
+        let ffs = n.num_ffs();
+        // A sample sorted by cycle and cut into runs that ignore cycle
+        // boundaries, the way the engine packs sampled campaigns.
+        let mut packed = FaultList::sampled(ffs, cycles, 150, 9).as_slice().to_vec();
+        packed.sort_by_key(|f| f.cycle);
+        // Lanes more than one span apart, repeated and distinct
+        // flip-flops on one cycle.
+        let wide: Vec<Fault> = [(0, 0), (1, 0), (2, 9), (0, 9), (3, 23), (1, 38)]
+            .iter()
+            .map(|&(ff, c)| Fault::new(FfIndex::new(ff % ffs), c))
+            .collect();
+        let serial = Grader::new(&n, &tb);
+        // A lane injected after the earlier lane has decided: the
+        // differential walk must skip the idle cycles in between.
+        let first = FaultList::exhaustive(ffs, cycles)
+            .iter()
+            .find(|&f| {
+                let o = serial.classify_serial(f);
+                o.class != FaultClass::Latent && (o.classify_cycle(cycles) as usize) < cycles - 10
+            })
+            .expect("an early-decided fault");
+        let decided = serial.classify_serial(first).classify_cycle(cycles);
+        let late = Fault::new(FfIndex::new(0), decided + 5);
+        let gap = [first, late];
+        // A latent lane injected late: nothing may decide it before its
+        // fault arrives.
+        let latent = FaultList::exhaustive(ffs, cycles)
+            .iter()
+            .find(|&f| f.cycle > 5 && serial.classify_serial(f).class == FaultClass::Latent)
+            .expect("a late latent fault");
+        let quiet = [Fault::new(FfIndex::new(0), 0), latent];
+        for policy in [TracePolicy::Dense, TracePolicy::Checkpoint(1), TracePolicy::Checkpoint(4)] {
+            let g = Grader::with_policy(&n, &tb, policy);
+            for kernel in Kernel::CONCRETE {
+                for collapse in [Collapse::Early, Collapse::Horizon] {
+                    for chunk in packed.chunks(g.chunk_lanes()) {
+                        check_chunk(&g, kernel, collapse, chunk, "packed");
+                    }
+                    check_chunk(&g, kernel, collapse, &wide, "wide");
+                    check_chunk(&g, kernel, collapse, &quiet, "quiet");
+                    let steps = check_chunk(&g, kernel, collapse, &gap, "gap");
+                    if kernel == Kernel::Differential && collapse == Collapse::Early {
+                        let walked = |f: Fault| {
+                            u64::from(g.classify_serial(f).classify_cycle(cycles) - f.cycle) + 1
+                        };
+                        assert_eq!(
+                            steps,
+                            walked(first) + walked(late),
+                            "{policy}: the walk jumps over the idle cycles"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

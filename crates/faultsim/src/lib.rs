@@ -32,7 +32,7 @@
 //! serial (one fault at a time — the readable reference), bit-parallel
 //! (64 faulty machines per simulation pass) and multi-threaded
 //! bit-parallel. [`Grader::grade_cycle_chunk`] exposes the shard-sized
-//! building block (one same-cycle 64-lane pass with caller-owned
+//! building block (one cycle-sorted 64-lane pass with caller-owned
 //! scratch state) that the `seugrade-engine` campaign runtime schedules
 //! across worker threads, and [`sampling::pool_summaries`] is that
 //! runtime's order-independent merge step; [`FaultList::split_into`]

@@ -28,6 +28,12 @@
 //!    proof that feeds `Collapse::Early` without scanning a single
 //!    register.
 //!
+//! A lane decided as a failure is retired with
+//! [`CompiledSim::diff_retire`]: its bits leave every deviant slot, so it
+//! stops driving its cone while the chunk's undecided lanes walk on. A
+//! lane whose fault has not been seeded yet carries no deviation either,
+//! so one chunk can hold faults injected at different cycles.
+//!
 //! The golden bits come from a [`BitSpan`]: one bit per cell per cycle
 //! (golden values are lane-uniform), replayed once per checkpoint span
 //! and shared across all chunks of a campaign through a [`BitCache`] —
@@ -408,6 +414,18 @@ impl CompiledSim {
         (out_diff, state_diff)
     }
 
+    /// Retires `lanes`: clears their bits in every deviant slot and drops
+    /// slots left clean, so a decided lane stops driving its cone. The
+    /// other lanes' deviations are untouched.
+    pub fn diff_retire(&self, sc: &mut DiffScratch, lanes: u64) {
+        let DiffScratch { dev, touched, .. } = sc;
+        touched.retain(|&slot| {
+            let d = &mut dev[slot as usize];
+            *d &= !lanes;
+            *d != 0
+        });
+    }
+
     /// Clears all deviations, returning the scratch to the all-clean
     /// state (cheap: proportional to the number of deviant slots).
     pub fn diff_reset(&self, sc: &mut DiffScratch) {
@@ -636,6 +654,40 @@ mod tests {
         assert_eq!(diffs[3], (0, 0));
         assert_eq!(diffs[4], (0, 0));
         assert_eq!(sc.active_signals(), 0, "no lingering deviations");
+    }
+
+    #[test]
+    fn retired_lanes_leave_no_deviation() {
+        // A toggle register observed directly: a flip fails at once and
+        // then deviates forever, so only retirement can clean it up.
+        let mut b = NetlistBuilder::new("toggles");
+        let q0 = b.dff(false);
+        let q1 = b.dff(true);
+        let n0 = b.not(q0);
+        let n1 = b.not(q1);
+        b.connect_dff(q0, n0).unwrap();
+        b.connect_dff(q1, n1).unwrap();
+        b.output("q0", q0);
+        b.output("q1", q1);
+        let n = b.finish().unwrap();
+        let sim = crate::CompiledSim::new(&n);
+        let tb = Testbench::constant_low(0, 8);
+        let trace = sim.run_golden(&tb);
+        let mut cache = BitCache::new(1);
+        let span = trace.bit_span_cached(&sim, &tb, 0, 8, &mut cache);
+        let mut sc = sim.new_diff_scratch();
+        sim.diff_seed(&mut sc, FfIndex::new(0), 0);
+        sim.diff_seed(&mut sc, FfIndex::new(1), 1);
+        sim.diff_seed(&mut sc, FfIndex::new(0), 2);
+        let (out_diff, state_diff) = sim.diff_cycle(&mut sc, &span, 0);
+        assert_eq!(out_diff, 0b111, "every lane fails at once");
+        assert_eq!(state_diff, 0b111, "and keeps deviating");
+        // Retiring one lane leaves the others' deviations untouched.
+        sim.diff_retire(&mut sc, 0b001);
+        assert_eq!(sim.diff_cycle(&mut sc, &span, 1), (0b110, 0b110));
+        sim.diff_retire(&mut sc, 0b110);
+        assert_eq!(sc.active_signals(), 0, "every lane failed and was retired");
+        assert_eq!(sim.diff_cycle(&mut sc, &span, 2), (0, 0));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Hostile-input fuzzing: every grammar the workspace reads —
-//! `seugrade-campaign-ckpt/v1` checkpoints, ISCAS `.bench`, structural
+//! `seugrade-campaign-ckpt/v2` checkpoints, ISCAS `.bench`, structural
 //! BLIF, structural Verilog, the VHDL subset, and the
 //! `seugrade-serve/v1` wire protocol — must reject truncated or
 //! mutated input with a structured, line-numbered error. Never a
@@ -21,8 +21,11 @@ fn golden_checkpoint_text() -> String {
         .policy(ShardPolicy { threads: 1, serial_below: 0 })
         .build();
     let engine = Engine::new(&plan);
+    // Tests run in parallel: every call needs its own file.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let path = std::env::temp_dir()
-        .join(format!("seugrade-hostile-golden-{}.ckpt", std::process::id()));
+        .join(format!("seugrade-hostile-golden-{}-{call}.ckpt", std::process::id()));
     let mut opts = ResumeOptions::checkpoint_to(&path);
     opts.limit = Some(3);
     opts.meta = vec![("target".to_owned(), "lfsr8".to_owned())];
@@ -404,6 +407,89 @@ fn rejected_checkpoint_resumes_nothing() {
         .expect_err("garbage must not resume");
     std::fs::remove_file(&path).ok();
     assert!(matches!(err, EngineError::Resume(ResumeError::Corrupt { line: 1, .. })), "{err}");
+}
+
+/// The lfsr8 circuit, its test bench, and a per-test checkpoint path.
+fn lfsr8_campaign(tag: &str) -> (Netlist, Testbench, std::path::PathBuf) {
+    let circuit = generators::lfsr(8, &[7, 5, 4, 3]);
+    let tb = Testbench::random(circuit.num_inputs(), 24, 5);
+    let path = std::env::temp_dir()
+        .join(format!("seugrade-hostile-{tag}-{}.ckpt", std::process::id()));
+    (circuit, tb, path)
+}
+
+fn sampled_plan<'a>(circuit: &'a Netlist, tb: &'a Testbench) -> CampaignPlan<'a> {
+    CampaignPlan::builder(circuit, tb)
+        .sampled(100, 3)
+        .policy(ShardPolicy { threads: 1, serial_below: 0 })
+        .build()
+}
+
+/// FNV-1a 64, the checkpoint trailer's checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A checkpoint written under the old one-cycle-per-chunk layout is a
+/// typed error, even with an intact checksum: its cursor would name
+/// different faults under today's packed chunks.
+#[test]
+fn old_layout_checkpoint_is_rejected() {
+    let (circuit, tb, path) = lfsr8_campaign("v1");
+    let plan = sampled_plan(&circuit, &tb);
+    let engine = Engine::new(&plan);
+    let mut opts = ResumeOptions::checkpoint_to(&path);
+    opts.limit = Some(1);
+    engine.run_streamed_resumable(&plan, &opts).expect("seed checkpoint");
+    let text = std::fs::read_to_string(&path).expect("checkpoint written");
+    let body: Vec<&str> = text.lines().collect();
+    let mut old: Vec<String> = body[..body.len() - 1].iter().map(|l| (*l).to_owned()).collect();
+    old[0] = "seugrade-campaign-ckpt/v1".to_owned();
+    let old_body = old.join("\n");
+    let old_text = format!("{old_body}\nend {:016x}\n", fnv1a(old_body.as_bytes()));
+    std::fs::write(&path, old_text).expect("write old checkpoint");
+    let err = engine
+        .run_streamed_resumable(&plan, &ResumeOptions::resume_from(&path))
+        .expect_err("an old-layout checkpoint must not resume");
+    std::fs::remove_file(&path).ok();
+    assert!(matches!(err, EngineError::Resume(ResumeError::Corrupt { line: 1, .. })), "{err}");
+    assert!(err.to_string().contains("unrecognized schema"), "{err}");
+}
+
+/// A cursor that does not sit on a chunk boundary of the plan — here
+/// the one the old layout would have written after one chunk — is a
+/// mismatch, although the fingerprint and the chunk count agree.
+#[test]
+fn cursor_off_the_chunk_boundary_is_a_mismatch() {
+    let (circuit, tb, path) = lfsr8_campaign("cursor");
+    let plan = sampled_plan(&circuit, &tb);
+    let engine = Engine::new(&plan);
+    let mut opts = ResumeOptions::checkpoint_to(&path);
+    opts.limit = Some(1);
+    engine.run_streamed_resumable(&plan, &opts).expect("seed checkpoint");
+    let ck = Checkpoint::load(&path).expect("checkpoint loads");
+    let sample = FaultList::sampled(circuit.num_ffs(), tb.num_cycles(), 100, 3);
+    let first_cycle = sample.iter().map(|f| f.cycle).min().expect("non-empty sample");
+    let old_cursor = sample.iter().filter(|f| f.cycle == first_cycle).count();
+    assert_ne!(old_cursor, ck.faults_done(), "the layouts must cut differently");
+    let sink: StreamAccumulator = ck.restore_sink().expect("sink restores");
+    Checkpoint::new(ck.fingerprint().clone(), ck.chunks_done(), old_cursor, ck.meta().to_vec(), &sink)
+        .write_atomic(&path)
+        .expect("rewrite checkpoint");
+    let err = engine
+        .run_streamed_resumable(&plan, &ResumeOptions::resume_from(&path))
+        .expect_err("an off-boundary cursor must not resume");
+    std::fs::remove_file(&path).ok();
+    match err {
+        EngineError::Resume(ResumeError::Mismatch { field, expected, found }) => {
+            assert_eq!(field, "fault cursor");
+            assert_eq!(expected, old_cursor.to_string());
+            assert_eq!(found, ck.faults_done().to_string());
+        }
+        other => panic!("expected a fault-cursor mismatch, got {other}"),
+    }
 }
 
 /// Live-daemon leg of the protocol contract: garbage lines on a real

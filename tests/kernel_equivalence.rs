@@ -4,7 +4,8 @@
 //! verdict. This battery pins all three to bit-identical
 //! order-independent digests across the whole registry, every trace
 //! policy, collapse on/off and 1/2/4/8 worker threads — and repeats the
-//! claim on generated random circuits.
+//! claim on generated random circuits, exhaustive and sampled (sampled
+//! chunks carry faults from several injection cycles).
 
 use proptest::prelude::*;
 use seugrade::generators::{random_sequential, RandomCircuitConfig};
@@ -148,6 +149,50 @@ proptest! {
                 .build();
             let run = Engine::new(&plan).run_streamed(&plan);
             prop_assert_eq!(run.digest(), reference, "kernel {}", kernel.label());
+        }
+    }
+
+    /// Sampled campaigns pack faults from different injection cycles
+    /// into one chunk. Sparse and dense samples on generated circuits
+    /// grade to the serial digest under every kernel, trace policy and
+    /// collapse mode.
+    #[test]
+    fn staggered_sampled_campaigns_match_serial(
+        config in arb_config(),
+        seed in 0u64..1000,
+        k in 1usize..24,
+        percent in 1usize..100,
+    ) {
+        let circuit = random_sequential(&config, seed);
+        let cycles = 40usize;
+        let tb = Testbench::random(circuit.num_inputs(), cycles, seed ^ 0x5354_4147);
+        let count = (circuit.num_ffs() * cycles * percent / 100).max(1);
+        let faults = FaultList::sampled(circuit.num_ffs(), cycles, count, seed);
+        let serial = Grader::new(&circuit, &tb).run_serial(faults.as_slice());
+        let reference = StreamAccumulator::digest_of(faults.as_slice(), &serial);
+        for kernel in Kernel::CONCRETE {
+            for policy in [TracePolicy::Dense, TracePolicy::Checkpoint(k)] {
+                for collapse in [Collapse::Early, Collapse::Horizon] {
+                    let plan = CampaignPlan::builder(&circuit, &tb)
+                        .sampled(count, seed)
+                        .trace_policy(policy)
+                        .collapse(collapse)
+                        .kernel(kernel)
+                        .threads(2)
+                        .build();
+                    let run = Engine::new(&plan).run_streamed(&plan);
+                    prop_assert_eq!(
+                        run.digest(),
+                        reference,
+                        "{} of {} faults: kernel {} {} collapse {}",
+                        count,
+                        circuit.num_ffs() * cycles,
+                        kernel.label(),
+                        policy.label(),
+                        collapse.label()
+                    );
+                }
+            }
         }
     }
 }
