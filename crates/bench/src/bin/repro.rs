@@ -805,6 +805,7 @@ fn run_grade(target: &str, opts: &Options) {
     }
     let plan = builder.build();
     let engine = Engine::new(&plan);
+    let sampled = opts.sample.is_some();
 
     if let Some(path) = &opts.checkpoint {
         let mut ropts = ResumeOptions::checkpoint_to(path);
@@ -816,7 +817,7 @@ fn run_grade(target: &str, opts: &Options) {
             eprintln!("{e}");
             std::process::exit(1);
         });
-        finish_resumable(&circuit, target, &engine, path, &run);
+        finish_resumable(&circuit, target, &engine, sampled, path, &run);
     } else if opts.progress_json {
         // Same one-shot semantics as the streamed path, but through the
         // resumable runner (no checkpoint) so the per-chunk hook fires.
@@ -826,10 +827,26 @@ fn run_grade(target: &str, opts: &Options) {
             eprintln!("{e}");
             std::process::exit(1);
         });
-        print_streamed_report(&circuit, target, &engine, run.sink.summary(), &run.stats, run.sink.digest());
+        print_streamed_report(
+            &circuit,
+            target,
+            &engine,
+            sampled,
+            run.sink.summary(),
+            &run.stats,
+            run.sink.digest(),
+        );
     } else {
         let run = engine.run_streamed(&plan);
-        print_streamed_report(&circuit, target, &engine, run.summary(), run.stats(), run.digest());
+        print_streamed_report(
+            &circuit,
+            target,
+            &engine,
+            sampled,
+            run.summary(),
+            run.stats(),
+            run.digest(),
+        );
     }
 }
 
@@ -901,7 +918,7 @@ fn run_resume(path: &str, opts: &Options) {
         eprintln!("{e}");
         std::process::exit(1);
     });
-    finish_resumable(&circuit, &target, &engine, path, &run);
+    finish_resumable(&circuit, &target, &engine, sample.is_some(), path, &run);
 }
 
 /// The `serve` subcommand: run the campaign daemon until a protocol
@@ -1084,6 +1101,7 @@ fn finish_resumable(
     circuit: &Netlist,
     target: &str,
     engine: &Engine,
+    sampled: bool,
     path: &str,
     run: &ResumableRun<StreamAccumulator>,
 ) {
@@ -1098,27 +1116,55 @@ fn finish_resumable(
         eprintln!("resume with: repro -- resume {path}");
         std::process::exit(EXIT_INTERRUPTED);
     }
-    print_streamed_report(circuit, target, engine, run.sink.summary(), &run.stats, run.sink.digest());
+    print_streamed_report(
+        circuit,
+        target,
+        engine,
+        sampled,
+        run.sink.summary(),
+        &run.stats,
+        run.sink.digest(),
+    );
 }
 
-/// The shared grade/resume report: per-class breakdown, engine stats,
-/// golden-trace memory and the order-independent verdict digest.
+/// One report line per fault class: count and percentage, plus the
+/// 95 % Wilson interval of the percentage when the run graded a
+/// `sampled` subset (an empty summary has no interval).
+fn class_lines(summary: &GradingSummary, sampled: bool) -> Vec<String> {
+    let estimates = (sampled && summary.total() > 0).then(|| estimate_classes(summary));
+    FaultClass::ALL
+        .iter()
+        .enumerate()
+        .map(|(i, class)| {
+            let line = format!(
+                "  {:<8} {:>8}  ({:.1}%)",
+                class.label(),
+                summary.count(*class),
+                summary.percent(*class)
+            );
+            match &estimates {
+                Some(e) => format!("{line}  95% CI [{:.1}%, {:.1}%]", e[i].low, e[i].high),
+                None => line,
+            }
+        })
+        .collect()
+}
+
+/// The shared grade/resume report: per-class breakdown (with Wilson
+/// intervals for a `sampled` run), engine stats, golden-trace memory
+/// and the order-independent verdict digest.
 fn print_streamed_report(
     circuit: &Netlist,
     target: &str,
     engine: &Engine,
+    sampled: bool,
     summary: &GradingSummary,
     stats: &EngineStats,
     digest: u64,
 ) {
     println!("{} ({})", circuit.name(), target);
-    for class in FaultClass::ALL {
-        println!(
-            "  {:<8} {:>8}  ({:.1}%)",
-            class.label(),
-            summary.count(class),
-            summary.percent(class)
-        );
+    for line in class_lines(summary, sampled) {
+        println!("{line}");
     }
     println!("  {:<8} {:>8}", "total", summary.total());
     println!("{stats}");
@@ -1171,4 +1217,29 @@ fn signal_cancel_token() -> CancelToken {
         std::thread::sleep(Duration::from_millis(25));
     });
     token
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn class_lines_add_wilson_intervals_to_sampled_runs_only() {
+        let summary = GradingSummary::from_counts(20, 30, 50);
+        let exhaustive = class_lines(&summary, false);
+        assert_eq!(exhaustive.len(), FaultClass::ALL.len());
+        assert!(exhaustive.iter().all(|l| !l.contains("CI")), "{exhaustive:?}");
+        let sampled = class_lines(&summary, true);
+        for (class, (line, plain)) in FaultClass::ALL.iter().zip(sampled.iter().zip(&exhaustive)) {
+            let e = estimate_classes(&summary).into_iter().find(|e| e.class == *class).unwrap();
+            assert_eq!(*line, format!("{plain}  95% CI [{:.1}%, {:.1}%]", e.low, e.high));
+        }
+        // 20 of 100: the Wilson 95 % interval is 13.3 % .. 28.9 %.
+        let failure = FaultClass::ALL.iter().position(|c| *c == FaultClass::Failure).unwrap();
+        let line = &sampled[failure];
+        assert!(line.ends_with("(20.0%)  95% CI [13.3%, 28.9%]"), "{line}");
+        // An empty sample prints no interval instead of panicking.
+        let empty = class_lines(&GradingSummary::new(), true);
+        assert!(empty.iter().all(|l| !l.contains("CI")), "{empty:?}");
+    }
 }

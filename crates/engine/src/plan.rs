@@ -159,7 +159,7 @@ impl<'a> CampaignPlan<'a> {
     /// Defaults: exhaustive fault list, all three techniques,
     /// [`ShardPolicy::auto`], [`TracePolicy::Dense`],
     /// [`Collapse::Early`], a
-    /// [`DEFAULT_WINDOW_CACHE_SPANS`]-span window cache per worker,
+    /// [`DEFAULT_WINDOW_CACHE_SPANS`]-span golden span cache per run,
     /// [`Kernel::Auto`].
     #[must_use]
     pub fn builder(circuit: &'a Netlist, tb: &'a Testbench) -> CampaignPlanBuilder<'a> {
@@ -222,7 +222,10 @@ impl<'a> CampaignPlan<'a> {
         self.collapse
     }
 
-    /// Per-worker window-cache capacity in spans (0 disables caching).
+    /// Golden span-cache capacity in spans (0 disables caching). One
+    /// store of this size is shared by every worker of a run, for value
+    /// windows and bit spans alike; the differential kernel also
+    /// rebuilds up to half of it (at most 64 spans) per replay pass.
     /// Affects replay cost only, never verdicts — which is also why it
     /// is excluded from resume fingerprints: a campaign checkpointed
     /// under one cache size (or collapse mode) can resume under another.
@@ -347,8 +350,10 @@ impl<'a> CampaignPlanBuilder<'a> {
         self
     }
 
-    /// Sets the per-worker window-cache capacity in replayed spans
-    /// (0 disables caching; verdicts never change).
+    /// Sets the golden span-cache capacity in replayed spans, shared by
+    /// the run's whole worker pool; half of it (at most 64) is also the
+    /// differential kernel's replay batch (0 disables caching and
+    /// replays one span per miss; verdicts never change).
     #[must_use]
     pub fn window_cache(mut self, spans: usize) -> Self {
         self.window_cache = spans;

@@ -1,19 +1,20 @@
 //! The fault-grading engines.
 
-use std::sync::Arc;
-
 use seugrade_netlist::Netlist;
 use seugrade_sim::{
-    broadcast, BitCache, BitSpan, CompiledSim, DiffScratch, GoldenTrace, Kernel, SimState,
+    broadcast, BitCache, CompiledSim, DiffScratch, GoldenTrace, Kernel, SimState,
     Testbench, TracePolicy, TraceWindow, WindowCache,
 };
 
 use crate::{Fault, FaultClass, FaultOutcome};
 
-/// Default [`WindowCache`] capacity (in spans) for grading scratch
-/// state: enough that a worker walking a cycle-major plan keeps its
-/// current span plus a few neighbours hot, small enough that per-worker
-/// memory stays `O(FFs × K)`.
+/// Default golden span-cache capacity (in spans) for a grading run —
+/// of the [`WindowCache`] and the [`BitCache`] alike, each one store
+/// shared by the run's workers. Enough that a cycle-major walk keeps its
+/// current span plus a few neighbours hot, and that the differential
+/// kernel rebuilds 4 spans per lane-parallel replay pass (half the
+/// capacity, so the spans in use survive the next batch); small enough
+/// that golden memory stays `O(cells × K)`.
 pub const DEFAULT_WINDOW_CACHE_SPANS: usize = 8;
 
 /// When a decided fault lane stops being simulated — the paper's
@@ -432,7 +433,8 @@ impl Grader {
     }
 
     /// Builds a per-worker [`GradeScratch`] with the given collapse mode
-    /// and window-cache capacity (in spans; 0 disables caching).
+    /// and span-cache capacity — of its private window and bit-span
+    /// caches, in spans; 0 disables caching.
     #[must_use]
     pub fn new_scratch(&self, collapse: Collapse, cache_spans: usize) -> GradeScratch {
         GradeScratch {
@@ -692,24 +694,6 @@ impl Grader {
         }
     }
 
-    /// The golden bit span covering cycle `t`: the checkpoint-aligned
-    /// `K`-cycle span under `Checkpoint(K)`, a 64-cycle-aligned span
-    /// under `Dense` (bounding span memory the same way checkpoints do).
-    fn bit_span_for(&self, t: usize, bits: &mut BitCache) -> Arc<BitSpan> {
-        let n = self.tb.num_cycles();
-        let (start, end) = match self.policy {
-            TracePolicy::Dense => {
-                let start = t - t % 64;
-                (start, (start + 64).min(n))
-            }
-            TracePolicy::Checkpoint(k) => {
-                let start = t - t % k;
-                (start, (start + k).min(n))
-            }
-        };
-        self.golden.bit_span_cached(&self.sim, &self.tb, start, end, bits)
-    }
-
     /// The differential (activity-driven) chunk walk: the faulty lanes
     /// are simulated **in deviation space** against bit-packed golden
     /// values, so per cycle only the gates reachable from the dirty
@@ -741,14 +725,14 @@ impl Grader {
     ) {
         let mut u = self.validate_chunk(chunk, out);
         let n_cycles = self.tb.num_cycles();
-        let mut span = self.bit_span_for(u, bits);
+        let mut span = self.golden.bit_span_cached(&self.sim, &self.tb, u, bits);
         let (mut next, mut undecided) = (0, 0u64);
         while u < n_cycles {
             undecided |= Self::inject_due(chunk, &mut next, u, |f, lane| {
                 self.sim.diff_seed(sc, f.ff, lane);
             });
             if u >= span.end() {
-                span = self.bit_span_for(u, bits);
+                span = self.golden.bit_span_cached(&self.sim, &self.tb, u, bits);
             }
             let (out_diff, state_diff) = self.sim.diff_cycle(sc, &span, u);
             *sim_steps += 1;
@@ -1340,7 +1324,7 @@ mod tests {
         let tb = Testbench::random(0, 64, 9);
         let g = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(8));
         // Early collapse decides the chunk inside its first span: one
-        // bit-span replay, no value windows.
+        // bit-span replay pass, no value windows.
         let mut scratch = g.new_scratch(Collapse::Early, 16);
         let mut out = [FaultOutcome::latent(); 2];
         let chunk = [Fault::new(FfIndex::new(0), 10), Fault::new(FfIndex::new(3), 10)];
@@ -1348,14 +1332,18 @@ mod tests {
         assert_eq!(scratch.bit_cache().misses(), 1);
         assert_eq!(scratch.cache().misses(), 0, "no value windows fetched");
         // A horizon walk from cycle 10 crosses spans 8..16 through
-        // 56..64: 7 distinct spans replayed into a fresh cache.
+        // 56..64. A capacity of 16 batches up to 8 spans per pass, so
+        // one pass rebuilds all 7 (56 cycles) and the walk hits the
+        // other 6.
         let mut horizon = g.new_scratch(Collapse::Horizon, 16);
         g.grade_chunk(&mut horizon, &chunk, &mut out);
-        assert_eq!(horizon.bit_cache().misses(), 7);
+        assert_eq!(horizon.bit_cache().misses(), 1);
+        assert_eq!(horizon.bit_cache().hits(), 6);
+        assert_eq!(horizon.bit_cache().replayed_cycles(), 56);
         // Re-walking the same chunk hits every span.
         g.grade_chunk(&mut horizon, &chunk, &mut out);
-        assert_eq!(horizon.bit_cache().misses(), 7);
-        assert_eq!(horizon.bit_cache().hits(), 7);
+        assert_eq!(horizon.bit_cache().misses(), 1);
+        assert_eq!(horizon.bit_cache().hits(), 13);
     }
 
     #[test]

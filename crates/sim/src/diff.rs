@@ -35,16 +35,19 @@
 //! so one chunk can hold faults injected at different cycles.
 //!
 //! The golden bits come from a [`BitSpan`]: one bit per cell per cycle
-//! (golden values are lane-uniform), replayed once per checkpoint span
-//! and shared across all chunks of a campaign through a [`BitCache`] —
-//! the same once-per-span economics as the window cache, at 1/64th the
-//! word cost of a value trace.
+//! (golden values are lane-uniform), shared across all chunks of a
+//! campaign through a [`BitCache`] — the same once-per-span economics as
+//! the window cache, at 1/64th the word cost of a value trace. Spans are
+//! replayed lane-parallel: one 64-lane tape pass rebuilds a missing span
+//! together with the uncached spans after it, each lane seeded with its
+//! own span's start state and stimulus.
 
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use seugrade_netlist::FfIndex;
 
-use crate::{tape, CompiledSim, GoldenTrace, Testbench};
+use crate::{tape, CompiledSim, GoldenTrace, Testbench, TracePolicy};
 
 /// Golden internal values for a contiguous cycle span, bit-packed: one
 /// bit per cell per cycle.
@@ -107,9 +110,12 @@ impl BitSpan {
 /// per-handle or shared-behind-a-mutex across a worker pool).
 #[derive(Debug)]
 enum BitStore {
-    Local(Vec<((usize, usize), Arc<BitSpan>)>),
-    Shared(Arc<Mutex<Vec<((usize, usize), Arc<BitSpan>)>>>),
+    Local(SpanEntries),
+    Shared(Arc<Mutex<SpanEntries>>),
 }
+
+/// Cached spans keyed by `(start, end)`, least recently used first.
+type SpanEntries = Vec<((usize, usize), Arc<BitSpan>)>;
 
 /// A small LRU of replayed golden [`BitSpan`]s, keyed by the exact
 /// `start..end` cycle span — the differential kernel's counterpart of
@@ -118,8 +124,12 @@ enum BitStore {
 /// Every span is replayed at most once per store and then served
 /// zero-copy to all 64-lane chunks grading inside it; with a
 /// [`shared`](Self::shared) store the replay is paid once across the
-/// whole worker pool. A capacity of `0` disables retention (every
-/// request replays). Hit/miss/replay counters are always per-handle.
+/// whole worker pool. The capacity also sets the replay batch: a miss
+/// rebuilds up to `max(1, capacity / 2)` spans (at most 64) in one
+/// lane-parallel pass, so the spans a walk is in stay cached while the
+/// next batch lands. A capacity of `0` disables retention (every
+/// request replays its own span). Hit/miss/replay counters are always
+/// per-handle.
 #[derive(Debug)]
 pub struct BitCache {
     capacity: usize,
@@ -133,41 +143,31 @@ impl BitCache {
     /// A private (lock-free) cache holding up to `capacity` spans.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        BitCache {
-            capacity,
-            store: BitStore::Local(Vec::with_capacity(capacity.min(64))),
-            hits: 0,
-            misses: 0,
-            replayed_cycles: 0,
-        }
+        Self::with_store(capacity, BitStore::Local(Vec::with_capacity(capacity.min(64))))
     }
 
     /// A cache whose span store is shared with every handle cloned off
     /// it via [`clone_handle`](Self::clone_handle).
     #[must_use]
     pub fn shared(capacity: usize) -> Self {
-        BitCache {
-            capacity,
-            store: BitStore::Shared(Arc::new(Mutex::new(Vec::with_capacity(
-                capacity.min(64),
-            )))),
-            hits: 0,
-            misses: 0,
-            replayed_cycles: 0,
-        }
+        let entries = Vec::with_capacity(capacity.min(64));
+        Self::with_store(capacity, BitStore::Shared(Arc::new(Mutex::new(entries))))
+    }
+
+    fn with_store(capacity: usize, store: BitStore) -> Self {
+        BitCache { capacity, store, hits: 0, misses: 0, replayed_cycles: 0 }
     }
 
     /// A new handle with zeroed counters: same store for a
     /// [`shared`](Self::shared) cache, a fresh empty cache otherwise.
     #[must_use]
     pub fn clone_handle(&self) -> Self {
-        let store = match &self.store {
-            BitStore::Local(_) => {
-                BitStore::Local(Vec::with_capacity(self.capacity.min(64)))
+        match &self.store {
+            BitStore::Local(_) => Self::new(self.capacity),
+            BitStore::Shared(store) => {
+                Self::with_store(self.capacity, BitStore::Shared(Arc::clone(store)))
             }
-            BitStore::Shared(store) => BitStore::Shared(Arc::clone(store)),
-        };
-        BitCache { capacity: self.capacity, store, hits: 0, misses: 0, replayed_cycles: 0 }
+        }
     }
 
     /// A capacity-0 cache: every span request replays from a checkpoint.
@@ -188,74 +188,94 @@ impl BitCache {
         self.hits
     }
 
-    /// Span requests through this handle that had to replay.
+    /// Replay passes run on behalf of this handle — one per missed span
+    /// request, however many spans the pass rebuilt.
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// Total golden cycles re-simulated on behalf of this handle.
+    /// Total golden span-cycles reconstructed on behalf of this handle.
     #[must_use]
     pub fn replayed_cycles(&self) -> u64 {
         self.replayed_cycles
     }
 
-    fn store_lookup(
-        entries: &mut Vec<((usize, usize), Arc<BitSpan>)>,
-        key: (usize, usize),
-    ) -> Option<Arc<BitSpan>> {
-        let pos = entries.iter().position(|(k, _)| *k == key)?;
-        let entry = entries.remove(pos);
-        let span = Arc::clone(&entry.1);
-        entries.push(entry);
-        Some(span)
+    /// Spans one replay pass may rebuild: half the capacity, so the
+    /// spans in use survive the batch's insertion, and never more than
+    /// the 64 lanes of a tape pass.
+    fn batch_limit(&self) -> usize {
+        (self.capacity / 2).clamp(1, 64)
     }
 
-    fn store_insert(
-        entries: &mut Vec<((usize, usize), Arc<BitSpan>)>,
-        capacity: usize,
-        key: (usize, usize),
-        span: Arc<BitSpan>,
-    ) {
-        if entries.iter().any(|(k, _)| *k == key) {
-            // A racing handle replayed the same span first; keep its copy.
-            return;
-        }
-        if entries.len() == capacity {
-            entries.remove(0);
-        }
-        entries.push((key, span));
-    }
-
-    fn lookup(&mut self, key: (usize, usize)) -> Option<Arc<BitSpan>> {
-        let hit = match &mut self.store {
-            BitStore::Local(entries) => Self::store_lookup(entries, key),
+    /// Runs `f` on the span entries, locking a shared store.
+    fn with_entries<R>(&mut self, f: impl FnOnce(&mut SpanEntries) -> R) -> R {
+        match &mut self.store {
+            BitStore::Local(entries) => f(entries),
             BitStore::Shared(store) => {
-                let mut entries =
-                    store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                Self::store_lookup(&mut entries, key)
+                f(&mut store.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
             }
-        };
+        }
+    }
+
+    /// The span keyed `key`, marked most recently used.
+    fn lookup(&mut self, key: (usize, usize)) -> Option<Arc<BitSpan>> {
+        let hit = self.with_entries(|entries| {
+            let pos = entries.iter().position(|(k, _)| *k == key)?;
+            let entry = entries.remove(pos);
+            let span = Arc::clone(&entry.1);
+            entries.push(entry);
+            Some(span)
+        });
         if hit.is_some() {
             self.hits += 1;
         }
         hit
     }
 
-    fn insert(&mut self, key: (usize, usize), span: Arc<BitSpan>) {
-        if self.capacity == 0 {
+    /// The replay batch for a missed `first` span: `first` plus the
+    /// uncached keys of `rest` up to the first cached one, at most
+    /// [`batch_limit`](Self::batch_limit) in all (the LRU order is left
+    /// as it is).
+    fn replay_batch(
+        &mut self,
+        first: (usize, usize),
+        rest: impl Iterator<Item = (usize, usize)>,
+    ) -> Vec<(usize, usize)> {
+        let limit = self.batch_limit();
+        self.with_entries(|entries| {
+            let uncached = rest.take_while(|key| entries.iter().all(|(k, _)| k != key));
+            std::iter::once(first).chain(uncached).take(limit).collect()
+        })
+    }
+
+    /// Spans currently held by the store.
+    #[cfg(test)]
+    fn held(&mut self) -> usize {
+        self.with_entries(|entries| entries.len())
+    }
+
+    /// Retains `spans`, evicting least recently used entries beyond the
+    /// capacity. The first span ends up most recently used.
+    fn insert(&mut self, spans: &[Arc<BitSpan>]) {
+        let capacity = self.capacity;
+        if capacity == 0 {
             return;
         }
-        match &mut self.store {
-            BitStore::Local(entries) => {
-                Self::store_insert(entries, self.capacity, key, span);
+        self.with_entries(|entries| {
+            for span in spans.iter().rev() {
+                let key = (span.start, span.end);
+                if entries.iter().any(|(k, _)| *k == key) {
+                    // A racing handle replayed the same span first; keep
+                    // its copy.
+                    continue;
+                }
+                if entries.len() == capacity {
+                    entries.remove(0);
+                }
+                entries.push((key, Arc::clone(span)));
             }
-            BitStore::Shared(store) => {
-                let mut entries =
-                    store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                Self::store_insert(&mut entries, self.capacity, key, span);
-            }
-        }
+        });
     }
 }
 
@@ -436,76 +456,185 @@ impl CompiledSim {
         debug_assert!(sc.dirty.iter().all(|&w| w == 0), "cone worklist not drained");
     }
 
-    /// Replays the golden run from `seed` (the state at cycle `from`)
-    /// and captures the bit-packed internal values for `start..end`.
-    pub(crate) fn capture_bit_span(
+    /// Replays up to 64 golden spans in one 64-lane tape pass and
+    /// captures each as a bit-packed [`BitSpan`].
+    ///
+    /// Lane `j` starts from `seeds[j].0`, the golden flip-flop state at
+    /// the start of span `seeds[j].1`, and is driven with that span's
+    /// stimulus; a lane whose span is shorter than the longest runs on
+    /// with low inputs, uncaptured. Each step's value words are turned
+    /// into the spans' rows by [`scatter_lanes`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1..=64` spans are given.
+    pub(crate) fn capture_bit_spans(
         &self,
         tb: &Testbench,
-        seed: &[bool],
-        from: usize,
-        start: usize,
-        end: usize,
-    ) -> BitSpan {
-        debug_assert!(from <= start && start < end && end <= tb.num_cycles());
+        seeds: &[(&[bool], Range<usize>)],
+    ) -> Vec<BitSpan> {
+        assert!((1..=64).contains(&seeds.len()), "{} spans for one 64-lane pass", seeds.len());
         let mut st = self.new_state();
-        self.load_state(&mut st, seed);
-        for t in from..start {
-            self.set_inputs(&mut st, tb.cycle(t));
-            self.eval(&mut st);
-            self.step(&mut st);
+        for (i, &slot) in self.ffs.iter().enumerate() {
+            st.values[slot as usize] = seeds
+                .iter()
+                .enumerate()
+                .fold(0, |w, (lane, (seed, _))| w | u64::from(seed[i]) << lane);
         }
         let stride = self.num_cells.div_ceil(64);
-        let mut words = vec![0u64; stride * (end - start)];
-        for t in start..end {
-            self.set_inputs(&mut st, tb.cycle(t));
-            self.eval(&mut st);
-            let base = (t - start) * stride;
-            // Golden values are lane-uniform; bit 0 is the whole story.
-            for (slot, &v) in st.values.iter().enumerate() {
-                words[base + slot / 64] |= (v & 1) << (slot % 64);
+        let mut spans: Vec<BitSpan> = seeds
+            .iter()
+            .map(|(_, r)| {
+                debug_assert!(r.start < r.end && r.end <= tb.num_cycles());
+                BitSpan { start: r.start, end: r.end, stride, words: vec![0; stride * r.len()] }
+            })
+            .collect();
+        let steps = seeds.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
+        let mut inputs = vec![0u64; self.inputs.len()];
+        for step in 0..steps {
+            inputs.fill(0);
+            for (lane, (_, r)) in seeds.iter().enumerate() {
+                if step < r.len() {
+                    for (w, &bit) in inputs.iter_mut().zip(tb.cycle(r.start + step)) {
+                        *w |= u64::from(bit) << lane;
+                    }
+                }
             }
+            self.set_inputs_raw(&mut st, &inputs);
+            self.eval(&mut st);
+            scatter_lanes(&st.values, step, &mut spans);
             self.step(&mut st);
         }
-        BitSpan { start, end, stride, words }
+        spans
+    }
+}
+
+/// Transposes an 8×8 bit matrix stored row-major in a `u64` (row `i` is
+/// byte `i`, column `j` its bit `j`): bit `8i + j` moves to `8j + i`.
+#[inline]
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// Transposes an 8×8 byte matrix stored as eight `u64` rows (row `c`
+/// is `m[c]`, column `k` its byte `k`): byte `k` of `m[c]` moves to byte
+/// `c` of `m[k]`.
+#[inline]
+fn transpose_bytes8(m: &mut [u64; 8]) {
+    for (dist, mask) in [(1, 0x00FF_00FF_00FF_00FF), (2, 0x0000_FFFF_0000_FFFF), (4, 0xFFFF_FFFF)] {
+        let width = 8 * dist;
+        for c in (0..8).filter(|c| c & dist == 0) {
+            let t = ((m[c] >> width) ^ m[c + dist]) & mask;
+            m[c + dist] ^= t;
+            m[c] ^= t << width;
+        }
+    }
+}
+
+/// Writes row `step` of every span still running at `step`: bit `slot`
+/// of span `j`'s row is bit `j` of `values[slot]`.
+///
+/// Works in 8×8 bit blocks: byte `b` (lanes `8b..8b+8`) of eight
+/// consecutive values is gathered into one `u64` and transposed, so its
+/// byte `k` holds lane `8b + k`'s bits of those eight slots; an 8×8 byte
+/// transpose of eight such words then yields each lane's 64-slot row
+/// word. Only the byte blocks holding a span are visited.
+fn scatter_lanes(values: &[u64], step: usize, spans: &mut [BitSpan]) {
+    let blocks = spans.len().div_ceil(8);
+    let mut pad = [0u64; 64];
+    for (word, group) in values.chunks(64).enumerate() {
+        let group: &[u64; 64] = match group.try_into() {
+            Ok(full) => full,
+            Err(_) => {
+                pad[..group.len()].copy_from_slice(group);
+                &pad
+            }
+        };
+        for block in 0..blocks {
+            let shift = 8 * block;
+            let mut rows: [u64; 8] = std::array::from_fn(|c| {
+                transpose8(u64::from_le_bytes(std::array::from_fn(|i| {
+                    (group[8 * c + i] >> shift) as u8
+                })))
+            });
+            transpose_bytes8(&mut rows);
+            for (span, &row) in spans[shift..].iter_mut().zip(&rows) {
+                if step < span.end - span.start {
+                    span.words[step * span.stride + word] = row;
+                }
+            }
+        }
     }
 }
 
 impl GoldenTrace {
-    /// The golden [`BitSpan`] for cycles `start..end`, served through
-    /// (and retained in) `cache` — replayed from the nearest stored
-    /// state on a miss, zero-copy on a hit.
+    /// Cycles per golden bit span: `K` under `Checkpoint(K)`, 64 under
+    /// `Dense` (bounding span memory the same way checkpoints do).
+    fn bit_span_len(&self) -> usize {
+        match self.policy() {
+            TracePolicy::Dense => 64,
+            TracePolicy::Checkpoint(k) => k,
+        }
+    }
+
+    /// The golden [`BitSpan`] containing cycle `t`, served through (and
+    /// retained in) `cache`: zero-copy on a hit, replayed on a miss.
     ///
-    /// Unlike value windows, bit spans are replayed under **every**
-    /// trace policy (internal gate values are never stored); a dense
-    /// trace merely seeds the replay at `start` itself.
+    /// Spans are aligned to their length — `K` cycles under
+    /// `Checkpoint(K)`, 64 under `Dense`, the final one cut at the bench
+    /// end — so each seeds at its own start. Unlike value windows, bit
+    /// spans are replayed under **every** trace policy (internal gate
+    /// values are never stored).
+    ///
+    /// A miss replays the missing span together with the uncached spans
+    /// after it, stopping at the first cached span or the bench end, in
+    /// one lane-parallel pass of at most `max(1, capacity / 2)` spans
+    /// (never more than 64): a forward walk pays one pass for several
+    /// spans.
     ///
     /// # Panics
     ///
-    /// Panics if `start >= end`, `end > num_cycles()`, or `sim`/`tb`
-    /// dimensions do not match the trace.
+    /// Panics if `t >= num_cycles()`, or `sim`/`tb` dimensions do not
+    /// match the trace.
     #[must_use]
     pub fn bit_span_cached(
         &self,
         sim: &CompiledSim,
         tb: &Testbench,
-        start: usize,
-        end: usize,
+        t: usize,
         cache: &mut BitCache,
     ) -> Arc<BitSpan> {
-        assert!(start < end, "empty bit span {start}..{end}");
-        assert!(end <= self.num_cycles(), "bit span end {end} beyond trace");
+        let n = self.num_cycles();
+        assert!(t < n, "bit span cycle {t} beyond trace");
         assert_eq!(sim.num_ffs(), self.num_ffs(), "bit span sim flip-flop count");
-        assert_eq!(tb.num_cycles(), self.num_cycles(), "bit span test-bench length");
-        let key = (start, end);
-        if let Some(span) = cache.lookup(key) {
+        assert_eq!(tb.num_cycles(), n, "bit span test-bench length");
+        let len = self.bit_span_len();
+        let key = |start: usize| (start, (start + len).min(n));
+        let first = t - t % len;
+        if let Some(span) = cache.lookup(key(first)) {
             return span;
         }
-        let (seed, from) = self.seed_for(start);
-        let span = Arc::new(sim.capture_bit_span(tb, seed, from, start, end));
+        let batch = cache.replay_batch(key(first), (first + len..n).step_by(len).map(key));
+        let seeds: Vec<(&[bool], Range<usize>)> = batch
+            .iter()
+            .map(|&(start, end)| {
+                let (seed, from) = self.seed_for(start);
+                debug_assert_eq!(from, start, "bit spans are checkpoint-aligned");
+                (seed, start..end)
+            })
+            .collect();
+        let spans: Vec<Arc<BitSpan>> =
+            sim.capture_bit_spans(tb, &seeds).into_iter().map(Arc::new).collect();
         cache.misses += 1;
-        cache.replayed_cycles += (end - from) as u64;
-        cache.insert(key, Arc::clone(&span));
-        span
+        cache.replayed_cycles +=
+            batch.iter().map(|&(start, end)| (end - start) as u64).sum::<u64>();
+        cache.insert(&spans);
+        Arc::clone(&spans[0])
     }
 }
 
@@ -514,7 +643,7 @@ mod tests {
     use seugrade_netlist::NetlistBuilder;
 
     use super::*;
-    use crate::{broadcast, TracePolicy};
+    use crate::broadcast;
 
     /// A small sequential circuit with reconvergent fanout, masking
     /// paths and an inverter chain — enough structure to exercise cone
@@ -539,31 +668,174 @@ mod tests {
         b.finish().unwrap()
     }
 
-    #[test]
-    fn bit_spans_match_golden_values() {
-        let n = gadget();
-        let sim = crate::CompiledSim::new(&n);
-        let tb = Testbench::random(1, 24, 7);
-        for policy in [TracePolicy::Dense, TracePolicy::Checkpoint(5)] {
-            let trace = sim.run_golden_with(&tb, policy);
-            let mut cache = BitCache::new(4);
-            let span = trace.bit_span_cached(&sim, &tb, 6, 14, &mut cache);
-            // Brute-force reference: full golden run, checking every cell.
-            let mut st = sim.new_state();
-            for t in 0..14 {
+    /// A wider sequential circuit: three inputs and a 48-FF ring of
+    /// mixing gates, well over 128 cells, so span rows take several
+    /// words and the last one is partial.
+    fn ring() -> seugrade_netlist::Netlist {
+        let mut b = NetlistBuilder::new("ring");
+        let ins: Vec<_> = (0..3).map(|i| b.input(format!("i{i}"))).collect();
+        let qs: Vec<_> = (0..48).map(|i| b.dff(i % 3 == 0)).collect();
+        for i in 0..48 {
+            let g = b.and2(qs[(i + 1) % 48], ins[i % 3]);
+            let d = b.xor2(qs[(i + 47) % 48], g);
+            b.connect_dff(qs[i], d).unwrap();
+            if i % 8 == 0 {
+                b.output(format!("o{i}"), d);
+            }
+        }
+        b.finish().unwrap()
+    }
+
+    /// Golden value of every cell at every cycle, from a plain one-lane
+    /// run of the whole bench.
+    fn brute_force_values(sim: &CompiledSim, tb: &Testbench) -> Vec<Vec<bool>> {
+        let mut st = sim.new_state();
+        (0..tb.num_cycles())
+            .map(|t| {
                 sim.set_inputs(&mut st, tb.cycle(t));
                 sim.eval(&mut st);
-                if t >= 6 {
-                    for slot in 0..n.num_cells() {
-                        assert_eq!(
-                            span.word_at(slot, t),
-                            broadcast(st.values[slot] & 1 == 1),
-                            "policy {policy} slot {slot} cycle {t}"
-                        );
+                let row = st.values.iter().map(|v| v & 1 == 1).collect();
+                sim.step(&mut st);
+                row
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bit_spans_match_golden_values() {
+        for n in [gadget(), ring()] {
+            let sim = crate::CompiledSim::new(&n);
+            for (policy, len) in [
+                (TracePolicy::Dense, 64),
+                (TracePolicy::Checkpoint(1), 1),
+                (TracePolicy::Checkpoint(5), 5),
+            ] {
+                for batch in [1usize, 3, 8, 9, 64] {
+                    // Two batches' worth of spans plus a short final span
+                    // (`len / 2` cycles; none under `Checkpoint(1)`, where
+                    // the 70-cycle minimum still fills a 64-span pass).
+                    let cycles = (len * 2 * batch + len / 2).max(70);
+                    let tb = Testbench::random(n.num_inputs(), cycles, 7 + batch as u64);
+                    let golden = brute_force_values(&sim, &tb);
+                    let trace = sim.run_golden_with(&tb, policy);
+                    // `2 * batch + 1` halves to `batch`; 1000 is clamped
+                    // to the 64 lanes of a pass.
+                    let capacity = if batch == 64 { 1000 } else { 2 * batch + 1 };
+                    let mut cache = BitCache::new(capacity);
+                    let first = trace.bit_span_cached(&sim, &tb, 0, &mut cache);
+                    assert_eq!(
+                        cache.replayed_cycles(),
+                        (batch * len).min(cycles) as u64,
+                        "policy {policy} batch {batch}: one pass fills the batch"
+                    );
+                    assert_eq!((first.start(), first.end()), (0, len.min(cycles)));
+                    for (t, row) in golden.iter().enumerate() {
+                        let span = trace.bit_span_cached(&sim, &tb, t, &mut cache);
+                        let start = t - t % len;
+                        assert_eq!((span.start(), span.end()), (start, (start + len).min(cycles)));
+                        for (slot, &bit) in row.iter().enumerate() {
+                            assert_eq!(
+                                span.bit_at(slot, t),
+                                bit,
+                                "policy {policy} batch {batch} slot {slot} cycle {t}"
+                            );
+                        }
+                    }
+                    let spans = cycles.div_ceil(len);
+                    assert_eq!(
+                        cache.misses(),
+                        spans.div_ceil(batch) as u64,
+                        "policy {policy} batch {batch}"
+                    );
+                    assert_eq!(cache.replayed_cycles(), cycles as u64, "each span rebuilt once");
+                    assert_eq!(cache.hits() + cache.misses(), cycles as u64 + 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose8_moves_bit_ij_to_ji() {
+        let mut rng = crate::SplitMix64::new(3);
+        for _ in 0..1000 {
+            let x = rng.next_u64();
+            let y = transpose8(x);
+            for i in 0..8 {
+                for j in 0..8 {
+                    assert_eq!(y >> (8 * j + i) & 1, x >> (8 * i + j) & 1, "{x:#x} bit ({i}, {j})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_bytes8_moves_byte_ck_to_kc() {
+        let mut rng = crate::SplitMix64::new(4);
+        for _ in 0..100 {
+            let m: [u64; 8] = std::array::from_fn(|_| rng.next_u64());
+            let mut t = m;
+            transpose_bytes8(&mut t);
+            for c in 0..8 {
+                for k in 0..8 {
+                    assert_eq!(t[k] >> (8 * c) & 0xff, m[c] >> (8 * k) & 0xff, "byte ({c}, {k})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scatter_lanes_matches_a_naive_bit_gather() {
+        let mut rng = crate::SplitMix64::new(11);
+        for (cells, lanes) in [(1usize, 1usize), (64, 8), (150, 9), (200, 64), (129, 3)] {
+            let stride = cells.div_ceil(64);
+            let values: Vec<u64> = (0..cells).map(|_| rng.next_u64()).collect();
+            // Span `j` lasts `j % 3 + 1` steps; step 1 skips the spans
+            // that already ended.
+            let mut spans: Vec<BitSpan> = (0..lanes)
+                .map(|j| {
+                    let len = j % 3 + 1;
+                    BitSpan { start: 10, end: 10 + len, stride, words: vec![0; stride * len] }
+                })
+                .collect();
+            scatter_lanes(&values, 1, &mut spans);
+            for (lane, span) in spans.iter().enumerate() {
+                for (slot, &v) in values.iter().enumerate() {
+                    let want = span.end() > 11 && v >> lane & 1 == 1;
+                    let got = span.end() > 11 && span.bit_at(slot, 11);
+                    assert_eq!(got, want, "cells {cells} lane {lane} slot {slot}");
+                }
+                // Padding bits past the last cell stay clear.
+                if span.end() > 11 {
+                    assert_eq!(span.row(11)[stride - 1] >> ((cells - 1) % 64) >> 1, 0);
+                }
+                assert!(span.row(10).iter().all(|&w| w == 0), "step 0 untouched");
+            }
+        }
+    }
+
+    #[test]
+    fn replay_batches_stay_within_capacity_and_double_buffer() {
+        let n = ring();
+        let sim = crate::CompiledSim::new(&n);
+        let tb = Testbench::random(n.num_inputs(), 64, 5);
+        let trace = sim.run_golden_with(&tb, TracePolicy::Checkpoint(4));
+        for capacity in [1usize, 2, 5, 8] {
+            let mut cache = BitCache::new(capacity);
+            let mut passes = 0;
+            for t in 0..64 {
+                let _ = trace.bit_span_cached(&sim, &tb, t, &mut cache);
+                assert!(cache.held() <= capacity, "capacity {capacity}: {} held", cache.held());
+                if cache.misses() > passes {
+                    passes = cache.misses();
+                    if t > 0 && capacity > 1 {
+                        // The span the walk sat in survives the landing.
+                        let hits = cache.hits();
+                        let _ = trace.bit_span_cached(&sim, &tb, t - 1, &mut cache);
+                        assert_eq!(cache.hits(), hits + 1, "capacity {capacity} cycle {t}");
                     }
                 }
-                sim.step(&mut st);
             }
+            assert_eq!(passes, 16u64.div_ceil((capacity as u64 / 2).max(1)));
         }
     }
 
@@ -607,8 +879,7 @@ mod tests {
                 sim.diff_seed(&mut sc, FfIndex::new(ff), 5);
                 for (i, &(ro, rs)) in ref_trail.iter().enumerate() {
                     let t = inject + i;
-                    let span =
-                        trace.bit_span_cached(&sim, &tb, 0, tb.num_cycles(), &mut cache);
+                    let span = trace.bit_span_cached(&sim, &tb, t, &mut cache);
                     let (o, s) = sim.diff_cycle(&mut sc, &span, t);
                     assert_eq!(o, ro, "out_diff ff {ff} inject {inject} cycle {t}");
                     assert_eq!(s, rs, "state_diff ff {ff} inject {inject} cycle {t}");
@@ -638,7 +909,7 @@ mod tests {
         let tb = Testbench::constant_low(0, 8);
         let trace = sim.run_golden(&tb);
         let mut cache = BitCache::new(1);
-        let span = trace.bit_span_cached(&sim, &tb, 0, 8, &mut cache);
+        let span = trace.bit_span_cached(&sim, &tb, 0, &mut cache);
         let mut sc = sim.new_diff_scratch();
         sim.diff_seed(&mut sc, FfIndex::new(0), 0);
         let mut diffs = Vec::new();
@@ -674,7 +945,7 @@ mod tests {
         let tb = Testbench::constant_low(0, 8);
         let trace = sim.run_golden(&tb);
         let mut cache = BitCache::new(1);
-        let span = trace.bit_span_cached(&sim, &tb, 0, 8, &mut cache);
+        let span = trace.bit_span_cached(&sim, &tb, 0, &mut cache);
         let mut sc = sim.new_diff_scratch();
         sim.diff_seed(&mut sc, FfIndex::new(0), 0);
         sim.diff_seed(&mut sc, FfIndex::new(1), 1);
@@ -699,16 +970,19 @@ mod tests {
         let root = BitCache::shared(4);
         let mut a = root.clone_handle();
         let mut b = root.clone_handle();
-        let _ = trace.bit_span_cached(&sim, &tb, 4, 8, &mut a);
-        let _ = trace.bit_span_cached(&sim, &tb, 4, 8, &mut b);
+        // A capacity of 4 replays two spans per pass: 4..8 and 8..12.
+        let _ = trace.bit_span_cached(&sim, &tb, 5, &mut a);
+        let _ = trace.bit_span_cached(&sim, &tb, 4, &mut b);
+        let _ = trace.bit_span_cached(&sim, &tb, 11, &mut b);
         assert_eq!((a.misses(), a.hits()), (1, 0));
-        assert_eq!((b.misses(), b.hits()), (0, 1));
-        assert_eq!(a.replayed_cycles(), 4);
+        assert_eq!((b.misses(), b.hits()), (0, 2));
+        assert_eq!(a.replayed_cycles(), 8);
         assert_eq!(b.replayed_cycles(), 0);
-        // Disabled cache: every request replays.
+        // Disabled cache: every request replays its own span.
         let mut d = BitCache::disabled();
-        let _ = trace.bit_span_cached(&sim, &tb, 4, 8, &mut d);
-        let _ = trace.bit_span_cached(&sim, &tb, 4, 8, &mut d);
+        let _ = trace.bit_span_cached(&sim, &tb, 4, &mut d);
+        let _ = trace.bit_span_cached(&sim, &tb, 7, &mut d);
         assert_eq!((d.misses(), d.hits()), (2, 0));
+        assert_eq!(d.replayed_cycles(), 8);
     }
 }
