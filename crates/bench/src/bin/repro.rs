@@ -1,37 +1,19 @@
 //! `repro` — regenerate every table and figure of the DATE'05 paper,
-//! plus the engine throughput benchmark and the external-netlist
-//! grading path.
+//! plus the external-netlist grading path and the campaign daemon.
 //!
 //! ```text
 //! cargo run -p seugrade-bench --release --bin repro -- all
 //! cargo run -p seugrade-bench --release --bin repro -- table2
 //! cargo run -p seugrade-bench --release --bin repro -- crossover --quick
-//! cargo run -p seugrade-bench --release --bin repro -- bench --threads 4
 //! cargo run -p seugrade-bench --release --bin repro -- grade fixtures/s27.bench
 //! ```
 //!
 //! Subcommands: `table1`, `table2`, `figure1`, `classification`, `speed`,
-//! `crossover`, `ablations`, `sampling`, `all`, `bench`, `grade`,
-//! `resume`, `serve`, `submit`, `status`, `cancel`. `--quick` shrinks
-//! the crossover sweep, sample sizes and the bench circuit. `--csv`
-//! additionally prints machine-readable CSV blocks.
-//!
-//! `bench` measures the sharded campaign engine (serial reference,
-//! engine at 1/2/`--threads N` workers, plus the modelled autonomous
-//! techniques) and writes the stable `seugrade-engine-bench/v1` schema
-//! to `BENCH_engine.json` (`--out PATH` overrides), then the streamed
-//! grading scaling rows — the s5378-class fixture under `dense` vs
-//! `checkpoint:64`, throughput and golden-trace memory — to the tracked
-//! `BENCH_grade.json` (`seugrade-grade-bench/v1`). `--trace-policy
-//! auto` widens the sweep to `checkpoint:K` for K ∈ {16, 64, 256,
-//! 1024}, reports the fastest policy against dense, and re-measures
-//! the winner with early fault collapse inverted (`--collapse on|off`
-//! picks the mode for every other row). The grade rows always end with
-//! a single-core **kernel sweep** — `generic` vs `tape` vs
-//! `differential` over the exhaustive s5378g space, digests asserted
-//! identical — and one s38417g-class (~10k FF) scale row. It is
-//! deliberately *not* part of `all`: wall-clock measurement deserves an
-//! unloaded machine.
+//! `crossover`, `ablations`, `sampling`, `all`, `grade`, `resume`,
+//! `serve`, `submit`, `status`, `cancel`. `--quick` shrinks the
+//! crossover sweep and the sample sizes. `--csv` additionally prints
+//! machine-readable CSV blocks. Throughput is measured by the separate
+//! `gradebench` harness (`python3 gradebench/run.py`), not by `repro`.
 //!
 //! `grade <target>` loads a circuit — a bundled registry name
 //! (`repro -- grade s5378g`) or an external netlist file (ISCAS
@@ -87,16 +69,12 @@ struct Options {
     quick: bool,
     csv: bool,
     threads: Option<usize>,
-    out: Option<String>,
     format: Option<SourceFormat>,
     vectors: usize,
     seed: u64,
     trace_policy: TracePolicy,
-    /// `--trace-policy auto`: sweep K ∈ {16, 64, 256, 1024} plus dense
-    /// in `bench` and report the fastest policy.
-    trace_policy_auto: bool,
     collapse: Collapse,
-    /// `--kernel auto|generic|tape|differential`: the faulty-evaluation
+    /// `--kernel auto|generic|differential`: the faulty-evaluation
     /// kernel workers grade with (a pure speed knob; verdicts and
     /// digests never change).
     kernel: Kernel,
@@ -135,12 +113,10 @@ fn main() {
         quick: false,
         csv: false,
         threads: None,
-        out: None,
         format: None,
         vectors: 100,
         seed: 42,
         trace_policy: TracePolicy::Dense,
-        trace_policy_auto: false,
         collapse: Collapse::Early,
         kernel: Kernel::Auto,
         sample: None,
@@ -175,14 +151,10 @@ fn main() {
                     eprintln!("--trace-policy needs a value");
                     std::process::exit(2);
                 });
-                if v == "auto" {
-                    opts.trace_policy_auto = true;
-                } else {
-                    opts.trace_policy = TracePolicy::from_label(&v).unwrap_or_else(|| {
-                        eprintln!("--trace-policy expects dense|checkpoint:<K>|auto, got `{v}`");
-                        std::process::exit(2);
-                    });
-                }
+                opts.trace_policy = TracePolicy::from_label(&v).unwrap_or_else(|| {
+                    eprintln!("--trace-policy expects dense|checkpoint:<K>, got `{v}`");
+                    std::process::exit(2);
+                });
             }
             "--collapse" => {
                 let v = it.next().unwrap_or_else(|| {
@@ -200,7 +172,7 @@ fn main() {
                     std::process::exit(2);
                 });
                 opts.kernel = Kernel::from_label(&v).unwrap_or_else(|| {
-                    eprintln!("--kernel expects auto|generic|tape|differential, got `{v}`");
+                    eprintln!("--kernel expects auto|generic|differential, got `{v}`");
                     std::process::exit(2);
                 });
             }
@@ -221,12 +193,6 @@ fn main() {
                 });
                 opts.format = Some(SourceFormat::from_label(&v).unwrap_or_else(|| {
                     eprintln!("--format expects bench|blif|snl|verilog|vhdl, got `{v}`");
-                    std::process::exit(2);
-                }));
-            }
-            "--out" => {
-                opts.out = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
                     std::process::exit(2);
                 }));
             }
@@ -274,7 +240,6 @@ fn main() {
         "ablations",
         "sampling",
         "all",
-        "bench",
         "grade",
         "resume",
         "serve",
@@ -287,23 +252,13 @@ fn main() {
         std::process::exit(2);
     }
 
-    if opts.trace_policy_auto && command != "bench" {
-        eprintln!("--trace-policy auto is a bench sweep; pick a concrete policy for `{command}`");
-        std::process::exit(2);
-    }
-
     let start = Instant::now();
-    if command == "bench" {
-        run_engine_bench(&opts);
-        eprintln!("done in {:.1?}", start.elapsed());
-        return;
-    }
     if command == "grade" {
         let Some(target) = commands.get(1) else {
             eprintln!(
                 "usage: repro -- grade <file-or-registry-name> [--format bench|blif|snl|verilog|vhdl] \
                  [--threads N] [--vectors N] [--seed S] [--trace-policy dense|checkpoint:K] \
-                 [--kernel auto|generic|tape|differential] [--sample N] [--checkpoint PATH] \
+                 [--kernel auto|generic|differential] [--sample N] [--checkpoint PATH] \
                  [--checkpoint-every N]"
             );
             std::process::exit(2);
@@ -429,341 +384,6 @@ fn main() {
 
     let _ = experiments::paper_campaign; // documented entry point
     eprintln!("done in {:.1?}", start.elapsed());
-}
-
-/// The `bench` subcommand: measure the sharded engine, append the
-/// modelled autonomous techniques, write `BENCH_engine.json`.
-fn run_engine_bench(opts: &Options) {
-    let threads = opts
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
-    let (circuit, tb, label) = if opts.quick {
-        let circuit = registry::build("b13s").expect("registered circuit");
-        let tb = Testbench::random(circuit.num_inputs(), 48, 42);
-        (circuit, tb, "b13s")
-    } else {
-        (viper::viper(), stimuli::paper_testbench(), "viper")
-    };
-    let serial_sample = if opts.quick { 64 } else { 512 };
-    let mut counts = vec![1, 2, threads];
-    counts.sort_unstable();
-    counts.dedup();
-
-    eprintln!(
-        "engine bench: {} ({} faults, {} cycles), threads {:?}...",
-        label,
-        circuit.num_ffs() * tb.num_cycles(),
-        tb.num_cycles(),
-        counts
-    );
-    let (mut report, run) = throughput_harness(&circuit, &tb, label, &counts, serial_sample);
-
-    // Modelled autonomous-emulation rows for the same campaign, derived
-    // from the harness's own graded outcomes (no re-grading).
-    let (faults, outcomes) = run.into_single().expect("exhaustive plan");
-    let n_faults = faults.len();
-    let campaign =
-        AutonomousCampaign::from_graded(&circuit, &tb, faults, outcomes, TimingConfig::default());
-    let serial_ns_per_fault = report
-        .find("serial", 1)
-        .map_or(0.0, seugrade::BenchRecord::ns_per_fault);
-    for technique in Technique::ALL {
-        let emu = campaign.run(technique);
-        let wall_ns = emu.timing.emulation_time().as_nanos();
-        let ns_per_fault = wall_ns as f64 / n_faults.max(1) as f64;
-        report.push(BenchRecord {
-            circuit: label.to_owned(),
-            technique: format!("autonomous {}", technique.label()),
-            threads: 1,
-            faults: n_faults,
-            wall_ns,
-            faults_per_sec: engine_bench::rate(n_faults, wall_ns),
-            speedup_vs_serial: engine_bench::ratio(serial_ns_per_fault, ns_per_fault),
-            speedup_vs_single_thread: 0.0,
-            host_cores: engine_bench::host_cores(),
-        });
-    }
-
-    for r in &report.records {
-        println!(
-            "{:<28} threads {:>2}: {:>12.0} faults/sec ({} faults), x{:.2} vs serial, x{:.2} vs 1 thread",
-            r.technique,
-            r.threads,
-            r.faults_per_sec,
-            r.faults,
-            r.speedup_vs_serial,
-            r.speedup_vs_single_thread,
-        );
-    }
-
-    let path = opts.out.as_deref().unwrap_or("BENCH_engine.json");
-    std::fs::write(path, report.to_json()).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("wrote {path} ({} records, schema {})", report.records.len(), BENCH_SCHEMA);
-
-    run_grade_scaling(opts, threads);
-    run_serve_bench(opts, threads);
-}
-
-/// The multi-tenant serve rows of the `bench` subcommand: an in-process
-/// daemon grades 1, 4 and 16 concurrent copies of the same sampled
-/// campaign over a shared worker pool, every digest is checked against
-/// the solo reference, and jobs/sec plus aggregate faults/sec go to the
-/// tracked `BENCH_serve.json` (`seugrade-serve-bench/v1`).
-fn run_serve_bench(opts: &Options, threads: usize) {
-    let (name, vectors, sample, round) =
-        if opts.quick { ("b13s", 48, 256, 8) } else { ("s5378g", 256, 2_048, 16) };
-    let mut spec = JobSpec::registry(name);
-    spec.vectors = vectors;
-    spec.sample = Some(sample);
-    spec.round = round;
-    spec.trace_policy = opts.trace_policy;
-    spec.collapse = opts.collapse;
-    let workers = threads.clamp(1, 4);
-    eprintln!(
-        "serve bench: {name} ({sample} sampled faults/job, round {round}), {workers} workers, \
-         1/4/16 concurrent jobs..."
-    );
-    let report = seugrade_serve::bench::multi_tenant_sweep(&spec, workers).unwrap_or_else(|e| {
-        eprintln!("serve bench failed: {e}");
-        std::process::exit(1);
-    });
-    for r in &report.records {
-        println!(
-            "{:<8} workers {:>2} concurrent {:>2}: {:>8.2} jobs/sec, {:>12.0} faults/sec \
-             ({} jobs, all digests == solo)",
-            r.circuit, r.workers, r.concurrent, r.jobs_per_sec, r.faults_per_sec, r.jobs,
-        );
-    }
-    let path = "BENCH_serve.json";
-    std::fs::write(path, report.to_json()).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!(
-        "wrote {path} ({} records, schema {})",
-        report.records.len(),
-        seugrade_serve::SERVE_BENCH_SCHEMA
-    );
-}
-
-/// The streamed-grading scaling rows of the `bench` subcommand: the
-/// s5378-class fixture (1536 FFs) over a long bench, dense vs
-/// checkpointed, measuring throughput *and* golden-trace memory —
-/// written to the tracked `BENCH_grade.json` perf snapshot.
-///
-/// With `--trace-policy auto` the sweep covers `checkpoint:K` for
-/// K ∈ {16, 64, 256, 1024} alongside dense and reports the fastest
-/// policy; the default pair stays `dense` vs `checkpoint:64`. Every
-/// row is graded under the requested `--collapse` mode; with `auto`
-/// the winning checkpoint policy is re-measured with collapse
-/// inverted so the record shows what early collapse buys.
-///
-/// Two row groups always follow the policy sweep: the single-core
-/// **kernel sweep** (`generic` / `tape` / `differential` over the
-/// exhaustive s5378g space, one worker, digests asserted bit-identical)
-/// and one s38417g-class (~10k FF) scale row.
-fn run_grade_scaling(opts: &Options, threads: usize) {
-    let circuit = registry::build("s5378g").expect("registered scale fixture");
-    let (cycles, sample) = if opts.quick { (512, 8_192) } else { (4_096, 65_536) };
-    let tb = Testbench::random(circuit.num_inputs(), cycles, 42);
-    eprintln!(
-        "grade scaling: s5378g ({} FFs, {} cycles, {} sampled of {} faults)...",
-        circuit.num_ffs(),
-        cycles,
-        sample,
-        circuit.num_ffs() * cycles,
-    );
-    let policies: Vec<TracePolicy> = if opts.trace_policy_auto {
-        let mut p = vec![TracePolicy::Dense];
-        p.extend([16, 64, 256, 1024].map(TracePolicy::Checkpoint));
-        p
-    } else {
-        vec![TracePolicy::Dense, TracePolicy::Checkpoint(64)]
-    };
-    let mut grade_report = GradeBenchReport::new();
-    let mut digests = Vec::new();
-    let mut measure = |policy: TracePolicy, collapse: Collapse| -> f64 {
-        let plan = CampaignPlan::builder(&circuit, &tb)
-            .sampled(sample, 7)
-            .policy(ShardPolicy { threads, serial_below: 0 })
-            .trace_policy(policy)
-            .collapse(collapse)
-            .kernel(opts.kernel)
-            .build();
-        let engine = Engine::new(&plan);
-        let run = engine.run_streamed(&plan);
-        digests.push(run.digest());
-        let stored = engine.grader().golden().stored_bits();
-        let dense_bits = engine.grader().golden().dense_equivalent_bits();
-        let rate = engine_bench::rate(run.stats().faults, run.stats().wall_ns);
-        println!(
-            "{:<16} collapse {:<3} threads {:>2}: {:>12.0} faults/sec ({} faults), golden {} bits (dense {} bits, x{:.1})",
-            policy.label(),
-            collapse.label(),
-            run.stats().threads,
-            rate,
-            run.stats().faults,
-            stored,
-            dense_bits,
-            engine_bench::ratio(dense_bits as f64, stored as f64),
-        );
-        grade_report.push(GradeRecord {
-            circuit: circuit.name().to_owned(),
-            policy: policy.label(),
-            threads: run.stats().threads,
-            ffs: circuit.num_ffs(),
-            cycles,
-            faults: run.stats().faults,
-            source: format!("sampled:{sample}"),
-            wall_ns: run.stats().wall_ns,
-            faults_per_sec: rate,
-            golden_stored_bits: stored,
-            golden_dense_bits: dense_bits,
-            collapse: collapse.label().to_owned(),
-            kernel: opts.kernel.resolve().label().to_owned(),
-            host_cores: engine_bench::host_cores(),
-        });
-        rate
-    };
-    let mut rates = Vec::new();
-    for &policy in &policies {
-        rates.push((policy, measure(policy, opts.collapse)));
-    }
-    let dense_rate = rates[0].1;
-    if opts.trace_policy_auto {
-        let &(winner, winner_rate) = rates[1..]
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("auto sweep has checkpoint rows");
-        // Show what early collapse buys on the winning policy: one extra
-        // row with the collapse mode inverted.
-        let inverted = match opts.collapse {
-            Collapse::Early => Collapse::Horizon,
-            Collapse::Horizon => Collapse::Early,
-        };
-        let inverted_rate = measure(winner, inverted);
-        let (on_rate, off_rate) = match opts.collapse {
-            Collapse::Early => (winner_rate, inverted_rate),
-            Collapse::Horizon => (inverted_rate, winner_rate),
-        };
-        println!(
-            "auto-selected {} ({:.2}x dense; early collapse {:.2}x over horizon walks)",
-            winner.label(),
-            engine_bench::ratio(winner_rate, dense_rate),
-            engine_bench::ratio(on_rate, off_rate),
-        );
-    }
-    assert!(
-        digests.windows(2).all(|w| w[0] == w[1]),
-        "trace policies must agree fault for fault"
-    );
-
-    // Kernel sweep: the same circuit over the **exhaustive** fault space
-    // on one worker — the single-core faults/sec comparison across
-    // faulty-evaluation kernels. Bit-identical digests across the sweep
-    // are asserted, not assumed.
-    let exhaustive = circuit.num_ffs() * cycles;
-    eprintln!(
-        "kernel sweep: s5378g exhaustive ({exhaustive} faults, checkpoint:64, 1 thread)..."
-    );
-    let mut kernel_digests = Vec::new();
-    for kernel in Kernel::CONCRETE {
-        let plan = CampaignPlan::builder(&circuit, &tb)
-            .policy(ShardPolicy { threads: 1, serial_below: 0 })
-            .trace_policy(TracePolicy::Checkpoint(64))
-            .collapse(opts.collapse)
-            .kernel(kernel)
-            .build();
-        let engine = Engine::new(&plan);
-        let run = engine.run_streamed(&plan);
-        kernel_digests.push(run.digest());
-        let rate = engine_bench::rate(run.stats().faults, run.stats().wall_ns);
-        println!(
-            "kernel {:<12} threads  1: {:>12.0} faults/sec ({} faults)",
-            kernel.label(),
-            rate,
-            run.stats().faults,
-        );
-        grade_report.push(GradeRecord {
-            circuit: circuit.name().to_owned(),
-            policy: TracePolicy::Checkpoint(64).label(),
-            threads: 1,
-            ffs: circuit.num_ffs(),
-            cycles,
-            faults: run.stats().faults,
-            source: "exhaustive".to_owned(),
-            wall_ns: run.stats().wall_ns,
-            faults_per_sec: rate,
-            golden_stored_bits: engine.grader().golden().stored_bits(),
-            golden_dense_bits: engine.grader().golden().dense_equivalent_bits(),
-            collapse: opts.collapse.label().to_owned(),
-            kernel: kernel.label().to_owned(),
-            host_cores: engine_bench::host_cores(),
-        });
-    }
-    assert!(
-        kernel_digests.windows(2).all(|w| w[0] == w[1]),
-        "kernels must agree fault for fault"
-    );
-
-    // Scale row: the s38417-class fixture (~10k flip-flops) through the
-    // same streamed path — one row showing throughput holds at 6.7x the
-    // flip-flop count.
-    let scale = registry::build("s38417g").expect("registered scale fixture");
-    let (scale_cycles, scale_sample) = if opts.quick { (128, 4_096) } else { (1_024, 32_768) };
-    let scale_tb = Testbench::random(scale.num_inputs(), scale_cycles, 42);
-    eprintln!(
-        "scale row: s38417g ({} FFs, {scale_cycles} cycles, {scale_sample} sampled faults)...",
-        scale.num_ffs(),
-    );
-    let plan = CampaignPlan::builder(&scale, &scale_tb)
-        .sampled(scale_sample, 7)
-        .policy(ShardPolicy { threads, serial_below: 0 })
-        .trace_policy(TracePolicy::Checkpoint(64))
-        .collapse(opts.collapse)
-        .kernel(opts.kernel)
-        .build();
-    let engine = Engine::new(&plan);
-    let run = engine.run_streamed(&plan);
-    let rate = engine_bench::rate(run.stats().faults, run.stats().wall_ns);
-    println!(
-        "{:<16} collapse {:<3} threads {:>2}: {:>12.0} faults/sec ({} faults) on s38417g",
-        TracePolicy::Checkpoint(64).label(),
-        opts.collapse.label(),
-        run.stats().threads,
-        rate,
-        run.stats().faults,
-    );
-    grade_report.push(GradeRecord {
-        circuit: scale.name().to_owned(),
-        policy: TracePolicy::Checkpoint(64).label(),
-        threads: run.stats().threads,
-        ffs: scale.num_ffs(),
-        cycles: scale_cycles,
-        faults: run.stats().faults,
-        source: format!("sampled:{scale_sample}"),
-        wall_ns: run.stats().wall_ns,
-        faults_per_sec: rate,
-        golden_stored_bits: engine.grader().golden().stored_bits(),
-        golden_dense_bits: engine.grader().golden().dense_equivalent_bits(),
-        collapse: opts.collapse.label().to_owned(),
-        kernel: opts.kernel.resolve().label().to_owned(),
-        host_cores: engine_bench::host_cores(),
-    });
-
-    let path = "BENCH_grade.json";
-    std::fs::write(path, grade_report.to_json()).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!(
-        "wrote {path} ({} records, schema {})",
-        grade_report.records.len(),
-        GRADE_BENCH_SCHEMA
-    );
 }
 
 /// The `grade` subcommand: load a circuit (bundled registry name or
@@ -1175,7 +795,7 @@ fn print_streamed_report(
         golden.stored_bits(),
         golden.policy(),
         dense_bits,
-        engine_bench::ratio(dense_bits as f64, golden.stored_bits() as f64),
+        dense_bits as f64 / golden.stored_bits().max(1) as f64,
         digest,
     );
 }

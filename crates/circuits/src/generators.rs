@@ -182,8 +182,8 @@ fn fold_parity(b: &mut NetlistBuilder, taps: &[SigId]) -> SigId {
 /// workspace before the streaming campaign core existed.
 ///
 /// Registered as `s5378g`; graded in CI under
-/// `TracePolicy::Checkpoint(64)` and benchmarked by
-/// `repro -- bench` over a 4096-cycle bench (see `BENCH_grade.json`).
+/// `TracePolicy::Checkpoint(64)`, timed by the `perf_gates` suite and
+/// benchmarked by gradebench's `exhaustive-s5378g` workload.
 #[must_use]
 pub fn s5378_class() -> Netlist {
     banked_mesh(24, 64).renamed("s5378g")
@@ -195,8 +195,8 @@ pub fn s5378_class() -> Netlist {
 /// [`s5378_class`], it is the fixture that keeps the streamed grading
 /// path honest about per-fault cost scaling with circuit size.
 ///
-/// Registered as `s38417g`; `repro -- bench` grades one sampled scale
-/// row on it (see `BENCH_grade.json`).
+/// Registered as `s38417g`; gradebench's `sampled-s38417g` workload
+/// grades a sample of it.
 #[must_use]
 pub fn s38417_class() -> Netlist {
     banked_mesh(160, 64).renamed("s38417g")

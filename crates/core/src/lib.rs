@@ -56,15 +56,12 @@ pub mod prelude {
         AutonomousCampaign, CampaignSink, EmulationReport, StreamedCampaign,
         StreamedCampaignStatus, Technique,
     };
-    pub use seugrade_engine::bench as engine_bench;
     pub use seugrade_engine::{
-        throughput_harness, BenchRecord, BenchReport, CampaignPlan, CampaignPlanBuilder,
-        CampaignRun, CancelToken, Checkpoint, Engine, EngineError, EngineStats, FaultPlan,
-        FaultSource, Fingerprint, GradeBenchReport, GradeRecord, PersistentSink, ProgressCounter,
-        ProgressEvent, ProgressHook, ResumableRun, ResumeError, ResumeOptions, ShardPolicy,
-        StreamAccumulator,
-        StreamedRun, VerdictSink, BENCH_SCHEMA, CKPT_SCHEMA, DEFAULT_CHECKPOINT_EVERY,
-        GRADE_BENCH_SCHEMA,
+        CampaignPlan, CampaignPlanBuilder, CampaignRun, CancelToken, Checkpoint, Engine,
+        EngineError, EngineStats, FaultPlan, FaultSource, Fingerprint, PersistentSink,
+        ProgressCounter, ProgressEvent, ProgressHook, ResumableRun, ResumeError, ResumeOptions,
+        ShardPolicy, StreamAccumulator, StreamedRun, VerdictSink, CKPT_SCHEMA,
+        DEFAULT_CHECKPOINT_EVERY,
     };
     pub use seugrade_emulation::controller::{CampaignTiming, ClockHz, TimingConfig};
     pub use seugrade_emulation::hostlink::HostLinkModel;
@@ -81,8 +78,7 @@ pub mod prelude {
     };
     pub use seugrade_rtl::{Reg, RtlBuilder, Word};
     pub use seugrade_serve::{
-        Client, ClientError, CircuitSource, JobSpec, JobState, Server, ServerConfig,
-        ServeBenchReport, SERVE_SCHEMA,
+        Client, ClientError, CircuitSource, JobSpec, JobState, Server, ServerConfig, SERVE_SCHEMA,
     };
     pub use seugrade_sim::{
         equiv_check, CompiledSim, Counterexample, EventSim, GoldenTrace, Kernel, SplitMix64,

@@ -20,7 +20,6 @@
 //! | [`error`] | [`EngineError`]: structured failures (worker panics, checkpoint problems) |
 //! | [`cancel`] | [`CancelToken`]: cooperative chunk-boundary cancellation |
 //! | [`progress`] | per-shard [`ProgressEvent`]s, [`ProgressCounter`], [`EngineStats`] |
-//! | [`mod@bench`] | [`throughput_harness`] and the stable `BENCH_engine.json` schema |
 //!
 //! # Example
 //!
@@ -52,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cancel;
 pub mod error;
 pub mod plan;
@@ -62,10 +60,6 @@ pub mod resume;
 pub mod runtime;
 pub mod stream;
 
-pub use bench::{
-    host_cores, throughput_harness, BenchRecord, BenchReport, GradeBenchReport, GradeRecord,
-    BENCH_SCHEMA, GRADE_BENCH_SCHEMA,
-};
 pub use cancel::CancelToken;
 pub use error::EngineError;
 pub use plan::{CampaignPlan, CampaignPlanBuilder, FaultSource, ShardPolicy, Technique};

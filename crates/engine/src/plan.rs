@@ -424,13 +424,13 @@ mod tests {
             .threads(2)
             .collapse(Collapse::Horizon)
             .window_cache(0)
-            .kernel(Kernel::Tape)
+            .kernel(Kernel::Generic)
             .build();
         assert_eq!(plan.source(), &FaultSource::Sampled { count: 10, seed: 7 });
         assert_eq!(plan.techniques(), &[Technique::TimeMux]);
         assert_eq!(plan.collapse(), Collapse::Horizon);
         assert_eq!(plan.window_cache(), 0);
-        assert_eq!(plan.kernel(), Kernel::Tape);
+        assert_eq!(plan.kernel(), Kernel::Generic);
         assert_eq!(plan.policy().threads, 2);
         assert_eq!(plan.policy().serial_below, 0);
     }

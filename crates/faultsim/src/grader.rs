@@ -384,41 +384,6 @@ impl Grader {
         outcomes
     }
 
-    /// Grades up to 64 faults in a single bit-parallel pass, reusing `st`
-    /// as scratch and writing the verdicts into `out` (parallel to
-    /// `chunk`).
-    ///
-    /// The faults may carry different injection cycles, in non-decreasing
-    /// order: the pass starts at the first lane's cycle and flips each
-    /// lane in at its own cycle, so a lane tracks the golden machine
-    /// until its fault arrives.
-    ///
-    /// This is the shard-sized building block the batching engines are
-    /// made of: an external runtime can cut any cycle-sorted fault list
-    /// into chunks, grade each chunk on whichever thread with whichever
-    /// scratch state, and the verdicts stay identical to the serial
-    /// engine's — they depend only on the fault, never on lane placement
-    /// or chunk composition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is empty, holds more than 64 faults, is not
-    /// sorted by injection cycle, targets an out-of-range cycle, or if
-    /// `out` has a different length than `chunk`.
-    pub fn grade_cycle_chunk(&self, st: &mut SimState, chunk: &[Fault], out: &mut [FaultOutcome]) {
-        let mut cache = WindowCache::disabled();
-        let mut sim_steps = 0;
-        self.grade_chunk_inner(
-            st,
-            &mut cache,
-            Collapse::Early,
-            &mut sim_steps,
-            Kernel::Tape,
-            chunk,
-            out,
-        );
-    }
-
     /// The lane budget a chunk should be cut to for this grader: 64
     /// under [`TracePolicy::Dense`], 63 under [`TracePolicy::Checkpoint`]
     /// — checkpointed chunks reserve lane 63 for the golden companion
@@ -466,15 +431,29 @@ impl Grader {
         }
     }
 
-    /// [`grade_cycle_chunk`](Self::grade_cycle_chunk) against a
-    /// [`GradeScratch`]: the scratch's window cache shares replayed
-    /// golden spans across chunks, its collapse mode decides whether
-    /// decided chunks stop early, and its counters record the work done.
+    /// Grades up to 64 faults in a single bit-parallel pass against a
+    /// [`GradeScratch`], writing the verdicts into `out` (parallel to
+    /// `chunk`). The scratch's caches share replayed golden spans across
+    /// chunks, its collapse mode decides whether decided chunks stop
+    /// early, and its counters record the work done.
+    ///
+    /// The faults may carry different injection cycles, in non-decreasing
+    /// order: the pass starts at the first lane's cycle and flips each
+    /// lane in at its own cycle, so a lane tracks the golden machine
+    /// until its fault arrives.
+    ///
+    /// This is the shard-sized building block the batching engines are
+    /// made of: an external runtime can cut any cycle-sorted fault list
+    /// into chunks, grade each chunk on whichever thread with whichever
+    /// scratch, and the verdicts stay identical to the serial engine's —
+    /// they depend only on the fault, never on lane placement or chunk
+    /// composition.
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as
-    /// [`grade_cycle_chunk`](Self::grade_cycle_chunk).
+    /// Panics if `chunk` is empty, holds more than 64 faults, is not
+    /// sorted by injection cycle, targets an out-of-range cycle, or if
+    /// `out` has a different length than `chunk`.
     pub fn grade_chunk(
         &self,
         scratch: &mut GradeScratch,
@@ -483,10 +462,8 @@ impl Grader {
     ) {
         let GradeScratch { st, cache, collapse, sim_steps, kernel, diff, bits } = scratch;
         match kernel.resolve() {
-            Kernel::Differential => {
-                self.grade_chunk_diff(diff, bits, *collapse, sim_steps, chunk, out);
-            }
-            k => self.grade_chunk_inner(st, cache, *collapse, sim_steps, k, chunk, out),
+            Kernel::Generic => self.grade_chunk_inner(st, cache, *collapse, sim_steps, chunk, out),
+            _ => self.grade_chunk_diff(diff, bits, *collapse, sim_steps, chunk, out),
         }
     }
 
@@ -539,33 +516,23 @@ impl Grader {
         }
     }
 
-    /// Runs one full combinational settle with the chunk's kernel.
-    fn eval_faulty(&self, st: &mut SimState, kernel: Kernel) {
-        match kernel {
-            Kernel::Generic => self.sim.eval_generic(st),
-            _ => self.sim.eval(st),
-        }
-    }
-
-    /// The windowed full-evaluation walk. Every lane is loaded with the
-    /// golden state at the first lane's cycle, so a lane whose fault has
-    /// not arrived yet simply tracks golden; only injected lanes enter
-    /// the verdict masks.
-    #[allow(clippy::too_many_arguments)]
+    /// The generic kernel's windowed full-evaluation walk. Every lane is
+    /// loaded with the golden state at the first lane's cycle, so a lane
+    /// whose fault has not arrived yet simply tracks golden; only
+    /// injected lanes enter the verdict masks.
     fn grade_chunk_inner(
         &self,
         st: &mut SimState,
         cache: &mut WindowCache,
         collapse: Collapse,
         sim_steps: &mut u64,
-        kernel: Kernel,
         chunk: &[Fault],
         out: &mut [FaultOutcome],
     ) {
         let t = self.validate_chunk(chunk, out);
         let n_cycles = self.tb.num_cycles();
         if matches!(self.policy, TracePolicy::Checkpoint(_)) && chunk.len() < 64 {
-            self.grade_chunk_companion(st, cache, collapse, sim_steps, kernel, chunk, out);
+            self.grade_chunk_companion(st, cache, collapse, sim_steps, chunk, out);
             return;
         }
 
@@ -581,7 +548,7 @@ impl Grader {
             });
             let settled = collapse == Collapse::Early && next == chunk.len();
             self.sim.set_inputs(st, self.tb.cycle(u));
-            self.eval_faulty(st, kernel);
+            self.sim.eval_generic(st);
             *sim_steps += 1;
             // Output mismatch mask across all outputs.
             let mut out_diff = 0u64;
@@ -635,14 +602,12 @@ impl Grader {
     /// simulator is deterministic per lane, so lane 63 carries exactly
     /// the bits a replayed window would, and only injected lanes enter
     /// the verdict masks.
-    #[allow(clippy::too_many_arguments)]
     fn grade_chunk_companion(
         &self,
         st: &mut SimState,
         cache: &mut WindowCache,
         collapse: Collapse,
         sim_steps: &mut u64,
-        kernel: Kernel,
         chunk: &[Fault],
         out: &mut [FaultOutcome],
     ) {
@@ -662,7 +627,7 @@ impl Grader {
             });
             let settled = collapse == Collapse::Early && next == chunk.len();
             self.sim.set_inputs(st, self.tb.cycle(u));
-            self.eval_faulty(st, kernel);
+            self.sim.eval_generic(st);
             *sim_steps += 1;
             let mut out_diff = 0u64;
             for word in self.sim.outputs_raw(st) {
@@ -757,54 +722,6 @@ impl Grader {
             }
         }
         self.sim.diff_reset(sc);
-    }
-
-    /// Multi-threaded bit-parallel grading: injection cycles are
-    /// distributed over `threads` workers, each with its own simulator
-    /// state. Outcomes are returned in the order of `faults` regardless
-    /// of scheduling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    #[must_use]
-    pub fn run_parallel_threaded(&self, faults: &[Fault], threads: usize) -> Vec<FaultOutcome> {
-        assert!(threads > 0, "need at least one thread");
-        if threads == 1 || faults.len() < 128 {
-            return self.run_parallel(faults);
-        }
-        // Partition fault indices by cycle, then deal cycles round-robin
-        // to balance early (long-tail) and late (short-tail) injections.
-        let mut by_cycle: Vec<Vec<usize>> = vec![Vec::new(); self.tb.num_cycles()];
-        for (i, f) in faults.iter().enumerate() {
-            by_cycle[f.cycle as usize].push(i);
-        }
-        let mut partitions: Vec<Vec<usize>> = vec![Vec::new(); threads];
-        for (c, group) in by_cycle.into_iter().enumerate() {
-            partitions[c % threads].extend(group);
-        }
-
-        let mut outcomes = vec![FaultOutcome::latent(); faults.len()];
-        let chunks: Vec<(Vec<usize>, Vec<FaultOutcome>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = partitions
-                .into_iter()
-                .map(|part| {
-                    scope.spawn(move || {
-                        let subset: Vec<Fault> =
-                            part.iter().map(|&i| faults[i]).collect();
-                        let sub_outcomes = self.run_parallel(&subset);
-                        (part, sub_outcomes)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-        for (part, sub) in chunks {
-            for (i, o) in part.into_iter().zip(sub) {
-                outcomes[i] = o;
-            }
-        }
-        outcomes
     }
 
     /// Per-flip-flop failure counts (a weak-area map, the re-design aid
@@ -957,17 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matches_single_thread() {
-        let n = seugrade_circuits::registry::build("b03s").unwrap();
-        let tb = Testbench::random(n.num_inputs(), 40, 13);
-        let g = Grader::new(&n, &tb);
-        let faults = FaultList::exhaustive(n.num_ffs(), 40);
-        let one = g.run_parallel(faults.as_slice());
-        let four = g.run_parallel_threaded(faults.as_slice(), 4);
-        assert_eq!(one, four);
-    }
-
-    #[test]
     fn sampled_subset_consistent_with_exhaustive() {
         let n = seugrade_circuits::registry::build("b06s").unwrap();
         let tb = Testbench::random(n.num_inputs(), 30, 17);
@@ -1001,17 +907,17 @@ mod tests {
     }
 
     #[test]
-    fn grade_cycle_chunk_matches_serial() {
+    fn grade_chunk_matches_serial() {
         let n = seugrade_circuits::registry::build("b03s").unwrap();
         let tb = Testbench::random(n.num_inputs(), 20, 7);
         let g = Grader::new(&n, &tb);
-        let mut st = g.sim().new_state();
+        let mut scratch = g.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS);
         for t in 0..20u32 {
             let chunk: Vec<Fault> = (0..n.num_ffs())
                 .map(|ff| Fault::new(FfIndex::new(ff), t))
                 .collect();
             let mut out = vec![FaultOutcome::latent(); chunk.len()];
-            g.grade_cycle_chunk(&mut st, &chunk, &mut out);
+            g.grade_chunk(&mut scratch, &chunk, &mut out);
             for (f, o) in chunk.iter().zip(&out) {
                 assert_eq!(*o, g.classify_serial(*f), "{f}");
             }
@@ -1024,10 +930,10 @@ mod tests {
         let n = generators::counter(2);
         let tb = Testbench::constant_low(0, 4);
         let g = Grader::new(&n, &tb);
-        let mut st = g.sim().new_state();
+        let mut scratch = g.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS);
         let chunk = [Fault::new(FfIndex::new(0), 1), Fault::new(FfIndex::new(1), 0)];
         let mut out = [FaultOutcome::latent(); 2];
-        g.grade_cycle_chunk(&mut st, &chunk, &mut out);
+        g.grade_chunk(&mut scratch, &chunk, &mut out);
     }
 
     /// Grades `chunk` through a fresh scratch and checks every lane
@@ -1132,11 +1038,6 @@ mod tests {
                 assert_eq!(cp.trace_policy(), TracePolicy::Checkpoint(k));
                 assert_eq!(cp.run_serial(faults.as_slice()), reference, "{name} K={k} serial");
                 assert_eq!(cp.run_parallel(faults.as_slice()), reference, "{name} K={k} parallel");
-                assert_eq!(
-                    cp.run_parallel_threaded(faults.as_slice(), 3),
-                    reference,
-                    "{name} K={k} threaded"
-                );
             }
         }
     }
@@ -1257,10 +1158,10 @@ mod tests {
         let n = generators::lfsr(12, &[11, 9, 7, 4]);
         let tb = Testbench::random(0, 64, 9);
         let g = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(8));
-        // Pinned to the tape kernel: the companion-lane path is what
+        // Pinned to the generic kernel: the companion-lane path is what
         // fetches value windows (the differential kernel replays golden
         // *bit spans* through its own cache instead).
-        let mut scratch = g.new_scratch(Collapse::Early, 4).with_kernel(Kernel::Tape);
+        let mut scratch = g.new_scratch(Collapse::Early, 4).with_kernel(Kernel::Generic);
         let mut out = [FaultOutcome::latent(); 2];
         let chunk = [Fault::new(FfIndex::new(0), 10), Fault::new(FfIndex::new(3), 10)];
         g.grade_chunk(&mut scratch, &chunk, &mut out);
@@ -1348,12 +1249,13 @@ mod tests {
 
     #[test]
     fn kernel_labels_round_trip() {
-        for k in [Kernel::Auto, Kernel::Generic, Kernel::Tape, Kernel::Differential] {
+        for k in [Kernel::Auto, Kernel::Generic, Kernel::Differential] {
             assert_eq!(Kernel::from_label(k.label()), Some(k));
         }
         assert_eq!(Kernel::default(), Kernel::Auto);
         assert_eq!(Kernel::Auto.resolve(), Kernel::Differential);
-        assert_eq!(Kernel::Tape.resolve(), Kernel::Tape);
+        assert_eq!(Kernel::Generic.resolve(), Kernel::Generic);
+        assert_eq!(Kernel::from_label("tape"), None, "the tape is not a faulty kernel");
         assert_eq!(Kernel::from_label("quantum"), None);
     }
 }

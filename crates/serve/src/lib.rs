@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod client;
 pub mod job;
 pub mod json;
@@ -51,7 +50,6 @@ mod scheduler;
 pub mod server;
 pub mod spool;
 
-pub use bench::{ServeBenchRecord, ServeBenchReport, SERVE_BENCH_SCHEMA};
 pub use client::{Client, ClientError};
 pub use job::{build_plan, Job, JobState, JobStatus};
 pub use proto::{CircuitSource, JobSpec, ProtoError, Request, SERVE_SCHEMA};
@@ -65,7 +63,7 @@ use seugrade_faultsim::GradingSummary;
 /// Grades a spec solo — one engine, no daemon, no spool — and returns
 /// the `(digest, summary)` every multiplexed run of the same spec must
 /// reproduce bit-for-bit. This is the oracle the determinism suites and
-/// the multi-tenant bench compare against.
+/// the serve benchmark compare against.
 ///
 /// # Errors
 ///

@@ -224,18 +224,18 @@ impl CompiledSim {
     ///
     /// Runs the specialized SoA tape — homogeneous opcode runs with
     /// `Not`/`Buf` folded into consumer pins as negation masks. Golden
-    /// runs, windowed trace replay and full faulty evaluation all go
-    /// through here, so every consumer sees the same (bit-exact) kernel;
+    /// runs, windowed trace and bit-span replay and the serial reference
+    /// classifier all go through here;
     /// [`eval_generic`](Self::eval_generic) keeps the historical
-    /// per-instruction walk selectable as a baseline.
+    /// per-instruction walk as the generic faulty kernel.
     pub fn eval(&self, state: &mut SimState) {
         self.tape.eval(&mut state.values);
     }
 
     /// Propagates all combinational logic through the generic
     /// per-instruction tape — the pre-specialization kernel, kept as the
-    /// reference baseline (`kernel: generic`) and for benchmarking the
-    /// specialized tape against.
+    /// reference baseline (`kernel: generic`) the differential kernel is
+    /// cross-checked against.
     pub fn eval_generic(&self, state: &mut SimState) {
         let values = &mut state.values;
         for instr in &self.instrs {

@@ -81,20 +81,23 @@ pub use trace::{GoldenTrace, TracePolicy, TraceWindow, WindowCache};
 
 /// Which faulty-evaluation kernel a grader runs.
 ///
-/// All kernels produce **bit-identical verdicts** — the equivalence
+/// Both kernels produce **bit-identical verdicts** — the equivalence
 /// suites pin verdict digests across every kernel, policy and thread
 /// count — so the choice is purely a speed knob (and is therefore
 /// excluded from campaign resume fingerprints):
 ///
 /// - [`Generic`](Kernel::Generic) — the historical per-instruction
-///   interpreter: full netlist evaluation every faulty cycle.
-/// - [`Tape`](Kernel::Tape) — full evaluation through the specialized
-///   SoA opcode runs (branch-free inner loops, `Not`/`Buf` folded into
-///   consumer pins).
+///   interpreter: full netlist evaluation every faulty cycle. It shares
+///   no evaluation code with the differential kernel, which makes it
+///   the reference the kernel cross-checks grade against.
 /// - [`Differential`](Kernel::Differential) — deviation-cone evaluation:
 ///   only gates reachable from the dirty frontier run, and an empty
 ///   frontier proves reconvergence without a register scan.
 /// - [`Auto`](Kernel::Auto) — currently resolves to `Differential`.
+///
+/// The specialized SoA tape behind [`CompiledSim::eval`] is not a
+/// faulty kernel: it runs the golden machine and rebuilds golden bit
+/// spans for the differential kernel.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Let the grader pick (currently [`Differential`](Kernel::Differential)).
@@ -102,25 +105,22 @@ pub enum Kernel {
     Auto,
     /// Per-instruction interpreter, full evaluation.
     Generic,
-    /// Specialized SoA tape, full evaluation.
-    Tape,
     /// Dirty-frontier deviation-cone evaluation.
     Differential,
 }
 
 impl Kernel {
     /// Every concrete (non-`Auto`) kernel — the axis the equivalence
-    /// suites and bench sweeps iterate over.
-    pub const CONCRETE: [Kernel; 3] = [Kernel::Generic, Kernel::Tape, Kernel::Differential];
+    /// suites iterate over.
+    pub const CONCRETE: [Kernel; 2] = [Kernel::Generic, Kernel::Differential];
 
-    /// Parses a kernel label: `auto`, `generic`, `tape` or
-    /// `differential`. The inverse of [`label`](Self::label).
+    /// Parses a kernel label: `auto`, `generic` or `differential`. The
+    /// inverse of [`label`](Self::label).
     #[must_use]
     pub fn from_label(s: &str) -> Option<Self> {
         match s {
             "auto" => Some(Kernel::Auto),
             "generic" => Some(Kernel::Generic),
-            "tape" => Some(Kernel::Tape),
             "differential" => Some(Kernel::Differential),
             _ => None,
         }
@@ -132,7 +132,6 @@ impl Kernel {
         match self {
             Kernel::Auto => "auto",
             Kernel::Generic => "generic",
-            Kernel::Tape => "tape",
             Kernel::Differential => "differential",
         }
     }

@@ -226,12 +226,6 @@ impl WindowCache {
         WindowCache { capacity: self.capacity, store, hits: 0, misses: 0, replayed_cycles: 0 }
     }
 
-    /// A capacity-0 cache: every span request replays from a checkpoint.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self::new(0)
-    }
-
     /// Maximum number of spans held.
     #[must_use]
     pub fn capacity(&self) -> usize {
@@ -535,10 +529,9 @@ impl GoldenTrace {
     /// are zero-copy [`Arc`] clones instead of fresh replays.
     ///
     /// Dense traces bypass the cache entirely — their windows already
-    /// borrow the stored trace at zero cost. With a
-    /// [disabled](WindowCache::disabled) cache the behaviour (and the
-    /// produced window data) is identical to `window`; only the miss
-    /// counters move.
+    /// borrow the stored trace at zero cost. With a capacity-0 cache the
+    /// behaviour (and the produced window data) is identical to
+    /// `window`; only the miss counters move.
     ///
     /// # Panics
     ///
@@ -875,7 +868,7 @@ mod tests {
         let sim = crate::CompiledSim::new(&n);
         let tb = Testbench::constant_low(0, 20);
         let cp = sim.run_golden_with(&tb, TracePolicy::Checkpoint(4));
-        let mut cache = WindowCache::disabled();
+        let mut cache = WindowCache::new(0);
         for _ in 0..3 {
             let _ = cp.window_cached(&sim, &tb, 0, 4, &mut cache);
         }

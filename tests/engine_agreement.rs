@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use seugrade::generators::{random_sequential, RandomCircuitConfig};
 use seugrade::prelude::*;
 
-/// Serial reference vs bit-parallel vs multi-threaded on every
-/// registered benchmark circuit.
+/// Serial reference vs bit-parallel vs the sharded engine on 3 threads
+/// on every registered benchmark circuit.
 #[test]
 fn all_engines_agree_on_registry_circuits() {
     for name in registry::NAMES {
@@ -35,9 +35,13 @@ fn all_engines_agree_on_registry_circuits() {
         };
         let serial = grader.run_serial(faults.as_slice());
         let parallel = grader.run_parallel(faults.as_slice());
-        let threaded = grader.run_parallel_threaded(faults.as_slice(), 3);
+        let plan = CampaignPlan::builder(&circuit, &tb)
+            .faults(faults)
+            .policy(ShardPolicy::with_threads(3))
+            .build();
+        let sharded = Engine::new(&plan).run(&plan);
         assert_eq!(serial, parallel, "{name}: serial vs parallel");
-        assert_eq!(parallel, threaded, "{name}: parallel vs threaded");
+        assert_eq!(parallel, sharded.outcomes(), "{name}: parallel vs sharded");
     }
 }
 
@@ -201,6 +205,29 @@ fn trace_policies_agree_across_all_entry_points() {
             reference_digest,
             "streamed K={k}"
         );
+    }
+}
+
+/// The sharded engine on 3 threads grades every golden-window geometry
+/// (dense, and `K` smaller than, dividing, not dividing and exceeding
+/// the bench) to the dense serial reference, fault for fault.
+#[test]
+fn sharded_engine_matches_serial_under_every_window_geometry() {
+    for name in ["b03s", "b06s"] {
+        let circuit = registry::build(name).expect("registered");
+        let tb = Testbench::random(circuit.num_inputs(), 25, 19);
+        let faults = FaultList::exhaustive(circuit.num_ffs(), 25);
+        let reference = Grader::new(&circuit, &tb).run_serial(faults.as_slice());
+        let policies = [1, 3, 5, 25, 64].map(TracePolicy::Checkpoint);
+        for policy in std::iter::once(TracePolicy::Dense).chain(policies) {
+            let plan = CampaignPlan::builder(&circuit, &tb)
+                .faults(faults.clone())
+                .trace_policy(policy)
+                .policy(ShardPolicy::with_threads(3))
+                .build();
+            let run = Engine::new(&plan).run(&plan);
+            assert_eq!(run.outcomes(), reference.as_slice(), "{name} {policy}");
+        }
     }
 }
 
@@ -380,12 +407,13 @@ fn cycle_major_walk_mostly_hits_the_window_cache() {
     let tb = Testbench::random(circuit.num_inputs(), cycles, 77);
     let grader = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(k));
     let faults = FaultList::exhaustive(circuit.num_ffs(), cycles);
-    // Pin the tape kernel: this test audits the *window*-cache contract
-    // of the span-seeded path; the differential kernel seeds from the
-    // bit-packed golden cache instead and never touches this counter.
+    // Pin the generic kernel: this test audits the *window*-cache
+    // contract of the span-seeded path; the differential kernel seeds
+    // from the bit-packed golden cache instead and never touches this
+    // counter.
     let mut scratch = grader
         .new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
-        .with_kernel(Kernel::Tape);
+        .with_kernel(Kernel::Generic);
     let mut out = vec![FaultOutcome::latent(); grader.chunk_lanes()];
     for cycle_group in faults.as_slice().chunks(circuit.num_ffs()) {
         for chunk in cycle_group.chunks(grader.chunk_lanes()) {
@@ -419,11 +447,11 @@ fn sampled_checkpoint_grading_reconstructs_each_span_once() {
     for f in sample.iter() {
         by_cycle[f.cycle as usize].push(f);
     }
-    // Tape kernel for the same reason as above: the window-cache
+    // Generic kernel for the same reason as above: the window-cache
     // counters are the property under test.
     let mut scratch = grader
         .new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
-        .with_kernel(Kernel::Tape);
+        .with_kernel(Kernel::Generic);
     let mut lookups = 0u64;
     let mut spans = std::collections::HashSet::new();
     for group in by_cycle.iter().filter(|g| !g.is_empty()) {

@@ -205,7 +205,7 @@ fn every_gate_kind_and_hostile_name_round_trips() {
 
 #[test]
 fn registry_circuits_round_trip_through_every_format() {
-    // The acceptance criterion verbatim: every registry circuit —
+    // The acceptance requirement verbatim: every registry circuit —
     // including the HDL-imported ones — survives the full matrix with
     // bit-identical verdict digests. Large entries get fewer cycles so
     // the exhaustive FfIndex × cycle campaign stays test-sized.

@@ -103,7 +103,7 @@ fn imported_campaigns_are_thread_count_invariant() {
 
 #[test]
 fn every_emitter_round_trips_every_registry_circuit() {
-    // The emitter-matrix acceptance criterion: `import → emit → import`
+    // The emitter-matrix acceptance test: `import → emit → import`
     // must be sim-equivalent for every registered circuit — including
     // the RTL-elaborated Viper, the imported HDL fixtures and the
     // s5378-class generator mesh — through every format the workspace

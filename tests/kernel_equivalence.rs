@@ -1,11 +1,11 @@
 //! The faulty-evaluation kernel is a pure speed knob: the generic
-//! per-gate interpreter, the specialized SoA tape and the differential
-//! dirty-frontier kernel must grade every fault to the identical
-//! verdict. This battery pins all three to bit-identical
-//! order-independent digests across the whole registry, every trace
-//! policy, collapse on/off and 1/2/4/8 worker threads — and repeats the
-//! claim on generated random circuits, exhaustive and sampled (sampled
-//! chunks carry faults from several injection cycles).
+//! per-gate interpreter and the differential dirty-frontier kernel must
+//! grade every fault to the identical verdict. This battery pins both
+//! to bit-identical order-independent digests across the whole
+//! registry, every trace policy, collapse on/off and 1/2/4/8 worker
+//! threads — and repeats the claim on generated random circuits,
+//! exhaustive and sampled (sampled chunks carry faults from several
+//! injection cycles).
 
 use proptest::prelude::*;
 use seugrade::generators::{random_sequential, RandomCircuitConfig};
@@ -127,7 +127,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Generated circuits — arbitrary gate mixes, fanout shapes and
-    /// observability — grade to the identical digest under all three
+    /// observability — grade to the identical digest under both
     /// concrete kernels, checkpointed and multi-threaded.
     #[test]
     fn kernels_agree_on_generated_circuits(
