@@ -71,6 +71,11 @@ pub struct JobStatus {
     pub error: Option<String>,
     /// Cumulative grading wall-clock across rounds.
     pub wall_ns: u128,
+    /// Rounds graded in this daemon life.
+    pub rounds: usize,
+    /// Engines (compile plus golden run) built for this job in this
+    /// daemon life: one per uninterrupted stretch of rounds.
+    pub engine_builds: usize,
 }
 
 /// One job held by the scheduler: immutable identity plus live state.
@@ -133,6 +138,8 @@ impl Job {
                 digest: None,
                 error: None,
                 wall_ns: 0,
+                rounds: 0,
+                engine_builds: 0,
             }),
             cancel: Mutex::new(CancelToken::new()),
             live_faults: AtomicUsize::new(0),
@@ -163,22 +170,36 @@ impl Job {
     }
 
     /// The protocol snapshot of this job right now — round-boundary
-    /// status plus the in-flight chunks of the current round.
+    /// status plus the in-flight chunks of the current round. A `done`
+    /// snapshot carries the digest, and for a sampled job the per-class
+    /// Wilson intervals; a `failed` one carries the error.
     #[must_use]
     pub fn snapshot_value(&self) -> Value {
         let st = self.status();
         let live = self.live_faults.load(Ordering::Relaxed);
-        proto::snapshot_value(
-            &self.id,
-            st.state.label(),
-            st.chunks_done,
-            st.chunks_total,
-            st.faults_done + live,
-            st.faults_total,
-            &st.summary,
-            st.digest.filter(|_| st.state == JobState::Done),
-            st.error.as_deref(),
-        )
+        let mut pairs = vec![
+            ("id", Value::str(self.id.clone())),
+            ("state", Value::str(st.state.label())),
+            ("chunks_done", Value::count(st.chunks_done)),
+            ("chunks_total", Value::count(st.chunks_total)),
+            ("faults_done", Value::count(st.faults_done + live)),
+            ("faults_total", Value::count(st.faults_total)),
+        ];
+        pairs.extend(proto::summary_fields(&st.summary));
+        pairs.push(("rounds", Value::count(st.rounds)));
+        pairs.push(("engine_builds", Value::count(st.engine_builds)));
+        if st.state == JobState::Done {
+            if let Some(digest) = st.digest {
+                pairs.push(("digest", Value::str(proto::digest_hex(digest))));
+            }
+            if let Some(ci95) = self.spec.sample.and(proto::ci95_value(&st.summary)) {
+                pairs.push(("ci95", ci95));
+            }
+        }
+        if let Some(e) = st.error {
+            pairs.push(("error", Value::str(e)));
+        }
+        Value::obj(pairs)
     }
 
     /// The cancellation token rounds of this job should poll.
@@ -240,16 +261,7 @@ impl Job {
                     ("faults", Value::count(status.faults_total)),
                     ("digest", Value::str(proto::digest_hex(status.digest.unwrap_or(0)))),
                 ];
-                fields.extend(
-                    [
-                        seugrade_faultsim::FaultClass::Failure,
-                        seugrade_faultsim::FaultClass::Latent,
-                        seugrade_faultsim::FaultClass::Silent,
-                    ]
-                    .iter()
-                    .zip(["failures", "latents", "silents"])
-                    .map(|(class, key)| (key, Value::count(status.summary.count(*class)))),
-                );
+                fields.extend(proto::summary_fields(&status.summary));
                 proto::job_event_line("done", &self.id, fields)
             }
             JobState::Cancelled => proto::job_event_line("cancelled", &self.id, vec![]),
@@ -352,5 +364,21 @@ mod tests {
         assert!(job.cancel_token().is_cancelled());
         job.refresh_cancel_token();
         assert!(!job.cancel_token().is_cancelled());
+    }
+
+    #[test]
+    fn done_snapshots_of_sampled_jobs_carry_wilson_intervals() {
+        let mut sampled = JobSpec::registry("s27");
+        sampled.sample = Some(100);
+        for (spec, expect_ci) in [(sampled, true), (JobSpec::registry("s27"), false)] {
+            let job = Job::build("j1".into(), spec).unwrap();
+            job.update_status(|st| st.summary = GradingSummary::from_counts(20, 30, 50));
+            assert!(job.snapshot_value().get("ci95").is_none(), "only done jobs carry ci95");
+            job.update_status(|st| st.state = JobState::Done);
+            let snapshot = job.snapshot_value();
+            assert_eq!(snapshot.get("ci95").is_some(), expect_ci, "{snapshot:?}");
+            assert_eq!(snapshot.get("engine_builds").and_then(json::Value::as_usize), Some(0));
+            assert_eq!(snapshot.get("rounds").and_then(json::Value::as_usize), Some(0));
+        }
     }
 }

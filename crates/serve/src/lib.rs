@@ -15,7 +15,8 @@
 //!                           ▼
 //!                        Scheduler (job queue + N workers)
 //!                           │ one round (spec.round chunks) at a time,
-//!                           │ re-enqueue until complete — round-robin
+//!                           │ re-enqueue (job, engine) until complete —
+//!                           │ round-robin; one engine per job, built once
 //!                           ▼
 //!                        Engine::run_streamed_resumable  (CampaignSink)
 //!                           │ per-chunk ProgressHook ──▶ Job::broadcast
@@ -36,8 +37,8 @@
 //!    from its checkpoint cursor.
 //! 3. **Hostility tolerance** — malformed, truncated or oversized
 //!    request lines get structured line-numbered error responses; they
-//!    never panic the daemon or wedge shutdown (all blocking paths
-//!    poll).
+//!    never panic the daemon or wedge shutdown (connection reads
+//!    poll, and shutdown wakes the blocked accept itself).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,6 +13,7 @@
 use std::fmt;
 
 use seugrade_engine::ProgressEvent;
+use seugrade_faultsim::sampling::estimate_classes;
 use seugrade_faultsim::{Collapse, FaultClass, GradingSummary};
 use seugrade_netlist::SourceFormat;
 use seugrade_sim::TracePolicy;
@@ -360,13 +361,37 @@ pub fn chunk_event_line(job: Option<&str>, ev: &ProgressEvent) -> String {
     Value::obj(pairs).to_line()
 }
 
+/// The protocol key of each fault class's tally, in report order.
+const CLASS_KEYS: [(FaultClass, &str); 3] = [
+    (FaultClass::Failure, "failures"),
+    (FaultClass::Latent, "latents"),
+    (FaultClass::Silent, "silents"),
+];
+
 /// The three per-class tally fields shared by events and snapshots.
-fn summary_fields(summary: &GradingSummary) -> Vec<(&'static str, Value)> {
-    vec![
-        ("failures", Value::count(summary.count(FaultClass::Failure))),
-        ("latents", Value::count(summary.count(FaultClass::Latent))),
-        ("silents", Value::count(summary.count(FaultClass::Silent))),
-    ]
+#[must_use]
+pub(crate) fn summary_fields(summary: &GradingSummary) -> Vec<(&'static str, Value)> {
+    CLASS_KEYS.iter().map(|&(class, key)| (key, Value::count(summary.count(class)))).collect()
+}
+
+/// The `ci95` snapshot field of a sampled job: per class, the 95 %
+/// Wilson interval `[low, high]` of its percentage, in percent rounded
+/// to two decimals. `None` for an empty summary.
+#[must_use]
+pub(crate) fn ci95_value(summary: &GradingSummary) -> Option<Value> {
+    if summary.total() == 0 {
+        return None;
+    }
+    let round = |pct: f64| Value::num((pct * 100.0).round() / 100.0);
+    let estimates = estimate_classes(summary);
+    let pairs = CLASS_KEYS
+        .iter()
+        .map(|&(class, key)| {
+            let e = estimates.iter().find(|e| e.class == class).expect("every class estimated");
+            (key, Value::Arr(vec![round(e.low), round(e.high)]))
+        })
+        .collect();
+    Some(Value::obj(pairs))
 }
 
 /// A job-scoped event line of kind `event` with extra `fields`.
@@ -380,39 +405,6 @@ pub fn job_event_line(event: &str, job: &str, fields: Vec<(&str, Value)>) -> Str
     ];
     pairs.extend(fields);
     Value::obj(pairs).to_line()
-}
-
-/// Builds the snapshot fields shared by `status`, `list`, and the
-/// terminal `done` event: cursor, tallies, digest, error.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn snapshot_value(
-    id: &str,
-    state: &str,
-    chunks_done: usize,
-    chunks_total: usize,
-    faults_done: usize,
-    faults_total: usize,
-    summary: &GradingSummary,
-    digest: Option<u64>,
-    error: Option<&str>,
-) -> Value {
-    let mut pairs = vec![
-        ("id", Value::str(id)),
-        ("state", Value::str(state)),
-        ("chunks_done", Value::count(chunks_done)),
-        ("chunks_total", Value::count(chunks_total)),
-        ("faults_done", Value::count(faults_done)),
-        ("faults_total", Value::count(faults_total)),
-    ];
-    pairs.extend(summary_fields(summary));
-    if let Some(d) = digest {
-        pairs.push(("digest", Value::str(digest_hex(d))));
-    }
-    if let Some(e) = error {
-        pairs.push(("error", Value::str(e)));
-    }
-    Value::obj(pairs)
 }
 
 #[cfg(test)]
@@ -503,5 +495,19 @@ mod tests {
     #[test]
     fn digest_spelling_matches_checkpoint_format() {
         assert_eq!(digest_hex(0xdead_beef), "00000000deadbeef");
+    }
+
+    #[test]
+    fn ci95_pins_the_wilson_interval_per_class() {
+        // 20 of 100: the Wilson 95 % interval is 13.3 % .. 28.9 %.
+        let ci = ci95_value(&GradingSummary::from_counts(20, 30, 50)).unwrap();
+        let bounds = |key: &str| match ci.get(key).and_then(Value::as_arr) {
+            Some([Value::Num(low), Value::Num(high)]) => format!("{low:.1}..{high:.1}"),
+            other => panic!("{key}: {other:?}"),
+        };
+        assert_eq!(bounds("failures"), "13.3..28.9");
+        assert_eq!(bounds("silents"), "40.4..59.6");
+        assert!(ci.get("latents").is_some());
+        assert!(ci95_value(&GradingSummary::new()).is_none(), "no interval without faults");
     }
 }

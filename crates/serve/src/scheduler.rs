@@ -12,20 +12,23 @@
 //! rounds, workers, daemon restarts and resumes reproduces the solo
 //! one-shot digest bit-for-bit (`tests/serve_determinism.rs`).
 //!
-//! The engine (plan + golden trace) is rebuilt per round rather than
-//! cached across rounds: a plan borrows its circuit, so caching would
-//! need a self-referential job. Queued jobs therefore hold only their
-//! netlist and test bench. The rebuild is not free: the serve
-//! benchmark's layer trace (`gradebench`, s5378g, one worker, 2-vCPU
-//! Xeon KVM host) measured rebuilds at ~36 ms of the ~160 ms of worker
-//! time per job when a job took 16 rounds. With sampled chunks packed
-//! across injection cycles the same job takes 3 rounds and ~6 ms of
-//! rebuilds. Each round also starts from an empty golden bit-span cache,
-//! so it replays the spans it grades in again. For that job (s5378g,
-//! 256 vectors, `checkpoint:64`) replaying its four spans one per tape
-//! pass took 2.2 ms of a 6.5 ms one-round grade; one lane-parallel pass
-//! rebuilds all four in 0.4 ms (best of 30, one pinned CPU of the same
-//! host).
+//! Each job's [`Engine`] (compiled simulator, test bench and golden
+//! trace) is built once, on the job's first round in this daemon life,
+//! and travels with the job's queue entry from round to round. An
+//! engine owns everything it grades with; only the per-round plan
+//! borrows the job's circuit and bench, and it is rebuilt each round
+//! for next to nothing. A job that finishes, fails, is cancelled or is
+//! stopped by a daemon shutdown leaves the queue, and its engine is
+//! dropped with the entry; `resume` and a daemon restart enqueue the
+//! job without one, so its next round builds a fresh engine. Resident
+//! engines are therefore exactly the live jobs that have graded a
+//! round. Engines are not shared between jobs: `JobSpec::seed` seeds
+//! both the test bench and the sample, so only identical resubmissions
+//! could share one.
+//!
+//! What a round still pays on top of grading: the sample redraw, the
+//! resume fingerprint, the checkpoint load and write, and a cold golden
+//! bit-span store.
 
 use std::collections::VecDeque;
 use std::io;
@@ -45,9 +48,12 @@ use crate::json::Value;
 use crate::proto::{self, JobSpec};
 use crate::spool::Spool;
 
+/// One queue entry: a job plus its engine, once a round has built it.
+type Entry = (Arc<Job>, Option<Engine>);
+
 /// The queue, registry and pool shared by workers and connections.
 pub(crate) struct SchedCore {
-    queue: Mutex<VecDeque<Arc<Job>>>,
+    queue: Mutex<VecDeque<Entry>>,
     queue_cv: Condvar,
     jobs: Mutex<Vec<Arc<Job>>>,
     next_id: AtomicU64,
@@ -66,6 +72,19 @@ impl Scheduler {
     /// history, incomplete ones back onto the queue), and starts
     /// `workers` pool threads.
     pub(crate) fn start(spool: Spool, workers: usize) -> io::Result<Scheduler> {
+        let scheduler = Self::open(spool)?;
+        let handles = (0..workers.max(1))
+            .map(|_| {
+                let core = Arc::clone(&scheduler.core);
+                thread::spawn(move || worker_loop(&core))
+            })
+            .collect();
+        *scheduler.workers.lock().expect("workers lock") = handles;
+        Ok(scheduler)
+    }
+
+    /// The spool scan of [`start`](Self::start), with no worker threads.
+    fn open(spool: Spool) -> io::Result<Scheduler> {
         let core = Arc::new(SchedCore {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -89,19 +108,12 @@ impl Scheduler {
             } else {
                 // Incomplete: the round loop resumes from job.ckpt if
                 // one exists (fresh otherwise) — enqueue and go.
-                core.queue.lock().expect("queue lock").push_back(Arc::clone(&job));
+                core.queue.lock().expect("queue lock").push_back((Arc::clone(&job), None));
             }
             core.jobs.lock().expect("jobs lock").push(job);
         }
         core.next_id.store(max_num + 1, Ordering::SeqCst);
-
-        let handles = (0..workers.max(1))
-            .map(|_| {
-                let core = Arc::clone(&core);
-                thread::spawn(move || worker_loop(&core))
-            })
-            .collect();
-        Ok(Scheduler { core, workers: Mutex::new(handles) })
+        Ok(Scheduler { core, workers: Mutex::new(Vec::new()) })
     }
 
     /// Validates and enqueues a new job; returns its handle.
@@ -114,7 +126,7 @@ impl Scheduler {
             .write_spec(&id, &job.spec)
             .map_err(|e| format!("cannot spool {id}: {e}"))?;
         self.core.jobs.lock().expect("jobs lock").push(Arc::clone(&job));
-        self.core.queue.lock().expect("queue lock").push_back(Arc::clone(&job));
+        self.core.queue.lock().expect("queue lock").push_back((Arc::clone(&job), None));
         self.core.queue_cv.notify_one();
         Ok(job)
     }
@@ -156,6 +168,9 @@ impl Scheduler {
 
     /// Re-enqueues a cancelled or failed job; it resumes from its
     /// spooled checkpoint (or restarts from chunk 0 if none exists).
+    /// A job cancelled while queued may still have its entry (and
+    /// engine) in the queue; the state flip re-arms that entry instead
+    /// of adding a second one.
     pub(crate) fn resume(&self, id: &str) -> Result<(), String> {
         let job = self.job(id).ok_or_else(|| format!("unknown job {id:?}"))?;
         let mut ok = false;
@@ -173,16 +188,20 @@ impl Scheduler {
             ));
         }
         job.refresh_cancel_token();
-        self.core.queue.lock().expect("queue lock").push_back(job);
+        let mut q = self.core.queue.lock().expect("queue lock");
+        if !q.iter().any(|(queued, _)| Arc::ptr_eq(queued, &job)) {
+            q.push_back((job, None));
+        }
+        drop(q);
         self.core.queue_cv.notify_one();
         Ok(())
     }
 
     /// Graceful stop: cancels every non-terminal job (their in-flight
-    /// rounds drain and checkpoint), wakes and joins every worker.
-    /// After this returns the spool is consistent: every incomplete
-    /// job's cursor is at a round boundary, ready for the next daemon
-    /// life to resume.
+    /// rounds drain and checkpoint), wakes and joins every worker, and
+    /// empties the queue, dropping every engine. After this returns the
+    /// spool is consistent: every incomplete job's cursor is at a round
+    /// boundary, ready for the next daemon life to resume.
     pub(crate) fn stop(&self) {
         self.core.stopping.store(true, Ordering::SeqCst);
         for job in self.jobs() {
@@ -195,20 +214,21 @@ impl Scheduler {
         for h in handles {
             let _ = h.join();
         }
+        self.core.queue.lock().expect("queue lock").clear();
     }
 }
 
 /// One pool thread: pop a job, grade one round, requeue if incomplete.
 fn worker_loop(core: &Arc<SchedCore>) {
     loop {
-        let job = {
+        let entry = {
             let mut q = core.queue.lock().expect("queue lock");
             loop {
                 if core.stopping.load(Ordering::SeqCst) {
                     return;
                 }
-                if let Some(job) = q.pop_front() {
-                    break job;
+                if let Some(entry) = q.pop_front() {
+                    break entry;
                 }
                 q = core
                     .queue_cv
@@ -217,16 +237,30 @@ fn worker_loop(core: &Arc<SchedCore>) {
                     .0;
             }
         };
-        if run_round(core, &job) && !core.stopping.load(Ordering::SeqCst) {
-            core.queue.lock().expect("queue lock").push_back(job);
+        work_entry(core, entry);
+    }
+}
+
+/// Grades one round of a popped entry and re-enqueues the job, engine
+/// and all, if it is incomplete. Otherwise the entry, and the engine
+/// with it, is dropped here.
+fn work_entry(core: &Arc<SchedCore>, (job, engine): Entry) {
+    if let Some(engine) = run_round(core, &job, engine) {
+        if !core.stopping.load(Ordering::SeqCst) {
+            core.queue.lock().expect("queue lock").push_back((job, Some(engine)));
             core.queue_cv.notify_one();
         }
     }
 }
 
-/// Grades one round of `job`; returns true when the job should be
+/// Grades one round of `job` on `engine` (building it first if the job
+/// has none yet); returns the engine when the job should be
 /// re-enqueued (more chunks remain and nobody stopped it).
-fn run_round(core: &Arc<SchedCore>, job: &Arc<Job>) -> bool {
+fn run_round(
+    core: &Arc<SchedCore>,
+    job: &Arc<Job>,
+    mut engine: Option<Engine>,
+) -> Option<Engine> {
     // Claim under the status lock: a cancel that already flipped a
     // queued job wins, and the worker skips it.
     let mut claimed = false;
@@ -237,12 +271,12 @@ fn run_round(core: &Arc<SchedCore>, job: &Arc<Job>) -> bool {
         }
     });
     if !claimed {
-        return false;
+        return None;
     }
 
     // Panic containment mirrors the engine pool: one poisoned round
     // fails one job, never the daemon.
-    let outcome = catch_unwind(AssertUnwindSafe(|| grade_round(core, job)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| grade_round(core, job, &mut engine)));
     job.reset_live_faults();
     match outcome {
         Err(panic) => {
@@ -252,11 +286,11 @@ fn run_round(core: &Arc<SchedCore>, job: &Arc<Job>) -> bool {
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "round panicked".to_owned());
             finalize_failed(core, job, &format!("round panicked: {msg}"));
-            false
+            None
         }
         Ok(Err(msg)) => {
             finalize_failed(core, job, &msg);
-            false
+            None
         }
         Ok(Ok(round)) => {
             job.update_status(|st| {
@@ -267,15 +301,17 @@ fn run_round(core: &Arc<SchedCore>, job: &Arc<Job>) -> bool {
                 st.summary = round.summary.clone();
                 st.digest = Some(round.digest);
                 st.wall_ns += round.wall_ns;
+                st.rounds += 1;
+                st.engine_builds += usize::from(round.engine_built);
             });
             if round.complete {
                 finalize_done(core, job, round.timings);
-                false
+                None
             } else if core.stopping.load(Ordering::SeqCst) {
                 // Daemon shutdown: the round drained and checkpointed;
                 // leave the job queued-on-disk for the next life.
                 job.update_status(|st| st.state = JobState::Queued);
-                false
+                None
             } else if job.cancel_token().is_cancelled() {
                 let mut snapshot = None;
                 job.update_status(|st| {
@@ -283,7 +319,7 @@ fn run_round(core: &Arc<SchedCore>, job: &Arc<Job>) -> bool {
                     snapshot = Some(st.clone());
                 });
                 job.broadcast_terminal(&snapshot.expect("status set above"));
-                false
+                None
             } else {
                 let mut snapshot = None;
                 job.update_status(|st| {
@@ -291,7 +327,7 @@ fn run_round(core: &Arc<SchedCore>, job: &Arc<Job>) -> bool {
                     snapshot = Some(st.clone());
                 });
                 broadcast_progress(job, &snapshot.expect("status set above"));
-                true
+                engine
             }
         }
     }
@@ -307,14 +343,22 @@ struct RoundReport {
     digest: u64,
     wall_ns: u128,
     complete: bool,
+    /// True when this round built the job's engine.
+    engine_built: bool,
     timings: Option<[seugrade_emulation::controller::CampaignTiming; 3]>,
 }
 
-/// Builds the plan and engine for `job` and grades one round through
-/// the resumable path (checkpointing to the job's spool).
-fn grade_round(core: &Arc<SchedCore>, job: &Arc<Job>) -> Result<RoundReport, String> {
+/// Builds the plan for `job` (and its engine, on the job's first round)
+/// and grades one round through the resumable path (checkpointing to
+/// the job's spool).
+fn grade_round(
+    core: &Arc<SchedCore>,
+    job: &Arc<Job>,
+    engine: &mut Option<Engine>,
+) -> Result<RoundReport, String> {
     let plan = build_plan(&job.spec, &job.circuit, &job.testbench);
-    let engine = Engine::new(&plan);
+    let engine_built = engine.is_none();
+    let engine = engine.get_or_insert_with(|| Engine::new(&plan));
     let ckpt = core.spool.ckpt_path(&job.id);
     let mut opts = ResumeOptions::checkpoint_to(&ckpt);
     opts.every = job.spec.round;
@@ -347,6 +391,7 @@ fn grade_round(core: &Arc<SchedCore>, job: &Arc<Job>) -> Result<RoundReport, Str
         digest: run.sink.digest(),
         wall_ns: run.stats.wall_ns,
         complete,
+        engine_built,
         timings,
     })
 }
@@ -454,6 +499,8 @@ fn restore_terminal_status(job: &Job, result: &Value) {
             .and_then(|h| u64::from_str_radix(h, 16).ok());
         st.error = result.get("error").and_then(Value::as_str).map(str::to_owned);
         st.wall_ns = count("wall_ns") as u128;
+        st.rounds = count("rounds");
+        st.engine_builds = count("engine_builds");
     });
 }
 
@@ -474,6 +521,34 @@ mod tests {
         spec.vectors = 24;
         spec.round = 4;
         spec
+    }
+
+    impl Scheduler {
+        /// Pops and grades one queue entry on the calling thread, as a
+        /// worker would; false when the queue is empty.
+        fn step(&self) -> bool {
+            let entry = self.core.queue.lock().expect("queue lock").pop_front();
+            entry.map(|entry| work_entry(&self.core, entry)).is_some()
+        }
+
+        /// Steps until the queue is empty.
+        fn drain(&self) {
+            while self.step() {}
+        }
+
+        /// Queue entries that hold an engine.
+        fn resident_engines(&self) -> usize {
+            self.core.queue.lock().expect("queue lock").iter().filter(|e| e.1.is_some()).count()
+        }
+
+        fn queue_len(&self) -> usize {
+            self.core.queue.lock().expect("queue lock").len()
+        }
+    }
+
+    /// Rounds an uninterrupted run of `st`'s job takes.
+    fn full_rounds(st: &JobStatus, spec: &JobSpec) -> usize {
+        st.chunks_total.div_ceil(spec.round)
     }
 
     fn wait_terminal(job: &Arc<Job>) -> JobStatus {
@@ -564,6 +639,140 @@ mod tests {
         let job = sched.job(&job.id).expect("terminal job listed");
         assert_eq!(job.status().state, JobState::Done);
         assert_eq!(job.status().digest, Some(digest));
+        sched.stop();
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn an_uninterrupted_job_builds_its_engine_once() {
+        let spool = temp_spool("once");
+        let root = spool.root().to_path_buf();
+        let sched = Scheduler::open(spool).unwrap();
+        let spec = tiny_spec();
+        let job = sched.submit(spec.clone()).unwrap();
+        assert!(sched.step());
+        assert_eq!(sched.resident_engines(), 1, "the engine travels with the requeued job");
+        sched.drain();
+        let st = job.status();
+        assert_eq!(st.state, JobState::Done);
+        assert!(st.rounds > 1, "the job must span several rounds: {st:?}");
+        assert_eq!(st.rounds, full_rounds(&st, &spec));
+        assert_eq!(st.engine_builds, 1);
+        assert_eq!(sched.resident_engines(), 0, "a done job holds no engine");
+        assert_eq!(st.digest, Some(reference_run(&spec).unwrap().0));
+        let result = std::fs::read_to_string(root.join(&job.id).join("result.json")).unwrap();
+        assert!(result.contains("\"engine_builds\":1"), "{result}");
+        assert!(result.contains(&format!("\"rounds\":{}", st.rounds)), "{result}");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_job_cancelled_while_queued_frees_its_engine_when_popped() {
+        let spool = temp_spool("freed");
+        let root = spool.root().to_path_buf();
+        let sched = Scheduler::open(spool).unwrap();
+        let job = sched.submit(tiny_spec()).unwrap();
+        assert!(sched.step());
+        assert_eq!(sched.cancel(&job.id), Ok(JobState::Cancelled));
+        assert_eq!(sched.resident_engines(), 1, "the entry keeps its engine until popped");
+        assert!(sched.step());
+        assert_eq!(sched.queue_len(), 0);
+        assert_eq!(sched.resident_engines(), 0);
+        let st = job.status();
+        assert_eq!(st.state, JobState::Cancelled);
+        assert_eq!((st.rounds, st.engine_builds), (1, 1), "popping grades nothing");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn cancel_then_resume_rebuilds_the_engine_once() {
+        let spool = temp_spool("rebuild");
+        let root = spool.root().to_path_buf();
+        let sched = Scheduler::open(spool).unwrap();
+        let spec = tiny_spec();
+        let job = sched.submit(spec.clone()).unwrap();
+        assert!(sched.step());
+        sched.cancel(&job.id).unwrap();
+        assert!(sched.step(), "pops the cancelled entry and drops its engine");
+        sched.resume(&job.id).unwrap();
+        assert_eq!(sched.resident_engines(), 0, "resume enqueues the job without an engine");
+        sched.drain();
+        let st = job.status();
+        assert_eq!(st.state, JobState::Done);
+        assert_eq!(st.engine_builds, 2);
+        assert_eq!(st.rounds, full_rounds(&st, &spec));
+        assert_eq!(st.digest, Some(reference_run(&spec).unwrap().0));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn resume_rearms_a_still_queued_entry_and_keeps_its_engine() {
+        let spool = temp_spool("rearm");
+        let root = spool.root().to_path_buf();
+        let sched = Scheduler::open(spool).unwrap();
+        let spec = tiny_spec();
+        let job = sched.submit(spec.clone()).unwrap();
+        assert!(sched.step());
+        sched.cancel(&job.id).unwrap();
+        sched.resume(&job.id).unwrap();
+        assert_eq!(sched.queue_len(), 1, "no second entry for the same job");
+        assert_eq!(sched.resident_engines(), 1);
+        sched.drain();
+        let st = job.status();
+        assert_eq!(st.state, JobState::Done);
+        assert_eq!(st.engine_builds, 1);
+        assert_eq!(st.digest, Some(reference_run(&spec).unwrap().0));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn stop_then_restart_rebuilds_the_engine_once() {
+        let spool = temp_spool("relife");
+        let root = spool.root().to_path_buf();
+        let sched = Scheduler::open(spool).unwrap();
+        let spec = tiny_spec();
+        let job = sched.submit(spec.clone()).unwrap();
+        assert!(sched.step());
+        assert_eq!(job.status().engine_builds, 1);
+        sched.stop();
+        assert_eq!(sched.queue_len(), 0, "a stopped daemon holds no engine");
+        drop(sched);
+
+        let sched = Scheduler::open(Spool::open(&root).unwrap()).unwrap();
+        let job = sched.job(&job.id).expect("respooled job");
+        assert_eq!(sched.resident_engines(), 0, "a restart enqueues without an engine");
+        sched.drain();
+        let st = job.status();
+        assert_eq!(st.state, JobState::Done);
+        assert_eq!(st.engine_builds, 1, "counts restart with the daemon life");
+        assert_eq!(st.rounds, full_rounds(&st, &spec) - 1, "the first life graded one round");
+        assert_eq!(st.digest, Some(reference_run(&spec).unwrap().0));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn co_tenant_single_chunk_rounds_on_two_workers_match_the_reference() {
+        let spool = temp_spool("cotenant");
+        let root = spool.root().to_path_buf();
+        let sched = Scheduler::start(spool, 2).unwrap();
+        let specs: Vec<JobSpec> = (0..4)
+            .map(|i| {
+                let mut spec = tiny_spec();
+                spec.round = 1;
+                spec.seed = 100 + i;
+                spec
+            })
+            .collect();
+        let jobs: Vec<_> = specs.iter().map(|spec| sched.submit(spec.clone()).unwrap()).collect();
+        for (job, spec) in jobs.iter().zip(&specs) {
+            let st = wait_terminal(job);
+            assert_eq!(st.state, JobState::Done);
+            let (digest, summary) = reference_run(spec).unwrap();
+            assert_eq!(st.digest, Some(digest), "{} diverged from its solo run", job.id);
+            assert_eq!(st.summary, summary);
+            assert_eq!(st.rounds, st.chunks_total);
+            assert_eq!(st.engine_builds, 1, "{}: one engine across workers", job.id);
+        }
         sched.stop();
         std::fs::remove_dir_all(&root).unwrap();
     }

@@ -1,17 +1,20 @@
 //! The daemon: a `std::net::TcpListener` accept loop, one thread per
 //! connection, one scheduler shared by all of them.
 //!
-//! Everything polls — the listener is non-blocking and connection
-//! reads carry a short timeout — so a shutdown request (protocol
-//! `shutdown`, SIGINT/SIGTERM via the CLI's cancel token, or a test
-//! calling [`Server::shutdown`]) is observed within a poll interval by
-//! every thread: the accept loop stops, in-flight rounds drain and
-//! write final checkpoints, workers join, and the spool is left
-//! consistent. A hostile or hung client can therefore never wedge the
+//! The listener blocks in `accept`, so a new connection is served at
+//! once. Connection reads carry a short timeout, so a shutdown request
+//! (protocol `shutdown`, SIGINT/SIGTERM via the CLI's cancel token, or
+//! a test calling [`Server::shutdown`]) is observed within a poll
+//! interval by every connection thread. [`Server::shutdown`] raises the
+//! flag, stops the scheduler (in-flight rounds drain and write final
+//! checkpoints, workers join, the spool is left consistent), then wakes
+//! the blocked `accept` with one loopback connection of its own; the
+//! accept loop exits on the first connection it accepts after the flag
+//! is raised. A hostile or hung client can therefore never wedge the
 //! daemon's exit.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -36,7 +39,7 @@ pub const DEFAULT_WORKERS: usize = 2;
 /// resynchronize). Generous because inline netlists travel in-line.
 pub const MAX_REQUEST_BYTES: usize = 8 * 1024 * 1024;
 
-/// How often blocked loops re-check the shutdown flag.
+/// How often blocked connection loops re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
 
 /// Daemon configuration.
@@ -92,7 +95,6 @@ impl Server {
         let scheduler = Scheduler::start(spool, config.workers)?;
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let daemon = Arc::new(Daemon { scheduler, shutdown: AtomicBool::new(false) });
         let accept_daemon = Arc::clone(&daemon);
         let accept = thread::spawn(move || accept_loop(&listener, &accept_daemon));
@@ -105,8 +107,9 @@ impl Server {
         self.local_addr
     }
 
-    /// Raises the shutdown flag without blocking (the accept loop,
-    /// connections and workers observe it within a poll interval).
+    /// Raises the shutdown flag without blocking (connections observe it
+    /// within a poll interval; the accept loop and the workers stop in
+    /// [`shutdown`](Server::shutdown)).
     pub fn request_shutdown(&self) {
         self.daemon.shutdown.store(true, Ordering::SeqCst);
     }
@@ -129,12 +132,17 @@ impl Server {
 
     /// Graceful stop: cancels every in-flight job cooperatively (each
     /// drains its round and writes a final atomic checkpoint), joins
-    /// the workers and the accept loop. Idempotent.
+    /// the workers, then wakes and joins the accept loop. Idempotent.
     pub fn shutdown(&mut self) {
         self.request_shutdown();
         self.daemon.scheduler.stop();
         if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+            // If the wake-up connection cannot be made, the accept
+            // thread is left blocked rather than joined: it serves
+            // nothing more and ends with the process.
+            if TcpStream::connect(wake_addr(self.local_addr)).is_ok() {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -145,17 +153,33 @@ impl Drop for Server {
     }
 }
 
+/// The address that reaches a listener bound to `bound`: itself, or
+/// the loopback of the same family when bound to an unspecified
+/// address (`0.0.0.0`, `::`).
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Accepts connections until the first one after shutdown is requested
+/// (normally [`Server::shutdown`]'s own wake-up connection).
 fn accept_loop(listener: &TcpListener, daemon: &Arc<Daemon>) {
     loop {
+        let accepted = listener.accept();
         if daemon.shutdown_requested() {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 let daemon = Arc::clone(daemon);
                 thread::spawn(move || handle_connection(&daemon, stream));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
+            // Transient failures (e.g. out of descriptors): back off
+            // instead of spinning.
             Err(_) => thread::sleep(POLL),
         }
     }
@@ -334,4 +358,101 @@ fn send(writer: &mut TcpStream, line: &str) -> io::Result<()> {
     writer.write_all(line.as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    use super::*;
+    use crate::client::Client;
+    use crate::proto::JobSpec;
+
+    fn config(tag: &str, addr: &str) -> ServerConfig {
+        let spool = std::env::temp_dir()
+            .join(format!("seugrade-serve-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&spool);
+        ServerConfig { addr: addr.to_owned(), workers: 1, spool }
+    }
+
+    /// Runs `Server::shutdown` on another thread and fails (rather than
+    /// hangs) unless it returns within a second.
+    fn shutdown_within_a_second(mut server: Server) {
+        let (done, returned) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        returned.recv_timeout(Duration::from_secs(1)).expect("shutdown returns within 1 s");
+    }
+
+    /// Binds a daemon at `addr`, parks an idle client on it, and checks
+    /// that `shutdown` wakes the blocked accept promptly.
+    fn shutdown_is_prompt_with_an_idle_client(tag: &str, addr: &str) {
+        let config = config(tag, addr);
+        let server = Server::bind(&config).unwrap();
+        let mut idle = Client::connect(wake_addr(server.local_addr())).unwrap();
+        idle.ping().unwrap();
+        // Let the accept thread block again before stopping.
+        thread::sleep(Duration::from_millis(50));
+        shutdown_within_a_second(server);
+        drop(idle);
+        std::fs::remove_dir_all(&config.spool).unwrap();
+    }
+
+    #[test]
+    fn shutdown_wakes_a_blocked_accept_on_loopback() {
+        shutdown_is_prompt_with_an_idle_client("loopback", "127.0.0.1:0");
+    }
+
+    #[test]
+    fn shutdown_wakes_a_blocked_accept_on_an_unspecified_address() {
+        shutdown_is_prompt_with_an_idle_client("unspecified", "0.0.0.0:0");
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_addresses_to_loopback() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7463"), "127.0.0.1:7463");
+        assert_eq!(wake("[::]:7463"), "[::1]:7463");
+        assert_eq!(wake("10.1.2.3:9"), "10.1.2.3:9");
+    }
+
+    #[test]
+    fn protocol_shutdown_then_server_shutdown_leaves_the_spool_consistent() {
+        let config = config("protocol", "127.0.0.1:0");
+        let mut spec = JobSpec::registry("s27");
+        spec.vectors = 120;
+        spec.round = 2;
+        let (reference, _) = crate::reference_run(&spec).unwrap();
+
+        let server = Server::bind(&config).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let id = client.submit(&spec).unwrap();
+        let started = Instant::now();
+        while client.status(&id).unwrap().get("rounds").and_then(Value::as_usize) == Some(0) {
+            assert!(started.elapsed() < Duration::from_secs(60), "no round landed");
+            thread::sleep(Duration::from_millis(2));
+        }
+        client.shutdown().unwrap();
+        assert!(server.shutdown_requested());
+        shutdown_within_a_second(server);
+        let job_dir = config.spool.join(&id);
+        assert!(
+            job_dir.join("result.json").exists() || job_dir.join("job.ckpt").exists(),
+            "an incomplete job must leave its checkpoint"
+        );
+
+        let server = Server::bind(&config).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let done = client.wait(&id, Duration::from_secs(60)).unwrap();
+        assert_eq!(done.get("state").and_then(Value::as_str), Some("done"));
+        assert_eq!(
+            done.get("digest").and_then(Value::as_str),
+            Some(proto::digest_hex(reference).as_str()),
+            "the next daemon life resumes to the solo digest"
+        );
+        drop(server);
+        std::fs::remove_dir_all(&config.spool).unwrap();
+    }
 }
