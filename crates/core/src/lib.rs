@@ -82,7 +82,7 @@ pub mod prelude {
     };
     pub use seugrade_sim::{
         equiv_check, CompiledSim, Counterexample, EventSim, GoldenTrace, Kernel, SplitMix64,
-        Testbench, TracePolicy, TraceWindow, WindowCache,
+        Testbench, TracePolicy, TraceWindow,
     };
     pub use seugrade_techmap::{map_luts, BramEstimate, MapperConfig, ResourceReport};
 }

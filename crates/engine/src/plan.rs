@@ -222,10 +222,10 @@ impl<'a> CampaignPlan<'a> {
         self.collapse
     }
 
-    /// Golden span-cache capacity in spans (0 disables caching). One
-    /// store of this size is shared by every worker of a run, for value
-    /// windows and bit spans alike; the differential kernel also
-    /// rebuilds up to half of it (at most 64 spans) per replay pass.
+    /// Golden span-cache capacity in spans (0 disables caching): the size
+    /// of the one bit-span store every worker of a run shares, whichever
+    /// kernel grades. A miss rebuilds up to half of it (at most 64
+    /// spans) in one replay pass.
     /// Affects replay cost only, never verdicts — which is also why it
     /// is excluded from resume fingerprints: a campaign checkpointed
     /// under one cache size (or collapse mode) can resume under another.
@@ -350,10 +350,10 @@ impl<'a> CampaignPlanBuilder<'a> {
         self
     }
 
-    /// Sets the golden span-cache capacity in replayed spans, shared by
-    /// the run's whole worker pool; half of it (at most 64) is also the
-    /// differential kernel's replay batch (0 disables caching and
-    /// replays one span per miss; verdicts never change).
+    /// Sets the capacity, in replayed spans, of the run's one golden
+    /// span store, shared by the whole worker pool; half of it (at most
+    /// 64) is also the replay batch (0 disables caching and replays one
+    /// span per miss; verdicts never change).
     #[must_use]
     pub fn window_cache(mut self, spans: usize) -> Self {
         self.window_cache = spans;

@@ -3,10 +3,10 @@
 use std::time::Instant;
 
 use seugrade_faultsim::{
-    sampling, Collapse, FaultList, FaultOutcome, GradeScratch, Grader, GradingSummary, MultiFault,
+    sampling, FaultList, FaultOutcome, GradeScratch, Grader, GradingSummary, MultiFault,
 };
 use seugrade_netlist::Netlist;
-use seugrade_sim::{BitCache, Kernel, Testbench, TracePolicy, WindowCache};
+use seugrade_sim::{BitCache, Testbench, TracePolicy};
 
 use crate::error::EngineError;
 use crate::plan::{CampaignPlan, FaultSource, Technique};
@@ -16,8 +16,8 @@ use crate::resume::{Checkpoint, Fingerprint, PersistentSink, ResumeError, Resume
 use crate::stream::{ChunkPlan, StreamAccumulator, VerdictSink};
 
 /// Per-worker grading scratch of the streamed paths: the grader's
-/// scratch (simulator state + window cache + collapse mode), the chunk
-/// fault buffer, and the 64-lane outcome array.
+/// scratch (see [`Engine::worker_scratch`]), the chunk fault buffer, and
+/// the 64-lane outcome array.
 type StreamedScratch = (GradeScratch, Vec<seugrade_faultsim::Fault>, [FaultOutcome; 64]);
 
 /// The materialized faults of one campaign run.
@@ -259,10 +259,10 @@ impl Engine {
     /// Builds the runtime with an explicit [`TracePolicy`].
     ///
     /// Under [`TracePolicy::Checkpoint`] the engine's golden-trace
-    /// memory is `O(FFs × cycles / K)` and every grading shard holds at
-    /// most one `K`-cycle window; verdicts are bit-identical to the
-    /// dense engine and to the serial reference (the agreement suites
-    /// enforce both).
+    /// memory is `O(FFs × cycles / K)`, and shards read golden values as
+    /// `K`-cycle bit spans from the run's one span store; verdicts are
+    /// bit-identical to the dense engine and to the serial reference
+    /// (the agreement suites enforce both).
     ///
     /// # Panics
     ///
@@ -311,54 +311,31 @@ impl Engine {
         plan: &CampaignPlan<'_>,
         on_shard: impl Fn(ProgressEvent) + Sync,
     ) -> CampaignRun {
-        assert_eq!(
-            plan.testbench(),
-            self.grader.testbench(),
-            "plan test bench does not match engine"
-        );
-        assert!(
-            plan.circuit().name() == self.circuit_name
-                && plan.circuit().num_cells() == self.num_cells
-                && plan.circuit().num_ffs() == self.grader.sim().num_ffs(),
-            "plan circuit does not match engine"
-        );
-
-        let num_ffs = self.grader.sim().num_ffs();
-        let num_cycles = self.grader.testbench().num_cycles();
-        let faults = match plan.source() {
-            FaultSource::Exhaustive => FaultPlan::Single(FaultList::exhaustive(num_ffs, num_cycles)),
-            FaultSource::Sampled { count, seed } => {
-                FaultPlan::Single(FaultList::sampled(num_ffs, num_cycles, *count, *seed))
+        self.check_plan(plan);
+        let mut drawn = None;
+        let (faults, outcomes, summary, stats) = match plan.source() {
+            FaultSource::Multi(list) => {
+                let threads = self.threads_for(plan, list.len());
+                let (outcomes, summary, stats) = self.grade_multi(list, threads, &on_shard);
+                (FaultPlan::Multi(list.clone()), outcomes, summary, stats)
             }
-            FaultSource::List(list) => FaultPlan::Single(list.clone()),
-            FaultSource::Multi(list) => FaultPlan::Multi(list.clone()),
-        };
-
-        let mut threads = plan.policy().resolved_threads().max(1);
-        if faults.len() < plan.policy().serial_below {
-            threads = 1;
-        }
-
-        let (outcomes, summary, stats) = match &faults {
-            FaultPlan::Single(list) => {
-                // The exhaustive space chunks arithmetically (and its
-                // submission order is already cycle-major); anything
-                // else goes through the counting-sorted plan.
-                let lanes = self.grader.chunk_lanes();
-                let chunks = match plan.source() {
-                    FaultSource::Exhaustive => ChunkPlan::exhaustive(num_ffs, num_cycles, lanes),
-                    _ => ChunkPlan::ordered(list.as_slice(), num_cycles, lanes),
+            source => {
+                let chunks = self.chunk_plan(source, &mut drawn);
+                let threads = self.threads_for(plan, chunks.num_faults());
+                let (outcomes, summary, stats) =
+                    self.grade_single(&chunks, threads, plan, &on_shard);
+                let list = match source {
+                    FaultSource::List(list) => list.clone(),
+                    FaultSource::Sampled { .. } => {
+                        drawn.take().expect("chunk_plan drew the sample")
+                    }
+                    _ => FaultList::exhaustive(
+                        self.grader.sim().num_ffs(),
+                        self.grader.testbench().num_cycles(),
+                    ),
                 };
-                self.grade_single(
-                    &chunks,
-                    threads,
-                    plan.collapse(),
-                    plan.window_cache(),
-                    plan.kernel(),
-                    &on_shard,
-                )
+                (FaultPlan::Single(list), outcomes, summary, stats)
             }
-            FaultPlan::Multi(list) => self.grade_multi(list, threads, &on_shard),
         };
         CampaignRun {
             faults,
@@ -439,34 +416,16 @@ impl Engine {
         &self,
         plan: &CampaignPlan<'_>,
     ) -> Result<(A, EngineStats), EngineError> {
-        self.check_streamed_plan(plan);
-        let num_ffs = self.grader.sim().num_ffs();
-        let num_cycles = self.grader.testbench().num_cycles();
-        // A sample is materialized as the drawn faults only (the draw
-        // never builds the whole space); explicit lists are borrowed,
-        // the exhaustive space is arithmetic.
-        let lanes = self.grader.chunk_lanes();
-        let sample: FaultList;
-        let chunks = match plan.source() {
-            FaultSource::Exhaustive => ChunkPlan::exhaustive(num_ffs, num_cycles, lanes),
-            FaultSource::Sampled { count, seed } => {
-                sample = FaultList::sampled(num_ffs, num_cycles, *count, *seed);
-                ChunkPlan::ordered(sample.as_slice(), num_cycles, lanes)
-            }
-            FaultSource::List(list) => ChunkPlan::ordered(list.as_slice(), num_cycles, lanes),
-            FaultSource::Multi(_) => {
-                panic!("streamed execution grades single-fault sources; use run() for MBUs")
-            }
-        };
-
-        let threads = self.streamed_threads(plan, chunks.num_faults());
+        self.check_plan(plan);
+        let mut drawn = None;
+        let chunks = self.chunk_plan(plan.source(), &mut drawn);
+        let threads = self.threads_for(plan, chunks.num_faults());
         let start = Instant::now();
-        let cache_root = WindowCache::shared(plan.window_cache());
         let bits_root = BitCache::shared(plan.window_cache());
         let accs: Vec<A> = run_folded(
             chunks.num_chunks(),
             threads,
-            || self.streamed_scratch(plan, &cache_root, &bits_root),
+            || self.streamed_scratch(plan, &bits_root),
             A::default,
             |a: &mut A, b| a.merge(b),
             |scratch, acc: &mut A, i| self.grade_streamed_chunk(&chunks, scratch, acc, i, None),
@@ -525,26 +484,13 @@ impl Engine {
         plan: &CampaignPlan<'_>,
         opts: &ResumeOptions,
     ) -> Result<ResumableRun<A>, EngineError> {
-        self.check_streamed_plan(plan);
+        self.check_plan(plan);
         assert!(
             !opts.resume || opts.checkpoint.is_some(),
             "resuming requires a checkpoint path"
         );
-        let num_ffs = self.grader.sim().num_ffs();
-        let num_cycles = self.grader.testbench().num_cycles();
-        let lanes = self.grader.chunk_lanes();
-        let sample: FaultList;
-        let chunks = match plan.source() {
-            FaultSource::Exhaustive => ChunkPlan::exhaustive(num_ffs, num_cycles, lanes),
-            FaultSource::Sampled { count, seed } => {
-                sample = FaultList::sampled(num_ffs, num_cycles, *count, *seed);
-                ChunkPlan::ordered(sample.as_slice(), num_cycles, lanes)
-            }
-            FaultSource::List(list) => ChunkPlan::ordered(list.as_slice(), num_cycles, lanes),
-            FaultSource::Multi(_) => {
-                panic!("streamed execution grades single-fault sources; use run() for MBUs")
-            }
-        };
+        let mut drawn = None;
+        let chunks = self.chunk_plan(plan.source(), &mut drawn);
         let total_chunks = chunks.num_chunks();
         let fingerprint = Fingerprint::of(plan, total_chunks, chunks.num_faults());
 
@@ -572,7 +518,7 @@ impl Engine {
             meta = ck.meta().to_vec();
         }
 
-        let threads = self.streamed_threads(plan, chunks.num_faults());
+        let threads = self.threads_for(plan, chunks.num_faults());
         let every = opts.every.max(1);
         let ctl = FoldControl { cancel: opts.cancel.as_ref(), retry_budget: opts.retry_budget };
         let cancelled =
@@ -583,7 +529,6 @@ impl Engine {
         let mut interrupted = false;
         // One shared span store across every round: the per-round scratch
         // rebuild must not throw replayed golden spans away.
-        let cache_root = WindowCache::shared(plan.window_cache());
         let bits_root = BitCache::shared(plan.window_cache());
         while done < total_chunks {
             let budget = opts
@@ -597,7 +542,7 @@ impl Engine {
             let status = run_folded_ctl(
                 round,
                 threads,
-                || self.streamed_scratch(plan, &cache_root, &bits_root),
+                || self.streamed_scratch(plan, &bits_root),
                 A::default,
                 |a: &mut A, b| a.merge(b),
                 |scratch, acc: &mut A, i| {
@@ -666,7 +611,7 @@ impl Engine {
     }
 
     /// Rejects plans built for a different circuit or test bench.
-    fn check_streamed_plan(&self, plan: &CampaignPlan<'_>) {
+    fn check_plan(&self, plan: &CampaignPlan<'_>) {
         assert_eq!(
             plan.testbench(),
             self.grader.testbench(),
@@ -680,8 +625,38 @@ impl Engine {
         );
     }
 
-    /// Worker count for a streamed run of `num_faults` faults.
-    fn streamed_threads(&self, plan: &CampaignPlan<'_>, num_faults: usize) -> usize {
+    /// The cycle-major chunk plan of a single-fault source. The
+    /// exhaustive space chunks arithmetically (its submission order is
+    /// already cycle-major); an explicit list is borrowed, and a sample is
+    /// drawn into `drawn` (the drawn faults only, never the whole space);
+    /// both are counting-sorted by cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`FaultSource::Multi`] source: MBUs grade through the
+    /// materialized path.
+    fn chunk_plan<'a>(
+        &self,
+        source: &'a FaultSource,
+        drawn: &'a mut Option<FaultList>,
+    ) -> ChunkPlan<'a> {
+        let num_ffs = self.grader.sim().num_ffs();
+        let num_cycles = self.grader.testbench().num_cycles();
+        match source {
+            FaultSource::Exhaustive => ChunkPlan::exhaustive(num_ffs, num_cycles),
+            FaultSource::Sampled { count, seed } => {
+                let sample = drawn.insert(FaultList::sampled(num_ffs, num_cycles, *count, *seed));
+                ChunkPlan::ordered(sample.as_slice(), num_cycles)
+            }
+            FaultSource::List(list) => ChunkPlan::ordered(list.as_slice(), num_cycles),
+            FaultSource::Multi(_) => {
+                panic!("streamed execution grades single-fault sources; use run() for MBUs")
+            }
+        }
+    }
+
+    /// Worker count for a run of `num_faults` faults.
+    fn threads_for(&self, plan: &CampaignPlan<'_>, num_faults: usize) -> usize {
         let threads = plan.policy().resolved_threads().max(1);
         if num_faults < plan.policy().serial_below {
             1
@@ -690,21 +665,22 @@ impl Engine {
         }
     }
 
-    /// Per-worker grading scratch: the grader's scratch configured from
-    /// the plan's collapse mode and window-cache capacity, the chunk
-    /// fault buffer, and the 64-lane outcome array. Cheap to rebuild —
-    /// the pool recreates it after a contained worker panic.
-    fn streamed_scratch(
-        &self,
-        plan: &CampaignPlan<'_>,
-        root: &WindowCache,
-        bits: &BitCache,
-    ) -> StreamedScratch {
+    /// A worker's grading scratch, configured from the plan's collapse
+    /// mode and kernel, holding a handle of the run's one golden span
+    /// store `bits`. Cheap to rebuild — the pool recreates it after a
+    /// contained worker panic.
+    fn worker_scratch(&self, plan: &CampaignPlan<'_>, bits: &BitCache) -> GradeScratch {
+        self.grader
+            .new_scratch(plan.collapse(), plan.window_cache())
+            .with_kernel(plan.kernel())
+            .with_bit_cache(bits.clone_handle())
+    }
+
+    /// A streamed worker's scratch: the grader's scratch, the chunk
+    /// fault buffer, and the 64-lane outcome array.
+    fn streamed_scratch(&self, plan: &CampaignPlan<'_>, bits: &BitCache) -> StreamedScratch {
         (
-            self.grader
-                .new_scratch_with_cache(plan.collapse(), root.clone_handle())
-                .with_kernel(plan.kernel())
-                .with_bit_cache(bits.clone_handle()),
+            self.worker_scratch(plan, bits),
             Vec::with_capacity(64),
             [FaultOutcome::latent(); 64],
         )
@@ -742,25 +718,19 @@ impl Engine {
         &self,
         chunks: &ChunkPlan<'_>,
         threads: usize,
-        collapse: Collapse,
-        cache_spans: usize,
-        kernel: Kernel,
+        plan: &CampaignPlan<'_>,
         on_shard: &(impl Fn(ProgressEvent) + Sync),
     ) -> (Vec<FaultOutcome>, GradingSummary, EngineStats) {
         let start = Instant::now();
         // One span store for the whole pool: each worker gets a handle,
         // so a span is replayed once per run, not once per worker.
-        let cache_root = WindowCache::shared(cache_spans);
-        let bits_root = BitCache::shared(cache_spans);
+        let bits_root = BitCache::shared(plan.window_cache());
         let graded: Vec<(Vec<FaultOutcome>, GradingSummary)> = run_indexed(
             chunks.num_chunks(),
             threads,
             || {
                 (
-                    self.grader
-                        .new_scratch_with_cache(collapse, cache_root.clone_handle())
-                        .with_kernel(kernel)
-                        .with_bit_cache(bits_root.clone_handle()),
+                    self.worker_scratch(plan, &bits_root),
                     Vec::with_capacity(64),
                 )
             },

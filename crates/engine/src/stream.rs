@@ -28,8 +28,12 @@
 use seugrade_faultsim::{Fault, FaultClass, FaultOutcome, GradingSummary};
 use seugrade_netlist::FfIndex;
 
-/// A single-fault campaign cut into cycle-sorted chunks of at most 64
-/// faults, in cycle-major order.
+/// Fault lanes per chunk: one fault per lane of a 64-lane simulation
+/// word.
+const LANES: usize = 64;
+
+/// A single-fault campaign cut into cycle-sorted chunks of at most
+/// [`LANES`] faults, in cycle-major order.
 ///
 /// The chunk sequence is the unit the pool's workers pull lazily; a
 /// worker holds one chunk (≤ 64 faults) and its grading scratch at a
@@ -42,10 +46,7 @@ pub(crate) enum ChunkPlan<'a> {
     Exhaustive {
         /// Flip-flop dimension.
         num_ffs: usize,
-        /// Fault lanes per chunk (64 dense, 63 checkpointed — the
-        /// grader's golden companion machine reserves lane 63).
-        lanes: usize,
-        /// Chunks per cycle: `ceil(num_ffs / lanes)`.
+        /// Chunks per cycle: `ceil(num_ffs / LANES)`.
         per_cycle: usize,
         /// Total chunks: `per_cycle × num_cycles`.
         chunks: usize,
@@ -53,34 +54,26 @@ pub(crate) enum ChunkPlan<'a> {
         faults: usize,
     },
     /// An explicit list, counting-sorted by injection cycle and cut into
-    /// consecutive runs of `lanes` faults that may span several cycles:
-    /// chunk `i` is `order[i × lanes ..]`, the last one holding the
-    /// remainder.
+    /// consecutive runs of [`LANES`] faults that may span several
+    /// cycles: chunk `i` is `order[i × LANES ..]`, the last one holding
+    /// the remainder.
     Ordered {
         /// The faults, in submission order.
         faults: &'a [Fault],
         /// Cycle-major permutation of `0..faults.len()`: sorted position
         /// → submission index.
         order: Vec<u32>,
-        /// Fault lanes per chunk.
-        lanes: usize,
     },
 }
 
 impl<'a> ChunkPlan<'a> {
     /// Plans the exhaustive `num_ffs × num_cycles` space without
     /// materializing it, cutting each cycle into chunks of at most
-    /// `lanes` faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is 0 or exceeds the 64-lane word width.
-    pub(crate) fn exhaustive(num_ffs: usize, num_cycles: usize, lanes: usize) -> Self {
-        assert!(lanes >= 1 && lanes <= 64, "chunk lanes out of range");
-        let per_cycle = num_ffs.div_ceil(lanes);
+    /// [`LANES`] faults.
+    pub(crate) fn exhaustive(num_ffs: usize, num_cycles: usize) -> Self {
+        let per_cycle = num_ffs.div_ceil(LANES);
         ChunkPlan::Exhaustive {
             num_ffs,
-            lanes,
             per_cycle,
             chunks: per_cycle * num_cycles,
             faults: num_ffs * num_cycles,
@@ -88,15 +81,13 @@ impl<'a> ChunkPlan<'a> {
     }
 
     /// Plans an explicit fault list: a stable counting sort by injection
-    /// cycle, then consecutive runs of `lanes` faults, ignoring cycle
+    /// cycle, then consecutive runs of [`LANES`] faults, ignoring cycle
     /// boundaries.
     ///
     /// # Panics
     ///
-    /// Panics if a fault's cycle is `>= num_cycles`, or if `lanes` is 0
-    /// or exceeds the 64-lane word width.
-    pub(crate) fn ordered(faults: &'a [Fault], num_cycles: usize, lanes: usize) -> Self {
-        assert!(lanes >= 1 && lanes <= 64, "chunk lanes out of range");
+    /// Panics if a fault's cycle is `>= num_cycles`.
+    pub(crate) fn ordered(faults: &'a [Fault], num_cycles: usize) -> Self {
         // Per-cycle counts, turned in place into each cycle's first slot.
         let mut cursor = vec![0usize; num_cycles];
         for f in faults {
@@ -115,14 +106,14 @@ impl<'a> ChunkPlan<'a> {
             order[cursor[c]] = i as u32;
             cursor[c] += 1;
         }
-        ChunkPlan::Ordered { faults, order, lanes }
+        ChunkPlan::Ordered { faults, order }
     }
 
     /// Number of chunks.
     pub(crate) fn num_chunks(&self) -> usize {
         match self {
             ChunkPlan::Exhaustive { chunks, .. } => *chunks,
-            ChunkPlan::Ordered { faults, lanes, .. } => faults.len().div_ceil(*lanes),
+            ChunkPlan::Ordered { faults, .. } => faults.len().div_ceil(LANES),
         }
     }
 
@@ -140,15 +131,15 @@ impl<'a> ChunkPlan<'a> {
     /// contiguously).
     pub(crate) fn faults_before(&self, chunk: usize) -> usize {
         match self {
-            ChunkPlan::Exhaustive { num_ffs, lanes, per_cycle, chunks, faults } => {
+            ChunkPlan::Exhaustive { num_ffs, per_cycle, chunks, faults } => {
                 if chunk >= *chunks {
                     return *faults;
                 }
-                // Within a cycle, chunk j starts at flip-flop j*lanes,
-                // and j*lanes < num_ffs for every in-cycle index.
-                (chunk / per_cycle) * num_ffs + (chunk % per_cycle) * lanes
+                // Within a cycle, chunk j starts at flip-flop j*LANES,
+                // and j*LANES < num_ffs for every in-cycle index.
+                (chunk / per_cycle) * num_ffs + (chunk % per_cycle) * LANES
             }
-            ChunkPlan::Ordered { faults, lanes, .. } => chunk.saturating_mul(*lanes).min(faults.len()),
+            ChunkPlan::Ordered { faults, .. } => chunk.saturating_mul(LANES).min(faults.len()),
         }
     }
 
@@ -156,10 +147,10 @@ impl<'a> ChunkPlan<'a> {
     pub(crate) fn fill(&self, i: usize, buf: &mut Vec<Fault>) {
         buf.clear();
         match self {
-            ChunkPlan::Exhaustive { num_ffs, lanes, per_cycle, .. } => {
+            ChunkPlan::Exhaustive { num_ffs, per_cycle, .. } => {
                 let cycle = (i / per_cycle) as u32;
-                let lo = (i % per_cycle) * lanes;
-                let hi = (lo + lanes).min(*num_ffs);
+                let lo = (i % per_cycle) * LANES;
+                let hi = (lo + LANES).min(*num_ffs);
                 buf.extend((lo..hi).map(|ff| Fault::new(FfIndex::new(ff), cycle)));
             }
             ChunkPlan::Ordered { faults, order, .. } => {
@@ -176,11 +167,11 @@ impl<'a> ChunkPlan<'a> {
     /// Scatters chunk `i`'s verdicts back into submission order.
     pub(crate) fn scatter(&self, i: usize, out: &[FaultOutcome], dest: &mut [FaultOutcome]) {
         match self {
-            ChunkPlan::Exhaustive { num_ffs, lanes, per_cycle, .. } => {
+            ChunkPlan::Exhaustive { num_ffs, per_cycle, .. } => {
                 // Exhaustive submission order *is* cycle-major, so the
                 // chunk lands contiguously.
                 let cycle = i / per_cycle;
-                let start = cycle * num_ffs + (i % per_cycle) * lanes;
+                let start = cycle * num_ffs + (i % per_cycle) * LANES;
                 dest[start..start + out.len()].copy_from_slice(out);
             }
             ChunkPlan::Ordered { order, .. } => {
@@ -326,33 +317,18 @@ mod tests {
 
     #[test]
     fn exhaustive_plan_covers_the_space_in_cycle_major_order() {
-        let plan = ChunkPlan::exhaustive(70, 3, 64);
-        assert_eq!(plan.num_chunks(), 2 * 3);
-        assert_eq!(plan.num_faults(), 210);
-        let mut buf = Vec::new();
-        let mut all = Vec::new();
-        for i in 0..plan.num_chunks() {
-            plan.fill(i, &mut buf);
-            assert!(buf.len() <= 64 && !buf.is_empty());
-            let t = buf[0].cycle;
-            assert!(buf.iter().all(|f| f.cycle == t), "same-cycle chunk");
-            all.extend_from_slice(&buf);
-        }
-        let reference = FaultList::exhaustive(70, 3);
-        assert_eq!(all, reference.as_slice());
-    }
-
-    #[test]
-    fn narrower_lane_plans_cover_the_same_space() {
-        // 63-lane (companion) plans must enumerate exactly the same
-        // faults in the same cycle-major order, just in more chunks.
-        for (ffs, cycles) in [(70, 3), (64, 4), (63, 2), (1, 5)] {
-            let plan = ChunkPlan::exhaustive(ffs, cycles, 63);
+        // Whole words, a short tail per cycle, and a single lane.
+        for (ffs, cycles, per_cycle) in [(70, 3, 2), (64, 4, 1), (129, 2, 3), (1, 5, 1)] {
+            let plan = ChunkPlan::exhaustive(ffs, cycles);
+            assert_eq!(plan.num_chunks(), per_cycle * cycles, "{ffs}x{cycles}");
+            assert_eq!(plan.num_faults(), ffs * cycles);
             let mut buf = Vec::new();
             let mut all = Vec::new();
             for i in 0..plan.num_chunks() {
                 plan.fill(i, &mut buf);
-                assert!(buf.len() <= 63 && !buf.is_empty());
+                assert!(buf.len() <= 64 && !buf.is_empty());
+                let t = buf[0].cycle;
+                assert!(buf.iter().all(|f| f.cycle == t), "same-cycle chunk");
                 all.extend_from_slice(&buf);
             }
             let reference = FaultList::exhaustive(ffs, cycles);
@@ -366,8 +342,8 @@ mod tests {
         // differ from the arithmetic plan's; the faults covered and the
         // verdicts scattered back must not.
         let list = FaultList::exhaustive(70, 3);
-        let ordered = ChunkPlan::ordered(list.as_slice(), 3, 64);
-        let arithmetic = ChunkPlan::exhaustive(70, 3, 64);
+        let ordered = ChunkPlan::ordered(list.as_slice(), 3);
+        let arithmetic = ChunkPlan::exhaustive(70, 3);
         assert_eq!(ordered.num_faults(), arithmetic.num_faults());
         let scattered = |plan: &ChunkPlan<'_>| {
             let mut buf = Vec::new();
@@ -401,12 +377,13 @@ mod tests {
     #[test]
     fn faults_before_matches_walked_prefix_sums() {
         let list = FaultList::sampled(70, 9, 150, 3);
+        let whole = FaultList::sampled(70, 9, 128, 5);
         let plans = [
-            ChunkPlan::exhaustive(70, 3, 64),
-            ChunkPlan::exhaustive(70, 3, 63),
-            ChunkPlan::exhaustive(64, 4, 63),
-            ChunkPlan::ordered(list.as_slice(), 9, 64),
-            ChunkPlan::ordered(list.as_slice(), 9, 63),
+            ChunkPlan::exhaustive(70, 3),
+            ChunkPlan::exhaustive(64, 4),
+            ChunkPlan::exhaustive(129, 2),
+            ChunkPlan::ordered(list.as_slice(), 9),
+            ChunkPlan::ordered(whole.as_slice(), 9),
         ];
         for plan in &plans {
             let mut buf = Vec::new();
@@ -424,7 +401,7 @@ mod tests {
     #[test]
     fn scatter_inverts_fill() {
         let list = FaultList::sampled(10, 9, 40, 3);
-        let plan = ChunkPlan::ordered(list.as_slice(), 9, 64);
+        let plan = ChunkPlan::ordered(list.as_slice(), 9);
         let mut buf = Vec::new();
         let mut dest = vec![FaultOutcome::latent(); list.len()];
         for i in 0..plan.num_chunks() {

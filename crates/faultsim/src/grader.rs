@@ -2,19 +2,18 @@
 
 use seugrade_netlist::Netlist;
 use seugrade_sim::{
-    broadcast, BitCache, CompiledSim, DiffScratch, GoldenTrace, Kernel, SimState,
-    Testbench, TracePolicy, TraceWindow, WindowCache,
+    BitCache, CompiledSim, DiffScratch, GoldenTrace, Kernel, SimState, Testbench, TracePolicy,
+    TraceWindow,
 };
 
 use crate::{Fault, FaultClass, FaultOutcome};
 
-/// Default golden span-cache capacity (in spans) for a grading run —
-/// of the [`WindowCache`] and the [`BitCache`] alike, each one store
-/// shared by the run's workers. Enough that a cycle-major walk keeps its
-/// current span plus a few neighbours hot, and that the differential
-/// kernel rebuilds 4 spans per lane-parallel replay pass (half the
-/// capacity, so the spans in use survive the next batch); small enough
-/// that golden memory stays `O(cells × K)`.
+/// Default capacity (in spans) of a grading run's golden span store, the
+/// one [`BitCache`] its workers share and both faulty kernels read.
+/// Enough that a cycle-major walk keeps its current span plus a few
+/// neighbours hot, and that a miss rebuilds 4 spans per lane-parallel
+/// replay pass (half the capacity, so the spans in use survive the next
+/// batch); small enough that golden memory stays `O(cells × K)`.
 pub const DEFAULT_WINDOW_CACHE_SPANS: usize = 8;
 
 /// When a decided fault lane stops being simulated — the paper's
@@ -68,8 +67,9 @@ impl Collapse {
     }
 }
 
-/// Per-worker grading scratch: a reusable [`SimState`], a private
-/// [`WindowCache`], the [`Collapse`] mode, and work counters.
+/// Per-worker grading scratch: a reusable [`SimState`], the
+/// differential kernel's [`DiffScratch`], a golden [`BitCache`] handle,
+/// the [`Collapse`] mode and [`Kernel`], and work counters.
 ///
 /// One `GradeScratch` belongs to exactly one worker thread (no sharing,
 /// no locks); the engine's thread pool creates one per worker via
@@ -79,7 +79,6 @@ impl Collapse {
 #[derive(Debug)]
 pub struct GradeScratch {
     st: SimState,
-    cache: WindowCache,
     collapse: Collapse,
     sim_steps: u64,
     kernel: Kernel,
@@ -94,13 +93,8 @@ impl GradeScratch {
         self.collapse
     }
 
-    /// The window cache (for hit/miss/replay statistics).
-    #[must_use]
-    pub fn cache(&self) -> &WindowCache {
-        &self.cache
-    }
-
-    /// The golden bit-span cache used by the differential kernel.
+    /// The golden bit-span cache both kernels read (for hit/miss/replay
+    /// statistics).
     #[must_use]
     pub fn bit_cache(&self) -> &BitCache {
         &self.bits
@@ -132,7 +126,7 @@ impl GradeScratch {
 
     /// Faulty-machine cycles simulated through this scratch (one per
     /// `eval` of a chunk walk; golden replay cycles are counted by the
-    /// [`cache`](Self::cache) instead). The collapse-equivalence suite
+    /// [`bit_cache`](Self::bit_cache) instead). The collapse-equivalence suite
     /// uses this to prove a retired lane is never re-simulated.
     #[must_use]
     pub fn sim_steps(&self) -> u64 {
@@ -149,15 +143,16 @@ impl GradeScratch {
 ///
 /// # Golden-trace storage
 ///
-/// The grader consumes the golden run exclusively through bounded
-/// [`TraceWindow`]s, so it works identically under every
-/// [`TracePolicy`]: with [`TracePolicy::Dense`] (the
-/// [`new`](Self::new) default) windows borrow the stored trace, with
-/// [`TracePolicy::Checkpoint`] ([`with_policy`](Self::with_policy)) a
-/// grading shard holds only its current `K`-cycle window — memory
-/// `O(FFs × cycles / K)` instead of `O(FFs × cycles)`, at the cost of
-/// replaying the golden machine once per window. Verdicts are
-/// bit-identical across policies (enforced by the agreement suites).
+/// The chunk walkers read the golden run as bit-packed spans through a
+/// [`BitCache`], replayed from the trace under every [`TracePolicy`];
+/// the serial reference reads bounded [`TraceWindow`]s instead. With
+/// [`TracePolicy::Dense`] (the [`new`](Self::new) default) windows
+/// borrow the stored trace, with [`TracePolicy::Checkpoint`]
+/// ([`with_policy`](Self::with_policy)) the trace keeps only every
+/// `K`-th state — memory `O(FFs × cycles / K)` instead of
+/// `O(FFs × cycles)`, at the cost of replaying the golden machine per
+/// span. Verdicts are bit-identical across policies (enforced by the
+/// agreement suites).
 #[derive(Debug)]
 pub struct Grader {
     sim: CompiledSim,
@@ -208,49 +203,20 @@ impl Grader {
         self.policy
     }
 
-    /// The golden window the grading loops start from for an injection at
+    /// The golden window the serial loops start from for an injection at
     /// cycle `t`: the whole trace under `Dense` (borrowed, zero copy),
     /// the checkpoint-aligned `K`-cycle span containing `t` under
     /// `Checkpoint(K)`.
     pub(crate) fn first_window(&self, t: usize) -> TraceWindow<'_> {
-        let (start, end) = self.window_span(t);
-        self.golden.window(&self.sim, &self.tb, start, end)
-    }
-
-    /// The `start..end` cycle span [`first_window`](Self::first_window)
-    /// covers for an injection at cycle `t`.
-    fn window_span(&self, t: usize) -> (usize, usize) {
         let n = self.tb.num_cycles();
-        match self.policy {
+        let (start, end) = match self.policy {
             TracePolicy::Dense => (0, n),
             TracePolicy::Checkpoint(k) => {
                 let start = t - t % k;
                 (start, (start + k).min(n))
             }
-        }
-    }
-
-    /// [`first_window`](Self::first_window) served through a
-    /// [`WindowCache`].
-    fn first_window_cached(&self, t: usize, cache: &mut WindowCache) -> TraceWindow<'_> {
-        let (start, end) = self.window_span(t);
-        self.golden.window_cached(&self.sim, &self.tb, start, end, cache)
-    }
-
-    /// [`next_window`](Self::next_window) served through a
-    /// [`WindowCache`].
-    fn next_window_cached(
-        &self,
-        win: &TraceWindow<'_>,
-        cache: &mut WindowCache,
-    ) -> TraceWindow<'_> {
-        let n = self.tb.num_cycles();
-        let start = win.end();
-        let end = match self.policy {
-            TracePolicy::Dense => n,
-            TracePolicy::Checkpoint(k) => (start + k).min(n),
         };
-        self.golden.window_cached(&self.sim, &self.tb, start, end, cache)
+        self.golden.window(&self.sim, &self.tb, start, end)
     }
 
     /// The window following `win` (checkpoint-aligned, so the underlying
@@ -384,27 +350,20 @@ impl Grader {
         outcomes
     }
 
-    /// The lane budget a chunk should be cut to for this grader: 64
-    /// under [`TracePolicy::Dense`], 63 under [`TracePolicy::Checkpoint`]
-    /// — checkpointed chunks reserve lane 63 for the golden companion
-    /// machine, which rides the same bit-parallel pass and replaces
-    /// per-cycle window lookups entirely.
+    /// The lane budget a chunk should be cut to: 64, one fault per lane
+    /// of a simulation word, under every [`TracePolicy`] and kernel.
     #[must_use]
     pub fn chunk_lanes(&self) -> usize {
-        match self.policy {
-            TracePolicy::Dense => 64,
-            TracePolicy::Checkpoint(_) => 63,
-        }
+        64
     }
 
     /// Builds a per-worker [`GradeScratch`] with the given collapse mode
-    /// and span-cache capacity — of its private window and bit-span
-    /// caches, in spans; 0 disables caching.
+    /// and the capacity of its private golden span cache, in spans; 0
+    /// disables caching.
     #[must_use]
     pub fn new_scratch(&self, collapse: Collapse, cache_spans: usize) -> GradeScratch {
         GradeScratch {
             st: self.sim.new_state(),
-            cache: WindowCache::new(cache_spans),
             collapse,
             sim_steps: 0,
             kernel: Kernel::Auto,
@@ -413,28 +372,10 @@ impl Grader {
         }
     }
 
-    /// Builds a per-worker [`GradeScratch`] around an existing cache
-    /// handle — the engine hands every worker in a pool a
-    /// [`WindowCache::clone_handle`] of one shared per-run span store,
-    /// so the whole pool replays each golden span once in total.
-    #[must_use]
-    pub fn new_scratch_with_cache(&self, collapse: Collapse, cache: WindowCache) -> GradeScratch {
-        let bits = BitCache::new(cache.capacity());
-        GradeScratch {
-            st: self.sim.new_state(),
-            cache,
-            collapse,
-            sim_steps: 0,
-            kernel: Kernel::Auto,
-            diff: self.sim.new_diff_scratch(),
-            bits,
-        }
-    }
-
     /// Grades up to 64 faults in a single bit-parallel pass against a
     /// [`GradeScratch`], writing the verdicts into `out` (parallel to
-    /// `chunk`). The scratch's caches share replayed golden spans across
-    /// chunks, its collapse mode decides whether decided chunks stop
+    /// `chunk`). The scratch's span cache shares replayed golden spans
+    /// across chunks, its collapse mode decides whether decided chunks stop
     /// early, and its counters record the work done.
     ///
     /// The faults may carry different injection cycles, in non-decreasing
@@ -460,9 +401,9 @@ impl Grader {
         chunk: &[Fault],
         out: &mut [FaultOutcome],
     ) {
-        let GradeScratch { st, cache, collapse, sim_steps, kernel, diff, bits } = scratch;
+        let GradeScratch { st, collapse, sim_steps, kernel, diff, bits } = scratch;
         match kernel.resolve() {
-            Kernel::Generic => self.grade_chunk_inner(st, cache, *collapse, sim_steps, chunk, out),
+            Kernel::Generic => self.grade_chunk_generic(st, bits, *collapse, sim_steps, chunk, out),
             _ => self.grade_chunk_diff(diff, bits, *collapse, sim_steps, chunk, out),
         }
     }
@@ -516,14 +457,17 @@ impl Grader {
         }
     }
 
-    /// The generic kernel's windowed full-evaluation walk. Every lane is
-    /// loaded with the golden state at the first lane's cycle, so a lane
-    /// whose fault has not arrived yet simply tracks golden; only
+    /// The generic kernel's full-evaluation walk: every gate is
+    /// evaluated each cycle with [`CompiledSim::eval_generic`], and the
+    /// outputs and next state are compared against the golden bit spans
+    /// the differential kernel reads, from the same [`BitCache`]. Every
+    /// lane is loaded with the golden state at the first lane's cycle, so
+    /// a lane whose fault has not arrived yet simply tracks golden; only
     /// injected lanes enter the verdict masks.
-    fn grade_chunk_inner(
+    fn grade_chunk_generic(
         &self,
         st: &mut SimState,
-        cache: &mut WindowCache,
+        bits: &mut BitCache,
         collapse: Collapse,
         sim_steps: &mut u64,
         chunk: &[Fault],
@@ -531,131 +475,30 @@ impl Grader {
     ) {
         let t = self.validate_chunk(chunk, out);
         let n_cycles = self.tb.num_cycles();
-        if matches!(self.policy, TracePolicy::Checkpoint(_)) && chunk.len() < 64 {
-            self.grade_chunk_companion(st, cache, collapse, sim_steps, chunk, out);
-            return;
-        }
-
-        let mut win = self.first_window_cached(t, cache);
-        self.sim.load_state(st, win.state_at(t));
+        let mut span = self.golden.bit_span_cached(&self.sim, &self.tb, t, bits);
+        self.sim.span_load_state(st, &span, t);
         let (mut next, mut undecided) = (0, 0u64);
         for u in t..n_cycles {
-            if u >= win.end() {
-                win = self.next_window_cached(&win, cache);
+            if u >= span.end() {
+                span = self.golden.bit_span_cached(&self.sim, &self.tb, u, bits);
             }
             undecided |= Self::inject_due(chunk, &mut next, u, |f, lane| {
                 self.sim.flip_ff_lane(st, f.ff, lane);
             });
-            let settled = collapse == Collapse::Early && next == chunk.len();
             self.sim.set_inputs(st, self.tb.cycle(u));
             self.sim.eval_generic(st);
             *sim_steps += 1;
-            // Output mismatch mask across all outputs.
-            let mut out_diff = 0u64;
-            let golden_out = win.output_at(u);
-            for (word, &g) in self.sim.outputs_raw(st).into_iter().zip(golden_out) {
-                out_diff |= word ^ broadcast(g);
-            }
+            let (out_diff, state_diff) = self.sim.span_diff(st, &span, u, undecided);
             let newly_failed = out_diff & undecided;
             Self::mark(out, newly_failed, FaultOutcome::failure(u as u32));
             undecided &= !newly_failed;
-            if undecided == 0 && settled {
-                return;
-            }
-            self.sim.step(st);
-            // State convergence mask. Once every undecided lane has shown
-            // a differing flip-flop, no lane can go silent this cycle, so
-            // the rest of the scan is dead work — long latent tails hit
-            // this break within a handful of words instead of walking the
-            // full register file every cycle.
-            let mut state_diff = 0u64;
-            let golden_state = win.state_at(u + 1);
-            for (ff, &g) in golden_state.iter().enumerate() {
-                let word = self.sim.ff_raw(st, seugrade_netlist::FfIndex::new(ff));
-                state_diff |= word ^ broadcast(g);
-                if state_diff & undecided == undecided {
-                    break;
-                }
-            }
             let newly_silent = !state_diff & undecided;
             Self::mark(out, newly_silent, FaultOutcome::silent(u as u32));
             undecided &= !newly_silent;
-            if undecided == 0 && settled {
-                return;
-            }
-        }
-    }
-
-    /// The golden-companion fast path for checkpointed chunks of at most
-    /// 63 faults: lane 63 is loaded with the golden state like every
-    /// other lane but never gets a fault flipped in, so it *is* the
-    /// golden machine, advanced for free by the same bit-parallel pass.
-    /// Per-cycle comparison then reduces to XOR-ing each signal word
-    /// against its own lane 63 broadcast (an arithmetic shift) — no
-    /// window replay, no window memory, regardless of how far a latent
-    /// tail walks. Only the first lane's injection-cycle state is fetched
-    /// from the golden trace (one span, served by the cache and shared
-    /// with the chunk's cycle-major neighbours); lanes injected later
-    /// track golden exactly like lane 63 until their cycle.
-    ///
-    /// Verdicts are bit-identical to the windowed path: the compiled
-    /// simulator is deterministic per lane, so lane 63 carries exactly
-    /// the bits a replayed window would, and only injected lanes enter
-    /// the verdict masks.
-    fn grade_chunk_companion(
-        &self,
-        st: &mut SimState,
-        cache: &mut WindowCache,
-        collapse: Collapse,
-        sim_steps: &mut u64,
-        chunk: &[Fault],
-        out: &mut [FaultOutcome],
-    ) {
-        let t = chunk[0].cycle as usize;
-        let n_cycles = self.tb.num_cycles();
-        let num_ffs = self.sim.num_ffs();
-        {
-            let win = self.first_window_cached(t, cache);
-            self.sim.load_state(st, win.state_at(t));
-        }
-        // Broadcast of a word's golden (lane 63) bit to all 64 lanes.
-        let golden = |word: u64| ((word as i64) >> 63) as u64;
-        let (mut next, mut undecided) = (0, 0u64);
-        for u in t..n_cycles {
-            undecided |= Self::inject_due(chunk, &mut next, u, |f, lane| {
-                self.sim.flip_ff_lane(st, f.ff, lane);
-            });
-            let settled = collapse == Collapse::Early && next == chunk.len();
-            self.sim.set_inputs(st, self.tb.cycle(u));
-            self.sim.eval_generic(st);
-            *sim_steps += 1;
-            let mut out_diff = 0u64;
-            for word in self.sim.outputs_raw(st) {
-                out_diff |= word ^ golden(word);
-            }
-            let newly_failed = out_diff & undecided;
-            Self::mark(out, newly_failed, FaultOutcome::failure(u as u32));
-            undecided &= !newly_failed;
-            if undecided == 0 && settled {
+            if undecided == 0 && collapse == Collapse::Early && next == chunk.len() {
                 return;
             }
             self.sim.step(st);
-            // Same short-circuit as the windowed path: stop scanning the
-            // register file once every undecided lane has diverged.
-            let mut state_diff = 0u64;
-            for ff in 0..num_ffs {
-                let word = self.sim.ff_raw(st, seugrade_netlist::FfIndex::new(ff));
-                state_diff |= word ^ golden(word);
-                if state_diff & undecided == undecided {
-                    break;
-                }
-            }
-            let newly_silent = !state_diff & undecided;
-            Self::mark(out, newly_silent, FaultOutcome::silent(u as u32));
-            undecided &= !newly_silent;
-            if undecided == 0 && settled {
-                return;
-            }
         }
     }
 
@@ -675,7 +518,7 @@ impl Grader {
     /// every injected lane is decided the deviation state is empty and
     /// the walk jumps straight to the next lane's injection cycle.
     ///
-    /// Verdict semantics are identical to the full-evaluation paths:
+    /// Verdict semantics are identical to the full-evaluation walk:
     /// failures are claimed before same-cycle silences, each lane
     /// records its first event only, and `sim_steps` counts one per
     /// walked cycle.
@@ -1151,40 +994,19 @@ mod tests {
     }
 
     #[test]
-    fn companion_chunk_replays_only_the_seed_span() {
-        use seugrade_sim::TracePolicy;
-        // A latent-heavy circuit: the fault walks to the horizon, but the
-        // companion-lane path must still fetch exactly one golden span.
-        let n = generators::lfsr(12, &[11, 9, 7, 4]);
-        let tb = Testbench::random(0, 64, 9);
-        let g = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(8));
-        // Pinned to the generic kernel: the companion-lane path is what
-        // fetches value windows (the differential kernel replays golden
-        // *bit spans* through its own cache instead).
-        let mut scratch = g.new_scratch(Collapse::Early, 4).with_kernel(Kernel::Generic);
-        let mut out = [FaultOutcome::latent(); 2];
-        let chunk = [Fault::new(FfIndex::new(0), 10), Fault::new(FfIndex::new(3), 10)];
-        g.grade_chunk(&mut scratch, &chunk, &mut out);
-        assert_eq!(
-            scratch.cache().misses(),
-            1,
-            "one span replay to seed the chunk, none for the walk"
-        );
-        // A same-span neighbour chunk is served from the cache.
-        let chunk2 = [Fault::new(FfIndex::new(5), 11)];
-        g.grade_chunk(&mut scratch, &chunk2, &mut out[..1]);
-        assert_eq!(scratch.cache().misses(), 1);
-        assert_eq!(scratch.cache().hits(), 1);
-    }
-
-    #[test]
     fn every_kernel_agrees_with_serial() {
         use seugrade_sim::TracePolicy;
-        for name in ["b03s", "b06s"] {
+        // 70 cycles is a multiple of neither 4 nor the 64-cycle dense
+        // span, so both end on a short span; `Checkpoint(1)` puts every
+        // cycle on a span edge. Either way a silence at the last cycle
+        // is decided without a final state.
+        for (name, cycles) in [("b03s", 25), ("b06s", 25), ("b06s", 70)] {
             let n = seugrade_circuits::registry::build(name).unwrap();
-            let tb = Testbench::random(n.num_inputs(), 25, 31);
-            let faults = FaultList::exhaustive(n.num_ffs(), 25);
-            for policy in [TracePolicy::Dense, TracePolicy::Checkpoint(4)] {
+            let tb = Testbench::random(n.num_inputs(), cycles, 31);
+            let faults = FaultList::exhaustive(n.num_ffs(), cycles);
+            let policies =
+                [TracePolicy::Dense, TracePolicy::Checkpoint(1), TracePolicy::Checkpoint(4)];
+            for policy in policies {
                 let g = Grader::with_policy(&n, &tb, policy);
                 let reference = g.run_serial(faults.as_slice());
                 for kernel in Kernel::CONCRETE {
@@ -1208,7 +1030,7 @@ mod tests {
                         }
                         assert_eq!(
                             got, reference,
-                            "{name} {policy} kernel {kernel} collapse {}",
+                            "{name}/{cycles} {policy} kernel {kernel} collapse {}",
                             collapse.label()
                         );
                     }
@@ -1225,13 +1047,12 @@ mod tests {
         let tb = Testbench::random(0, 64, 9);
         let g = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(8));
         // Early collapse decides the chunk inside its first span: one
-        // bit-span replay pass, no value windows.
+        // bit-span replay pass.
         let mut scratch = g.new_scratch(Collapse::Early, 16);
         let mut out = [FaultOutcome::latent(); 2];
         let chunk = [Fault::new(FfIndex::new(0), 10), Fault::new(FfIndex::new(3), 10)];
         g.grade_chunk(&mut scratch, &chunk, &mut out);
         assert_eq!(scratch.bit_cache().misses(), 1);
-        assert_eq!(scratch.cache().misses(), 0, "no value windows fetched");
         // A horizon walk from cycle 10 crosses spans 8..16 through
         // 56..64. A capacity of 16 batches up to 8 spans per pass, so
         // one pass rebuilds all 7 (56 cycles) and the walk hits the

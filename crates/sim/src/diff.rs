@@ -36,18 +36,24 @@
 //!
 //! The golden bits come from a [`BitSpan`]: one bit per cell per cycle
 //! (golden values are lane-uniform), shared across all chunks of a
-//! campaign through a [`BitCache`] — the same once-per-span economics as
-//! the window cache, at 1/64th the word cost of a value trace. Spans are
-//! replayed lane-parallel: one 64-lane tape pass rebuilds a missing span
-//! together with the uncached spans after it, each lane seeded with its
-//! own span's start state and stimulus.
+//! campaign through a [`BitCache`], the one golden span store of a
+//! grading run: each span is replayed once per store, at 1/64th the word
+//! cost of a value trace. Spans are replayed lane-parallel: one 64-lane
+//! tape pass rebuilds a missing span together with the uncached spans
+//! after it, each lane seeded with its own span's start state and
+//! stimulus.
+//!
+//! The full-evaluation kernel ([`Kernel::Generic`](crate::Kernel::Generic))
+//! reads the same spans: [`CompiledSim::span_load_state`] seeds its
+//! lanes and [`CompiledSim::span_diff`] compares a settled cycle against
+//! the golden row.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use seugrade_netlist::FfIndex;
 
-use crate::{tape, CompiledSim, GoldenTrace, Testbench, TracePolicy};
+use crate::{tape, CompiledSim, GoldenTrace, SimState, Testbench, TracePolicy};
 
 /// Golden internal values for a contiguous cycle span, bit-packed: one
 /// bit per cell per cycle.
@@ -106,8 +112,8 @@ impl BitSpan {
     }
 }
 
-/// Where a [`BitCache`] keeps its spans (mirrors the window cache:
-/// per-handle or shared-behind-a-mutex across a worker pool).
+/// Where a [`BitCache`] keeps its spans: per-handle, or behind a mutex
+/// shared across a worker pool.
 #[derive(Debug)]
 enum BitStore {
     Local(SpanEntries),
@@ -118,8 +124,8 @@ enum BitStore {
 type SpanEntries = Vec<((usize, usize), Arc<BitSpan>)>;
 
 /// A small LRU of replayed golden [`BitSpan`]s, keyed by the exact
-/// `start..end` cycle span — the differential kernel's counterpart of
-/// [`WindowCache`](crate::WindowCache).
+/// `start..end` cycle span: the golden span store both faulty kernels
+/// read.
 ///
 /// Every span is replayed at most once per store and then served
 /// zero-copy to all 64-lane chunks grading inside it; with a
@@ -429,6 +435,52 @@ impl CompiledSim {
                 dev[q as usize] = dv;
                 touched.push(q);
                 state_diff |= dv;
+            }
+        }
+        (out_diff, state_diff)
+    }
+
+    /// Loads the golden flip-flop state at the start of cycle `t` from
+    /// `span` into every lane of `st`: the seed of a full-evaluation
+    /// chunk walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span` does not cover cycle `t`.
+    pub fn span_load_state(&self, st: &mut SimState, span: &BitSpan, t: usize) {
+        let row = span.row(t);
+        for &q in &self.ffs {
+            st.values[q as usize] = BitSpan::word_in_row(row, q as usize);
+        }
+    }
+
+    /// Compares a full-evaluation state, settled by an `eval` during
+    /// cycle `t`, against golden row `t` of `span`. Returns
+    /// `(out_diff, state_diff)` as [`diff_cycle`](Self::diff_cycle) does:
+    /// the lanes whose outputs differ from golden, and the lanes whose
+    /// next state differs.
+    ///
+    /// The state check reads each flip-flop's `D` slot before `step`:
+    /// golden `Q` at `t + 1` is golden `D` at `t`, so it never leaves the
+    /// row, and the last cycle needs no final state. The scan stops once
+    /// every lane of `live` that has not just failed shows a difference
+    /// (none of them can reconverge this cycle), so `state_diff` is exact
+    /// only on those lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `span` does not cover cycle `t`.
+    #[must_use]
+    pub fn span_diff(&self, st: &SimState, span: &BitSpan, t: usize, live: u64) -> (u64, u64) {
+        let row = span.row(t);
+        let diff = |slot: u32| st.values[slot as usize] ^ BitSpan::word_in_row(row, slot as usize);
+        let out_diff = self.outputs.iter().fold(0, |acc, &o| acc | diff(o));
+        let pending = live & !out_diff;
+        let mut state_diff = 0u64;
+        for &d in &self.ff_d {
+            state_diff |= diff(d);
+            if state_diff & pending == pending {
+                break;
             }
         }
         (out_diff, state_diff)

@@ -16,9 +16,12 @@
 //! - [`GoldenTrace`] — the fault-free reference run, stored under a
 //!   [`TracePolicy`]: dense (outputs + state trajectory for every cycle)
 //!   or checkpointed (full state every `K` cycles, everything else
-//!   replayed on demand into a bounded [`TraceWindow`]) — the
-//!   memory-bounded representation the streaming campaign core grades
-//!   against;
+//!   replayed on demand into a bounded [`TraceWindow`] for the serial
+//!   reference) — the memory-bounded representation the streaming
+//!   campaign core grades against;
+//! - [`BitSpan`] / [`BitCache`] — golden internal values bit-packed per
+//!   cycle span, replayed lane-parallel from the trace and held in one
+//!   store per grading run: the golden source of both faulty kernels;
 //! - [`vcd`] — value-change-dump export for waveform debugging.
 //!
 //! # Cycle semantics
@@ -77,7 +80,7 @@ pub use equiv::{equiv_check, Counterexample};
 pub use event::EventSim;
 pub use rng::SplitMix64;
 pub use testbench::Testbench;
-pub use trace::{GoldenTrace, TracePolicy, TraceWindow, WindowCache};
+pub use trace::{GoldenTrace, TracePolicy, TraceWindow};
 
 /// Which faulty-evaluation kernel a grader runs.
 ///

@@ -1,7 +1,6 @@
 //! The fault-free reference ("golden") run: dense or checkpointed.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 use crate::{CompiledSim, Testbench};
 
@@ -126,190 +125,6 @@ enum WindowData<'a> {
         outputs: Vec<Vec<bool>>,
         states: Vec<Vec<bool>>,
     },
-    Shared(Arc<SpanData>),
-}
-
-/// One replayed checkpoint-aligned span, shareable across chunks (and
-/// across the windows handed out for them) through a [`WindowCache`].
-#[derive(Debug)]
-struct SpanData {
-    outputs: Vec<Vec<bool>>,
-    states: Vec<Vec<bool>>,
-}
-
-/// Where a [`WindowCache`] keeps its spans: a plain per-handle vector,
-/// or a store shared (behind a mutex) by every handle cloned from the
-/// same [`WindowCache::shared`] root — so a pool of grading workers
-/// replays each span once *in total*, not once per worker.
-#[derive(Debug)]
-enum CacheStore {
-    /// Exclusive to this handle; no locking.
-    Local(Vec<((usize, usize), Arc<SpanData>)>),
-    /// Shared by all handles cloned from the same root. The lock is
-    /// held only for lookup/insert (never during a replay), and poison
-    /// is ignored — the store holds immutable golden spans, which a
-    /// worker panic cannot corrupt.
-    Shared(Arc<Mutex<Vec<((usize, usize), Arc<SpanData>)>>>),
-}
-
-/// A small LRU of replayed golden spans, keyed by the exact
-/// `start..end` cycle span.
-///
-/// Under [`TracePolicy::Checkpoint`] every
-/// [`window`](GoldenTrace::window) call replays the span from the
-/// nearest stored checkpoint — pure waste when adjacent chunks of a
-/// cycle-major plan ask for the *same* span over and over. The cache
-/// reconstructs a span once, wraps it in an [`Arc`], and serves every
-/// later request for the same span zero-copy via
-/// [`GoldenTrace::window_cached`]. Eviction is least-recently-used.
-///
-/// [`new`](Self::new) makes a private, lock-free cache.
-/// [`shared`](Self::shared) makes a cache whose *store* is shared by
-/// every handle [`clone_handle`](Self::clone_handle) produces — the
-/// engine gives each worker a handle of one per-run store, so the
-/// replay tax is paid once per span across the whole pool.
-/// Hit/miss/replay counters always stay per-handle.
-///
-/// A capacity of `0` disables caching: every request replays, which is
-/// exactly the pre-cache behaviour (the equivalence suites exploit this
-/// to pin verdict digests across cache configurations). Dense traces
-/// never touch the cache — their windows borrow the stored trace.
-#[derive(Debug)]
-pub struct WindowCache {
-    capacity: usize,
-    /// LRU order: least-recent first, most-recent last.
-    store: CacheStore,
-    hits: u64,
-    misses: u64,
-    replayed_cycles: u64,
-}
-
-impl WindowCache {
-    /// A private (lock-free) cache holding up to `capacity` spans.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        WindowCache {
-            capacity,
-            store: CacheStore::Local(Vec::with_capacity(capacity.min(64))),
-            hits: 0,
-            misses: 0,
-            replayed_cycles: 0,
-        }
-    }
-
-    /// A cache whose span store is shared with every handle cloned off
-    /// it via [`clone_handle`](Self::clone_handle).
-    #[must_use]
-    pub fn shared(capacity: usize) -> Self {
-        WindowCache {
-            capacity,
-            store: CacheStore::Shared(Arc::new(Mutex::new(Vec::with_capacity(
-                capacity.min(64),
-            )))),
-            hits: 0,
-            misses: 0,
-            replayed_cycles: 0,
-        }
-    }
-
-    /// A new handle with zeroed counters. For a [`shared`](Self::shared)
-    /// cache the handle uses the *same* span store; for a private cache
-    /// it is simply a fresh empty cache of the same capacity.
-    #[must_use]
-    pub fn clone_handle(&self) -> Self {
-        let store = match &self.store {
-            CacheStore::Local(_) => {
-                CacheStore::Local(Vec::with_capacity(self.capacity.min(64)))
-            }
-            CacheStore::Shared(store) => CacheStore::Shared(Arc::clone(store)),
-        };
-        WindowCache { capacity: self.capacity, store, hits: 0, misses: 0, replayed_cycles: 0 }
-    }
-
-    /// Maximum number of spans held.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Span requests this handle served from the cache.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Span requests through this handle that had to replay from a
-    /// checkpoint (capacity-0 requests count here too).
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Total golden cycles re-simulated on behalf of this handle — the
-    /// replay tax actually paid. Each miss adds the distance from the
-    /// nearest stored checkpoint to the span's end.
-    #[must_use]
-    pub fn replayed_cycles(&self) -> u64 {
-        self.replayed_cycles
-    }
-
-    fn store_lookup(
-        entries: &mut Vec<((usize, usize), Arc<SpanData>)>,
-        key: (usize, usize),
-    ) -> Option<Arc<SpanData>> {
-        let pos = entries.iter().position(|(k, _)| *k == key)?;
-        let entry = entries.remove(pos);
-        let span = Arc::clone(&entry.1);
-        entries.push(entry);
-        Some(span)
-    }
-
-    fn store_insert(
-        entries: &mut Vec<((usize, usize), Arc<SpanData>)>,
-        capacity: usize,
-        key: (usize, usize),
-        span: Arc<SpanData>,
-    ) {
-        if entries.iter().any(|(k, _)| *k == key) {
-            // A racing handle replayed the same span first; keep its copy.
-            return;
-        }
-        if entries.len() == capacity {
-            entries.remove(0);
-        }
-        entries.push((key, span));
-    }
-
-    fn lookup(&mut self, key: (usize, usize)) -> Option<Arc<SpanData>> {
-        let hit = match &mut self.store {
-            CacheStore::Local(entries) => Self::store_lookup(entries, key),
-            CacheStore::Shared(store) => {
-                let mut entries =
-                    store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                Self::store_lookup(&mut entries, key)
-            }
-        };
-        if hit.is_some() {
-            self.hits += 1;
-        }
-        hit
-    }
-
-    fn insert(&mut self, key: (usize, usize), span: Arc<SpanData>) {
-        if self.capacity == 0 {
-            return;
-        }
-        match &mut self.store {
-            CacheStore::Local(entries) => {
-                Self::store_insert(entries, self.capacity, key, span);
-            }
-            CacheStore::Shared(store) => {
-                let mut entries =
-                    store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                Self::store_insert(&mut entries, self.capacity, key, span);
-            }
-        }
-    }
 }
 
 impl TraceWindow<'_> {
@@ -326,7 +141,6 @@ impl TraceWindow<'_> {
         let n = match &self.data {
             WindowData::Borrowed { outputs, .. } => outputs.len(),
             WindowData::Owned { outputs, .. } => outputs.len(),
-            WindowData::Shared(span) => span.outputs.len(),
         };
         self.start + n
     }
@@ -347,7 +161,6 @@ impl TraceWindow<'_> {
         match &self.data {
             WindowData::Borrowed { outputs, .. } => &outputs[t - self.start],
             WindowData::Owned { outputs, .. } => &outputs[t - self.start],
-            WindowData::Shared(span) => &span.outputs[t - self.start],
         }
     }
 
@@ -368,7 +181,6 @@ impl TraceWindow<'_> {
         match &self.data {
             WindowData::Borrowed { states, .. } => &states[t - self.start],
             WindowData::Owned { states, .. } => &states[t - self.start],
-            WindowData::Shared(span) => &span.states[t - self.start],
         }
     }
 }
@@ -521,47 +333,6 @@ impl GoldenTrace {
                 TraceWindow { start, data: WindowData::Owned { outputs, states } }
             }
         }
-    }
-
-    /// Like [`window`](Self::window), but under
-    /// [`TracePolicy::Checkpoint`] the replayed span is served through
-    /// (and retained in) `cache`, so repeated requests for the same span
-    /// are zero-copy [`Arc`] clones instead of fresh replays.
-    ///
-    /// Dense traces bypass the cache entirely — their windows already
-    /// borrow the stored trace at zero cost. With a capacity-0 cache the
-    /// behaviour (and the produced window data) is identical to
-    /// `window`; only the miss counters move.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`window`](Self::window).
-    #[must_use]
-    pub fn window_cached<'a>(
-        &'a self,
-        sim: &CompiledSim,
-        tb: &Testbench,
-        start: usize,
-        end: usize,
-        cache: &mut WindowCache,
-    ) -> TraceWindow<'a> {
-        let Repr::Checkpoint { interval, .. } = &self.repr else {
-            return self.window(sim, tb, start, end);
-        };
-        let key = (start, end);
-        if let Some(span) = cache.lookup(key) {
-            return TraceWindow { start, data: WindowData::Shared(span) };
-        }
-        let replay_from = (start / interval) * interval;
-        let win = self.window(sim, tb, start, end);
-        cache.misses += 1;
-        cache.replayed_cycles += (end - replay_from) as u64;
-        let WindowData::Owned { outputs, states } = win.data else {
-            unreachable!("checkpoint windows are owned replays");
-        };
-        let span = Arc::new(SpanData { outputs, states });
-        cache.insert(key, Arc::clone(&span));
-        TraceWindow { start, data: WindowData::Shared(span) }
     }
 
     /// The nearest stored flip-flop vector at or before cycle `start`,
@@ -790,101 +561,5 @@ mod tests {
         let g = sim.run_golden(&tb);
         let w = g.window(&sim, &tb, 2, 4);
         let _ = w.output_at(4);
-    }
-
-    #[test]
-    fn cached_windows_match_replayed_windows() {
-        let n = counter3();
-        let sim = crate::CompiledSim::new(&n);
-        let tb = Testbench::constant_low(0, 21);
-        let dense = sim.run_golden(&tb);
-        for k in [1, 3, 5, 21] {
-            let cp = sim.run_golden_with(&tb, TracePolicy::Checkpoint(k));
-            for capacity in [0, 1, 2, 64] {
-                let mut cache = WindowCache::new(capacity);
-                for start in (0..21).step_by(k) {
-                    let end = (start + k).min(21);
-                    let w = cp.window_cached(&sim, &tb, start, end, &mut cache);
-                    for t in start..end {
-                        assert_eq!(w.output_at(t), dense.output_at(t));
-                        assert_eq!(w.state_at(t), dense.state_at(t));
-                    }
-                    assert_eq!(w.state_at(end), dense.state_at(end));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shared_handles_serve_each_others_spans() {
-        let n = counter3();
-        let sim = crate::CompiledSim::new(&n);
-        let tb = Testbench::constant_low(0, 20);
-        let cp = sim.run_golden_with(&tb, TracePolicy::Checkpoint(4));
-        let root = WindowCache::shared(4);
-        let mut a = root.clone_handle();
-        let mut b = root.clone_handle();
-        let wa = cp.window_cached(&sim, &tb, 4, 8, &mut a);
-        let wb = cp.window_cached(&sim, &tb, 4, 8, &mut b);
-        // Worker A paid the replay; worker B got the very same span.
-        assert_eq!((a.misses(), a.hits()), (1, 0));
-        assert_eq!((b.misses(), b.hits()), (0, 1));
-        assert_eq!(b.replayed_cycles(), 0);
-        for t in 4..8 {
-            assert_eq!(wa.output_at(t), wb.output_at(t));
-            assert_eq!(wa.state_at(t), wb.state_at(t));
-        }
-        // Handles of a *private* cache share nothing.
-        let mut c = WindowCache::new(4);
-        let _ = cp.window_cached(&sim, &tb, 4, 8, &mut c);
-        let mut d = c.clone_handle();
-        let _ = cp.window_cached(&sim, &tb, 4, 8, &mut d);
-        assert_eq!((d.misses(), d.hits()), (1, 0));
-    }
-
-    #[test]
-    fn cache_serves_repeat_spans_without_replaying() {
-        let n = counter3();
-        let sim = crate::CompiledSim::new(&n);
-        let tb = Testbench::constant_low(0, 20);
-        let cp = sim.run_golden_with(&tb, TracePolicy::Checkpoint(4));
-        let mut cache = WindowCache::new(2);
-        for _ in 0..5 {
-            let _ = cp.window_cached(&sim, &tb, 4, 8, &mut cache);
-        }
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 4);
-        assert_eq!(cache.replayed_cycles(), 4);
-        // A second span fits alongside; a third evicts the oldest.
-        let _ = cp.window_cached(&sim, &tb, 8, 12, &mut cache);
-        let _ = cp.window_cached(&sim, &tb, 12, 16, &mut cache);
-        let _ = cp.window_cached(&sim, &tb, 4, 8, &mut cache);
-        assert_eq!(cache.misses(), 4, "evicted span must replay again");
-    }
-
-    #[test]
-    fn disabled_cache_always_replays() {
-        let n = counter3();
-        let sim = crate::CompiledSim::new(&n);
-        let tb = Testbench::constant_low(0, 20);
-        let cp = sim.run_golden_with(&tb, TracePolicy::Checkpoint(4));
-        let mut cache = WindowCache::new(0);
-        for _ in 0..3 {
-            let _ = cp.window_cached(&sim, &tb, 0, 4, &mut cache);
-        }
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 3);
-    }
-
-    #[test]
-    fn dense_windows_bypass_the_cache() {
-        let n = counter3();
-        let sim = crate::CompiledSim::new(&n);
-        let tb = Testbench::constant_low(0, 8);
-        let dense = sim.run_golden(&tb);
-        let mut cache = WindowCache::new(8);
-        let w = dense.window_cached(&sim, &tb, 0, 8, &mut cache);
-        assert_eq!(w.output_at(3), dense.output_at(3));
-        assert_eq!(cache.hits() + cache.misses(), 0);
     }
 }

@@ -395,10 +395,11 @@ proptest! {
     }
 }
 
-/// Cycle-major chunk order keeps the per-worker window cache hot: the
-/// K-aligned seed span changes only every `K` injection cycles, so a
-/// full exhaustive walk misses exactly once per distinct span and hits
-/// everywhere else.
+/// Cycle-major chunk order keeps the golden span store hot: adjacent
+/// chunks walk the same K-aligned spans, so a full exhaustive walk
+/// replays each span once and hits everywhere else. Same-cycle chunks
+/// walk the same cycles under both kernels, so both make identical span
+/// requests.
 #[test]
 fn cycle_major_walk_mostly_hits_the_window_cache() {
     let circuit = registry::build("b03s").expect("registered");
@@ -407,32 +408,45 @@ fn cycle_major_walk_mostly_hits_the_window_cache() {
     let tb = Testbench::random(circuit.num_inputs(), cycles, 77);
     let grader = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(k));
     let faults = FaultList::exhaustive(circuit.num_ffs(), cycles);
-    // Pin the generic kernel: this test audits the *window*-cache
-    // contract of the span-seeded path; the differential kernel seeds
-    // from the bit-packed golden cache instead and never touches this
-    // counter.
-    let mut scratch = grader
-        .new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
-        .with_kernel(Kernel::Generic);
-    let mut out = vec![FaultOutcome::latent(); grader.chunk_lanes()];
-    for cycle_group in faults.as_slice().chunks(circuit.num_ffs()) {
-        for chunk in cycle_group.chunks(grader.chunk_lanes()) {
-            grader.grade_chunk(&mut scratch, chunk, &mut out[..chunk.len()]);
+    let mut counters = Vec::new();
+    for kernel in Kernel::CONCRETE {
+        let mut scratch = grader
+            .new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
+            .with_kernel(kernel);
+        let mut out = vec![FaultOutcome::latent(); grader.chunk_lanes()];
+        for cycle_group in faults.as_slice().chunks(circuit.num_ffs()) {
+            for chunk in cycle_group.chunks(grader.chunk_lanes()) {
+                grader.grade_chunk(&mut scratch, chunk, &mut out[..chunk.len()]);
+            }
         }
+        let bits = scratch.bit_cache();
+        // b03s fits one chunk per cycle, and a replay pass rebuilds up to
+        // half the store's spans: 3 spans, one pass.
+        let passes = (cycles / k).div_ceil(DEFAULT_WINDOW_CACHE_SPANS / 2) as u64;
+        assert_eq!(bits.misses(), passes, "kernel {kernel}");
+        // Every seed lookup but the first is a hit.
+        assert!(
+            bits.hits() >= cycles as u64 - passes,
+            "kernel {kernel}: {} hits",
+            bits.hits()
+        );
+        // Each span is replayed once, so total replay work equals one
+        // golden pass over the bench — not one per chunk.
+        assert_eq!(bits.replayed_cycles(), cycles as u64, "kernel {kernel}");
+        counters.push((bits.misses(), bits.hits(), bits.replayed_cycles()));
     }
-    // b03s fits one chunk per cycle: 48 seed lookups over 3 spans.
-    assert_eq!(scratch.cache().misses(), (cycles / k) as u64);
-    assert_eq!(scratch.cache().hits(), (cycles - cycles / k) as u64);
-    assert!(scratch.cache().hits() > scratch.cache().misses());
-    // Each span is replayed once, so total replay work equals one golden
-    // pass over the bench — not one per chunk.
-    assert_eq!(scratch.cache().replayed_cycles(), cycles as u64);
+    assert_eq!(
+        counters[0], counters[1],
+        "both kernels request the same spans"
+    );
 }
 
 /// The sampled streaming path reconstructs each golden span exactly
-/// once: sparse same-cycle chunks seed from the cache instead of
+/// once: sparse same-cycle chunks seed from the span store instead of
 /// re-replaying the span per chunk (the old per-chunk reconstruction
-/// tax this suite pins shut).
+/// tax this suite pins shut), under both kernels alike. Horizon walks
+/// cross every later span edge, so they compare the kernels' requests
+/// past the seed too.
 #[test]
 fn sampled_checkpoint_grading_reconstructs_each_span_once() {
     let circuit = registry::build("s344a").expect("registered");
@@ -441,32 +455,56 @@ fn sampled_checkpoint_grading_reconstructs_each_span_once() {
     let tb = Testbench::random(circuit.num_inputs(), cycles, 23);
     let grader = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(k));
     let sample = FaultList::sampled(circuit.num_ffs(), cycles, 120, 3);
-    // Group the sample cycle-major, exactly like ChunkPlan::ordered cuts
-    // a sorted streamed campaign.
+    // Group the sample cycle-major, one injection cycle per chunk.
     let mut by_cycle: Vec<Vec<Fault>> = vec![Vec::new(); cycles];
     for f in sample.iter() {
         by_cycle[f.cycle as usize].push(f);
     }
-    // Generic kernel for the same reason as above: the window-cache
-    // counters are the property under test.
-    let mut scratch = grader
-        .new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
-        .with_kernel(Kernel::Generic);
-    let mut lookups = 0u64;
-    let mut spans = std::collections::HashSet::new();
-    for group in by_cycle.iter().filter(|g| !g.is_empty()) {
-        for chunk in group.chunks(grader.chunk_lanes()) {
-            let mut out = vec![FaultOutcome::latent(); chunk.len()];
-            grader.grade_chunk(&mut scratch, chunk, &mut out);
-            lookups += 1;
-            spans.insert(chunk[0].cycle as usize / k);
+    let chunks: Vec<&[Fault]> = by_cycle
+        .iter()
+        .flat_map(|group| group.chunks(grader.chunk_lanes()))
+        .collect();
+    let spans: std::collections::HashSet<usize> = chunks
+        .iter()
+        .map(|chunk| chunk[0].cycle as usize / k)
+        .collect();
+    assert_eq!(
+        spans.len(),
+        cycles / k,
+        "the sample seeds a chunk in every span"
+    );
+    // The store holds every span, so each is rebuilt once, in passes of
+    // half the store's capacity; every other seed request is a hit.
+    let passes = spans.len().div_ceil(DEFAULT_WINDOW_CACHE_SPANS / 2) as u64;
+    for collapse in [Collapse::Early, Collapse::Horizon] {
+        let mut counters = Vec::new();
+        for kernel in Kernel::CONCRETE {
+            let mut scratch = grader
+                .new_scratch(collapse, DEFAULT_WINDOW_CACHE_SPANS)
+                .with_kernel(kernel);
+            for chunk in &chunks {
+                let mut out = vec![FaultOutcome::latent(); chunk.len()];
+                grader.grade_chunk(&mut scratch, chunk, &mut out);
+            }
+            let bits = scratch.bit_cache();
+            let what = format!("kernel {kernel} collapse {}", collapse.label());
+            assert_eq!(bits.misses(), passes, "{what}");
+            let seeds = chunks.len() as u64;
+            assert!(
+                bits.hits() >= seeds - passes,
+                "{what}: {} hits",
+                bits.hits()
+            );
+            assert_eq!(bits.replayed_cycles(), cycles as u64, "{what}");
+            counters.push((bits.misses(), bits.hits(), bits.replayed_cycles()));
         }
+        assert_eq!(
+            counters[0],
+            counters[1],
+            "{}: both kernels request the same spans",
+            collapse.label()
+        );
     }
-    // One reconstruction per distinct K-aligned span — every other seed
-    // lookup is a cache hit.
-    assert_eq!(scratch.cache().misses(), spans.len() as u64);
-    assert_eq!(scratch.cache().hits(), lookups - spans.len() as u64);
-    assert_eq!(scratch.cache().replayed_cycles(), (spans.len() * k) as u64);
 }
 
 /// Lane independence: grading the same fault in different lanes of the
