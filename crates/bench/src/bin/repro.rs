@@ -427,27 +427,28 @@ fn run_grade(target: &str, opts: &Options) {
     let engine = Engine::new(&plan);
     let sampled = opts.sample.is_some();
 
-    if let Some(path) = &opts.checkpoint {
-        let mut ropts = ResumeOptions::checkpoint_to(path);
-        ropts.every = opts.checkpoint_every;
-        ropts.cancel = Some(signal_cancel_token());
-        ropts.meta = grade_meta(target, opts);
-        ropts.progress = progress_hook(opts);
-        let run = engine.run_streamed_resumable(&plan, &ropts).unwrap_or_else(|e| {
+    // One resumable run either way: with a checkpoint it persists every
+    // `--checkpoint-every` chunks and drains on SIGINT/SIGTERM; without
+    // one it grades every chunk in a single pool call.
+    let mut ropts = match &opts.checkpoint {
+        Some(path) => ResumeOptions {
+            every: opts.checkpoint_every,
+            cancel: Some(signal_cancel_token()),
+            meta: grade_meta(target, opts),
+            ..ResumeOptions::checkpoint_to(path)
+        },
+        None => ResumeOptions::default(),
+    };
+    ropts.progress = progress_hook(opts);
+    let run = engine
+        .run_streamed_resumable_with::<StreamAccumulator>(&plan, &ropts)
+        .unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(1);
         });
-        finish_resumable(&circuit, target, &engine, sampled, path, &run);
-    } else if opts.progress_json {
-        // Same one-shot semantics as the streamed path, but through the
-        // resumable runner (no checkpoint) so the per-chunk hook fires.
-        let mut ropts = ResumeOptions::default();
-        ropts.progress = progress_hook(opts);
-        let run = engine.run_streamed_resumable(&plan, &ropts).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        });
-        print_streamed_report(
+    match &opts.checkpoint {
+        Some(path) => finish_resumable(&circuit, target, &engine, sampled, path, &run),
+        None => print_streamed_report(
             &circuit,
             target,
             &engine,
@@ -455,18 +456,7 @@ fn run_grade(target: &str, opts: &Options) {
             run.sink.summary(),
             &run.stats,
             run.sink.digest(),
-        );
-    } else {
-        let run = engine.run_streamed(&plan);
-        print_streamed_report(
-            &circuit,
-            target,
-            &engine,
-            sampled,
-            run.summary(),
-            run.stats(),
-            run.digest(),
-        );
+        ),
     }
 }
 
@@ -534,10 +524,12 @@ fn run_resume(path: &str, opts: &Options) {
     ropts.every = opts.checkpoint_every;
     ropts.cancel = Some(signal_cancel_token());
     let target = target.to_owned();
-    let run = engine.run_streamed_resumable(&plan, &ropts).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(1);
-    });
+    let run = engine
+        .run_streamed_resumable_with::<StreamAccumulator>(&plan, &ropts)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        });
     finish_resumable(&circuit, &target, &engine, sample.is_some(), path, &run);
 }
 

@@ -6,7 +6,8 @@
 
 use seugrade_emulation::campaign::AutonomousCampaign;
 use seugrade_faultsim::sampling::{estimate_classes, ClassEstimate};
-use seugrade_faultsim::{FaultList, Grader, GradingSummary};
+use seugrade_engine::CampaignPlan;
+use seugrade_faultsim::GradingSummary;
 use seugrade_netlist::Netlist;
 use seugrade_sim::Testbench;
 
@@ -40,14 +41,12 @@ pub fn sampling_for(
     seed: u64,
 ) -> SamplingStudy {
     assert!(sample_size > 0);
-    let grader = Grader::new(circuit, tb);
-    let sample = FaultList::sampled(circuit.num_ffs(), tb.num_cycles(), sample_size, seed);
-    let outcomes = grader.run_parallel(sample.as_slice());
-    let summary = GradingSummary::from_outcomes(&outcomes);
+    let plan = CampaignPlan::builder(circuit, tb).sampled(sample_size, seed).build();
+    let run = plan.execute();
     SamplingStudy {
-        sample_size: sample.len(),
+        sample_size: run.faults().len(),
         population: campaign.faults().len(),
-        estimates: estimate_classes(&summary),
+        estimates: estimate_classes(run.summary()),
         exhaustive: campaign.summary().clone(),
     }
 }

@@ -108,14 +108,14 @@ pub fn speed_for(
         });
     }
 
-    // Measured: bit-parallel software fault simulation, exhaustive.
-    let faults = FaultList::exhaustive(circuit.num_ffs(), tb.num_cycles());
-    let start = Instant::now();
-    let outcomes = grader.run_parallel(faults.as_slice());
-    let dt = start.elapsed();
+    // Measured: bit-parallel software fault simulation, exhaustive, on
+    // one engine thread.
+    let engine = Engine::for_circuit(circuit, tb);
+    let one_thread = engine.run(&CampaignPlan::builder(circuit, tb).threads(1).build());
+    let outcomes = one_thread.outcomes();
     rows.push(SpeedRow {
         label: "fault simulation (this host, 64-way parallel)".into(),
-        us_per_fault: dt.as_secs_f64() * 1e6 / faults.len() as f64,
+        us_per_fault: one_thread.stats().us_per_fault(),
         source: Source::Measured,
     });
 
@@ -123,7 +123,7 @@ pub fn speed_for(
     let plan = CampaignPlan::builder(circuit, tb)
         .policy(ShardPolicy { threads: 0, serial_below: 0 })
         .build();
-    let engine_run = Engine::for_circuit(circuit, tb).run(&plan);
+    let engine_run = engine.run(&plan);
     let threads = engine_run.stats().threads;
     rows.push(SpeedRow {
         label: format!("fault simulation (this host, engine, {threads} threads)"),
@@ -135,7 +135,7 @@ pub fn speed_for(
     let host = HostLinkModel::paper_reference();
     rows.push(SpeedRow {
         label: "host-controlled emulation (model)".into(),
-        us_per_fault: host.us_per_fault(&outcomes, tb.num_cycles()),
+        us_per_fault: host.us_per_fault(outcomes, tb.num_cycles()),
         source: Source::Modelled,
     });
 

@@ -183,10 +183,15 @@ impl AutonomousCampaign {
     /// same per-technique [`EmulationReport`]s as a materialized
     /// campaign (a property the test suite enforces).
     ///
+    /// This is [`streamed_resumable`](Self::streamed_resumable) with
+    /// default [`ResumeOptions`]: no checkpoint, no limit, no
+    /// cancellation, so the run always completes.
+    ///
     /// # Panics
     ///
-    /// Panics if the test bench width does not match the circuit or the
-    /// policy is `Checkpoint(0)`.
+    /// Panics if the test bench width does not match the circuit, the
+    /// policy is `Checkpoint(0)`, or a chunk panics on every attempt of
+    /// its retry budget.
     #[must_use]
     pub fn streamed(
         circuit: &Netlist,
@@ -194,26 +199,11 @@ impl AutonomousCampaign {
         timing_config: TimingConfig,
         trace_policy: TracePolicy,
     ) -> StreamedCampaign {
-        let plan = CampaignPlan::builder(circuit, tb)
-            .policy(ShardPolicy::auto())
-            .trace_policy(trace_policy)
-            .build();
-        let engine = Engine::new(&plan);
-        let (sink, stats): (CampaignSink, EngineStats) = engine.run_streamed_with(&plan);
-        let timings = sink.finish_timings(&timing_config, tb.num_cycles(), circuit.num_ffs());
-        StreamedCampaign {
-            summary: sink.summary().clone(),
-            digest: sink.digest(),
-            timings,
-            ram_params: RamParams {
-                num_inputs: circuit.num_inputs(),
-                num_outputs: circuit.num_outputs(),
-                num_ffs: circuit.num_ffs(),
-                num_cycles: tb.num_cycles(),
-                num_faults: stats.faults,
-            },
-            stats,
-        }
+        let opts = ResumeOptions::default();
+        Self::streamed_resumable(circuit, tb, timing_config, trace_policy, &opts)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .complete
+            .expect("a run without limit or cancellation completes")
     }
 
     /// The **interruption-safe** variant of [`streamed`](Self::streamed):
@@ -318,9 +308,13 @@ impl AutonomousCampaign {
 /// technique timing fold. Order-insensitive by construction, as
 /// [`VerdictSink`] requires.
 ///
+/// [`AutonomousCampaign::streamed`] and
+/// [`AutonomousCampaign::streamed_resumable`] both fold into it through
+/// [`Engine::run_streamed_resumable_with`], the engine's one chunk loop
+/// (`streamed` with default options: no checkpoint, one pool call).
 /// Public so services multiplexing campaigns (`seugrade-serve`) can
-/// drive [`Engine::run_streamed_resumable_with`] directly and read the
-/// digest, summary and per-technique timings out of each job's sink.
+/// drive that entry point directly and read the digest, summary and
+/// per-technique timings out of each job's sink.
 #[derive(Debug, Default)]
 pub struct CampaignSink {
     acc: StreamAccumulator,

@@ -335,7 +335,7 @@ mod tests {
     fn oracle(circuit: &Netlist, tb: &Testbench) -> Vec<FaultOutcome> {
         let g = Grader::new(circuit, tb);
         let faults = FaultList::exhaustive(circuit.num_ffs(), tb.num_cycles());
-        g.run_parallel(faults.as_slice())
+        g.run_serial(faults.as_slice())
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// it already claimed (draining the in-flight work keeps the set of
 /// completed chunks an exact prefix of the queue), then stops claiming
 /// new ones. The resumable campaign path
-/// ([`Engine::run_streamed_resumable`](crate::Engine::run_streamed_resumable))
+/// ([`Engine::run_streamed_resumable_with`](crate::Engine::run_streamed_resumable_with))
 /// writes a final checkpoint after the drain, so a cancelled multi-hour
 /// run loses at most the chunks that were in flight.
 ///

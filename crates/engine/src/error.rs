@@ -1,12 +1,13 @@
 //! Structured engine failures.
 //!
-//! Until this module existed the engine had exactly two failure modes:
-//! panic (worker died, poisoning the whole campaign) or silence. A
-//! multi-hour campaign deserves better — every fault-tolerant entry
-//! point ([`Engine::try_run_streamed`](crate::Engine::try_run_streamed),
-//! [`Engine::run_streamed_resumable`](crate::Engine::run_streamed_resumable))
-//! reports through [`EngineError`] instead, so callers can retry, resume
-//! from a checkpoint, or surface a precise diagnostic.
+//! A multi-hour campaign must not die to one bad chunk: every campaign
+//! goes through the engine's one chunk loop, which contains worker
+//! panics, and the entry points
+//! ([`Engine::run_with_progress`](crate::Engine::run_with_progress),
+//! [`Engine::try_run_streamed`](crate::Engine::try_run_streamed),
+//! [`Engine::run_streamed_resumable_with`](crate::Engine::run_streamed_resumable_with))
+//! report through [`EngineError`], so callers can retry, resume from a
+//! checkpoint, or surface a precise diagnostic.
 
 use std::error::Error;
 use std::fmt;
@@ -38,6 +39,13 @@ pub enum EngineError {
     },
     /// Loading or validating a campaign checkpoint failed.
     Resume(ResumeError),
+    /// A streamed or resumable entry point was handed an MBU plan
+    /// ([`FaultSource::Multi`](crate::FaultSource::Multi)); those grade
+    /// only through [`Engine::run`](crate::Engine::run).
+    MultiSource {
+        /// Multi-bit faults in the rejected plan.
+        faults: usize,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -48,6 +56,11 @@ impl fmt::Display for EngineError {
                 "worker panicked grading chunk {chunk} on all {attempts} attempts: {message}"
             ),
             EngineError::Resume(e) => e.fmt(f),
+            EngineError::MultiSource { faults } => write!(
+                f,
+                "streamed runs grade single-fault sources, not {faults} multi-bit faults; \
+                 grade MBU campaigns through Engine::run"
+            ),
         }
     }
 }
@@ -56,7 +69,7 @@ impl Error for EngineError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             EngineError::Resume(e) => Some(e),
-            EngineError::WorkerPanic { .. } => None,
+            EngineError::WorkerPanic { .. } | EngineError::MultiSource { .. } => None,
         }
     }
 }

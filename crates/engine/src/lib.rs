@@ -11,13 +11,23 @@
 //! per-shard verdicts **deterministically**: every thread count produces
 //! bit-identical outcomes, equal to the serial reference engine.
 //!
+//! Like the paper's autonomous controller, the engine has **one campaign
+//! loop**: materialized, streamed, resumable and MBU runs all grade
+//! through it, and differ only in what each chunk folds into. Four entry
+//! points sit on top: [`Engine::run`] and [`Engine::run_with_progress`]
+//! (every verdict, in submission order), [`Engine::try_run_streamed`]
+//! (summary, failure map and digest only) and
+//! [`Engine::run_streamed_resumable_with`] (checkpoints, cancellation,
+//! chunk limits, any [`PersistentSink`]). Every one contains worker
+//! panics the same way.
+//!
 //! | module | role |
 //! |--------|------|
 //! | [`plan`] | [`CampaignPlan`] builder: circuit × test bench × fault source × techniques × [`ShardPolicy`] × `TracePolicy` |
-//! | [`runtime`] | [`Engine`]: shard, dispatch, merge; [`CampaignRun`] / [`StreamedRun`] results |
+//! | [`runtime`] | [`Engine`]: the one chunk loop and its entry points; [`CampaignRun`] / [`StreamedRun`] / [`ResumableRun`] results |
 //! | [`stream`] | cycle-major chunk plans and online [`VerdictSink`]s — the memory-bounded campaign core |
 //! | [`resume`] | `seugrade-campaign-ckpt/v2` checkpoints, [`Fingerprint`] verification, [`PersistentSink`] — the interruption-safety layer |
-//! | [`error`] | [`EngineError`]: structured failures (worker panics, checkpoint problems) |
+//! | [`error`] | [`EngineError`]: structured failures (worker panics, checkpoint problems, MBU plans on streamed entries) |
 //! | [`cancel`] | [`CancelToken`]: cooperative chunk-boundary cancellation |
 //! | [`progress`] | per-shard [`ProgressEvent`]s, [`ProgressCounter`], [`EngineStats`] |
 //!
@@ -42,11 +52,16 @@
 //!
 //! Fault verdicts depend only on the fault itself (a property the
 //! bit-parallel engine already has: lanes are independent), so the only
-//! thing scheduling can change is *order*. The runtime pins order down by
-//! tagging every shard with its queue index and scattering per-shard
-//! outcome vectors back into submission order after the join. Progress
-//! events are the one observable that *does* vary run to run — they fire
-//! as shards finish.
+//! thing scheduling can change is *order*. The runtime pins order down
+//! in the accumulator each chunk folds into: materialized runs tag every
+//! chunk's verdicts with its queue index and scatter them back into
+//! submission order after the join; streamed runs fold into
+//! order-insensitive [`VerdictSink`]s. Completed chunks always form an
+//! exact queue prefix, so a resume cursor means the same at every
+//! thread count. A chunk that panics is retried on rebuilt scratch with
+//! its partial fold discarded, so a contained panic cannot change a
+//! verdict either. Progress events are the one observable that *does*
+//! vary run to run — they fire as shards finish.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -249,14 +249,6 @@ impl<'a> CampaignPlan<'a> {
     pub fn execute(&self) -> crate::CampaignRun {
         crate::Engine::new(self).run(self)
     }
-
-    /// Builds an engine for this plan and runs it once through the
-    /// memory-bounded streaming path (see
-    /// [`Engine::run_streamed`](crate::Engine::run_streamed)).
-    #[must_use]
-    pub fn execute_streamed(&self) -> crate::StreamedRun {
-        crate::Engine::new(self).run_streamed(self)
-    }
 }
 
 /// Builder for [`CampaignPlan`].

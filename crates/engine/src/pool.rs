@@ -3,13 +3,15 @@
 //! Work items are indices `0..items` pulled from a shared atomic counter,
 //! so fast workers naturally steal the load of slow ones (long-tail
 //! injection cycles cost more than late ones). Each worker owns private
-//! scratch state created by `init` — for fault grading, a `SimState` —
-//! and every item's result is tagged with its index, so the caller can
+//! scratch state created by `init` — for fault grading, a `GradeScratch`
+//! — and folds its items into a private accumulator. Accumulators are
+//! order-insensitive or tag each item with its index, so the caller can
 //! merge results **deterministically** regardless of which worker graded
 //! what and in which order.
 //!
-//! The folded entry points additionally provide the robustness layer the
-//! resumable campaign path builds on:
+//! [`run_folded_ctl`] is the pool's one entry point, and the engine's
+//! campaign loop its one caller. It provides the robustness layer every
+//! campaign builds on:
 //!
 //! - **Worker-panic containment.** Each item runs under
 //!   [`std::panic::catch_unwind`] with a *chunk-local* accumulator that
@@ -47,12 +49,6 @@ pub(crate) struct FoldControl<'a> {
     pub retry_budget: usize,
 }
 
-impl Default for FoldControl<'_> {
-    fn default() -> Self {
-        FoldControl { cancel: None, retry_budget: DEFAULT_RETRY_BUDGET }
-    }
-}
-
 /// Result of a cancellable folded run.
 #[derive(Debug)]
 pub(crate) struct FoldStatus<A> {
@@ -75,108 +71,20 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `work` over every index in `0..items` on up to `threads` workers
-/// and returns the results in index order.
-///
-/// `init` creates one private scratch state per worker; `work` maps
-/// `(scratch, index)` to that item's result. With `threads == 1` (or a
-/// single item) everything runs inline on the calling thread — the
-/// reference schedule the multi-threaded runs are compared against.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero or a worker panics.
-pub(crate) fn run_indexed<S, T, I, W>(items: usize, threads: usize, init: I, work: W) -> Vec<T>
-where
-    T: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    W: Fn(&mut S, usize) -> T + Sync,
-{
-    assert!(threads > 0, "the pool needs at least one thread");
-    if items == 0 {
-        return Vec::new();
-    }
-    let threads = threads.min(items);
-    if threads == 1 {
-        let mut scratch = init();
-        return (0..items).map(|i| work(&mut scratch, i)).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items {
-                            break;
-                        }
-                        done.push((i, work(&mut scratch, i)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("engine worker panicked"))
-            .collect()
-    });
-
-    // Deterministic merge: scatter by index, then unwrap in order.
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(items);
-    slots.resize_with(items, || None);
-    for batch in per_worker {
-        for (i, t) in batch {
-            debug_assert!(slots[i].is_none(), "item {i} graded twice");
-            slots[i] = Some(t);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every item claimed exactly once"))
-        .collect()
-}
-
 /// Runs `work` over every index in `0..items` on up to `threads` workers,
-/// folding each item into a per-worker accumulator instead of collecting
-/// per-item results — the memory shape of the streaming campaign path.
+/// folding each item into a per-worker accumulator, and reports how many
+/// items completed (an exact queue prefix).
 ///
+/// `init` creates one private scratch state per worker; `work` grades
+/// `(scratch, chunk accumulator, index)`. With `threads == 1` (or at
+/// most one item) everything runs inline on the calling thread — the
+/// reference schedule the multi-threaded runs are compared against.
 /// Returns the worker accumulators in worker-index order (a single
 /// accumulator when everything ran inline). The caller merges them;
 /// because workers race for items, only **order-insensitive**
-/// accumulators produce schedule-independent results. Worker panics are
-/// contained and retried under the default budget (see the module docs).
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub(crate) fn run_folded<S, A, I, F, M, W>(
-    items: usize,
-    threads: usize,
-    init: I,
-    init_acc: F,
-    merge: M,
-    work: W,
-) -> Result<Vec<A>, EngineError>
-where
-    A: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn() -> A + Sync,
-    M: Fn(&mut A, A) + Sync,
-    W: Fn(&mut S, &mut A, usize) + Sync,
-{
-    run_folded_ctl(items, threads, init, init_acc, merge, work, &FoldControl::default())
-        .map(|s| s.accs)
-}
-
-/// [`run_folded`] with explicit cancellation and retry control; reports
-/// how many chunks actually completed (an exact queue prefix).
+/// accumulators (or ones tagged with the item index) produce
+/// schedule-independent results. Worker panics are contained and
+/// retried (see the module docs).
 ///
 /// # Panics
 ///
@@ -327,6 +235,9 @@ where
 mod tests {
     use super::*;
 
+    const DEFAULT_CTL: FoldControl<'static> =
+        FoldControl { cancel: None, retry_budget: DEFAULT_RETRY_BUDGET };
+
     fn collect_folded(
         items: usize,
         threads: usize,
@@ -347,20 +258,38 @@ mod tests {
         )
     }
 
+    /// Folds `(index, result)` pairs and scatters them into index order
+    /// after the join — the shape of the engine's materialized runs.
+    fn indexed<S: Send, T: Send + Clone>(
+        items: usize,
+        threads: usize,
+        init: impl Fn() -> S + Sync,
+        work: impl Fn(&mut S, usize) -> T + Sync,
+    ) -> Vec<T> {
+        let status = run_folded_ctl(
+            items,
+            threads,
+            init,
+            Vec::new,
+            |a: &mut Vec<(usize, T)>, b| a.extend(b),
+            |scratch, acc: &mut Vec<(usize, T)>, i| acc.push((i, work(scratch, i))),
+            &DEFAULT_CTL,
+        )
+        .unwrap();
+        assert_eq!(status.completed, items);
+        let mut slots: Vec<Option<T>> = vec![None; items];
+        for (i, t) in status.accs.into_iter().flatten() {
+            assert!(slots[i].replace(t).is_none(), "item {i} graded twice");
+        }
+        slots.into_iter().map(|s| s.expect("every item graded")).collect()
+    }
+
     #[test]
     fn folded_accumulators_cover_every_item_once() {
         for threads in [1, 2, 4, 8] {
-            let accs = run_folded(
-                100,
-                threads,
-                || (),
-                Vec::new,
-                |a: &mut Vec<usize>, b| a.extend(b),
-                |(), acc: &mut Vec<usize>, i| acc.push(i),
-            )
-            .unwrap();
-            assert!(accs.len() <= threads);
-            let mut all: Vec<usize> = accs.into_iter().flatten().collect();
+            let status = collect_folded(100, threads, &DEFAULT_CTL, |_| {}).unwrap();
+            assert!(status.accs.len() <= threads);
+            let mut all: Vec<usize> = status.accs.into_iter().flatten().collect();
             all.sort_unstable();
             assert_eq!(all, (0..100).collect::<Vec<_>>(), "{threads} threads");
         }
@@ -368,16 +297,18 @@ mod tests {
 
     #[test]
     fn folded_empty_queue_yields_one_empty_accumulator() {
-        let accs = run_folded(
+        let status = run_folded_ctl(
             0,
             4,
             || (),
             || 0usize,
             |a, b| *a += b,
             |(), acc, _| *acc += 1,
+            &DEFAULT_CTL,
         )
         .unwrap();
-        assert_eq!(accs, vec![0]);
+        assert_eq!(status.accs, vec![0]);
+        assert_eq!(status.completed, 0);
     }
 
     #[test]
@@ -387,7 +318,7 @@ mod tests {
         // once, with no partial observation from the failed attempt.
         for threads in [1, 2, 4] {
             let first_attempt = AtomicBool::new(true);
-            let status = collect_folded(20, threads, &FoldControl::default(), |i| {
+            let status = collect_folded(20, threads, &DEFAULT_CTL, |i| {
                 if i == 7 && first_attempt.swap(false, Ordering::SeqCst) {
                     panic!("injected chunk failure");
                 }
@@ -403,7 +334,7 @@ mod tests {
     #[test]
     fn exhausted_retry_budget_surfaces_worker_panic() {
         for threads in [1, 3] {
-            let err = collect_folded(10, threads, &FoldControl::default(), |i| {
+            let err = collect_folded(10, threads, &DEFAULT_CTL, |i| {
                 assert!(i != 3, "always-fatal chunk");
             })
             .unwrap_err();
@@ -451,24 +382,18 @@ mod tests {
     }
 
     #[test]
-    fn results_arrive_in_index_order() {
+    fn indexed_results_merge_in_index_order() {
         for threads in [1, 2, 4, 8] {
-            let out = run_indexed(100, threads, || (), |(), i| i * i);
+            let out = indexed(100, threads, || (), |(), i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>(), "{threads} threads");
         }
     }
 
     #[test]
-    fn empty_queue_is_fine() {
-        let out: Vec<usize> = run_indexed(0, 4, || (), |(), i| i);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn scratch_state_is_per_worker() {
-        // Each worker counts the items it grades; totals must cover the
-        // queue exactly once whatever the interleaving.
-        let out = run_indexed(
+        // Each worker counts the items it grades; per-worker counts must
+        // add up to the queue whatever the interleaving.
+        let out = indexed(
             64,
             3,
             || 0usize,
@@ -477,20 +402,21 @@ mod tests {
                 (i, *count)
             },
         );
-        assert_eq!(out.len(), 64);
         let indices: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
         assert_eq!(indices, (0..64).collect::<Vec<_>>());
+        assert!(out.iter().all(|&(_, c)| (1..=64).contains(&c)));
     }
 
     #[test]
     fn more_threads_than_items() {
-        let out = run_indexed(3, 16, || (), |(), i| i + 1);
-        assert_eq!(out, vec![1, 2, 3]);
+        let status = collect_folded(3, 16, &DEFAULT_CTL, |_| {}).unwrap();
+        assert!(status.accs.len() <= 3, "workers are capped at the item count");
+        assert_eq!(indexed(3, 16, || (), |(), i| i + 1), vec![1, 2, 3]);
     }
 
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
-        let _ = run_indexed(1, 0, || (), |(), i| i);
+        let _ = collect_folded(1, 0, &DEFAULT_CTL, |_| {});
     }
 }

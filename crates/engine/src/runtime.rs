@@ -1,24 +1,35 @@
 //! The sharded campaign runtime.
+//!
+//! Every campaign — materialized, streamed, resumable, single-fault or
+//! MBU — goes through one chunk loop (`fold_chunks`), the only code in
+//! the engine that calls the pool. The entry points differ only in the
+//! accumulator each chunk folds into and in whether a checkpoint is
+//! written between rounds.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use seugrade_faultsim::{
-    sampling, FaultList, FaultOutcome, GradeScratch, Grader, GradingSummary, MultiFault,
+    Fault, FaultList, FaultOutcome, GradeScratch, Grader, GradingSummary, MultiFault,
 };
 use seugrade_netlist::Netlist;
 use seugrade_sim::{BitCache, Testbench, TracePolicy};
 
 use crate::error::EngineError;
 use crate::plan::{CampaignPlan, FaultSource, Technique};
-use crate::pool::{run_folded, run_folded_ctl, run_indexed, FoldControl};
-use crate::progress::{EngineStats, ProgressEvent, ProgressHook};
+use crate::pool::{run_folded_ctl, FoldControl};
+use crate::progress::{EngineStats, ProgressEvent};
 use crate::resume::{Checkpoint, Fingerprint, PersistentSink, ResumeError, ResumeOptions};
-use crate::stream::{ChunkPlan, StreamAccumulator, VerdictSink};
+use crate::stream::{ChunkPlan, StreamAccumulator};
 
-/// Per-worker grading scratch of the streamed paths: the grader's
+/// Per-worker grading scratch of the single-fault paths: the grader's
 /// scratch (see [`Engine::worker_scratch`]), the chunk fault buffer, and
 /// the 64-lane outcome array.
-type StreamedScratch = (GradeScratch, Vec<seugrade_faultsim::Fault>, [FaultOutcome; 64]);
+type ChunkScratch = (GradeScratch, Vec<Fault>, [FaultOutcome; 64]);
+
+/// The materialized runs' accumulator: each graded chunk's index and
+/// verdicts, scattered into submission order after the join.
+type ChunkOutcomes = Vec<(usize, Vec<FaultOutcome>)>;
 
 /// The materialized faults of one campaign run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,8 +133,7 @@ impl CampaignRun {
 /// is the point (campaign memory stays `O(threads × FFs)` however large
 /// the fault space).
 ///
-/// Produced by [`Engine::run_streamed`] /
-/// [`CampaignPlan::execute_streamed`].
+/// Produced by [`Engine::try_run_streamed`].
 #[derive(Clone, Debug)]
 pub struct StreamedRun {
     acc: StreamAccumulator,
@@ -165,7 +175,7 @@ impl StreamedRun {
 /// so far, the thread-count-independent chunk cursor, and whether the
 /// run stopped early (cancelled or chunk-limited) or finished.
 ///
-/// Produced by [`Engine::run_streamed_resumable`]. The cursor counts an
+/// Produced by [`Engine::run_streamed_resumable_with`]. The cursor counts an
 /// exact prefix of the cycle-major chunk queue, so `chunks_done`
 /// identifies precisely which faults the sink has folded — the
 /// invariant that lets a later invocation continue from a checkpoint
@@ -198,15 +208,6 @@ impl<A> ResumableRun<A> {
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.chunks_done == self.chunks_total
-    }
-}
-
-impl ResumableRun<StreamAccumulator> {
-    /// Converts a **complete** run into the plain streamed-run result;
-    /// `None` while chunks remain.
-    #[must_use]
-    pub fn into_streamed_run(self) -> Option<StreamedRun> {
-        self.is_complete().then(|| StreamedRun { acc: self.sink, stats: self.stats })
     }
 }
 
@@ -287,43 +288,88 @@ impl Engine {
         &self.grader
     }
 
-    /// Executes a plan.
+    /// Executes a plan, materializing every verdict in submission order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan's dimensions do not match the engine's circuit
+    /// and test bench, if a fault targets an out-of-range cycle or
+    /// flip-flop, or if a chunk panics on every attempt of its retry
+    /// budget ([`run_with_progress`](Self::run_with_progress) reports
+    /// that as [`EngineError::WorkerPanic`]).
+    #[must_use]
+    pub fn run(&self, plan: &CampaignPlan<'_>) -> CampaignRun {
+        self.run_with_progress(plan, |_| {}).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Executes a plan, invoking `on_shard` from worker threads as each
+    /// shard completes (see [`ProgressEvent`] for ordering caveats).
+    ///
+    /// Single-fault plans grade the same cycle-sorted 64-lane chunks as
+    /// the streamed paths; MBU plans are cut into a few contiguous shards
+    /// per thread, graded fault by fault with the multi-bit engine. Each
+    /// shard's verdicts are kept with its index and scattered back into
+    /// submission order after the join. A shard that panics — in the
+    /// grader or in `on_shard` — is retried on rebuilt scratch, so the
+    /// outcomes never depend on a contained panic.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::WorkerPanic`] when a shard panics on every attempt
+    /// of its retry budget.
     ///
     /// # Panics
     ///
     /// Panics if the plan's dimensions do not match the engine's circuit
     /// and test bench, or if a fault targets an out-of-range cycle or
     /// flip-flop.
-    #[must_use]
-    pub fn run(&self, plan: &CampaignPlan<'_>) -> CampaignRun {
-        self.run_with_progress(plan, |_| {})
-    }
-
-    /// Executes a plan, invoking `on_shard` from worker threads as each
-    /// shard completes (see [`ProgressEvent`] for ordering caveats).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`run`](Self::run).
-    #[must_use]
     pub fn run_with_progress(
         &self,
         plan: &CampaignPlan<'_>,
         on_shard: impl Fn(ProgressEvent) + Sync,
-    ) -> CampaignRun {
+    ) -> Result<CampaignRun, EngineError> {
         self.check_plan(plan);
-        let mut drawn = None;
-        let (faults, outcomes, summary, stats) = match plan.source() {
+        let start = Instant::now();
+        let (faults, outcomes, shards, threads) = match plan.source() {
             FaultSource::Multi(list) => {
                 let threads = self.threads_for(plan, list.len());
-                let (outcomes, summary, stats) = self.grade_multi(list, threads, &on_shard);
-                (FaultPlan::Multi(list.clone()), outcomes, summary, stats)
+                // A few shards per thread keeps the queue balanced without
+                // making progress events too chatty.
+                let shards = (threads * 4).clamp(1, list.len().max(1));
+                let bounds = |i: usize| i * list.len() / shards..(i + 1) * list.len() / shards;
+                let graded = collect_chunks(
+                    threads,
+                    shards,
+                    || (),
+                    |(), i| list[bounds(i)].iter().map(|f| self.grader.classify_multi(f)).collect(),
+                    &on_shard,
+                )?;
+                let mut outcomes = vec![FaultOutcome::latent(); list.len()];
+                for (i, out) in graded {
+                    outcomes[bounds(i)].copy_from_slice(&out);
+                }
+                (FaultPlan::Multi(list.clone()), outcomes, shards, threads)
             }
             source => {
-                let chunks = self.chunk_plan(source, &mut drawn);
+                let mut drawn = None;
+                let chunks = self.chunk_plan(source, &mut drawn)?;
                 let threads = self.threads_for(plan, chunks.num_faults());
-                let (outcomes, summary, stats) =
-                    self.grade_single(&chunks, threads, plan, &on_shard);
+                // One span store for the whole pool: each worker gets a
+                // handle, so a span is replayed once per run, not once per
+                // worker.
+                let bits_root = BitCache::shared(plan.window_cache());
+                let shards = chunks.num_chunks();
+                let graded = collect_chunks(
+                    threads,
+                    shards,
+                    || self.chunk_scratch(plan, &bits_root),
+                    |scratch, i| self.grade_plan_chunk(&chunks, scratch, i).1.to_vec(),
+                    &on_shard,
+                )?;
+                let mut outcomes = vec![FaultOutcome::latent(); chunks.num_faults()];
+                for (i, out) in graded {
+                    chunks.scatter(i, &out, &mut outcomes);
+                }
                 let list = match source {
                     FaultSource::List(list) => list.clone(),
                     FaultSource::Sampled { .. } => {
@@ -334,16 +380,21 @@ impl Engine {
                         self.grader.testbench().num_cycles(),
                     ),
                 };
-                (FaultPlan::Single(list), outcomes, summary, stats)
+                (FaultPlan::Single(list), outcomes, shards, threads)
             }
         };
-        CampaignRun {
+        Ok(CampaignRun {
             faults,
+            summary: GradingSummary::from_outcomes(&outcomes),
+            stats: EngineStats {
+                faults: outcomes.len(),
+                shards,
+                threads: threads.min(shards.max(1)),
+                wall_ns: start.elapsed().as_nanos(),
+            },
             outcomes,
-            summary,
-            stats,
             techniques: plan.techniques().to_vec(),
-        }
+        })
     }
 
     /// Executes a single-fault plan through the **memory-bounded
@@ -360,125 +411,57 @@ impl Engine {
     /// the [digest](StreamedRun::digest) proves the verdicts
     /// bit-identical to the materialized and serial engines.
     ///
-    /// # Panics
+    /// This is [`run_streamed_resumable_with`](Self::run_streamed_resumable_with)
+    /// over a [`StreamAccumulator`] with default options (no checkpoint,
+    /// so every chunk goes to the pool in one call). It stays a separate
+    /// entry point because the benchmark harness (`gradebench/`) calls it
+    /// by this name.
     ///
-    /// Panics under the same conditions as [`run`](Self::run), or if the
-    /// plan's source is [`FaultSource::Multi`] (MBU campaigns go through
-    /// the materialized path), or if a worker panic survives the retry
-    /// budget ([`try_run_streamed`](Self::try_run_streamed) reports that
-    /// as an error instead).
-    #[must_use]
-    pub fn run_streamed(&self, plan: &CampaignPlan<'_>) -> StreamedRun {
-        self.try_run_streamed(plan).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run_streamed`](Self::run_streamed) with a caller-supplied
-    /// [`VerdictSink`] — the hook the emulation models use to fold their
-    /// technique timing online instead of re-walking a materialized
-    /// outcome vector.
+    /// # Errors
     ///
-    /// One sink is `Default`-created per worker; sinks must be
-    /// order-insensitive for the result to be schedule-independent.
+    /// [`EngineError::WorkerPanic`] when a chunk panics on every attempt
+    /// of its retry budget; [`EngineError::MultiSource`] for an MBU plan.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`run_streamed`](Self::run_streamed).
-    #[must_use]
-    pub fn run_streamed_with<A: VerdictSink>(
-        &self,
-        plan: &CampaignPlan<'_>,
-    ) -> (A, EngineStats) {
-        self.try_run_streamed_with(plan).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-tolerant [`run_streamed`](Self::run_streamed): worker
-    /// panics are contained, retried up to a bounded budget, and
-    /// surfaced as [`EngineError::WorkerPanic`] instead of propagating.
-    ///
-    /// # Panics
-    ///
-    /// Panics on plan/engine mismatch or a [`FaultSource::Multi`] source
-    /// (programmer errors); grading failures are `Err`.
+    /// Panics on plan/engine mismatch (a programmer error).
     pub fn try_run_streamed(
         &self,
         plan: &CampaignPlan<'_>,
     ) -> Result<StreamedRun, EngineError> {
-        let (acc, stats) = self.try_run_streamed_with::<StreamAccumulator>(plan)?;
-        Ok(StreamedRun { acc, stats })
+        let run = self.run_streamed_resumable_with(plan, &ResumeOptions::default())?;
+        Ok(StreamedRun { acc: run.sink, stats: run.stats })
     }
 
-    /// Fault-tolerant [`run_streamed_with`](Self::run_streamed_with).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`try_run_streamed`](Self::try_run_streamed).
-    pub fn try_run_streamed_with<A: VerdictSink>(
-        &self,
-        plan: &CampaignPlan<'_>,
-    ) -> Result<(A, EngineStats), EngineError> {
-        self.check_plan(plan);
-        let mut drawn = None;
-        let chunks = self.chunk_plan(plan.source(), &mut drawn);
-        let threads = self.threads_for(plan, chunks.num_faults());
-        let start = Instant::now();
-        let bits_root = BitCache::shared(plan.window_cache());
-        let accs: Vec<A> = run_folded(
-            chunks.num_chunks(),
-            threads,
-            || self.streamed_scratch(plan, &bits_root),
-            A::default,
-            |a: &mut A, b| a.merge(b),
-            |scratch, acc: &mut A, i| self.grade_streamed_chunk(&chunks, scratch, acc, i, None),
-        )?;
-        let merged = accs
-            .into_iter()
-            .reduce(|mut a, b| {
-                a.merge(b);
-                a
-            })
-            .unwrap_or_default();
-        let stats = EngineStats {
-            faults: chunks.num_faults(),
-            shards: chunks.num_chunks(),
-            threads: threads.min(chunks.num_chunks()).max(1),
-            wall_ns: start.elapsed().as_nanos(),
-        };
-        Ok((merged, stats))
-    }
-
-    /// The **interruption-safe** streaming path: grades in rounds of
-    /// [`ResumeOptions::every`] chunks, persisting an atomic checkpoint
-    /// (fingerprint + chunk cursor + folded sink) after every round, and
-    /// stopping cleanly at chunk boundaries on cancellation or a chunk
-    /// limit. With [`ResumeOptions::resume`] the campaign continues from
-    /// the checkpoint's cursor instead of starting over — completed
-    /// chunks are skipped arithmetically, never re-graded.
+    /// The **interruption-safe** streaming path with a caller-supplied
+    /// [`PersistentSink`]: grades in rounds of [`ResumeOptions::every`]
+    /// chunks, persisting an atomic checkpoint (fingerprint + chunk
+    /// cursor + folded sink) after every round, and stopping cleanly at
+    /// chunk boundaries on cancellation or a chunk limit. With
+    /// [`ResumeOptions::resume`] the campaign continues from the
+    /// checkpoint's cursor instead of starting over — completed chunks
+    /// are skipped arithmetically, never re-graded. Without a checkpoint
+    /// path the run is still cancellable, limitable and panic-contained,
+    /// and grades every remaining chunk in one pool call.
     ///
     /// Because completed chunks always form an exact queue prefix and
     /// the sink is order-insensitive, any interleaving of interruptions
     /// and resumes reproduces the uninterrupted run's digest exactly, at
     /// every thread count and trace policy.
     ///
-    /// # Panics
+    /// The benchmark harness (`gradebench/`) calls this entry point by
+    /// this name.
     ///
-    /// Panics on plan/engine mismatch, a [`FaultSource::Multi`] source,
-    /// or `resume` without a checkpoint path (programmer errors). All
-    /// checkpoint and grading failures are `Err`.
-    pub fn run_streamed_resumable(
-        &self,
-        plan: &CampaignPlan<'_>,
-        opts: &ResumeOptions,
-    ) -> Result<ResumableRun<StreamAccumulator>, EngineError> {
-        self.run_streamed_resumable_with(plan, opts)
-    }
-
-    /// [`run_streamed_resumable`](Self::run_streamed_resumable) with a
-    /// caller-supplied [`PersistentSink`].
+    /// # Errors
+    ///
+    /// Checkpoint load, validation and write failures, a chunk that
+    /// panics on every attempt ([`EngineError::WorkerPanic`]), and MBU
+    /// plans ([`EngineError::MultiSource`]).
     ///
     /// # Panics
     ///
-    /// Same conditions as
-    /// [`run_streamed_resumable`](Self::run_streamed_resumable).
+    /// Panics on plan/engine mismatch or `resume` without a checkpoint
+    /// path (programmer errors).
     pub fn run_streamed_resumable_with<A: PersistentSink>(
         &self,
         plan: &CampaignPlan<'_>,
@@ -490,107 +473,72 @@ impl Engine {
             "resuming requires a checkpoint path"
         );
         let mut drawn = None;
-        let chunks = self.chunk_plan(plan.source(), &mut drawn);
+        let chunks = self.chunk_plan(plan.source(), &mut drawn)?;
         let total_chunks = chunks.num_chunks();
-        let fingerprint = Fingerprint::of(plan, total_chunks, chunks.num_faults());
 
         let mut sink = A::default();
-        let mut meta = opts.meta.clone();
         let mut start_chunk = 0usize;
-        if opts.resume {
-            let path = opts.checkpoint.as_ref().expect("checked above");
-            let ck = Checkpoint::load(path)?;
-            ck.verify(&fingerprint)?;
-            // The cursor must sit on a real chunk boundary of *this*
-            // plan: the fingerprint pins the chunk count, not where the
-            // chunks cut the fault list.
-            let boundary = chunks.faults_before(ck.chunks_done());
-            if ck.faults_done() != boundary {
-                return Err(ResumeError::Mismatch {
-                    field: "fault cursor",
-                    expected: ck.faults_done().to_string(),
-                    found: boundary.to_string(),
+        // Only a checkpointed run pays for the fingerprint.
+        let mut saved = None;
+        if let Some(path) = &opts.checkpoint {
+            let fingerprint = Fingerprint::of(plan, total_chunks, chunks.num_faults());
+            let mut meta = opts.meta.clone();
+            if opts.resume {
+                let ck = Checkpoint::load(path)?;
+                ck.verify(&fingerprint)?;
+                // The cursor must sit on a real chunk boundary of *this*
+                // plan: the fingerprint pins the chunk count, not where
+                // the chunks cut the fault list.
+                let boundary = chunks.faults_before(ck.chunks_done());
+                if ck.faults_done() != boundary {
+                    return Err(ResumeError::Mismatch {
+                        field: "fault cursor",
+                        expected: ck.faults_done().to_string(),
+                        found: boundary.to_string(),
+                    }
+                    .into());
                 }
-                .into());
+                start_chunk = ck.chunks_done();
+                sink = ck.restore_sink::<A>()?;
+                meta = ck.meta().to_vec();
             }
-            start_chunk = ck.chunks_done();
-            sink = ck.restore_sink::<A>()?;
-            meta = ck.meta().to_vec();
+            saved = Some((path, fingerprint, meta));
         }
 
         let threads = self.threads_for(plan, chunks.num_faults());
-        let every = opts.every.max(1);
-        let ctl = FoldControl { cancel: opts.cancel.as_ref(), retry_budget: opts.retry_budget };
-        let cancelled =
-            || opts.cancel.as_ref().is_some_and(crate::cancel::CancelToken::is_cancelled);
-
-        let start = Instant::now();
-        let mut done = start_chunk;
-        let mut interrupted = false;
         // One shared span store across every round: the per-round scratch
         // rebuild must not throw replayed golden spans away.
         let bits_root = BitCache::shared(plan.window_cache());
-        while done < total_chunks {
-            let budget = opts
-                .limit
-                .map_or(usize::MAX, |l| l.saturating_sub(done - start_chunk));
-            if budget == 0 || cancelled() {
-                interrupted = true;
-                break;
-            }
-            let round = every.min(total_chunks - done).min(budget);
-            let status = run_folded_ctl(
-                round,
-                threads,
-                || self.streamed_scratch(plan, &bits_root),
-                A::default,
-                |a: &mut A, b| a.merge(b),
-                |scratch, acc: &mut A, i| {
-                    self.grade_streamed_chunk(
-                        &chunks,
-                        scratch,
-                        acc,
-                        done + i,
-                        opts.progress.as_ref(),
-                    )
-                },
-                &ctl,
-            )?;
-            for acc in status.accs {
-                sink.merge(acc);
-            }
-            done += status.completed;
-            if status.completed < round {
-                interrupted = true;
-            }
-            if let Some(path) = &opts.checkpoint {
-                Checkpoint::new(
+        let start = Instant::now();
+        let (done, interrupted) = fold_chunks(
+            threads,
+            start_chunk..total_chunks,
+            opts,
+            &mut sink,
+            || self.chunk_scratch(plan, &bits_root),
+            A::merge,
+            |scratch, acc: &mut A, i| {
+                let (faults, out) = self.grade_plan_chunk(&chunks, scratch, i);
+                for (&f, &o) in faults.iter().zip(out) {
+                    acc.observe(f, o);
+                }
+                if let Some(hook) = &opts.progress {
+                    hook.call(chunk_event(i, out));
+                }
+            },
+            |done, sink| match &saved {
+                Some((path, fingerprint, meta)) => Checkpoint::new(
                     fingerprint.clone(),
                     done,
                     chunks.faults_before(done),
                     meta.clone(),
-                    &sink,
+                    sink,
                 )
-                .write_atomic(path)?;
-            }
-            if interrupted {
-                break;
-            }
-        }
-        // Zero-round invocations (already complete, limit 0, pre-
-        // cancelled) still leave a valid checkpoint behind.
-        if let Some(path) = &opts.checkpoint {
-            if done == start_chunk {
-                Checkpoint::new(
-                    fingerprint.clone(),
-                    done,
-                    chunks.faults_before(done),
-                    meta.clone(),
-                    &sink,
-                )
-                .write_atomic(path)?;
-            }
-        }
+                .write_atomic(path)
+                .map_err(EngineError::from),
+                None => Ok(()),
+            },
+        )?;
 
         let faults_done = chunks.faults_before(done);
         Ok(ResumableRun {
@@ -629,30 +577,26 @@ impl Engine {
     /// exhaustive space chunks arithmetically (its submission order is
     /// already cycle-major); an explicit list is borrowed, and a sample is
     /// drawn into `drawn` (the drawn faults only, never the whole space);
-    /// both are counting-sorted by cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a [`FaultSource::Multi`] source: MBUs grade through the
-    /// materialized path.
+    /// both are counting-sorted by cycle. A [`FaultSource::Multi`] source
+    /// is [`EngineError::MultiSource`]: MBUs have no chunk plan.
     fn chunk_plan<'a>(
         &self,
         source: &'a FaultSource,
         drawn: &'a mut Option<FaultList>,
-    ) -> ChunkPlan<'a> {
+    ) -> Result<ChunkPlan<'a>, EngineError> {
         let num_ffs = self.grader.sim().num_ffs();
         let num_cycles = self.grader.testbench().num_cycles();
-        match source {
+        Ok(match source {
             FaultSource::Exhaustive => ChunkPlan::exhaustive(num_ffs, num_cycles),
             FaultSource::Sampled { count, seed } => {
                 let sample = drawn.insert(FaultList::sampled(num_ffs, num_cycles, *count, *seed));
                 ChunkPlan::ordered(sample.as_slice(), num_cycles)
             }
             FaultSource::List(list) => ChunkPlan::ordered(list.as_slice(), num_cycles),
-            FaultSource::Multi(_) => {
-                panic!("streamed execution grades single-fault sources; use run() for MBUs")
+            FaultSource::Multi(list) => {
+                return Err(EngineError::MultiSource { faults: list.len() })
             }
-        }
+        })
     }
 
     /// Worker count for a run of `num_faults` faults.
@@ -676,9 +620,9 @@ impl Engine {
             .with_bit_cache(bits.clone_handle())
     }
 
-    /// A streamed worker's scratch: the grader's scratch, the chunk
+    /// A single-fault worker's scratch: the grader's scratch, the chunk
     /// fault buffer, and the 64-lane outcome array.
-    fn streamed_scratch(&self, plan: &CampaignPlan<'_>, bits: &BitCache) -> StreamedScratch {
+    fn chunk_scratch(&self, plan: &CampaignPlan<'_>, bits: &BitCache) -> ChunkScratch {
         (
             self.worker_scratch(plan, bits),
             Vec::with_capacity(64),
@@ -686,135 +630,114 @@ impl Engine {
         )
     }
 
-    /// Grades one chunk of the streamed plan into `acc`, reporting the
-    /// chunk's tallies through `progress` when a hook is installed.
-    fn grade_streamed_chunk<A: VerdictSink>(
+    /// Grades chunk `i` of `chunks` in the worker's scratch and returns
+    /// the chunk's faults with their verdicts.
+    fn grade_plan_chunk<'s>(
         &self,
         chunks: &ChunkPlan<'_>,
-        (st, buf, out): &mut StreamedScratch,
-        acc: &mut A,
+        (st, buf, out): &'s mut ChunkScratch,
         i: usize,
-        progress: Option<&ProgressHook>,
-    ) {
+    ) -> (&'s [Fault], &'s [FaultOutcome]) {
         chunks.fill(i, buf);
         let out = &mut out[..buf.len()];
         self.grader.grade_chunk(st, buf, out);
-        for (&f, &o) in buf.iter().zip(out.iter()) {
-            acc.observe(f, o);
-        }
-        if let Some(hook) = progress {
-            hook.call(ProgressEvent {
-                shard: i,
-                faults: buf.len(),
-                summary: GradingSummary::from_outcomes(out),
-            });
-        }
+        (buf, out)
     }
+}
 
-    /// Single-fault path: dispatch the plan's cycle-sorted 64-lane chunks
-    /// through the chunk queue, scatter the per-chunk verdicts back into
-    /// submission order and pool the per-shard tallies.
-    fn grade_single(
-        &self,
-        chunks: &ChunkPlan<'_>,
-        threads: usize,
-        plan: &CampaignPlan<'_>,
-        on_shard: &(impl Fn(ProgressEvent) + Sync),
-    ) -> (Vec<FaultOutcome>, GradingSummary, EngineStats) {
-        let start = Instant::now();
-        // One span store for the whole pool: each worker gets a handle,
-        // so a span is replayed once per run, not once per worker.
-        let bits_root = BitCache::shared(plan.window_cache());
-        let graded: Vec<(Vec<FaultOutcome>, GradingSummary)> = run_indexed(
-            chunks.num_chunks(),
+/// The progress event of chunk `shard`, graded to `out`.
+fn chunk_event(shard: usize, out: &[FaultOutcome]) -> ProgressEvent {
+    ProgressEvent { shard, faults: out.len(), summary: GradingSummary::from_outcomes(out) }
+}
+
+/// Grades `shards` shards through the campaign loop in one pool call,
+/// reporting each to `on_shard`, and returns every shard's verdicts
+/// tagged with its index — the accumulator of the materialized runs.
+fn collect_chunks<S: Send>(
+    threads: usize,
+    shards: usize,
+    init: impl Fn() -> S + Sync,
+    grade: impl Fn(&mut S, usize) -> Vec<FaultOutcome> + Sync,
+    on_shard: &(impl Fn(ProgressEvent) + Sync),
+) -> Result<ChunkOutcomes, EngineError> {
+    let mut graded = ChunkOutcomes::new();
+    fold_chunks(
+        threads,
+        0..shards,
+        &ResumeOptions::default(),
+        &mut graded,
+        init,
+        |a: &mut ChunkOutcomes, b| a.extend(b),
+        |scratch, acc, i| {
+            let out = grade(scratch, i);
+            on_shard(chunk_event(i, &out));
+            acc.push((i, out));
+        },
+        |_, _| Ok(()),
+    )?;
+    Ok(graded)
+}
+
+/// The campaign loop, and the only caller of the pool: grades the chunk
+/// range `chunks` on `threads` workers, folding each chunk into a
+/// per-worker accumulator that `merge` folds into `acc` after every
+/// round.
+///
+/// With a checkpoint path in `opts`, rounds are [`ResumeOptions::every`]
+/// chunks long; without one, every remaining chunk (up to the limit)
+/// goes to the pool in one call. `persist` runs with the cursor and
+/// `acc` after every round, and once when no chunk completes, so even a
+/// zero-round invocation leaves its checkpoint behind. The loop stops
+/// at a chunk boundary on cancellation or once `opts.limit` chunks are
+/// done. Returns the cursor and whether the run stopped before the last
+/// chunk.
+#[allow(clippy::too_many_arguments)]
+fn fold_chunks<S: Send, A: Default + Send>(
+    threads: usize,
+    chunks: Range<usize>,
+    opts: &ResumeOptions,
+    acc: &mut A,
+    init: impl Fn() -> S + Sync,
+    merge: impl Fn(&mut A, A) + Sync,
+    work: impl Fn(&mut S, &mut A, usize) + Sync,
+    mut persist: impl FnMut(usize, &A) -> Result<(), EngineError>,
+) -> Result<(usize, bool), EngineError> {
+    let round_len = if opts.checkpoint.is_some() { opts.every.max(1) } else { usize::MAX };
+    let ctl = FoldControl { cancel: opts.cancel.as_ref(), retry_budget: opts.retry_budget };
+    let cancelled = || opts.cancel.as_ref().is_some_and(crate::cancel::CancelToken::is_cancelled);
+    let mut done = chunks.start;
+    let mut interrupted = false;
+    while done < chunks.end {
+        let budget = opts.limit.map_or(usize::MAX, |l| l.saturating_sub(done - chunks.start));
+        if budget == 0 || cancelled() {
+            interrupted = true;
+            break;
+        }
+        let round = round_len.min(chunks.end - done).min(budget);
+        let base = done;
+        let status = run_folded_ctl(
+            round,
             threads,
-            || {
-                (
-                    self.worker_scratch(plan, &bits_root),
-                    Vec::with_capacity(64),
-                )
-            },
-            |(st, buf): &mut _, i| {
-                chunks.fill(i, buf);
-                let mut out = vec![FaultOutcome::latent(); buf.len()];
-                self.grader.grade_chunk(st, buf, &mut out);
-                let summary = GradingSummary::from_outcomes(&out);
-                on_shard(ProgressEvent {
-                    shard: i,
-                    faults: out.len(),
-                    summary: summary.clone(),
-                });
-                (out, summary)
-            },
-        );
-
-        let mut outcomes = vec![FaultOutcome::latent(); chunks.num_faults()];
-        for (i, (out, _)) in graded.iter().enumerate() {
-            chunks.scatter(i, out, &mut outcomes);
+            &init,
+            A::default,
+            &merge,
+            |scratch, a: &mut A, i| work(scratch, a, base + i),
+            &ctl,
+        )?;
+        for a in status.accs {
+            merge(acc, a);
         }
-        let summaries: Vec<GradingSummary> = graded.into_iter().map(|(_, s)| s).collect();
-        let summary = sampling::pool_summaries(&summaries);
-        let stats = EngineStats {
-            faults: chunks.num_faults(),
-            shards: chunks.num_chunks(),
-            threads: threads.min(chunks.num_chunks()).max(1),
-            wall_ns: start.elapsed().as_nanos(),
-        };
-        (outcomes, summary, stats)
-    }
-
-    /// MBU path: contiguous slices of the fault vector are the shards;
-    /// each worker grades its slice serially with the multi-bit engine.
-    fn grade_multi(
-        &self,
-        list: &[MultiFault],
-        threads: usize,
-        on_shard: &(impl Fn(ProgressEvent) + Sync),
-    ) -> (Vec<FaultOutcome>, GradingSummary, EngineStats) {
-        // A few shards per thread keeps the queue balanced without
-        // making progress events too chatty.
-        let shard_count = (threads * 4).clamp(1, list.len().max(1));
-        let base = list.len() / shard_count;
-        let extra = list.len() % shard_count;
-        let mut ranges = Vec::with_capacity(shard_count);
-        let mut lo = 0;
-        for i in 0..shard_count {
-            let len = base + usize::from(i < extra);
-            ranges.push((lo, lo + len));
-            lo += len;
+        done += status.completed;
+        interrupted = status.completed < round;
+        persist(done, acc)?;
+        if interrupted {
+            break;
         }
-
-        let start = Instant::now();
-        let graded: Vec<(Vec<FaultOutcome>, GradingSummary)> = run_indexed(
-            ranges.len(),
-            threads,
-            || (),
-            |(), i| {
-                let (lo, hi) = ranges[i];
-                let out: Vec<FaultOutcome> = list[lo..hi]
-                    .iter()
-                    .map(|f| self.grader.classify_multi(f))
-                    .collect();
-                let summary = GradingSummary::from_outcomes(&out);
-                on_shard(ProgressEvent {
-                    shard: i,
-                    faults: out.len(),
-                    summary: summary.clone(),
-                });
-                (out, summary)
-            },
-        );
-        let (outcome_vecs, summaries): (Vec<_>, Vec<_>) = graded.into_iter().unzip();
-        let outcomes: Vec<FaultOutcome> = outcome_vecs.into_iter().flatten().collect();
-        let summary = sampling::pool_summaries(&summaries);
-        let stats = EngineStats {
-            faults: list.len(),
-            shards: ranges.len(),
-            threads: threads.min(ranges.len()).max(1),
-            wall_ns: start.elapsed().as_nanos(),
-        };
-        (outcomes, summary, stats)
     }
+    if done == chunks.start {
+        persist(done, acc)?;
+    }
+    Ok((done, interrupted))
 }
 
 #[cfg(test)]
@@ -915,7 +838,7 @@ mod tests {
             .policy(ShardPolicy::with_threads(2))
             .build();
         let counter = ProgressCounter::new();
-        let run = Engine::new(&plan).run_with_progress(&plan, |e| counter.observe(&e));
+        let run = Engine::new(&plan).run_with_progress(&plan, |e| counter.observe(&e)).unwrap();
         assert_eq!(counter.faults_done(), run.faults().len());
         assert_eq!(counter.shards_done(), run.stats().shards);
     }
@@ -969,7 +892,7 @@ mod tests {
             let plan = CampaignPlan::builder(&circuit, &tb)
                 .policy(crate::ShardPolicy::with_threads(threads))
                 .build();
-            let streamed = engine.run_streamed(&plan);
+            let streamed = engine.try_run_streamed(&plan).unwrap();
             assert_eq!(streamed.summary(), reference.summary(), "{threads} threads");
             assert_eq!(streamed.digest(), ref_digest, "{threads} threads");
             assert_eq!(streamed.stats().faults, reference.faults().len());
@@ -979,7 +902,8 @@ mod tests {
         let map = engine
             .grader()
             .failure_map(reference.single().unwrap().as_slice(), reference.outcomes());
-        let streamed = engine.run_streamed(&CampaignPlan::builder(&circuit, &tb).build());
+        let plan = CampaignPlan::builder(&circuit, &tb).build();
+        let streamed = engine.try_run_streamed(&plan).unwrap();
         assert_eq!(&map[..streamed.failure_map().len()], streamed.failure_map());
         assert!(map[streamed.failure_map().len()..].iter().all(|&c| c == 0));
     }
@@ -1000,7 +924,7 @@ mod tests {
                 .build();
             let engine = Engine::new(&plan);
             assert_eq!(engine.grader().trace_policy(), TracePolicy::Checkpoint(k));
-            let streamed = engine.run_streamed(&plan);
+            let streamed = engine.try_run_streamed(&plan).unwrap();
             assert_eq!(streamed.digest(), serial_digest, "K={k}");
             // The materialized path agrees under the same policy too.
             let run = engine.run(&plan);
@@ -1022,7 +946,7 @@ mod tests {
                 .threads(3)
                 .build();
             let run = engine.run(&plan);
-            let streamed = engine.run_streamed(&plan);
+            let streamed = engine.try_run_streamed(&plan).unwrap();
             assert_eq!(streamed.summary(), run.summary());
             assert_eq!(
                 streamed.digest(),
@@ -1032,14 +956,62 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "single-fault sources")]
     fn streamed_multi_source_rejected() {
         let circuit = generators::counter(3);
         let tb = Testbench::constant_low(0, 6);
-        let plan = CampaignPlan::builder(&circuit, &tb)
-            .multi(MultiFault::adjacent_pairs(3, 6, 2))
-            .build();
-        let _ = plan.execute_streamed();
+        let faults = MultiFault::adjacent_pairs(3, 6, 2);
+        let plan = CampaignPlan::builder(&circuit, &tb).multi(faults.clone()).build();
+        let engine = Engine::new(&plan);
+        let expected = EngineError::MultiSource { faults: faults.len() };
+        assert_eq!(engine.try_run_streamed(&plan).unwrap_err(), expected);
+        let resumable = engine
+            .run_streamed_resumable_with::<StreamAccumulator>(&plan, &ResumeOptions::default());
+        assert_eq!(resumable.unwrap_err(), expected);
+        // MBU plans grade through the materialized path.
+        assert_eq!(engine.run(&plan).outcomes().len(), faults.len());
+    }
+
+    #[test]
+    fn materialized_runs_contain_worker_panics() {
+        let circuit = registry::build("b06s").unwrap();
+        let tb = Testbench::random(circuit.num_inputs(), 20, 9);
+        let grader = Grader::new(&circuit, &tb);
+        let faults = FaultList::exhaustive(circuit.num_ffs(), 20);
+        let serial = grader.run_serial(faults.as_slice());
+        let multi = MultiFault::adjacent_pairs(circuit.num_ffs(), 20, 2);
+        let multi_serial = grader.run_multi(&multi);
+        let engine = Engine::for_circuit(&circuit, &tb);
+        for threads in [1, 4] {
+            for (source, reference) in [
+                (FaultSource::Exhaustive, &serial),
+                (FaultSource::Multi(multi.clone()), &multi_serial),
+            ] {
+                let plan = CampaignPlan::builder(&circuit, &tb)
+                    .source(source)
+                    .policy(ShardPolicy::with_threads(threads))
+                    .build();
+                // The callback panics once, on shard 2: the shard is
+                // retried and the verdicts are still the serial ones.
+                let first = std::sync::atomic::AtomicBool::new(true);
+                let run = engine
+                    .run_with_progress(&plan, |e| {
+                        if e.shard == 2 && first.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                            panic!("injected progress failure");
+                        }
+                    })
+                    .expect("a panic that clears on retry is contained");
+                assert!(!first.into_inner(), "{threads} threads: the panic fired");
+                assert_eq!(run.outcomes(), reference.as_slice(), "{threads} threads");
+                // A callback that always panics exhausts the retry budget.
+                let err = engine
+                    .run_with_progress(&plan, |e| assert!(e.shard != 1, "always-fatal shard"))
+                    .unwrap_err();
+                assert!(
+                    matches!(err, EngineError::WorkerPanic { chunk: 1, .. }),
+                    "{threads} threads: {err}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1049,7 +1021,7 @@ mod tests {
         let plan = CampaignPlan::builder(&circuit, &tb)
             .faults(FaultList::from_faults(Vec::new(), 2, 4))
             .build();
-        let run = plan.execute_streamed();
+        let run = Engine::new(&plan).try_run_streamed(&plan).unwrap();
         assert_eq!(run.summary().total(), 0);
         assert_eq!(run.digest(), 0);
         assert_eq!(run.stats().shards, 0);

@@ -140,41 +140,6 @@ impl FaultList {
     pub fn from_faults(faults: Vec<Fault>, num_ffs: usize, num_cycles: usize) -> Self {
         FaultList { faults, num_ffs, num_cycles }
     }
-
-    /// Splits the list into `n` contiguous, near-equal shards **without
-    /// copying a single fault** — the shards borrow the list. Their
-    /// concatenation is exactly the list, so per-shard outcome vectors
-    /// concatenate back into the serial result.
-    ///
-    /// When the list is shorter than `n`, the trailing shards are empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn split_into(&self, n: usize) -> Vec<&[Fault]> {
-        assert!(n > 0, "cannot split into zero shards");
-        let base = self.faults.len() / n;
-        let extra = self.faults.len() % n;
-        let mut shards = Vec::with_capacity(n);
-        let mut start = 0;
-        for i in 0..n {
-            let len = base + usize::from(i < extra);
-            shards.push(&self.faults[start..start + len]);
-            start += len;
-        }
-        shards
-    }
-
-    /// Borrowed chunks of at most `max` faults each (no copying); the
-    /// natural unit for feeding a work queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max` is zero.
-    pub fn chunks(&self, max: usize) -> std::slice::Chunks<'_, Fault> {
-        self.faults.chunks(max)
-    }
 }
 
 impl<'a> IntoIterator for &'a FaultList {
@@ -276,42 +241,11 @@ mod tests {
     }
 
     #[test]
-    fn split_into_concatenates_back() {
-        let fl = FaultList::exhaustive(7, 13); // 91 faults
-        for n in [1, 2, 3, 8, 91, 200] {
-            let shards = fl.split_into(n);
-            assert_eq!(shards.len(), n);
-            let glued: Vec<Fault> = shards.iter().flat_map(|s| s.iter().copied()).collect();
-            assert_eq!(glued, fl.as_slice(), "n = {n}");
-            // Near-equal: sizes differ by at most one.
-            let max = shards.iter().map(|s| s.len()).max().unwrap();
-            let min = shards.iter().map(|s| s.len()).min().unwrap();
-            assert!(max - min <= 1, "n = {n}: {min}..{max}");
-        }
-    }
-
-    #[test]
-    fn chunks_respect_bound() {
-        let fl = FaultList::exhaustive(5, 10); // 50 faults
-        let chunks: Vec<&[Fault]> = fl.chunks(16).collect();
-        assert_eq!(chunks.len(), 4);
-        assert!(chunks.iter().all(|c| c.len() <= 16));
-        let glued: Vec<Fault> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
-        assert_eq!(glued, fl.as_slice());
-    }
-
-    #[test]
     fn from_faults_preserves_dimensions() {
         let faults = vec![Fault::new(FfIndex::new(1), 2)];
         let fl = FaultList::from_faults(faults, 4, 8);
         assert_eq!(fl.len(), 1);
         assert_eq!(fl.num_ffs(), 4);
         assert_eq!(fl.num_cycles(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero shards")]
-    fn zero_shards_rejected() {
-        let _ = FaultList::exhaustive(2, 2).split_into(0);
     }
 }

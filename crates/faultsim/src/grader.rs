@@ -318,38 +318,6 @@ impl Grader {
     // Bit-parallel engine (64 faults per pass)
     // ------------------------------------------------------------------
 
-    /// Grades a fault list with the bit-parallel engine: faults sharing an
-    /// injection cycle are packed 64 to a simulation pass. Outcomes are
-    /// returned in the order of `faults`.
-    #[must_use]
-    pub fn run_parallel(&self, faults: &[Fault]) -> Vec<FaultOutcome> {
-        let mut scratch = self.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS);
-        let mut outcomes = vec![FaultOutcome::latent(); faults.len()];
-        // Group indices by injection cycle, preserving order inside a group.
-        let mut by_cycle: Vec<Vec<usize>> = vec![Vec::new(); self.tb.num_cycles()];
-        for (i, f) in faults.iter().enumerate() {
-            assert!(
-                (f.cycle as usize) < self.tb.num_cycles(),
-                "fault cycle out of range"
-            );
-            by_cycle[f.cycle as usize].push(i);
-        }
-        let lanes = self.chunk_lanes();
-        let mut buf = Vec::with_capacity(lanes);
-        let mut out_buf = [FaultOutcome::latent(); 64];
-        for group in &by_cycle {
-            for chunk in group.chunks(lanes) {
-                buf.clear();
-                buf.extend(chunk.iter().map(|&i| faults[i]));
-                self.grade_chunk(&mut scratch, &buf, &mut out_buf[..chunk.len()]);
-                for (k, &fi) in chunk.iter().enumerate() {
-                    outcomes[fi] = out_buf[k];
-                }
-            }
-        }
-        outcomes
-    }
-
     /// The lane budget a chunk should be cut to: 64, one fault per lane
     /// of a simulation word, under every [`TracePolicy`] and kernel.
     #[must_use]
@@ -590,6 +558,17 @@ mod tests {
     use crate::FaultList;
     use super::*;
 
+    /// Grades a cycle-sorted fault list 64 lanes at a time through one
+    /// scratch, the way the engine's chunk loop does.
+    fn grade_chunked(g: &Grader, faults: &[Fault]) -> Vec<FaultOutcome> {
+        let mut scratch = g.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS);
+        let mut out = vec![FaultOutcome::latent(); faults.len()];
+        for (chunk, out) in faults.chunks(64).zip(out.chunks_mut(64)) {
+            g.grade_chunk(&mut scratch, chunk, out);
+        }
+        out
+    }
+
     #[test]
     fn counter_faults_fail_immediately() {
         // Every counter bit is a primary output: any flip is visible at
@@ -693,7 +672,7 @@ mod tests {
             let g = Grader::new(&n, &tb);
             let faults = FaultList::exhaustive(n.num_ffs(), 25);
             let serial = g.run_serial(faults.as_slice());
-            let parallel = g.run_parallel(faults.as_slice());
+            let parallel = grade_chunked(&g, faults.as_slice());
             assert_eq!(serial, parallel, "{name}");
         }
     }
@@ -711,7 +690,7 @@ mod tests {
             let g = Grader::new(&n, &tb);
             let faults = FaultList::exhaustive(n.num_ffs(), 30);
             let serial = g.run_serial(faults.as_slice());
-            let parallel = g.run_parallel(faults.as_slice());
+            let parallel = grade_chunked(&g, faults.as_slice());
             assert_eq!(serial, parallel, "seed {seed}");
         }
     }
@@ -722,9 +701,11 @@ mod tests {
         let tb = Testbench::random(n.num_inputs(), 30, 17);
         let g = Grader::new(&n, &tb);
         let full = FaultList::exhaustive(n.num_ffs(), 30);
-        let all = g.run_parallel(full.as_slice());
-        let sample = FaultList::sampled(n.num_ffs(), 30, 50, 23);
-        let sampled = g.run_parallel(sample.as_slice());
+        let all = grade_chunked(&g, full.as_slice());
+        // Sorted by cycle, the sample packs mixed-cycle chunks.
+        let mut sample: Vec<Fault> = FaultList::sampled(n.num_ffs(), 30, 50, 23).iter().collect();
+        sample.sort_by_key(|f| f.cycle);
+        let sampled = grade_chunked(&g, &sample);
         for (f, o) in sample.iter().zip(&sampled) {
             let idx = f.cycle as usize * n.num_ffs() + f.ff.index();
             assert_eq!(*o, all[idx], "{f}");
@@ -741,7 +722,7 @@ mod tests {
         let tb = Testbench::random(1, 6, 29);
         let g = Grader::new(&n, &tb);
         let faults = FaultList::exhaustive(8, 6);
-        let outcomes = g.run_parallel(faults.as_slice());
+        let outcomes = grade_chunked(&g, faults.as_slice());
         let map = g.failure_map(faults.as_slice(), &outcomes);
         // bit 7 (output) always fails; bit 0 needs 7 cycles to surface,
         // impossible within 6 cycles.
@@ -880,7 +861,8 @@ mod tests {
                 let cp = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(k));
                 assert_eq!(cp.trace_policy(), TracePolicy::Checkpoint(k));
                 assert_eq!(cp.run_serial(faults.as_slice()), reference, "{name} K={k} serial");
-                assert_eq!(cp.run_parallel(faults.as_slice()), reference, "{name} K={k} parallel");
+                let parallel = grade_chunked(&cp, faults.as_slice());
+                assert_eq!(parallel, reference, "{name} K={k} parallel");
             }
         }
     }

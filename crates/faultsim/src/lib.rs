@@ -29,30 +29,36 @@
 //!
 //! [`Grader`] bundles the compiled simulator and the golden trace and
 //! offers two interchangeable execution strategies: serial (one fault
-//! at a time — the readable reference) and bit-parallel (64 faulty
-//! machines per simulation pass). [`Grader::grade_chunk`] exposes the
-//! shard-sized building block (one cycle-sorted 64-lane pass with a
-//! caller-owned [`GradeScratch`]) that the `seugrade-engine` campaign
-//! runtime schedules across worker threads, and
-//! [`sampling::pool_summaries`] is that
-//! runtime's order-independent merge step; [`FaultList::split_into`]
-//! and [`FaultList::chunks`] give callers borrowed shard views so
-//! sharding never has to clone fault vectors.
+//! at a time — the readable reference, [`Grader::run_serial`]) and
+//! bit-parallel (64 faulty machines per simulation pass,
+//! [`Grader::grade_chunk`]). A chunk is one cycle-sorted 64-lane pass
+//! with a caller-owned [`GradeScratch`]; the `seugrade-engine` campaign
+//! runtime cuts every campaign into such chunks and schedules them
+//! across worker threads, so whole-list bit-parallel grading goes
+//! through the engine.
 //!
 //! # Example
 //!
 //! ```
 //! use seugrade_circuits::generators;
-//! use seugrade_faultsim::{FaultList, Grader, GradingSummary};
+//! use seugrade_faultsim::{
+//!     Collapse, FaultList, FaultOutcome, Grader, GradingSummary, DEFAULT_WINDOW_CACHE_SPANS,
+//! };
 //! use seugrade_sim::Testbench;
 //!
 //! let circuit = generators::lfsr(8, &[7, 5, 4, 3]);
 //! let tb = Testbench::constant_low(0, 20);
 //! let grader = Grader::new(&circuit, &tb);
+//! // The exhaustive list is cycle-major, so any 64 consecutive faults
+//! // form a valid chunk.
 //! let faults = FaultList::exhaustive(circuit.num_ffs(), tb.num_cycles());
-//! let outcomes = grader.run_parallel(faults.as_slice());
-//! let summary = GradingSummary::from_outcomes(&outcomes);
-//! assert_eq!(summary.total(), 8 * 20);
+//! let mut scratch = grader.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS);
+//! let mut outcomes = vec![FaultOutcome::latent(); faults.len()];
+//! for (chunk, out) in faults.as_slice().chunks(64).zip(outcomes.chunks_mut(64)) {
+//!     grader.grade_chunk(&mut scratch, chunk, out);
+//! }
+//! assert_eq!(outcomes, grader.run_serial(faults.as_slice()));
+//! assert_eq!(GradingSummary::from_outcomes(&outcomes).total(), 8 * 20);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -82,30 +82,6 @@ pub fn estimate_classes(summary: &GradingSummary) -> Vec<ClassEstimate> {
         .collect()
 }
 
-/// Pools per-shard summaries into one campaign-wide summary — the merge
-/// step of a sharded sampling campaign. Order-independent, so the pooled
-/// result is identical whatever the shard schedule.
-#[must_use]
-pub fn pool_summaries(shards: &[GradingSummary]) -> GradingSummary {
-    let mut pooled = GradingSummary::new();
-    for s in shards {
-        pooled.merge(s);
-    }
-    pooled
-}
-
-/// Wilson estimates computed directly from per-shard summaries, so
-/// callers that kept only per-shard tallies can bound class percentages
-/// without a global outcome vector.
-///
-/// # Panics
-///
-/// Panics if the pooled summary is empty.
-#[must_use]
-pub fn estimate_classes_sharded(shards: &[GradingSummary]) -> Vec<ClassEstimate> {
-    estimate_classes(&pool_summaries(shards))
-}
-
 /// Sample size needed for a target half-width (percentage points) at
 /// 95 % confidence, using the conservative `p = 0.5` bound.
 ///
@@ -178,23 +154,4 @@ mod tests {
         let _ = wilson_interval(0, 0, 1.96);
     }
 
-    #[test]
-    fn sharded_estimates_match_pooled() {
-        // 3 shards whose pooled tallies equal one flat summary.
-        let flat = GradingSummary::from_outcomes(&[
-            FaultOutcome::failure(0),
-            FaultOutcome::failure(2),
-            FaultOutcome::latent(),
-            FaultOutcome::silent(1),
-            FaultOutcome::silent(3),
-            FaultOutcome::silent(4),
-        ]);
-        let shards = [
-            GradingSummary::from_outcomes(&[FaultOutcome::failure(0), FaultOutcome::silent(1)]),
-            GradingSummary::from_outcomes(&[FaultOutcome::failure(2), FaultOutcome::latent()]),
-            GradingSummary::from_outcomes(&[FaultOutcome::silent(3), FaultOutcome::silent(4)]),
-        ];
-        assert_eq!(pool_summaries(&shards), flat);
-        assert_eq!(estimate_classes_sharded(&shards), estimate_classes(&flat));
-    }
 }

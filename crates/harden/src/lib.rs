@@ -208,14 +208,14 @@ mod tests {
         let g_plain = Grader::new(&plain, &tb);
         let faults = FaultList::exhaustive(6, 20);
         let plain_sum =
-            GradingSummary::from_outcomes(&g_plain.run_parallel(faults.as_slice()));
+            GradingSummary::from_outcomes(&g_plain.run_serial(faults.as_slice()));
         assert_eq!(plain_sum.count(FaultClass::Failure), 120);
 
         let hard = tmr(&plain);
         let g_hard = Grader::new(&hard, &tb);
         let hard_faults = FaultList::exhaustive(18, 20);
         let hard_sum =
-            GradingSummary::from_outcomes(&g_hard.run_parallel(hard_faults.as_slice()));
+            GradingSummary::from_outcomes(&g_hard.run_serial(hard_faults.as_slice()));
         assert_eq!(hard_sum.count(FaultClass::Failure), 0, "{hard_sum}");
         assert_eq!(hard_sum.count(FaultClass::Silent), 18 * 20);
     }
@@ -229,7 +229,7 @@ mod tests {
         let tb = Testbench::constant_low(0, 10);
         let g = Grader::new(&hard, &tb);
         let faults = FaultList::exhaustive(8, 10);
-        let outcomes = g.run_parallel(faults.as_slice());
+        let outcomes = g.run_serial(faults.as_slice());
         let summary = GradingSummary::from_outcomes(&outcomes);
         assert_eq!(
             summary.count(FaultClass::Failure),

@@ -18,7 +18,9 @@
 //!                           │ re-enqueue (job, engine) until complete —
 //!                           │ round-robin; one engine per job, built once
 //!                           ▼
-//!                        Engine::run_streamed_resumable  (CampaignSink)
+//!                        Engine::run_streamed_resumable_with::<CampaignSink>
+//!                           │ (the engine's one chunk loop; checkpoint
+//!                           │  written at the round boundary)
 //!                           │ per-chunk ProgressHook ──▶ Job::broadcast
 //!                           ▼
 //!                        Spool  <spool>/j<N>/{job.json, job.ckpt, result.json}

@@ -3,8 +3,9 @@
 //! N daemon workers multiplex any number of campaigns by grading in
 //! **rounds**: a worker pops a job, drives one round of
 //! [`JobSpec::round`] chunks through
-//! `Engine::run_streamed_resumable_with::<CampaignSink>` (which writes
-//! the job's spooled checkpoint atomically at the round boundary), and
+//! `Engine::run_streamed_resumable_with::<CampaignSink>` — the engine's
+//! one chunk loop, which writes the job's spooled checkpoint atomically
+//! at the round boundary — and
 //! re-enqueues the job at the back of the queue if chunks remain —
 //! round-robin fairness across tenants over one pool. Determinism
 //! holds because completed chunks always form an exact queue prefix

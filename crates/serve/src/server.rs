@@ -308,10 +308,11 @@ fn dispatch(daemon: &Arc<Daemon>, line: &str, line_no: usize, writer: &mut TcpSt
             Err(msg) => proto::err_response(line_no, &msg),
         },
         Request::Shutdown => {
-            let response = proto::ok_response(vec![("stopping", Value::Bool(true))]);
-            let sent = send(writer, &response).is_ok();
+            // Flag first: a client that reads the `stopping` reply must
+            // already see `shutdown_requested()`.
             daemon.shutdown.store(true, Ordering::SeqCst);
-            return sent;
+            let response = proto::ok_response(vec![("stopping", Value::Bool(true))]);
+            return send(writer, &response).is_ok();
         }
         Request::Stream { job } => {
             let Some(job) = daemon.scheduler.job(&job) else {

@@ -9,10 +9,8 @@
 use seugrade::prelude::*;
 
 fn grade(circuit: &Netlist, tb: &Testbench) -> (GradingSummary, Vec<FaultOutcome>) {
-    let grader = Grader::new(circuit, tb);
-    let faults = FaultList::exhaustive(circuit.num_ffs(), tb.num_cycles());
-    let outcomes = grader.run_parallel(faults.as_slice());
-    (GradingSummary::from_outcomes(&outcomes), outcomes)
+    let run = CampaignPlan::builder(circuit, tb).policy(ShardPolicy::auto()).build().execute();
+    (run.summary().clone(), run.outcomes().to_vec())
 }
 
 fn main() {

@@ -33,7 +33,9 @@ fn main() {
         .policy(ShardPolicy::auto())
         .build();
     let counter = ProgressCounter::new();
-    let run = Engine::new(&plan).run_with_progress(&plan, |e| counter.observe(&e));
+    let run = Engine::new(&plan)
+        .run_with_progress(&plan, |e| counter.observe(&e))
+        .expect("every chunk graded");
     println!(
         "engine: {} ({} faults observed via progress events)\n",
         run.stats(),

@@ -25,9 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Pick an interesting fault (first failure) and print its story.
-    let grader = Grader::new(&circuit, &tb);
-    let faults = FaultList::exhaustive(circuit.num_ffs(), tb.num_cycles());
-    let outcomes = grader.run_parallel(faults.as_slice());
+    let run = CampaignPlan::builder(&circuit, &tb).build().execute();
+    let (faults, outcomes) = run.into_single().expect("exhaustive plans grade single faults");
     if let Some((fault, outcome)) = faults
         .iter()
         .zip(&outcomes)

@@ -53,7 +53,7 @@ fn collapse_modes_agree_on_every_registry_circuit() {
                         .collapse(collapse)
                         .policy(ShardPolicy::with_threads(threads))
                         .build();
-                    let run = Engine::new(&plan).run_streamed(&plan);
+                    let run = Engine::new(&plan).try_run_streamed(&plan).unwrap();
                     assert_eq!(
                         run.digest(),
                         reference,

@@ -9,7 +9,7 @@ use seugrade_emulation::gate_level::{run_mask_scan, run_state_scan, run_time_mux
 fn oracle(circuit: &Netlist, tb: &Testbench) -> Vec<FaultOutcome> {
     let grader = Grader::new(circuit, tb);
     let faults = FaultList::exhaustive(circuit.num_ffs(), tb.num_cycles());
-    grader.run_parallel(faults.as_slice())
+    grader.run_serial(faults.as_slice())
 }
 
 #[test]

@@ -11,6 +11,15 @@ use proptest::prelude::*;
 use seugrade::prelude::*;
 use seugrade_netlist::{bench, blif, vhdl, vlog};
 
+/// One streamed-resumable invocation with the standard sink.
+fn resumable(
+    engine: &Engine,
+    plan: &CampaignPlan<'_>,
+    opts: &ResumeOptions,
+) -> Result<ResumableRun<StreamAccumulator>, EngineError> {
+    engine.run_streamed_resumable_with(plan, opts)
+}
+
 /// A real checkpoint, produced by an interrupted engine run rather than
 /// hand-assembled, so the fuzz targets exactly what `grade --checkpoint`
 /// writes.
@@ -29,7 +38,7 @@ fn golden_checkpoint_text() -> String {
     let mut opts = ResumeOptions::checkpoint_to(&path);
     opts.limit = Some(3);
     opts.meta = vec![("target".to_owned(), "lfsr8".to_owned())];
-    engine.run_streamed_resumable(&plan, &opts).expect("seed checkpoint");
+    resumable(&engine, &plan, &opts).expect("seed checkpoint");
     let text = std::fs::read_to_string(&path).expect("checkpoint written");
     std::fs::remove_file(&path).ok();
     text
@@ -402,8 +411,7 @@ fn rejected_checkpoint_resumes_nothing() {
     let path = std::env::temp_dir()
         .join(format!("seugrade-hostile-reject-{}.ckpt", std::process::id()));
     std::fs::write(&path, "not a checkpoint at all\n").expect("write garbage");
-    let err = engine
-        .run_streamed_resumable(&plan, &ResumeOptions::resume_from(&path))
+    let err = resumable(&engine, &plan, &ResumeOptions::resume_from(&path))
         .expect_err("garbage must not resume");
     std::fs::remove_file(&path).ok();
     assert!(matches!(err, EngineError::Resume(ResumeError::Corrupt { line: 1, .. })), "{err}");
@@ -442,7 +450,7 @@ fn old_layout_checkpoint_is_rejected() {
     let engine = Engine::new(&plan);
     let mut opts = ResumeOptions::checkpoint_to(&path);
     opts.limit = Some(1);
-    engine.run_streamed_resumable(&plan, &opts).expect("seed checkpoint");
+    resumable(&engine, &plan, &opts).expect("seed checkpoint");
     let text = std::fs::read_to_string(&path).expect("checkpoint written");
     let body: Vec<&str> = text.lines().collect();
     let mut old: Vec<String> = body[..body.len() - 1].iter().map(|l| (*l).to_owned()).collect();
@@ -450,8 +458,7 @@ fn old_layout_checkpoint_is_rejected() {
     let old_body = old.join("\n");
     let old_text = format!("{old_body}\nend {:016x}\n", fnv1a(old_body.as_bytes()));
     std::fs::write(&path, old_text).expect("write old checkpoint");
-    let err = engine
-        .run_streamed_resumable(&plan, &ResumeOptions::resume_from(&path))
+    let err = resumable(&engine, &plan, &ResumeOptions::resume_from(&path))
         .expect_err("an old-layout checkpoint must not resume");
     std::fs::remove_file(&path).ok();
     assert!(matches!(err, EngineError::Resume(ResumeError::Corrupt { line: 1, .. })), "{err}");
@@ -468,7 +475,7 @@ fn cursor_off_the_chunk_boundary_is_a_mismatch() {
     let engine = Engine::new(&plan);
     let mut opts = ResumeOptions::checkpoint_to(&path);
     opts.limit = Some(1);
-    engine.run_streamed_resumable(&plan, &opts).expect("seed checkpoint");
+    resumable(&engine, &plan, &opts).expect("seed checkpoint");
     let ck = Checkpoint::load(&path).expect("checkpoint loads");
     let sample = FaultList::sampled(circuit.num_ffs(), tb.num_cycles(), 100, 3);
     let first_cycle = sample.iter().map(|f| f.cycle).min().expect("non-empty sample");
@@ -478,8 +485,7 @@ fn cursor_off_the_chunk_boundary_is_a_mismatch() {
     Checkpoint::new(ck.fingerprint().clone(), ck.chunks_done(), old_cursor, ck.meta().to_vec(), &sink)
         .write_atomic(&path)
         .expect("rewrite checkpoint");
-    let err = engine
-        .run_streamed_resumable(&plan, &ResumeOptions::resume_from(&path))
+    let err = resumable(&engine, &plan, &ResumeOptions::resume_from(&path))
         .expect_err("an off-boundary cursor must not resume");
     std::fs::remove_file(&path).ok();
     match err {

@@ -52,7 +52,7 @@ fn kernels_agree_on_every_registry_circuit() {
                             .kernel(kernel)
                             .policy(ShardPolicy::with_threads(threads))
                             .build();
-                        let run = Engine::new(&plan).run_streamed(&plan);
+                        let run = Engine::new(&plan).try_run_streamed(&plan).unwrap();
                         assert_eq!(
                             run.digest(),
                             reference,
@@ -80,14 +80,14 @@ fn auto_kernel_matches_every_concrete_kernel() {
         .threads(2)
         .build();
     assert_eq!(auto_plan.kernel(), Kernel::Auto, "builder default");
-    let auto_digest = Engine::new(&auto_plan).run_streamed(&auto_plan).digest();
+    let auto_digest = Engine::new(&auto_plan).try_run_streamed(&auto_plan).unwrap().digest();
     for kernel in Kernel::CONCRETE {
         let plan = CampaignPlan::builder(&circuit, &tb)
             .trace_policy(TracePolicy::Checkpoint(8))
             .kernel(kernel)
             .threads(2)
             .build();
-        let digest = Engine::new(&plan).run_streamed(&plan).digest();
+        let digest = Engine::new(&plan).try_run_streamed(&plan).unwrap().digest();
         assert_eq!(digest, auto_digest, "auto vs {}", kernel.label());
     }
 }
@@ -147,7 +147,7 @@ proptest! {
                 .kernel(kernel)
                 .threads(2)
                 .build();
-            let run = Engine::new(&plan).run_streamed(&plan);
+            let run = Engine::new(&plan).try_run_streamed(&plan).unwrap();
             prop_assert_eq!(run.digest(), reference, "kernel {}", kernel.label());
         }
     }
@@ -180,7 +180,7 @@ proptest! {
                         .kernel(kernel)
                         .threads(2)
                         .build();
-                    let run = Engine::new(&plan).run_streamed(&plan);
+                    let run = Engine::new(&plan).try_run_streamed(&plan).unwrap();
                     prop_assert_eq!(
                         run.digest(),
                         reference,

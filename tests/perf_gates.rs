@@ -40,7 +40,7 @@ fn interleaved_medians(a: &CampaignPlan<'_>, b: &CampaignPlan<'_>, pairs: usize)
     for rep in 0..=pairs {
         for i in [rep % 2, 1 - rep % 2] {
             let start = Instant::now();
-            let run = engines[i].run_streamed(plans[i]);
+            let run = engines[i].try_run_streamed(plans[i]).unwrap();
             let secs = start.elapsed().as_secs_f64();
             let seen = (run.digest(), run.stats().faults);
             let expected = *reference.get_or_insert(seen);

@@ -20,7 +20,8 @@ fn arb_config() -> impl Strategy<Value = RandomCircuitConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Serial and bit-parallel engines agree on arbitrary circuits.
+    /// The serial engine and the bit-parallel campaign engine agree on
+    /// arbitrary circuits.
     #[test]
     fn engines_agree(config in arb_config(), seed in 0u64..1000, tb_seed in 0u64..1000) {
         let circuit = random_sequential(&config, seed);
@@ -29,8 +30,8 @@ proptest! {
         let grader = Grader::new(&circuit, &tb);
         let faults = FaultList::exhaustive(circuit.num_ffs(), cycles);
         let serial = grader.run_serial(faults.as_slice());
-        let parallel = grader.run_parallel(faults.as_slice());
-        prop_assert_eq!(serial, parallel);
+        let run = CampaignPlan::builder(&circuit, &tb).threads(2).build().execute();
+        prop_assert_eq!(serial.as_slice(), run.outcomes());
     }
 
     /// Outcome invariants: detection/convergence never precede injection,
@@ -40,9 +41,9 @@ proptest! {
         let circuit = random_sequential(&config, seed);
         let cycles = 20usize;
         let tb = Testbench::random(circuit.num_inputs(), cycles, seed ^ 0xABCD);
-        let grader = Grader::new(&circuit, &tb);
-        let faults = FaultList::exhaustive(circuit.num_ffs(), cycles);
-        for (fault, outcome) in faults.iter().zip(grader.run_parallel(faults.as_slice())) {
+        let run = CampaignPlan::builder(&circuit, &tb).build().execute();
+        let faults = run.single().expect("exhaustive plans grade single faults");
+        for (fault, &outcome) in faults.iter().zip(run.outcomes()) {
             match outcome.class {
                 FaultClass::Failure => {
                     let u = outcome.detect_cycle.expect("failure has detect cycle");
@@ -100,10 +101,8 @@ proptest! {
         let cycles = 12usize;
         let tb = Testbench::random(circuit.num_inputs(), cycles, seed ^ 0x77);
         let hardened = tmr(&circuit);
-        let grader = Grader::new(&hardened, &tb);
-        let faults = FaultList::exhaustive(hardened.num_ffs(), cycles);
-        let outcomes = grader.run_parallel(faults.as_slice());
-        let summary = GradingSummary::from_outcomes(&outcomes);
+        let run = CampaignPlan::builder(&hardened, &tb).build().execute();
+        let summary = run.summary();
         prop_assert_eq!(summary.count(FaultClass::Failure), 0);
         // And the fault heals: no latents either (voters resynchronize).
         prop_assert_eq!(summary.count(FaultClass::Latent), 0);

@@ -16,6 +16,15 @@ fn ckpt_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("seugrade-resume-{tag}-{}.ckpt", std::process::id()))
 }
 
+/// One streamed-resumable invocation with the standard sink.
+fn resumable(
+    engine: &Engine,
+    plan: &CampaignPlan<'_>,
+    opts: &ResumeOptions,
+) -> Result<ResumableRun<StreamAccumulator>, EngineError> {
+    engine.run_streamed_resumable_with(plan, opts)
+}
+
 fn fixture() -> (Netlist, Testbench) {
     let circuit = generators::lfsr(12, &[11, 9, 7, 4]);
     let tb = Testbench::random(circuit.num_inputs(), 40, 9);
@@ -41,7 +50,7 @@ fn interrupted_run_matches(threads: usize, policy: TracePolicy, k: usize, tag: &
     let (circuit, tb) = fixture();
     let reference = {
         let p = plan(&circuit, &tb, threads, policy);
-        Engine::new(&p).run_streamed(&p)
+        Engine::new(&p).try_run_streamed(&p).unwrap()
     };
 
     let path = ckpt_path(tag);
@@ -50,13 +59,13 @@ fn interrupted_run_matches(threads: usize, policy: TracePolicy, k: usize, tag: &
     let mut first = ResumeOptions::checkpoint_to(&path);
     first.every = 2;
     first.limit = Some(k);
-    let partial = engine.run_streamed_resumable(&p, &first).expect("first leg");
+    let partial = resumable(&engine, &p, &first).expect("first leg");
     assert_eq!(partial.chunks_done, k.min(partial.chunks_total), "limit honoured");
     assert_eq!(partial.interrupted, partial.chunks_done < partial.chunks_total);
 
     let mut second = ResumeOptions::resume_from(&path);
     second.every = 3;
-    let resumed = engine.run_streamed_resumable(&p, &second).expect("second leg");
+    let resumed = resumable(&engine, &p, &second).expect("second leg");
     std::fs::remove_file(&path).ok();
 
     assert!(resumed.is_complete(), "second leg finishes the campaign");
@@ -86,8 +95,7 @@ fn interrupted_after_one_chunk() {
 fn interrupted_mid_campaign() {
     let (circuit, tb) = fixture();
     let p = plan(&circuit, &tb, 1, TracePolicy::Dense);
-    let total = Engine::new(&p)
-        .run_streamed_resumable(&p, &ResumeOptions::default())
+    let total = resumable(&Engine::new(&p), &p, &ResumeOptions::default())
         .expect("counting run")
         .chunks_total;
     let mid = total / 2;
@@ -101,8 +109,7 @@ fn interrupted_mid_campaign() {
 fn interrupted_at_last_chunk() {
     let (circuit, tb) = fixture();
     let p = plan(&circuit, &tb, 1, TracePolicy::Dense);
-    let total = Engine::new(&p)
-        .run_streamed_resumable(&p, &ResumeOptions::default())
+    let total = resumable(&Engine::new(&p), &p, &ResumeOptions::default())
         .expect("counting run")
         .chunks_total;
     for threads in [1, 4] {
@@ -118,14 +125,14 @@ fn checkpoint_trace_policy_resumes_identically() {
     let (circuit, tb) = fixture();
     let reference = {
         let p = plan(&circuit, &tb, 1, TracePolicy::Dense);
-        Engine::new(&p).run_streamed(&p)
+        Engine::new(&p).try_run_streamed(&p).unwrap()
     };
     for threads in [1, 2, 4, 8] {
         let tag = format!("ckpt64-t{threads}");
         interrupted_run_matches(threads, TracePolicy::Checkpoint(64), 3, &tag);
         // Dense and Checkpoint(64) agree with each other too.
         let p = plan(&circuit, &tb, threads, TracePolicy::Checkpoint(64));
-        let run = Engine::new(&p).run_streamed(&p);
+        let run = Engine::new(&p).try_run_streamed(&p).unwrap();
         assert_eq!(run.digest(), reference.digest(), "trace policy must not change verdicts");
     }
 }
@@ -137,7 +144,7 @@ fn multi_leg_resume_chain_matches() {
     let (circuit, tb) = fixture();
     let reference = {
         let p = plan(&circuit, &tb, 2, TracePolicy::Dense);
-        Engine::new(&p).run_streamed(&p)
+        Engine::new(&p).try_run_streamed(&p).unwrap()
     };
     let path = ckpt_path("chain");
     let p = plan(&circuit, &tb, 2, TracePolicy::Dense);
@@ -146,13 +153,13 @@ fn multi_leg_resume_chain_matches() {
     let mut opts = ResumeOptions::checkpoint_to(&path);
     opts.every = 1;
     opts.limit = Some(2);
-    let mut run = engine.run_streamed_resumable(&p, &opts).expect("leg 0");
+    let mut run = resumable(&engine, &p, &opts).expect("leg 0");
     let mut legs = 1usize;
     while !run.is_complete() {
         let mut next = ResumeOptions::resume_from(&path);
         next.every = 1;
         next.limit = Some(2);
-        run = engine.run_streamed_resumable(&p, &next).expect("resume leg");
+        run = resumable(&engine, &p, &next).expect("resume leg");
         legs += 1;
         assert!(legs < 1000, "resume chain must terminate");
     }
@@ -169,7 +176,7 @@ fn cancellation_drains_and_checkpoint_resumes() {
     let (circuit, tb) = fixture();
     let reference = {
         let p = plan(&circuit, &tb, 4, TracePolicy::Dense);
-        Engine::new(&p).run_streamed(&p)
+        Engine::new(&p).try_run_streamed(&p).unwrap()
     };
     let path = ckpt_path("cancel");
     let p = plan(&circuit, &tb, 4, TracePolicy::Dense);
@@ -179,12 +186,11 @@ fn cancellation_drains_and_checkpoint_resumes() {
     token.cancel();
     let mut opts = ResumeOptions::checkpoint_to(&path);
     opts.cancel = Some(token);
-    let stopped = engine.run_streamed_resumable(&p, &opts).expect("cancelled leg");
+    let stopped = resumable(&engine, &p, &opts).expect("cancelled leg");
     assert!(stopped.interrupted);
     assert_eq!(stopped.chunks_done, 0);
 
-    let resumed = engine
-        .run_streamed_resumable(&p, &ResumeOptions::resume_from(&path))
+    let resumed = resumable(&engine, &p, &ResumeOptions::resume_from(&path))
         .expect("resume after cancel");
     std::fs::remove_file(&path).ok();
     assert!(resumed.is_complete());
@@ -202,15 +208,14 @@ fn mismatched_checkpoint_is_rejected_per_field() {
     let engine = Engine::new(&p);
     let mut opts = ResumeOptions::checkpoint_to(&path);
     opts.limit = Some(1);
-    engine.run_streamed_resumable(&p, &opts).expect("seed checkpoint");
+    resumable(&engine, &p, &opts).expect("seed checkpoint");
 
     // Different circuit, same dimensions.
     let other = generators::counter(12);
     let p2 = CampaignPlan::builder(&other, &tb)
         .policy(ShardPolicy { threads: 1, serial_below: 0 })
         .build();
-    let err = Engine::new(&p2)
-        .run_streamed_resumable(&p2, &ResumeOptions::resume_from(&path))
+    let err = resumable(&Engine::new(&p2), &p2, &ResumeOptions::resume_from(&path))
         .expect_err("foreign circuit must be rejected");
     assert!(matches!(err, EngineError::Resume(ResumeError::Mismatch { .. })), "{err}");
 
@@ -218,15 +223,13 @@ fn mismatched_checkpoint_is_rejected_per_field() {
     // the stimuli digest itself is covered by the engine's unit tests).
     let tb2 = Testbench::random(circuit.num_inputs(), 44, 1234);
     let p3 = plan(&circuit, &tb2, 1, TracePolicy::Dense);
-    let err = Engine::new(&p3)
-        .run_streamed_resumable(&p3, &ResumeOptions::resume_from(&path))
+    let err = resumable(&Engine::new(&p3), &p3, &ResumeOptions::resume_from(&path))
         .expect_err("foreign bench must be rejected");
     assert!(matches!(err, EngineError::Resume(ResumeError::Mismatch { .. })), "{err}");
 
     // Different trace policy.
     let p4 = plan(&circuit, &tb, 1, TracePolicy::Checkpoint(8));
-    let err = Engine::new(&p4)
-        .run_streamed_resumable(&p4, &ResumeOptions::resume_from(&path))
+    let err = resumable(&Engine::new(&p4), &p4, &ResumeOptions::resume_from(&path))
         .expect_err("foreign trace policy must be rejected");
     assert!(matches!(err, EngineError::Resume(ResumeError::Mismatch { field: "trace policy", .. })), "{err}");
 
@@ -303,7 +306,7 @@ fn injected_worker_panics_are_retried_to_the_reference_digest() {
     let (circuit, tb) = fixture();
     let reference = {
         let p = plan(&circuit, &tb, 4, TracePolicy::Dense);
-        Engine::new(&p).run_streamed(&p)
+        Engine::new(&p).try_run_streamed(&p).unwrap()
     };
     let p = plan(&circuit, &tb, 4, TracePolicy::Dense);
     let engine = Engine::new(&p);
@@ -361,7 +364,7 @@ fn collapse_and_cache_settings_resume_across_each_other() {
     let (circuit, tb) = fixture();
     let reference = {
         let p = plan(&circuit, &tb, 1, TracePolicy::Checkpoint(8));
-        Engine::new(&p).run_streamed(&p)
+        Engine::new(&p).try_run_streamed(&p).unwrap()
     };
     let legs = [
         // (first collapse, first cache, resume collapse, resume cache)
@@ -380,8 +383,7 @@ fn collapse_and_cache_settings_resume_across_each_other() {
         let mut first = ResumeOptions::checkpoint_to(&path);
         first.every = 1;
         first.limit = Some(3);
-        Engine::new(&first_plan)
-            .run_streamed_resumable(&first_plan, &first)
+        resumable(&Engine::new(&first_plan), &first_plan, &first)
             .expect("first leg");
 
         let second_plan = CampaignPlan::builder(&circuit, &tb)
@@ -390,8 +392,8 @@ fn collapse_and_cache_settings_resume_across_each_other() {
             .collapse(c2)
             .window_cache(w2)
             .build();
-        let resumed = Engine::new(&second_plan)
-            .run_streamed_resumable(&second_plan, &ResumeOptions::resume_from(&path))
+        let second_engine = Engine::new(&second_plan);
+        let resumed = resumable(&second_engine, &second_plan, &ResumeOptions::resume_from(&path))
             .expect("resume leg under different collapse/cache settings");
         std::fs::remove_file(&path).ok();
         assert!(resumed.is_complete());
@@ -417,7 +419,7 @@ fn sampled_campaign_resumes_identically() {
     };
     let reference = {
         let p = build(1);
-        Engine::new(&p).run_streamed(&p)
+        Engine::new(&p).try_run_streamed(&p).unwrap()
     };
     for threads in [1, 4] {
         let path = ckpt_path(&format!("sampled-t{threads}"));
@@ -426,9 +428,8 @@ fn sampled_campaign_resumes_identically() {
         let mut opts = ResumeOptions::checkpoint_to(&path);
         opts.every = 2;
         opts.limit = Some(3);
-        engine.run_streamed_resumable(&p, &opts).expect("sampled first leg");
-        let resumed = engine
-            .run_streamed_resumable(&p, &ResumeOptions::resume_from(&path))
+        resumable(&engine, &p, &opts).expect("sampled first leg");
+        let resumed = resumable(&engine, &p, &ResumeOptions::resume_from(&path))
             .expect("sampled resume");
         std::fs::remove_file(&path).ok();
         assert!(resumed.is_complete());

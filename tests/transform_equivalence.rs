@@ -128,9 +128,8 @@ fn mbu_pipeline_on_viper_subset() {
 fn report_exports_are_consistent() {
     let circuit = registry::build("b09s").expect("registered");
     let tb = Testbench::random(circuit.num_inputs(), 30, 7);
-    let grader = Grader::new(&circuit, &tb);
-    let faults = FaultList::exhaustive(circuit.num_ffs(), 30);
-    let outcomes = grader.run_parallel(faults.as_slice());
+    let run = CampaignPlan::builder(&circuit, &tb).build().execute();
+    let (faults, outcomes) = run.into_single().expect("exhaustive plans grade single faults");
 
     let csv = report::to_csv(faults.as_slice(), &outcomes);
     assert_eq!(csv.lines().count(), faults.len() + 1);
