@@ -13,7 +13,9 @@ use crate::{Fault, FaultClass, FaultOutcome};
 /// Enough that a cycle-major walk keeps its current span plus a few
 /// neighbours hot, and that a miss rebuilds 4 spans per lane-parallel
 /// replay pass (half the capacity, so the spans in use survive the next
-/// batch); small enough that golden memory stays `O(cells × K)`.
+/// batch); small enough that golden memory stays `O(cells × K)`. The
+/// store's seed table is not counted here: it holds the look-ahead seeds
+/// of at most 63 spans (`63 × 8 × FFs` bits), and none at capacity 0.
 pub const DEFAULT_WINDOW_CACHE_SPANS: usize = 8;
 
 /// When a decided fault lane stops being simulated — the paper's

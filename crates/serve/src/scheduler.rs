@@ -29,7 +29,8 @@
 //!
 //! What a round still pays on top of grading: the sample redraw, the
 //! resume fingerprint, the checkpoint load and write, and a cold golden
-//! bit-span store.
+//! bit-span store, seed table included: look-ahead seeds from one round
+//! do not reach the next.
 
 use std::collections::VecDeque;
 use std::io;

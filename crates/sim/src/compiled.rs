@@ -3,6 +3,7 @@
 use seugrade_netlist::{CellKind, FanoutAdjacency, FfIndex, GateKind, Netlist, SigId};
 
 use crate::tape::{self, Tape};
+use crate::trace::pack_bits;
 use crate::{broadcast, GoldenTrace, Testbench, TracePolicy};
 
 /// One evaluation step of the generic tape.
@@ -376,22 +377,21 @@ impl CompiledSim {
             }
             TracePolicy::Checkpoint(k) => {
                 assert!(k >= 1, "checkpoint interval must be at least 1");
-                let mut checkpoints = Vec::with_capacity(tb.num_cycles() / k + 1);
-                checkpoints.push(self.state_lane(&state, 0));
+                // Checkpoints are stored bit-packed, one after the other.
+                let words = self.num_ffs().div_ceil(64);
+                let mut checkpoints = Vec::with_capacity((tb.num_cycles() / k + 1) * words);
+                checkpoints.extend(pack_bits(&self.state_lane(&state, 0)));
                 for (t, vector) in tb.iter().enumerate() {
                     self.set_inputs(&mut state, vector);
                     self.eval(&mut state);
                     self.step(&mut state);
-                    if (t + 1) % k == 0 && t + 1 < tb.num_cycles() {
-                        checkpoints.push(self.state_lane(&state, 0));
+                    if (t + 1) % k == 0 {
+                        // At the bench end the final state doubles as
+                        // the last checkpoint.
+                        checkpoints.extend(pack_bits(&self.state_lane(&state, 0)));
                     }
                 }
-                // When the run length is a multiple of K the final state
-                // doubles as the last checkpoint.
                 let final_state = self.state_lane(&state, 0);
-                if tb.num_cycles() % k == 0 && tb.num_cycles() > 0 {
-                    checkpoints.push(final_state.clone());
-                }
                 GoldenTrace::new_checkpoint(
                     self.num_outputs(),
                     tb.num_cycles(),

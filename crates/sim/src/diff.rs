@@ -41,13 +41,28 @@
 //! cost of a value trace. Spans are replayed lane-parallel: one 64-lane
 //! tape pass rebuilds a missing span together with the uncached spans
 //! after it, each lane seeded with its own span's start state and
-//! stimulus.
+//! stimulus. Seed states are bit-packed and loaded into (or read out of)
+//! the lanes by 64×64 bit transposes.
+//!
+//! Like the paper's state-scan, which restarts a faulty run from a
+//! scanned-in golden state instead of from reset, a replay need not
+//! start at a span's checkpoint. A pass that must run a span's full `K`
+//! cycles hands its idle lanes to the next spans that are neither cached
+//! nor seeded: these **look-ahead** lanes capture nothing and snapshot
+//! their flip-flop state every `ceil(K / 8)` cycles into the store's
+//! seed table. A later pass replays each seeded span as up to 8 lanes of
+//! `ceil(K / 8)` cycles, so it runs an eighth of the steps. Dense traces
+//! store every cycle's state and slice without look-ahead. The table
+//! holds at most 63 spans' seeds (`63 × 8 × FFs` bits, one pass's free
+//! lanes), an entry leaves it when its span is replayed, and a
+//! capacity-0 store keeps none.
 //!
 //! The full-evaluation kernel ([`Kernel::Generic`](crate::Kernel::Generic))
 //! reads the same spans: [`CompiledSim::span_load_state`] seeds its
 //! lanes and [`CompiledSim::span_diff`] compares a settled cycle against
 //! the golden row.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -112,16 +127,52 @@ impl BitSpan {
     }
 }
 
-/// Where a [`BitCache`] keeps its spans: per-handle, or behind a mutex
-/// shared across a worker pool.
+/// Where a [`BitCache`] keeps its spans and seeds: per-handle, or behind
+/// a mutex shared across a worker pool.
 #[derive(Debug)]
 enum BitStore {
-    Local(SpanEntries),
-    Shared(Arc<Mutex<SpanEntries>>),
+    Local(Store),
+    Shared(Arc<Mutex<Store>>),
 }
 
-/// Cached spans keyed by `(start, end)`, least recently used first.
-type SpanEntries = Vec<((usize, usize), Arc<BitSpan>)>;
+/// A span's `(start, end)` cycles: the key of the span store.
+type SpanKey = (usize, usize);
+
+/// Most look-ahead seeds a store holds: the free lanes of one replay
+/// pass (at least one of its 64 lanes captures a span).
+const MAX_SEEDS: usize = 63;
+
+/// The contents of a golden span store.
+#[derive(Debug)]
+struct Store {
+    /// Cached spans, least recently used first.
+    spans: Vec<(SpanKey, Arc<BitSpan>)>,
+    /// Look-ahead seeds of uncached spans, oldest first: the golden
+    /// flip-flop state at the start of each slice of the span after the
+    /// first, bit-packed (`ceil(FFs / 64)` words each), one after the
+    /// other.
+    seeds: Vec<(SpanKey, Vec<u64>)>,
+}
+
+impl Store {
+    fn with_capacity(capacity: usize) -> Self {
+        Store { spans: Vec::with_capacity(capacity.min(64)), seeds: Vec::new() }
+    }
+
+    fn cached(&self, key: SpanKey) -> bool {
+        self.spans.iter().any(|(k, _)| *k == key)
+    }
+
+    fn seeded(&self, key: SpanKey) -> bool {
+        self.seeds.iter().any(|(k, _)| *k == key)
+    }
+
+    /// Removes and returns the seeds of `key`.
+    fn take_seed(&mut self, key: SpanKey) -> Option<Vec<u64>> {
+        let pos = self.seeds.iter().position(|(k, _)| *k == key)?;
+        Some(self.seeds.remove(pos).1)
+    }
+}
 
 /// A small LRU of replayed golden [`BitSpan`]s, keyed by the exact
 /// `start..end` cycle span: the golden span store both faulty kernels
@@ -133,8 +184,18 @@ type SpanEntries = Vec<((usize, usize), Arc<BitSpan>)>;
 /// whole worker pool. The capacity also sets the replay batch: a miss
 /// rebuilds up to `max(1, capacity / 2)` spans (at most 64) in one
 /// lane-parallel pass, so the spans a walk is in stay cached while the
-/// next batch lands. A capacity of `0` disables retention (every
-/// request replays its own span). Hit/miss/replay counters are always
+/// next batch lands.
+///
+/// Beside the spans the store keeps a **seed table**: golden flip-flop
+/// states every `ceil(K / 8)` cycles inside spans not yet replayed,
+/// snapshotted by the idle lanes of a full-length pass (see
+/// [`GoldenTrace::bit_span_cached`]). An entry is removed when its span
+/// is replayed, and the table holds at most 63 spans' seeds (one pass's
+/// free lanes), so it is bounded by `63 × 8 × FFs` bits; the oldest
+/// entry goes first. Handles of a shared store share the table too.
+///
+/// A capacity of `0` disables retention: every request replays its own
+/// span, and no seeds are kept. Hit/miss/replay counters are always
 /// per-handle.
 #[derive(Debug)]
 pub struct BitCache {
@@ -143,25 +204,26 @@ pub struct BitCache {
     hits: u64,
     misses: u64,
     replayed_cycles: u64,
+    replay_steps: u64,
 }
 
 impl BitCache {
     /// A private (lock-free) cache holding up to `capacity` spans.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        Self::with_store(capacity, BitStore::Local(Vec::with_capacity(capacity.min(64))))
+        Self::with_store(capacity, BitStore::Local(Store::with_capacity(capacity)))
     }
 
     /// A cache whose span store is shared with every handle cloned off
     /// it via [`clone_handle`](Self::clone_handle).
     #[must_use]
     pub fn shared(capacity: usize) -> Self {
-        let entries = Vec::with_capacity(capacity.min(64));
-        Self::with_store(capacity, BitStore::Shared(Arc::new(Mutex::new(entries))))
+        let store = Store::with_capacity(capacity);
+        Self::with_store(capacity, BitStore::Shared(Arc::new(Mutex::new(store))))
     }
 
     fn with_store(capacity: usize, store: BitStore) -> Self {
-        BitCache { capacity, store, hits: 0, misses: 0, replayed_cycles: 0 }
+        BitCache { capacity, store, hits: 0, misses: 0, replayed_cycles: 0, replay_steps: 0 }
     }
 
     /// A new handle with zeroed counters: same store for a
@@ -207,6 +269,14 @@ impl BitCache {
         self.replayed_cycles
     }
 
+    /// Tape steps run by this handle's replay passes, look-ahead
+    /// included: `K` for a full-length pass, `ceil(K / 8)` for a pass
+    /// whose spans all replay in seeded slices.
+    #[must_use]
+    pub fn replay_steps(&self) -> u64 {
+        self.replay_steps
+    }
+
     /// Spans one replay pass may rebuild: half the capacity, so the
     /// spans in use survive the batch's insertion, and never more than
     /// the 64 lanes of a tape pass.
@@ -214,10 +284,10 @@ impl BitCache {
         (self.capacity / 2).clamp(1, 64)
     }
 
-    /// Runs `f` on the span entries, locking a shared store.
-    fn with_entries<R>(&mut self, f: impl FnOnce(&mut SpanEntries) -> R) -> R {
+    /// Runs `f` on the store, locking a shared one.
+    fn locked<R>(&mut self, f: impl FnOnce(&mut Store) -> R) -> R {
         match &mut self.store {
-            BitStore::Local(entries) => f(entries),
+            BitStore::Local(store) => f(store),
             BitStore::Shared(store) => {
                 f(&mut store.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
             }
@@ -225,12 +295,12 @@ impl BitCache {
     }
 
     /// The span keyed `key`, marked most recently used.
-    fn lookup(&mut self, key: (usize, usize)) -> Option<Arc<BitSpan>> {
-        let hit = self.with_entries(|entries| {
-            let pos = entries.iter().position(|(k, _)| *k == key)?;
-            let entry = entries.remove(pos);
+    fn lookup(&mut self, key: SpanKey) -> Option<Arc<BitSpan>> {
+        let hit = self.locked(|store| {
+            let pos = store.spans.iter().position(|(k, _)| *k == key)?;
+            let entry = store.spans.remove(pos);
             let span = Arc::clone(&entry.1);
-            entries.push(entry);
+            store.spans.push(entry);
             Some(span)
         });
         if hit.is_some() {
@@ -239,47 +309,51 @@ impl BitCache {
         hit
     }
 
-    /// The replay batch for a missed `first` span: `first` plus the
-    /// uncached keys of `rest` up to the first cached one, at most
-    /// [`batch_limit`](Self::batch_limit) in all (the LRU order is left
-    /// as it is).
-    fn replay_batch(
-        &mut self,
-        first: (usize, usize),
-        rest: impl Iterator<Item = (usize, usize)>,
-    ) -> Vec<(usize, usize)> {
-        let limit = self.batch_limit();
-        self.with_entries(|entries| {
-            let uncached = rest.take_while(|key| entries.iter().all(|(k, _)| k != key));
-            std::iter::once(first).chain(uncached).take(limit).collect()
-        })
-    }
-
     /// Spans currently held by the store.
     #[cfg(test)]
     fn held(&mut self) -> usize {
-        self.with_entries(|entries| entries.len())
+        self.locked(|store| store.spans.len())
+    }
+
+    /// Spans currently seeded in the store.
+    #[cfg(test)]
+    fn seeded(&mut self) -> usize {
+        self.locked(|store| store.seeds.len())
     }
 
     /// Retains `spans`, evicting least recently used entries beyond the
-    /// capacity. The first span ends up most recently used.
-    fn insert(&mut self, spans: &[Arc<BitSpan>]) {
+    /// capacity (the first span ends up most recently used), and the
+    /// look-ahead `seeds` of spans neither cached nor seeded, evicting
+    /// the oldest beyond [`MAX_SEEDS`].
+    fn insert(&mut self, spans: &[Arc<BitSpan>], seeds: Vec<(SpanKey, Vec<u64>)>) {
         let capacity = self.capacity;
         if capacity == 0 {
             return;
         }
-        self.with_entries(|entries| {
+        self.locked(|store| {
             for span in spans.iter().rev() {
                 let key = (span.start, span.end);
-                if entries.iter().any(|(k, _)| *k == key) {
+                // A racing handle may have seeded a span this pass
+                // rebuilt; a cached span needs no seeds.
+                store.seeds.retain(|(k, _)| *k != key);
+                if store.cached(key) {
                     // A racing handle replayed the same span first; keep
                     // its copy.
                     continue;
                 }
-                if entries.len() == capacity {
-                    entries.remove(0);
+                if store.spans.len() == capacity {
+                    store.spans.remove(0);
                 }
-                entries.push((key, Arc::clone(span)));
+                store.spans.push((key, Arc::clone(span)));
+            }
+            for (key, words) in seeds {
+                if store.cached(key) || store.seeded(key) {
+                    continue;
+                }
+                if store.seeds.len() == MAX_SEEDS {
+                    store.seeds.remove(0);
+                }
+                store.seeds.push((key, words));
             }
         });
     }
@@ -508,57 +582,126 @@ impl CompiledSim {
         debug_assert!(sc.dirty.iter().all(|&w| w == 0), "cone worklist not drained");
     }
 
-    /// Replays up to 64 golden spans in one 64-lane tape pass and
-    /// captures each as a bit-packed [`BitSpan`].
+    /// Runs one 64-lane tape pass over `lanes` and captures `spans`
+    /// (cycle ranges) as bit-packed [`BitSpan`]s.
     ///
-    /// Lane `j` starts from `seeds[j].0`, the golden flip-flop state at
-    /// the start of span `seeds[j].1`, and is driven with that span's
-    /// stimulus; a lane whose span is shorter than the longest runs on
-    /// with low inputs, uncaptured. Each step's value words are turned
-    /// into the spans' rows by [`scatter_lanes`].
+    /// Every lane starts from its seed, the golden flip-flop state at
+    /// the start of its `cycles`, and is driven with their stimulus; a
+    /// lane whose cycles end before the longest runs on with low
+    /// inputs, uncaptured. A capture lane writes its rows into span
+    /// `span` from row `row` on, through [`scatter_lanes`]. The
+    /// look-ahead lanes (no capture, after every capture lane) instead
+    /// snapshot their flip-flop state every `every` cycles, returned
+    /// bit-packed per look-ahead lane in lane order.
     ///
     /// # Panics
     ///
-    /// Panics unless `1..=64` spans are given.
-    pub(crate) fn capture_bit_spans(
+    /// Panics unless `1..=64` lanes are given.
+    fn capture_bit_spans(
         &self,
         tb: &Testbench,
-        seeds: &[(&[bool], Range<usize>)],
-    ) -> Vec<BitSpan> {
-        assert!((1..=64).contains(&seeds.len()), "{} spans for one 64-lane pass", seeds.len());
+        spans: &[SpanKey],
+        lanes: &[ReplayLane<'_>],
+        every: usize,
+    ) -> (Vec<BitSpan>, Vec<Vec<u64>>) {
+        assert!((1..=64).contains(&lanes.len()), "{} lanes for one 64-lane pass", lanes.len());
+        let captures = lanes.iter().take_while(|l| l.capture.is_some()).count();
+        debug_assert!(lanes[captures..].iter().all(|l| l.capture.is_none()));
         let mut st = self.new_state();
-        for (i, &slot) in self.ffs.iter().enumerate() {
-            st.values[slot as usize] = seeds
-                .iter()
-                .enumerate()
-                .fold(0, |w, (lane, (seed, _))| w | u64::from(seed[i]) << lane);
-        }
+        let seeds: Vec<&[u64]> = lanes.iter().map(|l| &*l.seed).collect();
+        self.load_ff_lanes(&mut st, &seeds);
         let stride = self.num_cells.div_ceil(64);
-        let mut spans: Vec<BitSpan> = seeds
+        let mut out: Vec<BitSpan> = spans
             .iter()
-            .map(|(_, r)| {
-                debug_assert!(r.start < r.end && r.end <= tb.num_cycles());
-                BitSpan { start: r.start, end: r.end, stride, words: vec![0; stride * r.len()] }
+            .map(|&(start, end)| {
+                debug_assert!(start < end && end <= tb.num_cycles());
+                BitSpan { start, end, stride, words: vec![0; stride * (end - start)] }
             })
             .collect();
-        let steps = seeds.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
+        let words = self.ffs.len().div_ceil(64);
+        let mut snaps: Vec<Vec<u64>> = lanes[captures..]
+            .iter()
+            .map(|l| vec![0; l.cycles.len() / every * words])
+            .collect();
+        let steps = lanes.iter().map(|l| l.cycles.len()).max().unwrap_or(0);
         let mut inputs = vec![0u64; self.inputs.len()];
         for step in 0..steps {
             inputs.fill(0);
-            for (lane, (_, r)) in seeds.iter().enumerate() {
-                if step < r.len() {
-                    for (w, &bit) in inputs.iter_mut().zip(tb.cycle(r.start + step)) {
+            for (lane, l) in lanes.iter().enumerate() {
+                if step < l.cycles.len() {
+                    for (w, &bit) in inputs.iter_mut().zip(tb.cycle(l.cycles.start + step)) {
                         *w |= u64::from(bit) << lane;
                     }
                 }
             }
             self.set_inputs_raw(&mut st, &inputs);
             self.eval(&mut st);
-            scatter_lanes(&st.values, step, &mut spans);
+            scatter_lanes(&st.values, step, &lanes[..captures], &mut out);
             self.step(&mut st);
+            let done = step + 1;
+            if done % every == 0 && captures < lanes.len() {
+                let at = (done / every - 1) * words;
+                self.read_ff_lanes(&st, captures..lanes.len(), |lane, w, word| {
+                    if done <= lanes[lane].cycles.len() {
+                        snaps[lane - captures][at + w] = word;
+                    }
+                });
+            }
         }
-        spans
+        (out, snaps)
     }
+
+    /// Loads lane `l` of every flip-flop with `seeds[l]`, a bit-packed
+    /// state (flip-flop `64w + i` is bit `i` of word `w`); lanes past
+    /// `seeds.len()` are cleared. One 64×64 transpose per 64 flip-flops.
+    fn load_ff_lanes(&self, st: &mut SimState, seeds: &[&[u64]]) {
+        for (w, group) in self.ffs.chunks(64).enumerate() {
+            let by_lane = std::array::from_fn(|l| seeds.get(l).map_or(0, |s| s[w]));
+            for (block, group) in group.chunks(8).enumerate() {
+                let by_ff = transpose64_rows(&by_lane, block);
+                for (&slot, &word) in group.iter().zip(&by_ff) {
+                    st.values[slot as usize] = word;
+                }
+            }
+        }
+    }
+
+    /// Reads the flip-flop state of each lane in `lanes`, bit-packed:
+    /// calls `sink(lane, w, word)` for word `w` of the lane's state
+    /// (flip-flop `64w + i` is bit `i`). One 64×64 transpose per 64
+    /// flip-flops.
+    fn read_ff_lanes(
+        &self,
+        st: &SimState,
+        lanes: Range<usize>,
+        mut sink: impl FnMut(usize, usize, u64),
+    ) {
+        let mut by_ff = [0u64; 64];
+        for (w, group) in self.ffs.chunks(64).enumerate() {
+            for (word, &slot) in by_ff.iter_mut().zip(group) {
+                *word = st.values[slot as usize];
+            }
+            by_ff[group.len()..].fill(0);
+            for block in lanes.start / 8..lanes.end.div_ceil(8) {
+                let by_lane = transpose64_rows(&by_ff, block);
+                for lane in lanes.start.max(8 * block)..lanes.end.min(8 * block + 8) {
+                    sink(lane, w, by_lane[lane - 8 * block]);
+                }
+            }
+        }
+    }
+}
+
+/// One lane of a replay pass.
+#[derive(Debug)]
+struct ReplayLane<'a> {
+    /// Golden flip-flop state at `cycles.start`, bit-packed.
+    seed: Cow<'a, [u64]>,
+    /// The cycles the lane replays.
+    cycles: Range<usize>,
+    /// `(span, row)`: the lane's rows go to span `span` from row `row`
+    /// on. `None` for a look-ahead lane, which captures no rows.
+    capture: Option<(usize, usize)>,
 }
 
 /// Transposes an 8×8 bit matrix stored row-major in a `u64` (row `i` is
@@ -588,16 +731,30 @@ fn transpose_bytes8(m: &mut [u64; 8]) {
     }
 }
 
-/// Writes row `step` of every span still running at `step`: bit `slot`
-/// of span `j`'s row is bit `j` of `values[slot]`.
+/// Rows `8 * block..8 * block + 8` of the transpose of the 64×64 bit
+/// matrix `m`: bit `i` of result row `j` is bit `j` of `m[i]`.
 ///
-/// Works in 8×8 bit blocks: byte `b` (lanes `8b..8b+8`) of eight
-/// consecutive values is gathered into one `u64` and transposed, so its
-/// byte `k` holds lane `8b + k`'s bits of those eight slots; an 8×8 byte
-/// transpose of eight such words then yields each lane's 64-slot row
-/// word. Only the byte blocks holding a span are visited.
-fn scatter_lanes(values: &[u64], step: usize, spans: &mut [BitSpan]) {
-    let blocks = spans.len().div_ceil(8);
+/// Works in 8×8 bit blocks: byte `block` (columns `8 * block..` of `m`)
+/// of eight consecutive rows is gathered into one `u64` and transposed,
+/// so its byte `k` holds column `8 * block + k`'s bits of those eight
+/// rows; an 8×8 byte transpose of eight such words then yields each
+/// column's 64-bit result row.
+#[inline]
+fn transpose64_rows(m: &[u64; 64], block: usize) -> [u64; 8] {
+    let shift = 8 * block;
+    let mut rows: [u64; 8] = std::array::from_fn(|c| {
+        transpose8(u64::from_le_bytes(std::array::from_fn(|i| (m[8 * c + i] >> shift) as u8)))
+    });
+    transpose_bytes8(&mut rows);
+    rows
+}
+
+/// Writes row `step` of every capture lane still running at `step`:
+/// bit `slot` of lane `l`'s row is bit `l` of `values[slot]`, and the
+/// row lands in span `span` at row `row + step` for the lane's
+/// `(span, row)`. One 64×64 transpose per 64 slots, over the 8-lane
+/// blocks holding the given lanes only.
+fn scatter_lanes(values: &[u64], step: usize, lanes: &[ReplayLane<'_>], spans: &mut [BitSpan]) {
     let mut pad = [0u64; 64];
     for (word, group) in values.chunks(64).enumerate() {
         let group: &[u64; 64] = match group.try_into() {
@@ -607,21 +764,35 @@ fn scatter_lanes(values: &[u64], step: usize, spans: &mut [BitSpan]) {
                 &pad
             }
         };
-        for block in 0..blocks {
-            let shift = 8 * block;
-            let mut rows: [u64; 8] = std::array::from_fn(|c| {
-                transpose8(u64::from_le_bytes(std::array::from_fn(|i| {
-                    (group[8 * c + i] >> shift) as u8
-                })))
-            });
-            transpose_bytes8(&mut rows);
-            for (span, &row) in spans[shift..].iter_mut().zip(&rows) {
-                if step < span.end - span.start {
-                    span.words[step * span.stride + word] = row;
+        for (block, lanes) in lanes.chunks(8).enumerate() {
+            let rows = transpose64_rows(group, block);
+            for (lane, &row) in lanes.iter().zip(&rows) {
+                if let (Some((span, first)), true) = (lane.capture, step < lane.cycles.len()) {
+                    let span = &mut spans[span];
+                    span.words[(first + step) * span.stride + word] = row;
                 }
             }
         }
     }
+}
+
+/// One replay pass, as planned against the store: the spans it
+/// rebuilds and the spans its idle lanes look ahead at.
+#[derive(Debug)]
+struct Pass {
+    /// The spans rebuilt, the missed one first.
+    batch: Vec<SpanKey>,
+    /// Whether every batch span replays in slices of `ceil(K / 8)`
+    /// cycles; otherwise each replays whole in one lane.
+    sliced: bool,
+    /// Per batch span, the look-ahead seeds taken from the table
+    /// (empty when it had none).
+    seeds: Vec<Vec<u64>>,
+    /// Uncached, unseeded spans whose slice seeds the idle lanes
+    /// snapshot.
+    look_ahead: Vec<SpanKey>,
+    /// Tape steps the pass runs.
+    steps: usize,
 }
 
 impl GoldenTrace {
@@ -649,6 +820,20 @@ impl GoldenTrace {
     /// (never more than 64): a forward walk pays one pass for several
     /// spans.
     ///
+    /// A span is cut into slices of `ceil(K / 8)` cycles. When the
+    /// state at every slice start is known — always under `Dense`,
+    /// under `Checkpoint(K)` for a span seeded in the store's seed
+    /// table (or short enough to be a single slice) — and all the
+    /// batch's slices fit in the 64 lanes, each slice replays in a lane
+    /// of its own and the pass runs `ceil(K / 8)` steps instead of `K`.
+    /// Otherwise every batch span replays whole, and the pass's idle
+    /// lanes **look ahead**: they replay the next spans that are neither
+    /// cached nor seeded, capture nothing, and snapshot their state at
+    /// each slice start into the seed table, so the passes after it run
+    /// sliced. Which spans a pass rebuilds, and so `misses`, `hits` and
+    /// `replayed_cycles`, do not depend on seeding; a capacity-0 cache
+    /// looks ahead at nothing.
+    ///
     /// # Panics
     ///
     /// Panics if `t >= num_cycles()`, or `sim`/`tb` dimensions do not
@@ -666,26 +851,96 @@ impl GoldenTrace {
         assert_eq!(sim.num_ffs(), self.num_ffs(), "bit span sim flip-flop count");
         assert_eq!(tb.num_cycles(), n, "bit span test-bench length");
         let len = self.bit_span_len();
-        let key = |start: usize| (start, (start + len).min(n));
         let first = t - t % len;
-        if let Some(span) = cache.lookup(key(first)) {
+        if let Some(span) = cache.lookup((first, (first + len).min(n))) {
             return span;
         }
-        let batch = cache.replay_batch(key(first), (first + len..n).step_by(len).map(key));
-        let seeds: Vec<(&[bool], Range<usize>)> = batch
-            .iter()
-            .map(|&(start, end)| {
-                let (seed, from) = self.seed_for(start);
-                debug_assert_eq!(from, start, "bit spans are checkpoint-aligned");
-                (seed, start..end)
-            })
-            .collect();
-        let spans: Vec<Arc<BitSpan>> =
-            sim.capture_bit_spans(tb, &seeds).into_iter().map(Arc::new).collect();
+        let pass = self.plan_pass(first, cache);
+        self.replay_pass(sim, tb, &pass, cache)
+    }
+
+    /// Plans the replay pass for the missed span starting at `first`,
+    /// taking the batch spans' seeds out of the table.
+    fn plan_pass(&self, first: usize, cache: &mut BitCache) -> Pass {
+        let (n, len) = (self.num_cycles(), self.bit_span_len());
+        let slice = len.div_ceil(8);
+        let key = |start: usize| (start, (start + len).min(n));
+        let slices = |(start, end): SpanKey| (end - start).div_ceil(slice);
+        let dense = self.policy() == TracePolicy::Dense;
+        let limit = cache.batch_limit();
+        // Look-ahead pays only where a span has more than one slice, and
+        // only a retaining store keeps what it finds.
+        let look = cache.capacity > 0 && !dense && len > 1;
+        cache.locked(|store| {
+            let rest = (first + len..n).step_by(len).map(key);
+            let uncached = rest.take_while(|&k| !store.cached(k));
+            let batch: Vec<SpanKey> =
+                std::iter::once(key(first)).chain(uncached).take(limit).collect();
+            let known = |k: SpanKey| dense || slices(k) == 1 || store.seeded(k);
+            let lanes: usize = batch.iter().map(|&k| slices(k)).sum();
+            let sliced = lanes <= 64 && batch.iter().all(|&k| known(k));
+            let seeds = batch.iter().map(|&k| store.take_seed(k).unwrap_or_default()).collect();
+            let steps = batch
+                .iter()
+                .map(|&(start, end)| if sliced { slice.min(end - start) } else { end - start })
+                .max()
+                .unwrap_or(0);
+            let look_ahead = if sliced || !look {
+                Vec::new()
+            } else {
+                let after = batch.last().map_or(first, |&(_, end)| end);
+                (after..n)
+                    .step_by(len)
+                    .map(key)
+                    .filter(|&k| slices(k) > 1 && !store.cached(k) && !store.seeded(k))
+                    .take(64 - batch.len())
+                    .collect()
+            };
+            Pass { batch, sliced, seeds, look_ahead, steps }
+        })
+    }
+
+    /// Runs `pass`, retains what it rebuilt and found, and returns its
+    /// first span.
+    fn replay_pass(
+        &self,
+        sim: &CompiledSim,
+        tb: &Testbench,
+        pass: &Pass,
+        cache: &mut BitCache,
+    ) -> Arc<BitSpan> {
+        let len = self.bit_span_len();
+        let slice = len.div_ceil(8);
+        let words = self.num_ffs().div_ceil(64);
+        // A span replayed whole is a single slice.
+        let lane_len = if pass.sliced { slice } else { len };
+        let mut lanes = Vec::new();
+        for (j, (&(start, end), seeds)) in pass.batch.iter().zip(&pass.seeds).enumerate() {
+            for (i, from) in (start..end).step_by(lane_len).enumerate() {
+                let seed = if i == 0 || seeds.is_empty() {
+                    self.packed_state(from)
+                } else {
+                    Cow::Borrowed(&seeds[(i - 1) * words..i * words])
+                };
+                let cycles = from..(from + lane_len).min(end);
+                lanes.push(ReplayLane { seed, cycles, capture: Some((j, i * lane_len)) });
+            }
+        }
+        for &(start, end) in &pass.look_ahead {
+            let slices = (end - start).div_ceil(slice);
+            let cycles = start..start + (slices - 1) * slice;
+            // Only a full-length pass looks ahead: every slice start is
+            // reached.
+            debug_assert!(cycles.len() <= pass.steps);
+            lanes.push(ReplayLane { seed: self.packed_state(start), cycles, capture: None });
+        }
+        let (spans, snaps) = sim.capture_bit_spans(tb, &pass.batch, &lanes, slice);
+        let spans: Vec<Arc<BitSpan>> = spans.into_iter().map(Arc::new).collect();
         cache.misses += 1;
         cache.replayed_cycles +=
-            batch.iter().map(|&(start, end)| (end - start) as u64).sum::<u64>();
-        cache.insert(&spans);
+            pass.batch.iter().map(|&(start, end)| (end - start) as u64).sum::<u64>();
+        cache.replay_steps += pass.steps as u64;
+        cache.insert(&spans, pass.look_ahead.iter().copied().zip(snaps).collect());
         Arc::clone(&spans[0])
     }
 }
@@ -724,12 +979,17 @@ mod tests {
     /// mixing gates, well over 128 cells, so span rows take several
     /// words and the last one is partial.
     fn ring() -> seugrade_netlist::Netlist {
+        ring_of(48)
+    }
+
+    /// A ring of `ffs` flip-flops, built like [`ring`].
+    fn ring_of(ffs: usize) -> seugrade_netlist::Netlist {
         let mut b = NetlistBuilder::new("ring");
         let ins: Vec<_> = (0..3).map(|i| b.input(format!("i{i}"))).collect();
-        let qs: Vec<_> = (0..48).map(|i| b.dff(i % 3 == 0)).collect();
-        for i in 0..48 {
-            let g = b.and2(qs[(i + 1) % 48], ins[i % 3]);
-            let d = b.xor2(qs[(i + 47) % 48], g);
+        let qs: Vec<_> = (0..ffs).map(|i| b.dff(i % 3 == 0)).collect();
+        for i in 0..ffs {
+            let g = b.and2(qs[(i + 1) % ffs], ins[i % 3]);
+            let d = b.xor2(qs[(i + ffs - 1) % ffs], g);
             b.connect_dff(qs[i], d).unwrap();
             if i % 8 == 0 {
                 b.output(format!("o{i}"), d);
@@ -849,7 +1109,16 @@ mod tests {
                     BitSpan { start: 10, end: 10 + len, stride, words: vec![0; stride * len] }
                 })
                 .collect();
-            scatter_lanes(&values, 1, &mut spans);
+            let targets: Vec<ReplayLane<'_>> = spans
+                .iter()
+                .enumerate()
+                .map(|(j, span)| ReplayLane {
+                    seed: Cow::Borrowed(&[]),
+                    cycles: span.start..span.end,
+                    capture: Some((j, 0)),
+                })
+                .collect();
+            scatter_lanes(&values, 1, &targets, &mut spans);
             for (lane, span) in spans.iter().enumerate() {
                 for (slot, &v) in values.iter().enumerate() {
                     let want = span.end() > 11 && v >> lane & 1 == 1;
@@ -863,6 +1132,174 @@ mod tests {
                 assert!(span.row(10).iter().all(|&w| w == 0), "step 0 untouched");
             }
         }
+    }
+
+    #[test]
+    fn transpose64_rows_move_bit_ij_to_ji() {
+        let mut rng = crate::SplitMix64::new(5);
+        for _ in 0..10 {
+            let m: [u64; 64] = std::array::from_fn(|_| rng.next_u64());
+            for block in 0..8 {
+                for (k, &row) in transpose64_rows(&m, block).iter().enumerate() {
+                    let j = 8 * block + k;
+                    for (i, &col) in m.iter().enumerate() {
+                        assert_eq!(row >> i & 1, col >> j & 1, "block {block} bit ({i}, {j})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ff_lanes_load_and_read_back_bit_packed() {
+        let mut rng = crate::SplitMix64::new(6);
+        for ffs in [48usize, 64, 130] {
+            let sim = crate::CompiledSim::new(&ring_of(ffs));
+            let words = ffs.div_ceil(64);
+            let mask = |w: usize| if 64 * (w + 1) <= ffs { !0 } else { (1u64 << (ffs % 64)) - 1 };
+            for lanes in [1usize, 9, 64] {
+                let seed = |_| (0..words).map(|w| rng.next_u64() & mask(w)).collect();
+                let seeds: Vec<Vec<u64>> = (0..lanes).map(seed).collect();
+                let refs: Vec<&[u64]> = seeds.iter().map(Vec::as_slice).collect();
+                let mut st = sim.new_state();
+                sim.load_ff_lanes(&mut st, &refs);
+                for lane in 0..64 {
+                    let bits = sim.state_lane(&st, lane as u32);
+                    for (i, &bit) in bits.iter().enumerate() {
+                        let want = seeds.get(lane).is_some_and(|s| s[i / 64] >> (i % 64) & 1 == 1);
+                        assert_eq!(bit, want, "ffs {ffs} lanes {lanes} lane {lane} ff {i}");
+                    }
+                }
+                let mut back = vec![vec![0u64; words]; 64];
+                sim.read_ff_lanes(&st, 0..lanes, |lane, w, word| back[lane][w] = word);
+                assert_eq!(&back[..lanes], &seeds[..], "ffs {ffs} lanes {lanes}");
+            }
+        }
+    }
+
+    /// Walks every cycle of a `cycles`-long random bench forward,
+    /// checking every bit against a plain run, and returns the cache
+    /// with its counters.
+    fn forward_walk(
+        n: &seugrade_netlist::Netlist,
+        policy: TracePolicy,
+        cycles: usize,
+        cache: BitCache,
+    ) -> BitCache {
+        let sim = crate::CompiledSim::new(n);
+        let tb = Testbench::random(n.num_inputs(), cycles, 17);
+        let golden = brute_force_values(&sim, &tb);
+        let trace = sim.run_golden_with(&tb, policy);
+        let mut cache = cache;
+        for (t, row) in golden.iter().enumerate() {
+            let span = trace.bit_span_cached(&sim, &tb, t, &mut cache);
+            for (slot, &bit) in row.iter().enumerate() {
+                assert_eq!(span.bit_at(slot, t), bit, "policy {policy} slot {slot} cycle {t}");
+            }
+            assert!(cache.seeded() <= MAX_SEEDS);
+        }
+        cache
+    }
+
+    #[test]
+    fn look_ahead_seeds_let_later_passes_replay_in_slices() {
+        // On this bench the 48-FF ring dies out to the all-zero state in
+        // its first span, so only the 130-FF ring, which stays live,
+        // checks the seeds bit by bit.
+        let live = ring_of(130);
+        let sim = crate::CompiledSim::new(&live);
+        let golden = brute_force_values(&sim, &Testbench::random(live.num_inputs(), 1024, 17));
+        let states: std::collections::HashSet<Vec<bool>> = golden[256..]
+            .iter()
+            .map(|row| sim.ffs.iter().map(|&q| row[q as usize]).collect())
+            .collect();
+        assert!(states.len() > 700, "{} distinct states", states.len());
+        for n in [ring(), live] {
+            let policy = TracePolicy::Checkpoint(64);
+            let mut cache = forward_walk(&n, policy, 1024, BitCache::new(8));
+            // One full pass (64 steps) seeds spans 4..16; the three
+            // passes after it replay 4 spans each as 32 lanes of 8
+            // cycles.
+            assert_eq!(cache.misses(), 4);
+            assert_eq!(cache.replay_steps(), 64 + 3 * 8);
+            assert_eq!(cache.replayed_cycles(), 1024);
+            assert_eq!(cache.seeded(), 0, "every seed was used");
+        }
+    }
+
+    #[test]
+    fn slicing_covers_every_policy_length_and_capacity() {
+        let ck = TracePolicy::Checkpoint;
+        // (policy, cycles, capacity, passes, steps)
+        let cases = [
+            // Slices of one cycle: 17 spans, the last 3 cycles long.
+            (ck(5), 83, 8, 5, 5 + 4),
+            // One-cycle spans are single slices: nothing to seed.
+            (ck(1), 70, 8, 18, 18),
+            // A short final span of 20 cycles replays as 3 slices.
+            (ck(64), 1044, 8, 5, 64 + 4 * 8),
+            // Dense traces slice every pass without look-ahead.
+            (TracePolicy::Dense, 1024, 8, 4, 4 * 8),
+            // Capacity 2: one span per pass, 15 look-ahead lanes.
+            (ck(64), 1024, 2, 16, 64 + 15 * 8),
+        ];
+        // A ring that stays live (see above), with seeds of three words.
+        let n = ring_of(130);
+        for (policy, cycles, capacity, passes, steps) in cases {
+            let what = format!("{policy}, {cycles} cycles, capacity {capacity}");
+            let mut cache = forward_walk(&n, policy, cycles, BitCache::new(capacity));
+            assert_eq!(cache.misses(), passes, "{what}: passes");
+            assert_eq!(cache.replay_steps(), steps, "{what}: steps");
+            assert_eq!(cache.replayed_cycles(), cycles as u64, "{what}: each span rebuilt once");
+            assert_eq!(cache.hits() + cache.misses(), cycles as u64, "{what}");
+            assert_eq!(cache.seeded(), 0, "{what}: every seed was used");
+        }
+        // Capacity 0 keeps no seeds: every request replays its own span
+        // whole, as without look-ahead.
+        let mut cache = forward_walk(&n, ck(64), 256, BitCache::disabled());
+        assert_eq!(cache.misses(), 256);
+        assert_eq!(cache.replay_steps(), 256 * 64);
+        assert_eq!(cache.seeded(), 0);
+    }
+
+    #[test]
+    fn shared_handles_racing_for_one_seeded_span_agree() {
+        let n = ring_of(130);
+        let sim = crate::CompiledSim::new(&n);
+        let tb = Testbench::random(n.num_inputs(), 1024, 23);
+        let golden = brute_force_values(&sim, &tb);
+        let trace = sim.run_golden_with(&tb, TracePolicy::Checkpoint(64));
+        let root = BitCache::shared(8);
+        let mut a = root.clone_handle();
+        let mut b = root.clone_handle();
+        let _ = trace.bit_span_cached(&sim, &tb, 0, &mut a);
+        assert_eq!(a.seeded(), 12, "spans 4..16 seeded for every handle");
+        // Both handles miss span 4 before either lands it: `a` takes the
+        // seeds of spans 4..8, `b` finds none and replays them whole,
+        // looking ahead at nothing (8..16 are still seeded).
+        let pa = trace.plan_pass(256, &mut a);
+        let pb = trace.plan_pass(256, &mut b);
+        assert_eq!(pa.batch, pb.batch);
+        assert!(pa.sliced && !pb.sliced);
+        assert!(pb.look_ahead.is_empty());
+        let sb = trace.replay_pass(&sim, &tb, &pb, &mut b);
+        let sa = trace.replay_pass(&sim, &tb, &pa, &mut a);
+        for span in [sa, sb] {
+            for (t, row) in golden.iter().enumerate().skip(256).take(64) {
+                for (slot, &bit) in row.iter().enumerate() {
+                    assert_eq!(span.bit_at(slot, t), bit, "slot {slot} cycle {t}");
+                }
+            }
+        }
+        assert_eq!((a.misses(), a.replay_steps()), (2, 64 + 8));
+        assert_eq!((b.misses(), b.replay_steps()), (1, 64));
+        assert_eq!((a.held(), a.seeded()), (8, 8), "no duplicate span, seeds 8..16 kept");
+        // The rest of the walk replays in slices on either handle.
+        let _ = trace.bit_span_cached(&sim, &tb, 512, &mut b);
+        assert_eq!(b.replay_steps(), 64 + 8);
+        let _ = trace.bit_span_cached(&sim, &tb, 768, &mut a);
+        assert_eq!(a.replay_steps(), 64 + 2 * 8);
+        assert_eq!(root.clone_handle().seeded(), 0);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The fault-free reference ("golden") run: dense or checkpointed.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::{CompiledSim, Testbench};
@@ -71,12 +72,15 @@ enum Repr {
         outputs: Vec<Vec<bool>>,
         states: Vec<Vec<bool>>,
     },
-    /// `checkpoints[i]` = flip-flop vector at the start of cycle `i * K`,
-    /// plus the end-of-run state (needed by convergence checks at the
-    /// final cycle and by [`GoldenTrace::final_state`]).
+    /// Checkpoint `i` = flip-flop vector at the start of cycle `i * K`,
+    /// bit-packed (flip-flop `64w + b` is bit `b` of word `w`, the
+    /// format of the span store's look-ahead seeds) and stored one after
+    /// the other in `checkpoints`, `ceil(FFs / 64)` words each; plus the
+    /// end-of-run state (needed by convergence checks at the final cycle
+    /// and by [`GoldenTrace::final_state`]).
     Checkpoint {
         interval: usize,
-        checkpoints: Vec<Vec<bool>>,
+        checkpoints: Vec<u64>,
         final_state: Vec<bool>,
     },
 }
@@ -200,13 +204,13 @@ impl GoldenTrace {
         num_outputs: usize,
         num_cycles: usize,
         interval: usize,
-        checkpoints: Vec<Vec<bool>>,
+        checkpoints: Vec<u64>,
         final_state: Vec<bool>,
     ) -> Self {
         assert!(interval >= 1, "checkpoint interval must be at least 1");
         assert_eq!(
             checkpoints.len(),
-            num_cycles / interval + 1,
+            (num_cycles / interval + 1) * final_state.len().div_ceil(64),
             "checkpoint count mismatch"
         );
         GoldenTrace {
@@ -326,25 +330,30 @@ impl GoldenTrace {
                     states: &states[start..=end],
                 },
             },
-            Repr::Checkpoint { interval, checkpoints, .. } => {
-                let cp = start / interval;
-                let (outputs, states) =
-                    sim.replay_span(tb, &checkpoints[cp], cp * interval, start, end);
+            Repr::Checkpoint { interval, .. } => {
+                let from = start - start % interval;
+                let seed = unpack_bits(&self.packed_state(from), self.num_ffs);
+                let (outputs, states) = sim.replay_span(tb, &seed, from, start, end);
                 TraceWindow { start, data: WindowData::Owned { outputs, states } }
             }
         }
     }
 
-    /// The nearest stored flip-flop vector at or before cycle `start`,
-    /// plus the cycle it belongs to — the replay seed for reconstructing
-    /// golden data from `start` onward. Dense traces seed at `start`
-    /// itself (zero replay distance).
-    pub(crate) fn seed_for(&self, start: usize) -> (&[bool], usize) {
+    /// The golden flip-flop state at the start of cycle `t`, bit-packed
+    /// (flip-flop `64w + b` is bit `b` of word `w`) — a replay seed.
+    /// Borrowed from a checkpoint, packed from a dense trace's state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t > num_cycles()`, or the trace is checkpointed and
+    /// `t` is not a multiple of its interval.
+    pub(crate) fn packed_state(&self, t: usize) -> Cow<'_, [u64]> {
         match &self.repr {
-            Repr::Dense { states, .. } => (&states[start], start),
+            Repr::Dense { states, .. } => Cow::Owned(pack_bits(&states[t])),
             Repr::Checkpoint { interval, checkpoints, .. } => {
-                let cp = start / interval;
-                (&checkpoints[cp], cp * interval)
+                assert_eq!(t % interval, 0, "cycle {t} is not a checkpoint");
+                let words = self.num_ffs.div_ceil(64);
+                Cow::Borrowed(&checkpoints[t / interval * words..][..words])
             }
         }
     }
@@ -388,12 +397,25 @@ impl GoldenTrace {
                 let s: usize = states.iter().map(Vec::len).sum();
                 (o + s) as u64
             }
-            Repr::Checkpoint { checkpoints, final_state, .. } => {
-                let c: usize = checkpoints.iter().map(Vec::len).sum();
-                (c + final_state.len()) as u64
+            Repr::Checkpoint { interval, final_state, .. } => {
+                let stored = self.num_cycles / interval + 2;
+                (stored * final_state.len()) as u64
             }
         }
     }
+}
+
+/// Packs `bits` into `u64` words, bit `i` at bit `i % 64` of word
+/// `i / 64`.
+pub(crate) fn pack_bits(bits: &[bool]) -> Vec<u64> {
+    bits.chunks(64)
+        .map(|c| c.iter().rev().fold(0, |w, &b| w << 1 | u64::from(b)))
+        .collect()
+}
+
+/// The first `n` bits of `words`, as packed by [`pack_bits`].
+fn unpack_bits(words: &[u64], n: usize) -> Vec<bool> {
+    (0..n).map(|i| words[i / 64] >> (i % 64) & 1 == 1).collect()
 }
 
 impl fmt::Debug for GoldenTrace {
