@@ -24,9 +24,11 @@
 //! (or a seeded uniform `--sample N` of it) through the engine's
 //! memory-bounded **streaming** path (`--threads N`), printing the
 //! failure/silent/latent breakdown, the golden-trace bits the
-//! `--trace-policy dense|checkpoint:K` actually held, and the
-//! order-independent verdict digest. Verdicts are identical at every
-//! thread count and trace policy (the engine's determinism guarantee).
+//! `--trace-policy checkpoint:K` (default `checkpoint:64`) actually
+//! held beside the dense equivalent a whole-run record would take, and
+//! the order-independent verdict digest. Verdicts are identical at
+//! every thread count and checkpoint interval (the engine's determinism
+//! guarantee).
 //! The on-disk grammars are specified in `docs/FORMATS.md`.
 //!
 //! With `--checkpoint PATH` the grade rides the engine's **resumable**
@@ -116,7 +118,7 @@ fn main() {
         format: None,
         vectors: 100,
         seed: 42,
-        trace_policy: TracePolicy::Dense,
+        trace_policy: TracePolicy::default(),
         collapse: Collapse::Early,
         kernel: Kernel::Auto,
         sample: None,
@@ -152,7 +154,7 @@ fn main() {
                     std::process::exit(2);
                 });
                 opts.trace_policy = TracePolicy::from_label(&v).unwrap_or_else(|| {
-                    eprintln!("--trace-policy expects dense|checkpoint:<K>, got `{v}`");
+                    eprintln!("--trace-policy expects checkpoint:<K>, got `{v}`");
                     std::process::exit(2);
                 });
             }
@@ -257,7 +259,7 @@ fn main() {
         let Some(target) = commands.get(1) else {
             eprintln!(
                 "usage: repro -- grade <file-or-registry-name> [--format bench|blif|snl|verilog|vhdl] \
-                 [--threads N] [--vectors N] [--seed S] [--trace-policy dense|checkpoint:K] \
+                 [--threads N] [--vectors N] [--seed S] [--trace-policy checkpoint:K] \
                  [--kernel auto|generic|differential] [--sample N] [--checkpoint PATH] \
                  [--checkpoint-every N]"
             );
@@ -285,7 +287,7 @@ fn main() {
             eprintln!(
                 "usage: repro -- submit <file-or-registry-name> [--addr HOST:PORT] \
                  [--format bench|blif|snl|verilog|vhdl] [--threads N] [--vectors N] [--seed S] \
-                 [--trace-policy dense|checkpoint:K] [--collapse on|off] [--sample N] [--wait]"
+                 [--trace-policy checkpoint:K] [--collapse on|off] [--sample N] [--wait]"
             );
             std::process::exit(2);
         };

@@ -370,7 +370,7 @@ mod tests {
         // Building it is cheap; a golden run over a short bench works.
         let tb = Testbench::random(n.num_inputs(), 4, 1);
         let trace = CompiledSim::new(&n).run_golden(&tb);
-        assert_eq!(trace.num_cycles(), 4);
+        assert_eq!(trace.end(), 4);
     }
 
     #[test]
@@ -382,7 +382,7 @@ mod tests {
         assert_eq!(n.num_outputs(), 160);
         let tb = Testbench::random(n.num_inputs(), 2, 1);
         let trace = CompiledSim::new(&n).run_golden(&tb);
-        assert_eq!(trace.num_cycles(), 2);
+        assert_eq!(trace.end(), 2);
     }
 
     #[test]

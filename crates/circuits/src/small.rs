@@ -393,7 +393,7 @@ mod tests {
             let sim = CompiledSim::new(&n);
             let tb = Testbench::random(n.num_inputs(), 200, 42);
             let trace = sim.run_golden(&tb);
-            let changes = (1..trace.num_cycles())
+            let changes = (1..trace.end())
                 .filter(|&t| trace.output_at(t) != trace.output_at(t - 1))
                 .count();
             assert!(changes > 3, "{} is output-dead ({changes} changes)", n.name());
@@ -418,7 +418,7 @@ mod tests {
         let seq = [true, false, true, false, false, false];
         let tb = Testbench::new(seq.iter().map(|&b| vec![b]).collect());
         let trace = sim.run_golden(&tb);
-        let fired = (0..trace.num_cycles()).any(|t| trace.output_at(t)[0]);
+        let fired = (0..trace.end()).any(|t| trace.output_at(t)[0]);
         assert!(fired, "pattern 101 not recognized");
     }
 
@@ -428,7 +428,7 @@ mod tests {
         let sim = CompiledSim::new(&n);
         let tb = Testbench::random(4, 100, 9);
         let trace = sim.run_golden(&tb);
-        for t in 0..trace.num_cycles() {
+        for t in 0..trace.end() {
             let grants = trace.output_at(t).iter().filter(|&&g| g).count();
             assert!(grants <= 1, "multiple grants at cycle {t}");
         }

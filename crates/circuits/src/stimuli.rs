@@ -179,11 +179,11 @@ mod tests {
         let trace = sim.run_golden(&paper_testbench());
         // The processor must actually do something: addr outputs change
         // and instruction fetches keep pulsing rd.
-        let addr_changes = (1..trace.num_cycles())
+        let addr_changes = (1..trace.end())
             .filter(|&t| trace.output_at(t)[..20] != trace.output_at(t - 1)[..20])
             .count();
         assert!(addr_changes > 10, "addr changed only {addr_changes} times");
-        let rd_pulses = (0..trace.num_cycles())
+        let rd_pulses = (0..trace.end())
             .filter(|&t| trace.output_at(t)[52])
             .count();
         assert!(rd_pulses > 10, "fetches missing");
@@ -196,7 +196,7 @@ mod tests {
         let n = viper();
         let sim = CompiledSim::new(&n);
         let trace = sim.run_golden(&viper_program(640, PAPER_SEED));
-        let wr_pulses = (0..trace.num_cycles())
+        let wr_pulses = (0..trace.end())
             .filter(|&t| trace.output_at(t)[53])
             .count();
         assert!(wr_pulses > 0, "no store ever reached the bus");

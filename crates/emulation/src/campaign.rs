@@ -178,8 +178,8 @@ impl AutonomousCampaign {
     /// Grades the exhaustive fault space through the engine's
     /// **streaming** path under `trace_policy`, folding the technique
     /// timing models online — the fault list, the per-fault outcomes and
-    /// (under [`TracePolicy::Checkpoint`]) the dense golden trace never
-    /// exist in memory. The resulting [`StreamedCampaign`] produces the
+    /// a whole-run golden record never exist in memory (the golden run
+    /// is checkpointed every `K` cycles, [`TracePolicy::Checkpoint`]). The resulting [`StreamedCampaign`] produces the
     /// same per-technique [`EmulationReport`]s as a materialized
     /// campaign (a property the test suite enforces).
     ///
@@ -585,7 +585,7 @@ mod tests {
             &circuit,
             &tb,
             crate::controller::TimingConfig::default(),
-            TracePolicy::Dense,
+            TracePolicy::default(),
         );
         let path = std::env::temp_dir().join(format!(
             "seugrade-emulation-resume-{}.ckpt",
@@ -600,7 +600,7 @@ mod tests {
             &circuit,
             &tb,
             crate::controller::TimingConfig::default(),
-            TracePolicy::Dense,
+            TracePolicy::default(),
             &opts,
         )
         .unwrap();
@@ -611,7 +611,7 @@ mod tests {
             &circuit,
             &tb,
             crate::controller::TimingConfig::default(),
-            TracePolicy::Dense,
+            TracePolicy::default(),
             &ResumeOptions::resume_from(&path),
         )
         .unwrap();
@@ -630,7 +630,7 @@ mod tests {
         let circuit = generators::lfsr(10, &[9, 6]);
         let tb = Testbench::constant_low(0, 30);
         let materialized = AutonomousCampaign::new(&circuit, &tb);
-        for policy in [TracePolicy::Dense, TracePolicy::Checkpoint(8)] {
+        for policy in [TracePolicy::Checkpoint(1), TracePolicy::Checkpoint(8)] {
             let streamed = AutonomousCampaign::streamed(
                 &circuit,
                 &tb,

@@ -236,7 +236,7 @@ pub fn run_state_scan(circuit: &Netlist, tb: &Testbench) -> Vec<GateVerdict> {
                     rig.clock();
                 }
                 rig.clear_controls();
-                if end_state == golden.final_state() {
+                if end_state == golden.state_at(n_cycles) {
                     GateVerdict::Silent(None)
                 } else {
                     GateVerdict::Latent

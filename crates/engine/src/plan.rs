@@ -157,7 +157,7 @@ impl<'a> CampaignPlan<'a> {
     /// Starts a plan for one circuit / test-bench pair.
     ///
     /// Defaults: exhaustive fault list, all three techniques,
-    /// [`ShardPolicy::auto`], [`TracePolicy::Dense`],
+    /// [`ShardPolicy::auto`], [`TracePolicy::default`] (`checkpoint:64`),
     /// [`Collapse::Early`], a
     /// [`DEFAULT_WINDOW_CACHE_SPANS`]-span golden span cache per run,
     /// [`Kernel::Auto`].
@@ -169,7 +169,7 @@ impl<'a> CampaignPlan<'a> {
             source: FaultSource::Exhaustive,
             techniques: Technique::ALL.to_vec(),
             policy: ShardPolicy::auto(),
-            trace_policy: TracePolicy::Dense,
+            trace_policy: TracePolicy::default(),
             collapse: Collapse::Early,
             window_cache: DEFAULT_WINDOW_CACHE_SPANS,
             kernel: Kernel::Auto,
@@ -316,7 +316,7 @@ impl<'a> CampaignPlanBuilder<'a> {
         self.policy(ShardPolicy::with_threads(threads))
     }
 
-    /// Sets the golden-trace storage policy
+    /// Sets the golden-trace checkpoint interval
     /// ([`TracePolicy::Checkpoint`] bounds golden memory at
     /// `O(FFs × cycles / K)`; verdicts never change).
     ///

@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 
 use seugrade_faultsim::{Fault, FaultClass};
 use seugrade_netlist::{CellKind, Netlist};
-use seugrade_sim::{Testbench, TracePolicy};
+use seugrade_sim::Testbench;
 
 use crate::cancel::CancelToken;
 use crate::plan::{CampaignPlan, FaultSource, Technique};
@@ -300,7 +300,7 @@ pub struct Fingerprint {
     /// Fault-source label (`exhaustive`, `sampled:<count>:<seed>`,
     /// `list:<len>:<digest>`).
     pub source: String,
-    /// Trace-policy label (`dense`, `checkpoint:<k>`).
+    /// Trace-policy label (`checkpoint:<k>`).
     pub trace_policy: String,
     /// Comma-joined technique tokens in plan order.
     pub techniques: String,
@@ -581,10 +581,10 @@ impl Checkpoint {
         let (_, source) = next("source")?;
         let source = source.to_owned();
 
-        let (ln, tp) = next("trace-policy")?;
-        if TracePolicy::from_label(tp).is_none() {
-            return Err(corrupt(ln, format!("unknown trace policy {tp:?}")));
-        }
+        // Like the source label, the trace-policy label is kept as
+        // written: a label no plan produces (such as a retired `dense`)
+        // is a `trace policy` mismatch on resume, not corruption.
+        let (_, tp) = next("trace-policy")?;
         let trace_policy = tp.to_owned();
 
         let (ln, toks) = next("techniques")?;

@@ -247,14 +247,14 @@ impl Engine {
     }
 
     /// Builds the runtime directly from a circuit / test-bench pair,
-    /// with a dense golden trace.
+    /// with the default golden-trace policy, [`TracePolicy::default`].
     ///
     /// # Panics
     ///
     /// Panics if the test bench width does not match the circuit.
     #[must_use]
     pub fn for_circuit(circuit: &Netlist, tb: &Testbench) -> Self {
-        Self::for_circuit_with_policy(circuit, tb, TracePolicy::Dense)
+        Self::for_circuit_with_policy(circuit, tb, TracePolicy::default())
     }
 
     /// Builds the runtime with an explicit [`TracePolicy`].
@@ -262,8 +262,8 @@ impl Engine {
     /// Under [`TracePolicy::Checkpoint`] the engine's golden-trace
     /// memory is `O(FFs × cycles / K)`, and shards read golden values as
     /// `K`-cycle bit spans from the run's one span store; verdicts are
-    /// bit-identical to the dense engine and to the serial reference
-    /// (the agreement suites enforce both).
+    /// bit-identical for every `K` and to the serial reference (the
+    /// agreement suites enforce both).
     ///
     /// # Panics
     ///
@@ -405,7 +405,7 @@ impl Engine {
     /// `O(threads × FFs)` on top of the golden trace, independent of
     /// `faults × cycles`.
     ///
-    /// Combined with [`TracePolicy::Checkpoint`] this is the
+    /// With the checkpointed golden trace ([`TracePolicy`]) this is the
     /// configuration that grades s5378-class circuits over multi-
     /// thousand-cycle benches without ever holding the campaign in RAM;
     /// the [digest](StreamedRun::digest) proves the verdicts
@@ -909,11 +909,11 @@ mod tests {
     }
 
     #[test]
-    fn streamed_checkpoint_engine_matches_dense_and_serial() {
+    fn streamed_checkpoint_engine_matches_serial() {
         use seugrade_sim::TracePolicy;
         let circuit = registry::build("b03s").unwrap();
         let tb = Testbench::random(circuit.num_inputs(), 40, 11);
-        let grader = Grader::new(&circuit, &tb);
+        let grader = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(1));
         let faults = FaultList::exhaustive(circuit.num_ffs(), 40);
         let serial = grader.run_serial(faults.as_slice());
         let serial_digest = StreamAccumulator::digest_of(faults.as_slice(), &serial);

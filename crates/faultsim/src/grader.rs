@@ -3,7 +3,6 @@
 use seugrade_netlist::Netlist;
 use seugrade_sim::{
     BitCache, CompiledSim, DiffScratch, GoldenTrace, Kernel, SimState, Testbench, TracePolicy,
-    TraceWindow,
 };
 
 use crate::{Fault, FaultClass, FaultOutcome};
@@ -145,34 +144,32 @@ impl GradeScratch {
 ///
 /// # Golden-trace storage
 ///
-/// The chunk walkers read the golden run as bit-packed spans through a
-/// [`BitCache`], replayed from the trace under every [`TracePolicy`];
-/// the serial reference reads bounded [`TraceWindow`]s instead. With
-/// [`TracePolicy::Dense`] (the [`new`](Self::new) default) windows
-/// borrow the stored trace, with [`TracePolicy::Checkpoint`]
-/// ([`with_policy`](Self::with_policy)) the trace keeps only every
-/// `K`-th state — memory `O(FFs × cycles / K)` instead of
-/// `O(FFs × cycles)`, at the cost of replaying the golden machine per
-/// span. Verdicts are bit-identical across policies (enforced by the
-/// agreement suites).
+/// The trace keeps only every `K`-th flip-flop state — memory
+/// `O(FFs × cycles / K)` instead of `O(FFs × cycles)`, at the cost of
+/// replaying the golden machine per span. The chunk walkers read it as
+/// bit-packed spans through a [`BitCache`]; the serial reference runs
+/// the golden machine beside the faulty one, seeded from the checkpoint
+/// before the injection. `K` is
+/// [`TracePolicy::default`] (64) under [`new`](Self::new), or chosen
+/// with [`with_policy`](Self::with_policy). Verdicts are bit-identical
+/// for every `K` (enforced by the agreement suites).
 #[derive(Debug)]
 pub struct Grader {
     sim: CompiledSim,
     tb: Testbench,
     golden: GoldenTrace,
-    policy: TracePolicy,
 }
 
 impl Grader {
-    /// Builds the grader with a dense golden trace (runs the golden
-    /// reference once).
+    /// Builds the grader with the default golden-trace policy,
+    /// [`TracePolicy::default`] (runs the golden reference once).
     ///
     /// # Panics
     ///
     /// Panics if the test bench width does not match the netlist's inputs.
     #[must_use]
     pub fn new(netlist: &Netlist, tb: &Testbench) -> Self {
-        Self::with_policy(netlist, tb, TracePolicy::Dense)
+        Self::with_policy(netlist, tb, TracePolicy::default())
     }
 
     /// Builds the grader with an explicit golden-trace storage policy.
@@ -190,7 +187,7 @@ impl Grader {
         );
         let sim = CompiledSim::new(netlist);
         let golden = sim.run_golden_with(tb, policy);
-        Grader { sim, tb: tb.clone(), golden, policy }
+        Grader { sim, tb: tb.clone(), golden }
     }
 
     /// The golden reference trace.
@@ -202,35 +199,19 @@ impl Grader {
     /// The golden-trace storage policy this grader was built with.
     #[must_use]
     pub fn trace_policy(&self) -> TracePolicy {
-        self.policy
+        self.golden.policy()
     }
 
-    /// The golden window the serial loops start from for an injection at
-    /// cycle `t`: the whole trace under `Dense` (borrowed, zero copy),
-    /// the checkpoint-aligned `K`-cycle span containing `t` under
-    /// `Checkpoint(K)`.
-    pub(crate) fn first_window(&self, t: usize) -> TraceWindow<'_> {
-        let n = self.tb.num_cycles();
-        let (start, end) = match self.policy {
-            TracePolicy::Dense => (0, n),
-            TracePolicy::Checkpoint(k) => {
-                let start = t - t % k;
-                (start, (start + k).min(n))
-            }
-        };
-        self.golden.window(&self.sim, &self.tb, start, end)
-    }
-
-    /// The window following `win` (checkpoint-aligned, so the underlying
-    /// replay starts exactly at a stored checkpoint).
-    pub(crate) fn next_window(&self, win: &TraceWindow<'_>) -> TraceWindow<'_> {
-        let n = self.tb.num_cycles();
-        let start = win.end();
-        let end = match self.policy {
-            TracePolicy::Dense => n,
-            TracePolicy::Checkpoint(k) => (start + k).min(n),
-        };
-        self.golden.window(&self.sim, &self.tb, start, end)
+    /// A simulation state with the golden machine at the start of cycle
+    /// `t` in every lane, replayed from the checkpoint at or before `t`.
+    /// The serial loops flip lane 0 and run lane 1 beside it as the
+    /// golden reference, so they replay only the `t mod K` cycles up to
+    /// the injection.
+    pub(crate) fn golden_lanes_at(&self, t: usize) -> SimState {
+        let seed = self.golden.window(&self.sim, &self.tb, t, t + 1);
+        let mut st = self.sim.new_state();
+        self.sim.load_state(&mut st, seed.state_at(t));
+        st
     }
 
     /// The compiled simulator (shared with emulation models).
@@ -249,11 +230,11 @@ impl Grader {
     // Serial engine (reference implementation)
     // ------------------------------------------------------------------
 
-    /// Grades one fault with the straightforward serial algorithm.
-    ///
-    /// The golden run is consumed through bounded windows, so this works
-    /// — and produces bit-identical verdicts — under every
-    /// [`TracePolicy`].
+    /// Grades one fault with the straightforward serial algorithm: lane 0
+    /// of one simulation word runs the faulty machine and lane 1 the
+    /// golden one, both seeded from the golden state at the injection
+    /// cycle, and they are compared every cycle. Verdicts are
+    /// bit-identical under every [`TracePolicy`].
     ///
     /// # Panics
     ///
@@ -279,19 +260,14 @@ impl Grader {
         let n_cycles = self.tb.num_cycles();
         let t = fault.cycle as usize;
         assert!(t < n_cycles, "fault cycle out of range");
-        let mut win = self.first_window(t);
-        let mut st = self.sim.new_state();
-        self.sim.load_state(&mut st, win.state_at(t));
+        let mut st = self.golden_lanes_at(t);
         self.sim.flip_ff_lane(&mut st, fault.ff, 0);
         let mut verdict = FaultOutcome::latent();
         let mut decided = false;
         for u in t..n_cycles {
-            if u >= win.end() {
-                win = self.next_window(&win);
-            }
             self.sim.set_inputs(&mut st, self.tb.cycle(u));
             self.sim.eval(&mut st);
-            if !decided && self.sim.outputs_lane(&st, 0) != win.output_at(u) {
+            if !decided && self.sim.outputs_lane(&st, 0) != self.sim.outputs_lane(&st, 1) {
                 verdict = FaultOutcome::failure(u as u32);
                 decided = true;
             }
@@ -299,7 +275,7 @@ impl Grader {
                 return verdict;
             }
             self.sim.step(&mut st);
-            if !decided && self.sim.state_lane(&st, 0) == win.state_at(u + 1) {
+            if !decided && self.sim.state_lane(&st, 0) == self.sim.state_lane(&st, 1) {
                 verdict = FaultOutcome::silent(u as u32);
                 decided = true;
                 if collapse == Collapse::Early {
@@ -823,7 +799,7 @@ mod tests {
             .find(|&f| f.cycle > 5 && serial.classify_serial(f).class == FaultClass::Latent)
             .expect("a late latent fault");
         let quiet = [Fault::new(FfIndex::new(0), 0), latent];
-        for policy in [TracePolicy::Dense, TracePolicy::Checkpoint(1), TracePolicy::Checkpoint(4)] {
+        for policy in [1, 4, 64].map(TracePolicy::Checkpoint) {
             let g = Grader::with_policy(&n, &tb, policy);
             for kernel in Kernel::CONCRETE {
                 for collapse in [Collapse::Early, Collapse::Horizon] {
@@ -849,14 +825,15 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_policy_matches_dense_verdicts() {
+    fn checkpoint_intervals_agree_on_verdicts() {
         use seugrade_sim::TracePolicy;
         for name in ["b03s", "b06s"] {
             let n = seugrade_circuits::registry::build(name).unwrap();
             let tb = Testbench::random(n.num_inputs(), 25, 19);
-            let dense = Grader::new(&n, &tb);
+            // `Checkpoint(1)` puts every cycle on a span edge.
+            let every = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(1));
             let faults = FaultList::exhaustive(n.num_ffs(), 25);
-            let reference = dense.run_serial(faults.as_slice());
+            let reference = every.run_serial(faults.as_slice());
             // K smaller than, dividing, not dividing, and exceeding the
             // bench length — every window geometry.
             for k in [1, 3, 5, 25, 64] {
@@ -874,15 +851,14 @@ mod tests {
         use seugrade_sim::TracePolicy;
         let n = seugrade_circuits::registry::build("b03s").unwrap();
         let tb = Testbench::random(n.num_inputs(), 128, 3);
-        let dense = Grader::new(&n, &tb);
         let cp = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(16));
         // 128/16 + 1 checkpoints (+ the end state) vs 129 full states
         // plus all outputs: an order of magnitude, growing with cycles.
+        let dense = cp.golden().dense_equivalent_bits();
         assert!(
-            cp.golden().stored_bits() * 8 < dense.golden().stored_bits(),
-            "checkpointed {} bits vs dense {} bits",
+            cp.golden().stored_bits() * 8 < dense,
+            "checkpointed {} bits vs dense equivalent {dense} bits",
             cp.golden().stored_bits(),
-            dense.golden().stored_bits()
         );
     }
 
@@ -918,7 +894,7 @@ mod tests {
         let n = seugrade_circuits::registry::build("b06s").unwrap();
         let tb = Testbench::random(n.num_inputs(), 25, 11);
         let faults = FaultList::exhaustive(n.num_ffs(), 25);
-        for policy in [TracePolicy::Dense, TracePolicy::Checkpoint(4)] {
+        for policy in [TracePolicy::Checkpoint(1), TracePolicy::Checkpoint(4)] {
             let g = Grader::with_policy(&n, &tb, policy);
             let reference = g.run_serial(faults.as_slice());
             for (i, &f) in faults.as_slice().iter().enumerate() {
@@ -980,17 +956,15 @@ mod tests {
     #[test]
     fn every_kernel_agrees_with_serial() {
         use seugrade_sim::TracePolicy;
-        // 70 cycles is a multiple of neither 4 nor the 64-cycle dense
-        // span, so both end on a short span; `Checkpoint(1)` puts every
-        // cycle on a span edge. Either way a silence at the last cycle
-        // is decided without a final state.
+        // 70 cycles is a multiple of neither 4 nor 64, so both end on a
+        // short span; `Checkpoint(1)` puts every cycle on a span edge.
+        // Either way a silence at the last cycle is decided without a
+        // final state.
         for (name, cycles) in [("b03s", 25), ("b06s", 25), ("b06s", 70)] {
             let n = seugrade_circuits::registry::build(name).unwrap();
             let tb = Testbench::random(n.num_inputs(), cycles, 31);
             let faults = FaultList::exhaustive(n.num_ffs(), cycles);
-            let policies =
-                [TracePolicy::Dense, TracePolicy::Checkpoint(1), TracePolicy::Checkpoint(4)];
-            for policy in policies {
+            for policy in [1, 4, 64].map(TracePolicy::Checkpoint) {
                 let g = Grader::with_policy(&n, &tb, policy);
                 let reference = g.run_serial(faults.as_slice());
                 for kernel in Kernel::CONCRETE {

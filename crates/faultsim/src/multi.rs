@@ -70,8 +70,8 @@ impl MultiFault {
 impl Grader {
     /// Grades one multi-bit fault with the serial engine (the same
     /// classification semantics as single faults; only injection
-    /// differs). Like the single-fault engines, the golden run is
-    /// consumed through bounded windows, so any
+    /// differs): lane 0 runs the faulty machine beside the golden one in
+    /// lane 1, as in [`classify_serial`](Self::classify_serial), so any
     /// [`TracePolicy`](seugrade_sim::TracePolicy) works.
     ///
     /// # Panics
@@ -83,23 +83,18 @@ impl Grader {
         let t = fault.cycle as usize;
         assert!(t < n_cycles, "fault cycle out of range");
         let sim = self.sim();
-        let mut win = self.first_window(t);
-        let mut st = sim.new_state();
-        sim.load_state(&mut st, win.state_at(t));
+        let mut st = self.golden_lanes_at(t);
         for &ff in &fault.ffs {
             sim.flip_ff_lane(&mut st, ff, 0);
         }
         for u in t..n_cycles {
-            if u >= win.end() {
-                win = self.next_window(&win);
-            }
             sim.set_inputs(&mut st, self.testbench().cycle(u));
             sim.eval(&mut st);
-            if sim.outputs_lane(&st, 0) != win.output_at(u) {
+            if sim.outputs_lane(&st, 0) != sim.outputs_lane(&st, 1) {
                 return FaultOutcome::failure(u as u32);
             }
             sim.step(&mut st);
-            if sim.state_lane(&st, 0) == win.state_at(u + 1) {
+            if sim.state_lane(&st, 0) == sim.state_lane(&st, 1) {
                 return FaultOutcome::silent(u as u32);
             }
         }
@@ -190,10 +185,10 @@ mod tests {
         use seugrade_sim::TracePolicy;
         let circuit = generators::lfsr(6, &[5, 2]);
         let tb = Testbench::constant_low(0, 20);
-        let dense = Grader::new(&circuit, &tb);
+        let every = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(1));
         let faults = MultiFault::adjacent_pairs(6, 20, 2);
-        let reference = dense.run_multi(&faults);
-        for k in [1, 7, 20, 32] {
+        let reference = every.run_multi(&faults);
+        for k in [7, 20, 32, 64] {
             let cp = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(k));
             assert_eq!(cp.run_multi(&faults), reference, "K={k}");
         }

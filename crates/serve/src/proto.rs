@@ -63,7 +63,8 @@ pub struct JobSpec {
     /// `Some(n)`: grade a seeded uniform sample of `n` faults instead
     /// of the exhaustive `flip-flops × cycles` space.
     pub sample: Option<usize>,
-    /// Golden-trace storage policy.
+    /// Golden-trace checkpoint interval ([`TracePolicy::default`] unless
+    /// the request names one).
     pub trace_policy: TracePolicy,
     /// Early fault collapse on (`Early`) or off (`Horizon`).
     pub collapse: Collapse,
@@ -82,7 +83,7 @@ impl JobSpec {
             vectors: DEFAULT_VECTORS,
             seed: DEFAULT_SEED,
             sample: None,
-            trace_policy: TracePolicy::Dense,
+            trace_policy: TracePolicy::default(),
             collapse: Collapse::Early,
             threads: 1,
             round: DEFAULT_ROUND,
@@ -185,13 +186,13 @@ impl JobSpec {
             Some(_) => Some(count_field("sample", 1)?),
         };
         let trace_policy = match v.get("trace_policy") {
-            None => TracePolicy::Dense,
+            None => TracePolicy::default(),
             Some(p) => {
                 let label = p
                     .as_str()
                     .ok_or_else(|| bad("job.trace_policy must be a string".to_owned()))?;
                 TracePolicy::from_label(label).ok_or_else(|| {
-                    bad(format!("job.trace_policy expects dense|checkpoint:<K>, got {label:?}"))
+                    bad(format!("job.trace_policy expects checkpoint:<K>, got {label:?}"))
                 })?
             }
         };

@@ -51,8 +51,7 @@
 //! nor seeded: these **look-ahead** lanes capture nothing and snapshot
 //! their flip-flop state every `ceil(K / 8)` cycles into the store's
 //! seed table. A later pass replays each seeded span as up to 8 lanes of
-//! `ceil(K / 8)` cycles, so it runs an eighth of the steps. Dense traces
-//! store every cycle's state and slice without look-ahead. The table
+//! `ceil(K / 8)` cycles, so it runs an eighth of the steps. The table
 //! holds at most 63 spans' seeds (`63 × 8 × FFs` bits, one pass's free
 //! lanes), an entry leaves it when its span is replayed, and a
 //! capacity-0 store keeps none.
@@ -62,13 +61,12 @@
 //! lanes and [`CompiledSim::span_diff`] compares a settled cycle against
 //! the golden row.
 
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use seugrade_netlist::FfIndex;
 
-use crate::{tape, CompiledSim, GoldenTrace, SimState, Testbench, TracePolicy};
+use crate::{tape, CompiledSim, GoldenTrace, SimState, Testbench};
 
 /// Golden internal values for a contiguous cycle span, bit-packed: one
 /// bit per cell per cycle.
@@ -608,7 +606,7 @@ impl CompiledSim {
         let captures = lanes.iter().take_while(|l| l.capture.is_some()).count();
         debug_assert!(lanes[captures..].iter().all(|l| l.capture.is_none()));
         let mut st = self.new_state();
-        let seeds: Vec<&[u64]> = lanes.iter().map(|l| &*l.seed).collect();
+        let seeds: Vec<&[u64]> = lanes.iter().map(|l| l.seed).collect();
         self.load_ff_lanes(&mut st, &seeds);
         let stride = self.num_cells.div_ceil(64);
         let mut out: Vec<BitSpan> = spans
@@ -696,7 +694,7 @@ impl CompiledSim {
 #[derive(Debug)]
 struct ReplayLane<'a> {
     /// Golden flip-flop state at `cycles.start`, bit-packed.
-    seed: Cow<'a, [u64]>,
+    seed: &'a [u64],
     /// The cycles the lane replays.
     cycles: Range<usize>,
     /// `(span, row)`: the lane's rows go to span `span` from row `row`
@@ -796,23 +794,16 @@ struct Pass {
 }
 
 impl GoldenTrace {
-    /// Cycles per golden bit span: `K` under `Checkpoint(K)`, 64 under
-    /// `Dense` (bounding span memory the same way checkpoints do).
+    /// Cycles per golden bit span: the checkpoint interval `K`.
     fn bit_span_len(&self) -> usize {
-        match self.policy() {
-            TracePolicy::Dense => 64,
-            TracePolicy::Checkpoint(k) => k,
-        }
+        self.policy().interval()
     }
 
     /// The golden [`BitSpan`] containing cycle `t`, served through (and
     /// retained in) `cache`: zero-copy on a hit, replayed on a miss.
     ///
-    /// Spans are aligned to their length — `K` cycles under
-    /// `Checkpoint(K)`, 64 under `Dense`, the final one cut at the bench
-    /// end — so each seeds at its own start. Unlike value windows, bit
-    /// spans are replayed under **every** trace policy (internal gate
-    /// values are never stored).
+    /// Spans are the `K`-cycle checkpoint intervals, the final one cut
+    /// at the bench end, so each seeds at its own checkpoint.
     ///
     /// A miss replays the missing span together with the uncached spans
     /// after it, stopping at the first cached span or the bench end, in
@@ -821,11 +812,10 @@ impl GoldenTrace {
     /// spans.
     ///
     /// A span is cut into slices of `ceil(K / 8)` cycles. When the
-    /// state at every slice start is known — always under `Dense`,
-    /// under `Checkpoint(K)` for a span seeded in the store's seed
-    /// table (or short enough to be a single slice) — and all the
-    /// batch's slices fit in the 64 lanes, each slice replays in a lane
-    /// of its own and the pass runs `ceil(K / 8)` steps instead of `K`.
+    /// state at every slice start is known — for a span seeded in the
+    /// store's seed table, or short enough to be a single slice — and
+    /// all the batch's slices fit in the 64 lanes, each slice replays in
+    /// a lane of its own and the pass runs `ceil(K / 8)` steps instead of `K`.
     /// Otherwise every batch span replays whole, and the pass's idle
     /// lanes **look ahead**: they replay the next spans that are neither
     /// cached nor seeded, capture nothing, and snapshot their state at
@@ -866,17 +856,16 @@ impl GoldenTrace {
         let slice = len.div_ceil(8);
         let key = |start: usize| (start, (start + len).min(n));
         let slices = |(start, end): SpanKey| (end - start).div_ceil(slice);
-        let dense = self.policy() == TracePolicy::Dense;
         let limit = cache.batch_limit();
         // Look-ahead pays only where a span has more than one slice, and
         // only a retaining store keeps what it finds.
-        let look = cache.capacity > 0 && !dense && len > 1;
+        let look = cache.capacity > 0 && len > 1;
         cache.locked(|store| {
             let rest = (first + len..n).step_by(len).map(key);
             let uncached = rest.take_while(|&k| !store.cached(k));
             let batch: Vec<SpanKey> =
                 std::iter::once(key(first)).chain(uncached).take(limit).collect();
-            let known = |k: SpanKey| dense || slices(k) == 1 || store.seeded(k);
+            let known = |k: SpanKey| slices(k) == 1 || store.seeded(k);
             let lanes: usize = batch.iter().map(|&k| slices(k)).sum();
             let sliced = lanes <= 64 && batch.iter().all(|&k| known(k));
             let seeds = batch.iter().map(|&k| store.take_seed(k).unwrap_or_default()).collect();
@@ -920,7 +909,7 @@ impl GoldenTrace {
                 let seed = if i == 0 || seeds.is_empty() {
                     self.packed_state(from)
                 } else {
-                    Cow::Borrowed(&seeds[(i - 1) * words..i * words])
+                    &seeds[(i - 1) * words..i * words]
                 };
                 let cycles = from..(from + lane_len).min(end);
                 lanes.push(ReplayLane { seed, cycles, capture: Some((j, i * lane_len)) });
@@ -950,7 +939,7 @@ mod tests {
     use seugrade_netlist::NetlistBuilder;
 
     use super::*;
-    use crate::broadcast;
+    use crate::{broadcast, TracePolicy};
 
     /// A small sequential circuit with reconvergent fanout, masking
     /// paths and an inverter chain — enough structure to exercise cone
@@ -975,14 +964,11 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// A wider sequential circuit: three inputs and a 48-FF ring of
-    /// mixing gates, well over 128 cells, so span rows take several
-    /// words and the last one is partial.
-    fn ring() -> seugrade_netlist::Netlist {
-        ring_of(48)
-    }
-
-    /// A ring of `ffs` flip-flops, built like [`ring`].
+    /// A wider sequential circuit: three inputs and a ring of `ffs`
+    /// flip-flops joined by mixing gates. At 130 flip-flops it has well
+    /// over 128 cells, so span rows take several words and the last one
+    /// is partial, and its state stays live on random benches (a 48-FF
+    /// ring dies out to the all-zero state within its first 64 cycles).
     fn ring_of(ffs: usize) -> seugrade_netlist::Netlist {
         let mut b = NetlistBuilder::new("ring");
         let ins: Vec<_> = (0..3).map(|i| b.input(format!("i{i}"))).collect();
@@ -1015,10 +1001,10 @@ mod tests {
 
     #[test]
     fn bit_spans_match_golden_values() {
-        for n in [gadget(), ring()] {
+        for n in [gadget(), ring_of(130)] {
             let sim = crate::CompiledSim::new(&n);
             for (policy, len) in [
-                (TracePolicy::Dense, 64),
+                (TracePolicy::Checkpoint(64), 64),
                 (TracePolicy::Checkpoint(1), 1),
                 (TracePolicy::Checkpoint(5), 5),
             ] {
@@ -1113,7 +1099,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(j, span)| ReplayLane {
-                    seed: Cow::Borrowed(&[]),
+                    seed: &[],
                     cycles: span.start..span.end,
                     capture: Some((j, 0)),
                 })
@@ -1203,9 +1189,7 @@ mod tests {
 
     #[test]
     fn look_ahead_seeds_let_later_passes_replay_in_slices() {
-        // On this bench the 48-FF ring dies out to the all-zero state in
-        // its first span, so only the 130-FF ring, which stays live,
-        // checks the seeds bit by bit.
+        // The ring stays live, so the seeds are checked bit by bit.
         let live = ring_of(130);
         let sim = crate::CompiledSim::new(&live);
         let golden = brute_force_values(&sim, &Testbench::random(live.num_inputs(), 1024, 17));
@@ -1214,17 +1198,14 @@ mod tests {
             .map(|row| sim.ffs.iter().map(|&q| row[q as usize]).collect())
             .collect();
         assert!(states.len() > 700, "{} distinct states", states.len());
-        for n in [ring(), live] {
-            let policy = TracePolicy::Checkpoint(64);
-            let mut cache = forward_walk(&n, policy, 1024, BitCache::new(8));
-            // One full pass (64 steps) seeds spans 4..16; the three
-            // passes after it replay 4 spans each as 32 lanes of 8
-            // cycles.
-            assert_eq!(cache.misses(), 4);
-            assert_eq!(cache.replay_steps(), 64 + 3 * 8);
-            assert_eq!(cache.replayed_cycles(), 1024);
-            assert_eq!(cache.seeded(), 0, "every seed was used");
-        }
+        let policy = TracePolicy::Checkpoint(64);
+        let mut cache = forward_walk(&live, policy, 1024, BitCache::new(8));
+        // One full pass (64 steps) seeds spans 4..16; the three passes
+        // after it replay 4 spans each as 32 lanes of 8 cycles.
+        assert_eq!(cache.misses(), 4);
+        assert_eq!(cache.replay_steps(), 64 + 3 * 8);
+        assert_eq!(cache.replayed_cycles(), 1024);
+        assert_eq!(cache.seeded(), 0, "every seed was used");
     }
 
     #[test]
@@ -1238,8 +1219,9 @@ mod tests {
             (ck(1), 70, 8, 18, 18),
             // A short final span of 20 cycles replays as 3 slices.
             (ck(64), 1044, 8, 5, 64 + 4 * 8),
-            // Dense traces slice every pass without look-ahead.
-            (TracePolicy::Dense, 1024, 8, 4, 4 * 8),
+            // Capacity 16: one full pass of 8 spans seeds the other 8,
+            // which then fill all 64 lanes with slices.
+            (ck(64), 1024, 16, 2, 64 + 8),
             // Capacity 2: one span per pass, 15 look-ahead lanes.
             (ck(64), 1024, 2, 16, 64 + 15 * 8),
         ];
@@ -1304,7 +1286,7 @@ mod tests {
 
     #[test]
     fn replay_batches_stay_within_capacity_and_double_buffer() {
-        let n = ring();
+        let n = ring_of(130);
         let sim = crate::CompiledSim::new(&n);
         let tb = Testbench::random(n.num_inputs(), 64, 5);
         let trace = sim.run_golden_with(&tb, TracePolicy::Checkpoint(4));
@@ -1333,7 +1315,8 @@ mod tests {
         let n = gadget();
         let sim = crate::CompiledSim::new(&n);
         let tb = Testbench::random(1, 30, 42);
-        let trace = sim.run_golden(&tb);
+        let values = sim.run_golden(&tb);
+        let trace = sim.run_golden_with(&tb, TracePolicy::default());
         let mut cache = BitCache::new(2);
         let mut sc = sim.new_diff_scratch();
         for ff in 0..sim.num_ffs() {
@@ -1351,13 +1334,13 @@ mod tests {
                     sim.eval(&mut st);
                     let mut out_diff = 0u64;
                     for (o, w) in sim.outputs_raw(&st).iter().enumerate() {
-                        out_diff |= w ^ broadcast(trace.output_at(t)[o]);
+                        out_diff |= w ^ broadcast(values.output_at(t)[o]);
                     }
                     sim.step(&mut st);
                     let mut state_diff = 0u64;
                     for f in 0..sim.num_ffs() {
                         state_diff |= sim.ff_raw(&st, FfIndex::new(f))
-                            ^ broadcast(trace.state_at(t + 1)[f]);
+                            ^ broadcast(values.state_at(t + 1)[f]);
                     }
                     if t >= inject {
                         ref_trail.push((out_diff, state_diff));
@@ -1396,7 +1379,7 @@ mod tests {
         let n = b.finish().unwrap();
         let sim = crate::CompiledSim::new(&n);
         let tb = Testbench::constant_low(0, 8);
-        let trace = sim.run_golden(&tb);
+        let trace = sim.run_golden_with(&tb, TracePolicy::default());
         let mut cache = BitCache::new(1);
         let span = trace.bit_span_cached(&sim, &tb, 0, &mut cache);
         let mut sc = sim.new_diff_scratch();
@@ -1432,7 +1415,7 @@ mod tests {
         let n = b.finish().unwrap();
         let sim = crate::CompiledSim::new(&n);
         let tb = Testbench::constant_low(0, 8);
-        let trace = sim.run_golden(&tb);
+        let trace = sim.run_golden_with(&tb, TracePolicy::default());
         let mut cache = BitCache::new(1);
         let span = trace.bit_span_cached(&sim, &tb, 0, &mut cache);
         let mut sc = sim.new_diff_scratch();

@@ -2,7 +2,7 @@
 
 use seugrade_netlist::{CellKind, FfIndex, Netlist, SigId};
 
-use crate::{GoldenTrace, Testbench};
+use crate::{Testbench, TraceWindow};
 
 /// A straightforward event-driven two-valued simulator.
 ///
@@ -233,8 +233,9 @@ impl EventSim {
         self.events_processed
     }
 
-    /// Runs the full test bench from reset, capturing the golden trace.
-    pub fn run_golden(&mut self, tb: &Testbench) -> GoldenTrace {
+    /// Runs the full test bench from reset, recording every cycle's
+    /// outputs and state as one whole-run [`TraceWindow`].
+    pub fn run_golden(&mut self, tb: &Testbench) -> TraceWindow {
         self.reset();
         let mut outputs = Vec::with_capacity(tb.num_cycles());
         let mut states = Vec::with_capacity(tb.num_cycles() + 1);
@@ -245,7 +246,7 @@ impl EventSim {
             self.step();
             states.push(self.state());
         }
-        GoldenTrace::new_dense(outputs, states)
+        TraceWindow::new(0, outputs, states)
     }
 }
 

@@ -13,12 +13,12 @@
 //!
 //! - [`Testbench`] — per-cycle input vectors (with seeded random
 //!   generation via [`SplitMix64`]);
-//! - [`GoldenTrace`] — the fault-free reference run, stored under a
-//!   [`TracePolicy`]: dense (outputs + state trajectory for every cycle)
-//!   or checkpointed (full state every `K` cycles, everything else
+//! - [`GoldenTrace`] — the fault-free reference run, checkpointed under
+//!   a [`TracePolicy`] (full state every `K` cycles, everything else
 //!   replayed on demand into a bounded [`TraceWindow`] for the serial
 //!   reference) — the memory-bounded representation the streaming
-//!   campaign core grades against;
+//!   campaign core grades against. [`CompiledSim::run_golden`] records
+//!   a whole run as one [`TraceWindow`] for conformance checks;
 //! - [`BitSpan`] / [`BitCache`] — golden internal values bit-packed per
 //!   cycle span, replayed lane-parallel from the trace and held in one
 //!   store per grading run: the golden source of both faulty kernels;

@@ -1,6 +1,5 @@
-//! The fault-free reference ("golden") run: dense or checkpointed.
+//! The fault-free reference ("golden") run, checkpointed every `K` cycles.
 
-use std::borrow::Cow;
 use std::fmt;
 
 use crate::{CompiledSim, Testbench};
@@ -10,38 +9,33 @@ use crate::{CompiledSim, Testbench};
 /// The autonomous emulator never materializes the whole golden run: it
 /// checkpoints the flip-flop state periodically and regenerates anything
 /// else on demand (the time-mux technique's golden machine *is* such a
-/// rolling checkpoint). `TracePolicy` gives the software pipeline the
-/// same knob:
+/// rolling checkpoint). `TracePolicy` is the software form of it: the
+/// trace stores the full flip-flop state every `K` cycles
+/// (`O(FFs × cycles / K)` memory), and outputs and intermediate states
+/// are replayed by the compiled simulator from the nearest checkpoint,
+/// into bounded [`TraceWindow`]s or bit-packed spans.
 ///
-/// - [`Dense`](TracePolicy::Dense) — store outputs and states for every
-///   cycle (`O(FFs × cycles)` memory, zero-cost random access). The
-///   historical behaviour, preserved exactly.
-/// - [`Checkpoint(K)`](TracePolicy::Checkpoint) — store only the full
-///   flip-flop state every `K` cycles (`O(FFs × cycles / K)` memory).
-///   Outputs and intermediate states are reconstructed on demand by
-///   replaying the compiled simulator from the nearest checkpoint into a
-///   bounded [`TraceWindow`].
-///
-/// Both policies describe the *same* golden run; every consumer of a
-/// window sees bit-identical data whatever the policy (a property the
-/// agreement suites enforce through fault verdicts).
+/// Every interval describes the *same* golden run; every consumer sees
+/// bit-identical data whatever `K` is (a property the agreement suites
+/// enforce through fault verdicts). The default is `Checkpoint(64)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TracePolicy {
-    /// Full outputs + state trajectory, random access.
-    Dense,
     /// Full flip-flop state every `K` cycles; everything else replayed.
     Checkpoint(usize),
 }
 
+impl Default for TracePolicy {
+    fn default() -> Self {
+        TracePolicy::Checkpoint(64)
+    }
+}
+
 impl TracePolicy {
-    /// Parses a policy label: `dense` or `checkpoint:<K>` (K ≥ 1).
+    /// Parses a policy label: `checkpoint:<K>` (K ≥ 1).
     ///
     /// The inverse of [`label`](Self::label); used by CLI flags.
     #[must_use]
     pub fn from_label(s: &str) -> Option<Self> {
-        if s == "dense" {
-            return Some(TracePolicy::Dense);
-        }
         let k = s.strip_prefix("checkpoint:")?.parse::<usize>().ok()?;
         (k >= 1).then_some(TracePolicy::Checkpoint(k))
     }
@@ -49,10 +43,14 @@ impl TracePolicy {
     /// The label form parsed by [`from_label`](Self::from_label).
     #[must_use]
     pub fn label(&self) -> String {
-        match self {
-            TracePolicy::Dense => "dense".to_owned(),
-            TracePolicy::Checkpoint(k) => format!("checkpoint:{k}"),
-        }
+        format!("checkpoint:{}", self.interval())
+    }
+
+    /// The checkpoint interval `K`.
+    #[must_use]
+    pub fn interval(self) -> usize {
+        let TracePolicy::Checkpoint(k) = self;
+        k
     }
 }
 
@@ -62,76 +60,58 @@ impl fmt::Display for TracePolicy {
     }
 }
 
-/// The stored representation behind a [`GoldenTrace`].
-#[derive(Clone, PartialEq, Eq)]
-enum Repr {
-    /// `outputs[t]` = outputs during cycle `t`; `states[t]` = flip-flop
-    /// vector at the *start* of cycle `t` (`num_cycles + 1` entries, the
-    /// last being the end state).
-    Dense {
-        outputs: Vec<Vec<bool>>,
-        states: Vec<Vec<bool>>,
-    },
-    /// Checkpoint `i` = flip-flop vector at the start of cycle `i * K`,
-    /// bit-packed (flip-flop `64w + b` is bit `b` of word `w`, the
-    /// format of the span store's look-ahead seeds) and stored one after
-    /// the other in `checkpoints`, `ceil(FFs / 64)` words each; plus the
-    /// end-of-run state (needed by convergence checks at the final cycle
-    /// and by [`GoldenTrace::final_state`]).
-    Checkpoint {
-        interval: usize,
-        checkpoints: Vec<u64>,
-        final_state: Vec<bool>,
-    },
-}
-
 /// Captured golden run: the reference against which every faulty run is
 /// compared, and what the autonomous emulator stores in its campaign RAM
 /// (golden outputs for mask-scan/state-scan, golden states for
 /// state-scan's scan-in vectors).
 ///
-/// Produced by [`CompiledSim::run_golden`](crate::CompiledSim::run_golden)
-/// (dense) or
-/// [`CompiledSim::run_golden_with`](crate::CompiledSim::run_golden_with)
-/// (any [`TracePolicy`]). Random access
-/// ([`output_at`](Self::output_at)/[`state_at`](Self::state_at)) is only
-/// available under [`TracePolicy::Dense`]; checkpointed traces hand out
-/// bounded [`TraceWindow`]s via [`window`](Self::window) instead — the
-/// access pattern the streaming fault graders use under *both* policies.
+/// Produced by
+/// [`CompiledSim::run_golden_with`](crate::CompiledSim::run_golden_with).
+/// The trace holds the flip-flop state at every `K`-th cycle and at the
+/// end of the run; golden data is handed out as bounded
+/// [`TraceWindow`]s via [`window`](Self::window), or as bit-packed spans
+/// through a [`BitCache`](crate::BitCache), both replayed from the
+/// nearest checkpoint. A whole-run [`TraceWindow`] comes from
+/// [`CompiledSim::run_golden`](crate::CompiledSim::run_golden).
 #[derive(Clone, PartialEq, Eq)]
 pub struct GoldenTrace {
     num_outputs: usize,
-    num_ffs: usize,
     num_cycles: usize,
-    repr: Repr,
+    interval: usize,
+    /// Checkpoint `i` = flip-flop vector at the start of cycle `i * K`,
+    /// bit-packed (flip-flop `64w + b` is bit `b` of word `w`, the
+    /// format of the span store's look-ahead seeds), stored one after
+    /// the other, `ceil(FFs / 64)` words each.
+    checkpoints: Vec<u64>,
+    /// The end-of-run state (needed by convergence checks at the final
+    /// cycle and by [`final_state`](Self::final_state)).
+    final_state: Vec<bool>,
 }
 
-/// A contiguous span of golden data: outputs for cycles
-/// `start..end` and states for `start..=end`.
+/// A contiguous span of golden values: outputs for cycles `start..end`
+/// and states for `start..=end`.
 ///
-/// Under [`TracePolicy::Dense`] a window borrows the trace (zero copy);
-/// under [`TracePolicy::Checkpoint`] it owns data replayed from the
-/// nearest checkpoint. Either way, accessors take **absolute** cycle
-/// indices, so grading code is window-position agnostic.
-#[derive(Clone, Debug)]
-pub struct TraceWindow<'a> {
+/// [`GoldenTrace::window`] replays one from the nearest checkpoint;
+/// [`CompiledSim::run_golden`](crate::CompiledSim::run_golden) and
+/// [`EventSim::run_golden`](crate::EventSim::run_golden) record a whole
+/// run as one. Accessors take **absolute** cycle indices, so grading
+/// code is window-position agnostic.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TraceWindow {
     start: usize,
-    data: WindowData<'a>,
+    outputs: Vec<Vec<bool>>,
+    states: Vec<Vec<bool>>,
 }
 
-#[derive(Clone, Debug)]
-enum WindowData<'a> {
-    Borrowed {
-        outputs: &'a [Vec<bool>],
-        states: &'a [Vec<bool>],
-    },
-    Owned {
-        outputs: Vec<Vec<bool>>,
-        states: Vec<Vec<bool>>,
-    },
-}
+impl TraceWindow {
+    /// A window starting at cycle `start`: `outputs[i]` = outputs during
+    /// cycle `start + i`, `states[i]` = flip-flop vector at the start of
+    /// cycle `start + i` (one more state than outputs).
+    pub(crate) fn new(start: usize, outputs: Vec<Vec<bool>>, states: Vec<Vec<bool>>) -> Self {
+        assert_eq!(states.len(), outputs.len() + 1, "trace shape mismatch");
+        TraceWindow { start, outputs, states }
+    }
 
-impl TraceWindow<'_> {
     /// First cycle covered by the window.
     #[must_use]
     pub fn start(&self) -> usize {
@@ -142,11 +122,7 @@ impl TraceWindow<'_> {
     /// `start()..end()`, states for `start()..=end()`.
     #[must_use]
     pub fn end(&self) -> usize {
-        let n = match &self.data {
-            WindowData::Borrowed { outputs, .. } => outputs.len(),
-            WindowData::Owned { outputs, .. } => outputs.len(),
-        };
-        self.start + n
+        self.start + self.outputs.len()
     }
 
     /// Outputs observed during (absolute) cycle `t`.
@@ -162,10 +138,7 @@ impl TraceWindow<'_> {
             self.start,
             self.end()
         );
-        match &self.data {
-            WindowData::Borrowed { outputs, .. } => &outputs[t - self.start],
-            WindowData::Owned { outputs, .. } => &outputs[t - self.start],
-        }
+        &self.outputs[t - self.start]
     }
 
     /// Flip-flop state at the start of (absolute) cycle `t`;
@@ -182,25 +155,12 @@ impl TraceWindow<'_> {
             self.start,
             self.end()
         );
-        match &self.data {
-            WindowData::Borrowed { states, .. } => &states[t - self.start],
-            WindowData::Owned { states, .. } => &states[t - self.start],
-        }
+        &self.states[t - self.start]
     }
 }
 
 impl GoldenTrace {
-    pub(crate) fn new_dense(outputs: Vec<Vec<bool>>, states: Vec<Vec<bool>>) -> Self {
-        assert_eq!(states.len(), outputs.len() + 1, "trace shape mismatch");
-        GoldenTrace {
-            num_outputs: outputs.first().map_or(0, Vec::len),
-            num_ffs: states.first().map_or(0, Vec::len),
-            num_cycles: outputs.len(),
-            repr: Repr::Dense { outputs, states },
-        }
-    }
-
-    pub(crate) fn new_checkpoint(
+    pub(crate) fn new(
         num_outputs: usize,
         num_cycles: usize,
         interval: usize,
@@ -213,12 +173,7 @@ impl GoldenTrace {
             (num_cycles / interval + 1) * final_state.len().div_ceil(64),
             "checkpoint count mismatch"
         );
-        GoldenTrace {
-            num_outputs,
-            num_ffs: final_state.len(),
-            num_cycles,
-            repr: Repr::Checkpoint { interval, checkpoints, final_state },
-        }
+        GoldenTrace { num_outputs, num_cycles, interval, checkpoints, final_state }
     }
 
     /// Number of test-bench cycles in the trace.
@@ -236,73 +191,25 @@ impl GoldenTrace {
     /// Number of flip-flops.
     #[must_use]
     pub fn num_ffs(&self) -> usize {
-        self.num_ffs
+        self.final_state.len()
     }
 
     /// The storage policy this trace was captured under.
     #[must_use]
     pub fn policy(&self) -> TracePolicy {
-        match &self.repr {
-            Repr::Dense { .. } => TracePolicy::Dense,
-            Repr::Checkpoint { interval, .. } => TracePolicy::Checkpoint(*interval),
-        }
+        TracePolicy::Checkpoint(self.interval)
     }
 
-    /// Outputs observed during cycle `t`.
-    ///
-    /// Random access requires [`TracePolicy::Dense`]; checkpointed
-    /// traces serve data through [`window`](Self::window).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t >= num_cycles()` or the trace is checkpointed.
-    #[must_use]
-    pub fn output_at(&self, t: usize) -> &[bool] {
-        match &self.repr {
-            Repr::Dense { outputs, .. } => &outputs[t],
-            Repr::Checkpoint { .. } => {
-                panic!("output_at requires TracePolicy::Dense; use window()")
-            }
-        }
-    }
-
-    /// Flip-flop state at the start of cycle `t`; `t = num_cycles()`
-    /// gives the end-of-run state.
-    ///
-    /// Random access requires [`TracePolicy::Dense`]; checkpointed
-    /// traces serve data through [`window`](Self::window).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t > num_cycles()` or the trace is checkpointed.
-    #[must_use]
-    pub fn state_at(&self, t: usize) -> &[bool] {
-        match &self.repr {
-            Repr::Dense { states, .. } => &states[t],
-            Repr::Checkpoint { .. } => {
-                panic!("state_at requires TracePolicy::Dense; use window()")
-            }
-        }
-    }
-
-    /// The state after the last cycle (available under every policy).
+    /// The state after the last cycle.
     #[must_use]
     pub fn final_state(&self) -> &[bool] {
-        match &self.repr {
-            Repr::Dense { states, .. } => {
-                states.last().expect("trace has at least the initial state")
-            }
-            Repr::Checkpoint { final_state, .. } => final_state,
-        }
+        &self.final_state
     }
 
     /// A window of golden data covering cycles `start..end` (outputs)
-    /// and `start..=end` (states).
-    ///
-    /// Under [`TracePolicy::Dense`] the window borrows the stored trace;
-    /// under [`TracePolicy::Checkpoint`] it is reconstructed by replaying
-    /// `sim` from the nearest stored checkpoint — `sim` and `tb` must be
-    /// the pair the trace was captured from (same compiled circuit, same
+    /// and `start..=end` (states), reconstructed by replaying `sim` from
+    /// the nearest stored checkpoint — `sim` and `tb` must be the pair
+    /// the trace was captured from (same compiled circuit, same
     /// stimuli), which the graders guarantee by construction.
     ///
     /// # Panics
@@ -310,52 +217,35 @@ impl GoldenTrace {
     /// Panics if `start >= end`, `end > num_cycles()`, or `sim`/`tb`
     /// dimensions do not match the trace.
     #[must_use]
-    pub fn window<'a>(
-        &'a self,
+    pub fn window(
+        &self,
         sim: &CompiledSim,
         tb: &Testbench,
         start: usize,
         end: usize,
-    ) -> TraceWindow<'a> {
+    ) -> TraceWindow {
         assert!(start < end, "empty trace window {start}..{end}");
         assert!(end <= self.num_cycles, "window end {end} beyond trace");
-        assert_eq!(sim.num_ffs(), self.num_ffs, "window sim flip-flop count");
+        assert_eq!(sim.num_ffs(), self.num_ffs(), "window sim flip-flop count");
         assert_eq!(sim.num_outputs(), self.num_outputs, "window sim output count");
         assert_eq!(tb.num_cycles(), self.num_cycles, "window test-bench length");
-        match &self.repr {
-            Repr::Dense { outputs, states } => TraceWindow {
-                start,
-                data: WindowData::Borrowed {
-                    outputs: &outputs[start..end],
-                    states: &states[start..=end],
-                },
-            },
-            Repr::Checkpoint { interval, .. } => {
-                let from = start - start % interval;
-                let seed = unpack_bits(&self.packed_state(from), self.num_ffs);
-                let (outputs, states) = sim.replay_span(tb, &seed, from, start, end);
-                TraceWindow { start, data: WindowData::Owned { outputs, states } }
-            }
-        }
+        let from = start - start % self.interval;
+        let seed = unpack_bits(self.packed_state(from), self.num_ffs());
+        sim.replay_span(tb, &seed, from, start, end)
     }
 
-    /// The golden flip-flop state at the start of cycle `t`, bit-packed
-    /// (flip-flop `64w + b` is bit `b` of word `w`) — a replay seed.
-    /// Borrowed from a checkpoint, packed from a dense trace's state.
+    /// The checkpointed golden flip-flop state at the start of cycle
+    /// `t`, bit-packed (flip-flop `64w + b` is bit `b` of word `w`) — a
+    /// replay seed.
     ///
     /// # Panics
     ///
-    /// Panics if `t > num_cycles()`, or the trace is checkpointed and
-    /// `t` is not a multiple of its interval.
-    pub(crate) fn packed_state(&self, t: usize) -> Cow<'_, [u64]> {
-        match &self.repr {
-            Repr::Dense { states, .. } => Cow::Owned(pack_bits(&states[t])),
-            Repr::Checkpoint { interval, checkpoints, .. } => {
-                assert_eq!(t % interval, 0, "cycle {t} is not a checkpoint");
-                let words = self.num_ffs.div_ceil(64);
-                Cow::Borrowed(&checkpoints[t / interval * words..][..words])
-            }
-        }
+    /// Panics if `t > num_cycles()` or `t` is not a multiple of the
+    /// checkpoint interval.
+    pub(crate) fn packed_state(&self, t: usize) -> &[u64] {
+        assert_eq!(t % self.interval, 0, "cycle {t} is not a checkpoint");
+        let words = self.num_ffs().div_ceil(64);
+        &self.checkpoints[t / self.interval * words..][..words]
     }
 
     /// Golden-output storage in bits as the *emulator* sees it:
@@ -372,36 +262,25 @@ impl GoldenTrace {
     /// per-fault scan-in vectors).
     #[must_use]
     pub fn golden_state_bits(&self) -> u64 {
-        self.num_ffs as u64 * self.num_cycles as u64
+        self.num_ffs() as u64 * self.num_cycles as u64
     }
 
-    /// Bits a [`TracePolicy::Dense`] trace of this run would store —
-    /// the baseline the checkpoint policies'
-    /// [`stored_bits`](Self::stored_bits) are compared against:
-    /// per-cycle outputs plus the `num_cycles + 1` flip-flop vectors of
-    /// the state trajectory.
+    /// Bits a whole-run record of this run would hold — per-cycle
+    /// outputs plus the `num_cycles + 1` flip-flop vectors of the state
+    /// trajectory, as a [`TraceWindow`] over the whole run holds them:
+    /// the emulator-RAM baseline that [`stored_bits`](Self::stored_bits)
+    /// is compared against.
     #[must_use]
     pub fn dense_equivalent_bits(&self) -> u64 {
-        self.golden_output_bits() + self.num_ffs as u64 * (self.num_cycles as u64 + 1)
+        self.golden_output_bits() + self.num_ffs() as u64 * (self.num_cycles as u64 + 1)
     }
 
-    /// Bits this trace actually stores in host memory under its policy:
-    /// `(FFs + outputs) × cycles` for dense, `FFs × (cycles / K + 2)` for
-    /// `Checkpoint(K)` — the `O(FFs × cycles / K)` bound the streaming
-    /// campaign core is built on.
+    /// Bits this trace actually stores in host memory:
+    /// `FFs × (cycles / K + 2)` — the `O(FFs × cycles / K)` bound the
+    /// streaming campaign core is built on.
     #[must_use]
     pub fn stored_bits(&self) -> u64 {
-        match &self.repr {
-            Repr::Dense { outputs, states } => {
-                let o: usize = outputs.iter().map(Vec::len).sum();
-                let s: usize = states.iter().map(Vec::len).sum();
-                (o + s) as u64
-            }
-            Repr::Checkpoint { interval, final_state, .. } => {
-                let stored = self.num_cycles / interval + 2;
-                (stored * final_state.len()) as u64
-            }
-        }
+        ((self.num_cycles / self.interval + 2) * self.num_ffs()) as u64
     }
 }
 
@@ -423,7 +302,7 @@ impl fmt::Debug for GoldenTrace {
         f.debug_struct("GoldenTrace")
             .field("num_cycles", &self.num_cycles())
             .field("num_outputs", &self.num_outputs)
-            .field("num_ffs", &self.num_ffs)
+            .field("num_ffs", &self.num_ffs())
             .field("policy", &self.policy())
             .finish()
     }
@@ -435,8 +314,9 @@ mod tests {
 
     use super::*;
 
-    fn toy_trace() -> GoldenTrace {
-        GoldenTrace::new_dense(
+    fn toy_window() -> TraceWindow {
+        TraceWindow::new(
+            3,
             vec![vec![false, true], vec![true, true]],
             vec![vec![false], vec![true], vec![false]],
         )
@@ -463,76 +343,71 @@ mod tests {
         // Shared read-only across the engine's worker threads.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<GoldenTrace>();
-        assert_send_sync::<TraceWindow<'_>>();
+        assert_send_sync::<TraceWindow>();
     }
 
     #[test]
     fn accessors() {
-        let t = toy_trace();
-        assert_eq!(t.num_cycles(), 2);
-        assert_eq!(t.num_outputs(), 2);
-        assert_eq!(t.num_ffs(), 1);
-        assert_eq!(t.output_at(1), &[true, true]);
-        assert_eq!(t.state_at(0), &[false]);
-        assert_eq!(t.final_state(), &[false]);
-        assert_eq!(t.golden_output_bits(), 4);
-        assert_eq!(t.golden_state_bits(), 2);
-        assert_eq!(t.policy(), TracePolicy::Dense);
+        let w = toy_window();
+        assert_eq!((w.start(), w.end()), (3, 5));
+        assert_eq!(w.output_at(4), &[true, true]);
+        assert_eq!(w.state_at(3), &[false]);
+        assert_eq!(w.state_at(5), &[false]);
+        let n = counter3();
+        let sim = crate::CompiledSim::new(&n);
+        let t = sim.run_golden_with(&Testbench::constant_low(0, 10), TracePolicy::Checkpoint(4));
+        assert_eq!(t.num_cycles(), 10);
+        assert_eq!(t.num_outputs(), 3);
+        assert_eq!(t.num_ffs(), 3);
+        assert_eq!(t.final_state(), &[false, true, false]);
+        assert_eq!(t.golden_output_bits(), 30);
+        assert_eq!(t.golden_state_bits(), 30);
+        assert_eq!(t.policy(), TracePolicy::Checkpoint(4));
     }
 
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn shape_mismatch_panics() {
-        let _ = GoldenTrace::new_dense(vec![vec![true]], vec![vec![false]]);
+        let _ = TraceWindow::new(0, vec![vec![true]], vec![vec![false]]);
     }
 
     #[test]
     fn policy_labels_round_trip() {
-        for p in [TracePolicy::Dense, TracePolicy::Checkpoint(1), TracePolicy::Checkpoint(64)] {
+        for p in [TracePolicy::Checkpoint(1), TracePolicy::Checkpoint(64)] {
             assert_eq!(TracePolicy::from_label(&p.label()), Some(p));
         }
         assert_eq!(TracePolicy::from_label("checkpoint:0"), None);
         assert_eq!(TracePolicy::from_label("checkpoint:"), None);
         assert_eq!(TracePolicy::from_label("sparse"), None);
+        assert_eq!(TracePolicy::from_label("dense"), None);
         assert_eq!(TracePolicy::Checkpoint(8).to_string(), "checkpoint:8");
+        assert_eq!(TracePolicy::default(), TracePolicy::Checkpoint(64));
     }
 
     #[test]
-    fn checkpoint_windows_match_dense_everywhere() {
+    fn checkpoint_windows_match_the_whole_run_everywhere() {
         let n = counter3();
         let sim = crate::CompiledSim::new(&n);
         let tb = Testbench::constant_low(0, 21);
-        let dense = sim.run_golden(&tb);
+        let run = sim.run_golden(&tb);
+        assert_eq!((run.start(), run.end()), (0, 21));
         for k in [1, 2, 3, 5, 8, 21, 100] {
             let cp = sim.run_golden_with(&tb, TracePolicy::Checkpoint(k));
             assert_eq!(cp.policy(), TracePolicy::Checkpoint(k));
-            assert_eq!(cp.final_state(), dense.final_state(), "K={k}");
+            assert_eq!(cp.final_state(), run.state_at(21), "K={k}");
             for start in 0..21 {
                 for end in start + 1..=21 {
                     let w = cp.window(&sim, &tb, start, end);
                     assert_eq!(w.start(), start);
                     assert_eq!(w.end(), end);
                     for t in start..end {
-                        assert_eq!(w.output_at(t), dense.output_at(t), "K={k} t={t}");
-                        assert_eq!(w.state_at(t), dense.state_at(t), "K={k} t={t}");
+                        assert_eq!(w.output_at(t), run.output_at(t), "K={k} t={t}");
+                        assert_eq!(w.state_at(t), run.state_at(t), "K={k} t={t}");
                     }
-                    assert_eq!(w.state_at(end), dense.state_at(end), "K={k} end={end}");
+                    assert_eq!(w.state_at(end), run.state_at(end), "K={k} end={end}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn dense_windows_borrow_the_trace() {
-        let n = counter3();
-        let sim = crate::CompiledSim::new(&n);
-        let tb = Testbench::constant_low(0, 8);
-        let dense = sim.run_golden(&tb);
-        let w = dense.window(&sim, &tb, 2, 6);
-        for t in 2..6 {
-            assert_eq!(w.output_at(t), dense.output_at(t));
-        }
-        assert_eq!(w.state_at(6), dense.state_at(6));
     }
 
     #[test]
@@ -540,28 +415,19 @@ mod tests {
         let n = counter3();
         let sim = crate::CompiledSim::new(&n);
         let tb = Testbench::constant_low(0, 64);
-        let dense = sim.run_golden(&tb);
         let cp = sim.run_golden_with(&tb, TracePolicy::Checkpoint(16));
-        // Dense: (3 outs + 3 ffs) * 64 cycles + 3 (end state).
-        assert_eq!(dense.stored_bits(), (3 + 3) * 64 + 3);
         // Checkpoint(16): 5 checkpoints (0,16,32,48,64... 64/16+1 = 5) + end.
         assert_eq!(cp.stored_bits(), 3 * (5 + 1));
+        // Checkpoint(1): every cycle's state, plus the end state.
+        let every = sim.run_golden_with(&tb, TracePolicy::Checkpoint(1));
+        assert_eq!(every.stored_bits(), 3 * (64 + 2));
         // Emulator-facing quantities are policy independent, and the
-        // dense-equivalent baseline matches what Dense actually stores.
-        assert_eq!(cp.golden_state_bits(), dense.golden_state_bits());
-        assert_eq!(cp.golden_output_bits(), dense.golden_output_bits());
-        assert_eq!(cp.dense_equivalent_bits(), dense.stored_bits());
-        assert_eq!(dense.dense_equivalent_bits(), dense.stored_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "requires TracePolicy::Dense")]
-    fn checkpoint_random_access_rejected() {
-        let n = counter3();
-        let sim = crate::CompiledSim::new(&n);
-        let tb = Testbench::constant_low(0, 8);
-        let cp = sim.run_golden_with(&tb, TracePolicy::Checkpoint(4));
-        let _ = cp.state_at(3);
+        // dense-equivalent baseline is what a whole-run window holds:
+        // (3 outs + 3 ffs) * 64 cycles + 3 (end state).
+        assert_eq!(cp.golden_state_bits(), every.golden_state_bits());
+        assert_eq!(cp.golden_output_bits(), every.golden_output_bits());
+        assert_eq!(cp.dense_equivalent_bits(), (3 + 3) * 64 + 3);
+        assert_eq!(every.dense_equivalent_bits(), cp.dense_equivalent_bits());
     }
 
     #[test]
@@ -570,7 +436,7 @@ mod tests {
         let n = counter3();
         let sim = crate::CompiledSim::new(&n);
         let tb = Testbench::constant_low(0, 8);
-        let g = sim.run_golden(&tb);
+        let g = sim.run_golden_with(&tb, TracePolicy::default());
         let _ = g.window(&sim, &tb, 3, 3);
     }
 
@@ -580,7 +446,7 @@ mod tests {
         let n = counter3();
         let sim = crate::CompiledSim::new(&n);
         let tb = Testbench::constant_low(0, 8);
-        let g = sim.run_golden(&tb);
+        let g = sim.run_golden_with(&tb, TracePolicy::default());
         let w = g.window(&sim, &tb, 2, 4);
         let _ = w.output_at(4);
     }

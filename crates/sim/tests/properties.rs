@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use seugrade_netlist::{FfIndex, GateKind, Netlist, NetlistBuilder, SigId};
-use seugrade_sim::{CompiledSim, EventSim, SplitMix64, Testbench};
+use seugrade_sim::{CompiledSim, EventSim, SplitMix64, Testbench, TracePolicy};
 
 /// Deterministic random circuit from a seed (acyclic by construction).
 fn random_netlist(seed: u64, num_inputs: usize, num_ffs: usize, num_gates: usize) -> Netlist {
@@ -137,12 +137,16 @@ proptest! {
     fn golden_trace_shape(seed in 0u64..10_000, cycles in 1usize..30) {
         let n = random_netlist(seed, 2, 3, 15);
         let tb = Testbench::random(2, cycles, seed);
-        let trace = CompiledSim::new(&n).run_golden(&tb);
+        let sim = CompiledSim::new(&n);
+        let run = sim.run_golden(&tb);
+        let trace = sim.run_golden_with(&tb, TracePolicy::default());
+        prop_assert_eq!((run.start(), run.end()), (0, cycles));
         prop_assert_eq!(trace.num_cycles(), cycles);
         prop_assert_eq!(trace.num_ffs(), n.num_ffs());
         prop_assert_eq!(trace.num_outputs(), n.num_outputs());
+        prop_assert_eq!(run.output_at(0).len(), n.num_outputs());
         let inits = n.ff_init_values();
-        prop_assert_eq!(trace.state_at(0), inits.as_slice());
-        prop_assert_eq!(trace.state_at(cycles), trace.final_state());
+        prop_assert_eq!(run.state_at(0), inits.as_slice());
+        prop_assert_eq!(run.state_at(cycles), trace.final_state());
     }
 }

@@ -18,8 +18,9 @@ fn cycle_budget(num_ffs: usize) -> usize {
 }
 
 /// Collapse on vs off yields the identical order-independent verdict
-/// digest for every registry circuit, under dense and `Checkpoint(K)`
-/// for a spread of `K`, at 1/2/4/8 worker threads.
+/// digest for every registry circuit, under `Checkpoint(K)` for a
+/// spread of `K` (1 puts every cycle on a span edge), at 1/2/4/8 worker
+/// threads.
 #[test]
 fn collapse_modes_agree_on_every_registry_circuit() {
     for name in registry::NAMES {
@@ -27,18 +28,17 @@ fn collapse_modes_agree_on_every_registry_circuit() {
         let cycles = cycle_budget(circuit.num_ffs());
         let tb = Testbench::random(circuit.num_inputs(), cycles, 31);
         // Exhaustive everywhere except the 10k-flip-flop scale fixture,
-        // where a deterministic sample keeps the 5 × 2 × 4 plan matrix
+        // where a deterministic sample keeps the 4 × 2 × 4 plan matrix
         // (and its serial reference) debug-build sized.
         let faults = if circuit.num_ffs() > 4000 {
             FaultList::sampled(circuit.num_ffs(), cycles, 256, 31)
         } else {
             FaultList::exhaustive(circuit.num_ffs(), cycles)
         };
-        let dense = Grader::new(&circuit, &tb);
+        let serial = Grader::new(&circuit, &tb);
         let reference =
-            StreamAccumulator::digest_of(faults.as_slice(), &dense.run_serial(faults.as_slice()));
+            StreamAccumulator::digest_of(faults.as_slice(), &serial.run_serial(faults.as_slice()));
         let policies = [
-            TracePolicy::Dense,
             TracePolicy::Checkpoint(1),
             TracePolicy::Checkpoint(3),
             TracePolicy::Checkpoint(64),
@@ -70,14 +70,14 @@ fn collapse_modes_agree_on_every_registry_circuit() {
 /// Every modelled emulation technique reports the identical campaign
 /// whether the software oracle graded with early collapse or walked
 /// every fault to the horizon — same summary, same cycle-accurate
-/// timing, under dense and checkpointed traces.
+/// timing, under 1- and 3-cycle checkpoint intervals.
 #[test]
 fn every_technique_reports_identically_under_both_collapse_modes() {
     let circuit = registry::build("b13s").expect("registered");
     let cycles = 20;
     let tb = Testbench::random(circuit.num_inputs(), cycles, 47);
     let mut campaigns = Vec::new();
-    for policy in [TracePolicy::Dense, TracePolicy::Checkpoint(3)] {
+    for policy in [TracePolicy::Checkpoint(1), TracePolicy::Checkpoint(3)] {
         for collapse in [Collapse::Early, Collapse::Horizon] {
             let plan = CampaignPlan::builder(&circuit, &tb)
                 .trace_policy(policy)
@@ -114,7 +114,7 @@ fn retired_lanes_are_never_resimulated() {
     let cycles = 40;
     let tb = Testbench::random(circuit.num_inputs(), cycles, 11);
     let faults = FaultList::exhaustive(circuit.num_ffs(), cycles);
-    for policy in [TracePolicy::Dense, TracePolicy::Checkpoint(8)] {
+    for policy in [TracePolicy::Checkpoint(1), TracePolicy::Checkpoint(8)] {
         let grader = Grader::with_policy(&circuit, &tb, policy);
         let serial: Vec<FaultOutcome> =
             faults.iter().map(|f| grader.classify_serial(f)).collect();

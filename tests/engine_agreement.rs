@@ -61,12 +61,14 @@ fn compiled_and_event_sim_agree_everywhere() {
 
 /// A fault graded through the event simulator (a third, independent
 /// implementation of the semantics) matches the compiled-engine verdict.
+/// The oracle's golden values come from the event simulator too, so it
+/// shares no code with the compiled simulator.
 #[test]
 fn event_sim_oracle_agrees_on_fault_outcomes() {
     let circuit = registry::build("b06s").expect("registered");
     let tb = Testbench::random(circuit.num_inputs(), 20, 13);
     let grader = Grader::new(&circuit, &tb);
-    let golden = grader.golden().clone();
+    let golden = EventSim::new(&circuit).run_golden(&tb);
 
     let mut ev = EventSim::new(&circuit);
     for fault in FaultList::exhaustive(circuit.num_ffs(), 20).iter() {
@@ -144,9 +146,9 @@ fn sharded_engine_agrees_on_registry_circuits() {
 }
 
 /// The streaming core end to end on the s5378-class scale fixture: a
-/// checkpointed engine with a streamed fault source agrees with the
-/// dense materialized engine and the serial reference at 1/2/4/8
-/// threads, while storing an order of magnitude less golden state.
+/// `checkpoint:64` engine, streamed and materialized, agrees with the
+/// `checkpoint:1` serial reference at 1/2/4/8 threads, while storing
+/// less golden state than a whole-run record would.
 #[test]
 fn streamed_checkpoint_campaign_agrees_on_the_scale_fixture() {
     let circuit = registry::build("s5378g").expect("registered");
@@ -154,8 +156,8 @@ fn streamed_checkpoint_campaign_agrees_on_the_scale_fixture() {
     let tb = Testbench::random(circuit.num_inputs(), cycles, 42);
     // Sampled subset: the serial reference is the slow engine here.
     let sample = FaultList::sampled(circuit.num_ffs(), cycles, 256, 9);
-    let dense = Grader::new(&circuit, &tb);
-    let serial = dense.run_serial(sample.as_slice());
+    let every = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(1));
+    let serial = every.run_serial(sample.as_slice());
     let serial_digest = StreamAccumulator::digest_of(sample.as_slice(), &serial);
     for threads in [1usize, 2, 4, 8] {
         let plan = CampaignPlan::builder(&circuit, &tb)
@@ -168,24 +170,26 @@ fn streamed_checkpoint_campaign_agrees_on_the_scale_fixture() {
         assert_eq!(streamed.digest(), serial_digest, "{threads} threads");
         let run = engine.run(&plan);
         assert_eq!(run.outcomes(), serial.as_slice(), "{threads} threads materialized");
+        let golden = engine.grader().golden();
         assert!(
-            engine.grader().golden().stored_bits() <= dense.golden().stored_bits(),
-            "checkpointed golden must not out-store dense"
+            golden.stored_bits() <= golden.dense_equivalent_bits(),
+            "checkpointed golden must not out-store a whole-run record"
         );
     }
 }
 
-/// `TracePolicy::Dense` and `Checkpoint(K)` are interchangeable for
-/// every engine entry point: serial, materialized engine and streamed
-/// engine all agree for a spread of `K`s.
+/// Every checkpoint interval `K` is interchangeable with `Checkpoint(1)`
+/// (every cycle on a span edge) for every engine entry point: serial,
+/// materialized engine and streamed engine all agree for a spread of
+/// `K`s.
 #[test]
 fn trace_policies_agree_across_all_entry_points() {
     let circuit = registry::build("b09s").expect("registered");
     let cycles = 22;
     let tb = Testbench::random(circuit.num_inputs(), cycles, 13);
     let faults = FaultList::exhaustive(circuit.num_ffs(), cycles);
-    let dense = Grader::new(&circuit, &tb);
-    let reference = dense.run_serial(faults.as_slice());
+    let every = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(1));
+    let reference = every.run_serial(faults.as_slice());
     let reference_digest = StreamAccumulator::digest_of(faults.as_slice(), &reference);
     for k in [1, 4, 9, 22, 100] {
         let policy = TracePolicy::Checkpoint(k);
@@ -206,17 +210,17 @@ fn trace_policies_agree_across_all_entry_points() {
 }
 
 /// The sharded engine on 3 threads grades every golden-window geometry
-/// (dense, and `K` smaller than, dividing, not dividing and exceeding
-/// the bench) to the dense serial reference, fault for fault.
+/// (`K` smaller than, dividing, not dividing and exceeding the bench)
+/// to the `checkpoint:1` serial reference, fault for fault.
 #[test]
 fn sharded_engine_matches_serial_under_every_window_geometry() {
     for name in ["b03s", "b06s"] {
         let circuit = registry::build(name).expect("registered");
         let tb = Testbench::random(circuit.num_inputs(), 25, 19);
         let faults = FaultList::exhaustive(circuit.num_ffs(), 25);
-        let reference = Grader::new(&circuit, &tb).run_serial(faults.as_slice());
-        let policies = [1, 3, 5, 25, 64].map(TracePolicy::Checkpoint);
-        for policy in std::iter::once(TracePolicy::Dense).chain(policies) {
+        let every = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(1));
+        let reference = every.run_serial(faults.as_slice());
+        for policy in [1, 3, 5, 25, 64].map(TracePolicy::Checkpoint) {
             let plan = CampaignPlan::builder(&circuit, &tb)
                 .faults(faults.clone())
                 .trace_policy(policy)
@@ -270,10 +274,10 @@ proptest! {
     }
 
     /// Random circuits, random checkpoint interval: `Checkpoint(K)`
-    /// grades bit-identically to `Dense` through both the serial grader
-    /// and the streamed engine.
+    /// grades bit-identically to `Checkpoint(1)` through both the serial
+    /// grader and the streamed engine.
     #[test]
-    fn checkpoint_policy_matches_dense_on_generated_circuits(
+    fn checkpoint_intervals_agree_on_generated_circuits(
         config in arb_config(),
         seed in 0u64..1000,
         k in 1usize..40,
@@ -282,8 +286,8 @@ proptest! {
         let cycles = 16usize;
         let tb = Testbench::random(circuit.num_inputs(), cycles, seed ^ 0xC0FFEE);
         let faults = FaultList::exhaustive(circuit.num_ffs(), cycles);
-        let dense = Grader::new(&circuit, &tb);
-        let reference = dense.run_serial(faults.as_slice());
+        let every = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(1));
+        let reference = every.run_serial(faults.as_slice());
         let cp = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(k));
         prop_assert_eq!(&cp.run_serial(faults.as_slice()), &reference, "serial K={}", k);
         let plan = CampaignPlan::builder(&circuit, &tb)
@@ -323,8 +327,8 @@ proptest! {
             let j = (rng.next_u64() % (i as u64 + 1)) as usize;
             faults.swap(i, j);
         }
-        let dense = Grader::new(&circuit, &tb);
-        let serial = dense.run_serial(&faults);
+        let grader = Grader::new(&circuit, &tb);
+        let serial = grader.run_serial(&faults);
         let reference = StreamAccumulator::digest_of(&faults, &serial);
         let list = FaultList::from_faults(faults, circuit.num_ffs(), cycles);
         for cache in [0usize, 1, 1024] {

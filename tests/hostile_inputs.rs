@@ -572,3 +572,90 @@ fn missing_checkpoint_file_is_an_io_error_not_a_panic() {
     assert!(matches!(err, ResumeError::Io { .. }), "{err}");
     assert!(err.line().is_none());
 }
+
+/// Rewrites the `trace-policy` line of the checkpoint at `path` to
+/// `label`, with a matching checksum trailer.
+fn relabel_trace_policy(path: &std::path::Path, label: &str) {
+    let text = std::fs::read_to_string(path).expect("checkpoint written");
+    let body: Vec<String> = text
+        .lines()
+        .filter(|l| !l.starts_with("end "))
+        .map(|l| match l.strip_prefix("trace-policy ") {
+            Some(_) => format!("trace-policy {label}"),
+            None => l.to_owned(),
+        })
+        .collect();
+    let body = body.join("\n");
+    let text = format!("{body}\nend {:016x}\n", fnv1a(body.as_bytes()));
+    std::fs::write(path, text).expect("rewrite checkpoint");
+}
+
+/// A checkpoint written under the retired `dense` trace policy parses
+/// (its checksum is intact) but names a policy no plan has: resuming it
+/// is a `trace policy` mismatch, and nothing is graded.
+#[test]
+fn dense_trace_policy_checkpoint_is_a_mismatch() {
+    let (circuit, tb, path) = lfsr8_campaign("dense");
+    let plan = sampled_plan(&circuit, &tb);
+    let engine = Engine::new(&plan);
+    let mut opts = ResumeOptions::checkpoint_to(&path);
+    opts.limit = Some(1);
+    resumable(&engine, &plan, &opts).expect("seed checkpoint");
+    relabel_trace_policy(&path, "dense");
+    let ck = Checkpoint::load(&path).expect("a relabelled checkpoint still parses");
+    assert_eq!(ck.fingerprint().trace_policy, "dense");
+    let err = resumable(&engine, &plan, &ResumeOptions::resume_from(&path))
+        .expect_err("a dense checkpoint must not resume");
+    std::fs::remove_file(&path).ok();
+    match err {
+        EngineError::Resume(ResumeError::Mismatch { field, expected, found }) => {
+            assert_eq!(field, "trace policy");
+            assert_eq!((expected.as_str(), found.as_str()), ("dense", "checkpoint:64"));
+        }
+        other => panic!("expected a trace-policy mismatch, got {other}"),
+    }
+}
+
+/// The retired `dense` trace policy is a structured rejection on the
+/// wire, and a spooled `job.json` that names it (written by an older
+/// daemon) is skipped at restart while the daemon still starts.
+#[test]
+fn dense_trace_policy_is_rejected_on_the_wire_and_in_the_spool() {
+    use seugrade_serve::json::{self, Value};
+    use seugrade_serve::{Client, ClientError, JobSpec, Server, ServerConfig, Spool};
+
+    let spool_dir = std::env::temp_dir()
+        .join(format!("seugrade-hostile-dense-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&spool_dir);
+    let spool = Spool::open(&spool_dir).expect("open spool");
+    spool.write_spec("j1", &JobSpec::registry("s27")).expect("spool a job");
+    let spec_path = spool.spec_path("j1");
+    let text = std::fs::read_to_string(&spec_path).expect("job.json written");
+    let old = text.replace(r#""trace_policy":"checkpoint:64""#, r#""trace_policy":"dense""#);
+    assert_ne!(old, text, "the default spec names its trace policy");
+    std::fs::write(&spec_path, &old).expect("rewrite job.json");
+    // The message `Spool::scan` prints when it skips the job.
+    let doc = json::parse(old.trim_end()).expect("job.json is JSON");
+    let e = JobSpec::from_value(doc.get("job").expect("job object")).expect_err("dense spec");
+    assert!(e.to_string().contains("expects checkpoint:<K>"), "{e}");
+    assert!(spool.scan().expect("scan").is_empty(), "the dense job is skipped");
+
+    let config = ServerConfig { addr: "127.0.0.1:0".to_owned(), workers: 1, spool: spool_dir };
+    let server = Server::bind(&config).expect("the daemon starts over a dense spool entry");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let err = client
+        .request_line(r#"{"cmd":"submit","job":{"circuit":"s27","trace_policy":"dense"}}"#)
+        .expect_err("a dense submit must be rejected");
+    match err {
+        ClientError::Server { line, msg } => {
+            assert_eq!(line, 1);
+            assert!(msg.contains("expects checkpoint:<K>"), "{msg}");
+        }
+        other => panic!("expected a structured rejection, got {other:?}"),
+    }
+    let v = client.request_line(r#"{"cmd":"ping"}"#).expect("connection survives");
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
+    assert!(client.list().expect("list").is_empty(), "no job was created or resumed");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&config.spool);
+}

@@ -5,7 +5,7 @@
 use seugrade::prelude::*;
 use seugrade::instrument::{mask_scan, state_scan, time_mux};
 
-fn golden(circuit: &Netlist, tb: &Testbench) -> GoldenTrace {
+fn golden(circuit: &Netlist, tb: &Testbench) -> TraceWindow {
     CompiledSim::new(circuit).run_golden(tb)
 }
 

@@ -80,43 +80,43 @@ fn interrupted_before_any_chunk() {
     // k = 0: the first leg grades nothing but still writes a resumable
     // checkpoint.
     for threads in [1, 4] {
-        interrupted_run_matches(threads, TracePolicy::Dense, 0, &format!("k0-t{threads}"));
+        interrupted_run_matches(threads, TracePolicy::Checkpoint(1), 0, &format!("k0-t{threads}"));
     }
 }
 
 #[test]
 fn interrupted_after_one_chunk() {
     for threads in [1, 2, 4, 8] {
-        interrupted_run_matches(threads, TracePolicy::Dense, 1, &format!("k1-t{threads}"));
+        interrupted_run_matches(threads, TracePolicy::Checkpoint(1), 1, &format!("k1-t{threads}"));
     }
 }
 
 #[test]
 fn interrupted_mid_campaign() {
     let (circuit, tb) = fixture();
-    let p = plan(&circuit, &tb, 1, TracePolicy::Dense);
+    let p = plan(&circuit, &tb, 1, TracePolicy::Checkpoint(1));
     let total = resumable(&Engine::new(&p), &p, &ResumeOptions::default())
         .expect("counting run")
         .chunks_total;
     let mid = total / 2;
     assert!(mid > 0, "fixture must span several chunks");
     for threads in [1, 2, 4, 8] {
-        interrupted_run_matches(threads, TracePolicy::Dense, mid, &format!("kmid-t{threads}"));
+        interrupted_run_matches(threads, TracePolicy::Checkpoint(1), mid, &format!("kmid-t{threads}"));
     }
 }
 
 #[test]
 fn interrupted_at_last_chunk() {
     let (circuit, tb) = fixture();
-    let p = plan(&circuit, &tb, 1, TracePolicy::Dense);
+    let p = plan(&circuit, &tb, 1, TracePolicy::Checkpoint(1));
     let total = resumable(&Engine::new(&p), &p, &ResumeOptions::default())
         .expect("counting run")
         .chunks_total;
     for threads in [1, 4] {
         // k = total - 1: one chunk left; and k = total: the "interrupted"
         // leg already finished, resume is a no-op that must not re-grade.
-        interrupted_run_matches(threads, TracePolicy::Dense, total - 1, &format!("klast-t{threads}"));
-        interrupted_run_matches(threads, TracePolicy::Dense, total, &format!("kdone-t{threads}"));
+        interrupted_run_matches(threads, TracePolicy::Checkpoint(1), total - 1, &format!("klast-t{threads}"));
+        interrupted_run_matches(threads, TracePolicy::Checkpoint(1), total, &format!("kdone-t{threads}"));
     }
 }
 
@@ -124,13 +124,13 @@ fn interrupted_at_last_chunk() {
 fn checkpoint_trace_policy_resumes_identically() {
     let (circuit, tb) = fixture();
     let reference = {
-        let p = plan(&circuit, &tb, 1, TracePolicy::Dense);
+        let p = plan(&circuit, &tb, 1, TracePolicy::Checkpoint(1));
         Engine::new(&p).try_run_streamed(&p).unwrap()
     };
     for threads in [1, 2, 4, 8] {
         let tag = format!("ckpt64-t{threads}");
         interrupted_run_matches(threads, TracePolicy::Checkpoint(64), 3, &tag);
-        // Dense and Checkpoint(64) agree with each other too.
+        // Checkpoint(1) and Checkpoint(64) agree with each other too.
         let p = plan(&circuit, &tb, threads, TracePolicy::Checkpoint(64));
         let run = Engine::new(&p).try_run_streamed(&p).unwrap();
         assert_eq!(run.digest(), reference.digest(), "trace policy must not change verdicts");
@@ -143,11 +143,11 @@ fn multi_leg_resume_chain_matches() {
     // fresh resume from the previous leg's checkpoint.
     let (circuit, tb) = fixture();
     let reference = {
-        let p = plan(&circuit, &tb, 2, TracePolicy::Dense);
+        let p = plan(&circuit, &tb, 2, TracePolicy::Checkpoint(1));
         Engine::new(&p).try_run_streamed(&p).unwrap()
     };
     let path = ckpt_path("chain");
-    let p = plan(&circuit, &tb, 2, TracePolicy::Dense);
+    let p = plan(&circuit, &tb, 2, TracePolicy::Checkpoint(1));
     let engine = Engine::new(&p);
 
     let mut opts = ResumeOptions::checkpoint_to(&path);
@@ -175,11 +175,11 @@ fn cancellation_drains_and_checkpoint_resumes() {
     // the checkpoint is written, and a resume finishes the whole thing.
     let (circuit, tb) = fixture();
     let reference = {
-        let p = plan(&circuit, &tb, 4, TracePolicy::Dense);
+        let p = plan(&circuit, &tb, 4, TracePolicy::Checkpoint(1));
         Engine::new(&p).try_run_streamed(&p).unwrap()
     };
     let path = ckpt_path("cancel");
-    let p = plan(&circuit, &tb, 4, TracePolicy::Dense);
+    let p = plan(&circuit, &tb, 4, TracePolicy::Checkpoint(1));
     let engine = Engine::new(&p);
 
     let token = CancelToken::new();
@@ -204,7 +204,7 @@ fn mismatched_checkpoint_is_rejected_per_field() {
     // structured error, never a panic or a silent wrong digest.
     let (circuit, tb) = fixture();
     let path = ckpt_path("mismatch");
-    let p = plan(&circuit, &tb, 1, TracePolicy::Dense);
+    let p = plan(&circuit, &tb, 1, TracePolicy::Checkpoint(1));
     let engine = Engine::new(&p);
     let mut opts = ResumeOptions::checkpoint_to(&path);
     opts.limit = Some(1);
@@ -222,7 +222,7 @@ fn mismatched_checkpoint_is_rejected_per_field() {
     // Different bench (the fixture has no inputs, so vary the length —
     // the stimuli digest itself is covered by the engine's unit tests).
     let tb2 = Testbench::random(circuit.num_inputs(), 44, 1234);
-    let p3 = plan(&circuit, &tb2, 1, TracePolicy::Dense);
+    let p3 = plan(&circuit, &tb2, 1, TracePolicy::Checkpoint(1));
     let err = resumable(&Engine::new(&p3), &p3, &ResumeOptions::resume_from(&path))
         .expect_err("foreign bench must be rejected");
     assert!(matches!(err, EngineError::Resume(ResumeError::Mismatch { .. })), "{err}");
@@ -305,10 +305,10 @@ fn injected_worker_panics_are_retried_to_the_reference_digest() {
     let _guard = INJECTION_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let (circuit, tb) = fixture();
     let reference = {
-        let p = plan(&circuit, &tb, 4, TracePolicy::Dense);
+        let p = plan(&circuit, &tb, 4, TracePolicy::Checkpoint(1));
         Engine::new(&p).try_run_streamed(&p).unwrap()
     };
-    let p = plan(&circuit, &tb, 4, TracePolicy::Dense);
+    let p = plan(&circuit, &tb, 4, TracePolicy::Checkpoint(1));
     let engine = Engine::new(&p);
     // Chunks at cycles 3, 17 and 31 panic on their first attempt only:
     // each is requeued, retried on a rebuilt scratch, and succeeds
@@ -336,7 +336,7 @@ fn exhausted_retry_budget_is_a_structured_error() {
     use panicky::{Injection, PanickySink, INJECTION, INJECTION_LOCK};
     let _guard = INJECTION_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let (circuit, tb) = fixture();
-    let p = plan(&circuit, &tb, 2, TracePolicy::Dense);
+    let p = plan(&circuit, &tb, 2, TracePolicy::Checkpoint(1));
     let engine = Engine::new(&p);
     // Every observe panics: the first chunk burns through its whole
     // retry budget and must surface WorkerPanic instead of hanging or
