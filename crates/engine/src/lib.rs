@@ -25,8 +25,8 @@
 //! |--------|------|
 //! | [`plan`] | [`CampaignPlan`] builder: circuit × test bench × fault source × techniques × [`ShardPolicy`] × `TracePolicy` |
 //! | [`runtime`] | [`Engine`]: the one chunk loop and its entry points; [`CampaignRun`] / [`StreamedRun`] / [`ResumableRun`] results |
-//! | [`stream`] | cycle-major chunk plans and online [`VerdictSink`]s — the memory-bounded campaign core |
-//! | [`resume`] | `seugrade-campaign-ckpt/v2` checkpoints, [`Fingerprint`] verification, [`PersistentSink`] — the interruption-safety layer |
+//! | [`stream`] | cycle-major chunk plans (the exhaustive one last cycle first) and online [`VerdictSink`]s — the memory-bounded campaign core |
+//! | [`resume`] | `seugrade-campaign-ckpt/v3` checkpoints, [`Fingerprint`] verification, [`PersistentSink`] — the interruption-safety layer |
 //! | [`error`] | [`EngineError`]: structured failures (worker panics, checkpoint problems, MBU plans on streamed entries) |
 //! | [`cancel`] | [`CancelToken`]: cooperative chunk-boundary cancellation |
 //! | [`progress`] | per-shard [`ProgressEvent`]s, [`ProgressCounter`], [`EngineStats`] |
@@ -60,8 +60,18 @@
 //! exact queue prefix, so a resume cursor means the same at every
 //! thread count. A chunk that panics is retried on rebuilt scratch with
 //! its partial fold discarded, so a contained panic cannot change a
-//! verdict either. Progress events are the one observable that *does*
-//! vary run to run — they fire as shards finish.
+//! verdict either.
+//!
+//! An exhaustive run walks its cycles downwards and shares one
+//! [`VerdictWindow`](seugrade_faultsim::VerdictWindow) among its
+//! workers: a lane that has become the single-bit upset of one
+//! flip-flop a cycle or two after its injection takes that upset's
+//! verdict, graded by whichever worker got there first (the alias
+//! collapse, see [`Grader::grade_chunk`](seugrade_faultsim::Grader::grade_chunk)).
+//! Whether a lookup hits depends on timing, but a miss only means the
+//! lane keeps simulating to the same verdict. Progress events and the
+//! alias counters are the observables that *do* vary run to run —
+//! events fire as shards finish.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

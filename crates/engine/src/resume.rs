@@ -1,4 +1,4 @@
-//! Persistent campaign checkpoints: the `seugrade-campaign-ckpt/v2`
+//! Persistent campaign checkpoints: the `seugrade-campaign-ckpt/v3`
 //! format, fingerprint verification, and the [`PersistentSink`] contract.
 //!
 //! A multi-hour exhaustive campaign dies to a single SIGINT unless its
@@ -45,11 +45,13 @@ use crate::progress::ProgressHook;
 use crate::stream::{StreamAccumulator, VerdictSink};
 
 /// First line of every checkpoint file; bump the suffix on breaking
-/// format changes. A change of chunk layout is one: the cursor counts
-/// chunks, so an old file's cursor would land on different faults.
-/// `v2` packs sampled and explicit lists into full chunks across
-/// injection cycles (`v1` cut them per cycle).
-pub const CKPT_SCHEMA: &str = "seugrade-campaign-ckpt/v2";
+/// format changes. A change of chunk layout or order is one: the cursor
+/// counts chunks, so an old file's cursor would land on different
+/// faults. `v2` packs sampled and explicit lists into full chunks across
+/// injection cycles (`v1` cut them per cycle); `v3` walks the exhaustive
+/// space from the last cycle down (`v2` walked it upwards). A file of an
+/// older version is a line-1 [`ResumeError::Corrupt`].
+pub const CKPT_SCHEMA: &str = "seugrade-campaign-ckpt/v3";
 
 /// Default chunk interval between checkpoint writes.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 256;
@@ -222,7 +224,7 @@ pub enum ResumeError {
         /// The OS error text.
         msg: String,
     },
-    /// The file is not a well-formed `seugrade-campaign-ckpt/v2`
+    /// The file is not a well-formed `seugrade-campaign-ckpt/v3`
     /// document: wrong schema line, truncated, checksum mismatch, or a
     /// malformed field.
     Corrupt {
@@ -338,10 +340,10 @@ impl Fingerprint {
 // --------------------------------------------------------------------
 // The checkpoint document
 
-/// A parsed (or about-to-be-written) `seugrade-campaign-ckpt/v2` file.
+/// A parsed (or about-to-be-written) `seugrade-campaign-ckpt/v3` file.
 ///
 /// ```text
-/// seugrade-campaign-ckpt/v2
+/// seugrade-campaign-ckpt/v3
 /// circuit <ffs> <cells> <hex16-digest> <name>
 /// bench <cycles> <inputs> <hex16-digest>
 /// source <label>
@@ -503,9 +505,19 @@ impl Checkpoint {
             return Err(corrupt(1, "empty file".to_owned()));
         }
         if lines[0] != CKPT_SCHEMA {
+            // An older version's cursor counts chunks of another layout
+            // or order: resuming it would grade the wrong faults.
+            let version =
+                |line: &str| line.strip_prefix("seugrade-campaign-ckpt/v")?.parse::<u32>().ok();
+            let hint = match (version(lines[0]), version(CKPT_SCHEMA)) {
+                (Some(old), Some(now)) if old < now => {
+                    " (an older release's chunk order; grade the campaign afresh)"
+                }
+                _ => "",
+            };
             return Err(corrupt(
                 1,
-                format!("unrecognized schema {:?}, expected {CKPT_SCHEMA:?}", lines[0]),
+                format!("unrecognized schema {:?}, expected {CKPT_SCHEMA:?}{hint}", lines[0]),
             ));
         }
         let last = lines.len();
@@ -982,6 +994,19 @@ mod tests {
         let err = Checkpoint::parse("some-other-format/v9\nend 0\n").unwrap_err();
         assert_eq!(err.line(), Some(1));
         assert!(err.to_string().contains("unrecognized schema"), "{err}");
+        assert!(!err.to_string().contains("older release"), "{err}");
+    }
+
+    #[test]
+    fn older_schema_versions_are_rejected_with_a_hint() {
+        let text = sample_checkpoint().render();
+        for old in ["seugrade-campaign-ckpt/v1", "seugrade-campaign-ckpt/v2"] {
+            let err = Checkpoint::parse(&text.replacen(CKPT_SCHEMA, old, 1)).unwrap_err();
+            assert_eq!(err.line(), Some(1), "{old}");
+            assert!(err.to_string().contains("older release's chunk order"), "{err}");
+        }
+        let newer = text.replacen(CKPT_SCHEMA, "seugrade-campaign-ckpt/v4", 1);
+        assert!(!Checkpoint::parse(&newer).unwrap_err().to_string().contains("older"));
     }
 
     #[test]

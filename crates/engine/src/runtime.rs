@@ -11,9 +11,10 @@ use std::time::Instant;
 
 use seugrade_faultsim::{
     Fault, FaultList, FaultOutcome, GradeScratch, Grader, GradingSummary, MultiFault,
+    VerdictWindow,
 };
 use seugrade_netlist::Netlist;
-use seugrade_sim::{BitCache, Testbench, TracePolicy};
+use seugrade_sim::{BitCache, Testbench, TracePolicy, Walk};
 
 use crate::error::EngineError;
 use crate::plan::{CampaignPlan, FaultSource, Technique};
@@ -30,6 +31,17 @@ type ChunkScratch = (GradeScratch, Vec<Fault>, [FaultOutcome; 64]);
 /// The materialized runs' accumulator: each graded chunk's index and
 /// verdicts, scattered into submission order after the join.
 type ChunkOutcomes = Vec<(usize, Vec<FaultOutcome>)>;
+
+/// What the workers of one run share, created once per run so the
+/// per-round scratch rebuilds keep it: the golden span store, walking
+/// in the chunk plan's order, and on a descending (exhaustive) walk the
+/// verdict window of the alias collapse. Each worker holds a handle of
+/// each.
+#[derive(Debug)]
+struct RunStores {
+    bits: BitCache,
+    verdicts: Option<VerdictWindow>,
+}
 
 /// The materialized faults of one campaign run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -354,15 +366,12 @@ impl Engine {
                 let mut drawn = None;
                 let chunks = self.chunk_plan(source, &mut drawn)?;
                 let threads = self.threads_for(plan, chunks.num_faults());
-                // One span store for the whole pool: each worker gets a
-                // handle, so a span is replayed once per run, not once per
-                // worker.
-                let bits_root = BitCache::shared(plan.window_cache());
+                let stores = self.run_stores(plan, &chunks);
                 let shards = chunks.num_chunks();
                 let graded = collect_chunks(
                     threads,
                     shards,
-                    || self.chunk_scratch(plan, &bits_root),
+                    || self.chunk_scratch(plan, &stores),
                     |scratch, i| self.grade_plan_chunk(&chunks, scratch, i).1.to_vec(),
                     &on_shard,
                 )?;
@@ -506,16 +515,14 @@ impl Engine {
         }
 
         let threads = self.threads_for(plan, chunks.num_faults());
-        // One shared span store across every round: the per-round scratch
-        // rebuild must not throw replayed golden spans away.
-        let bits_root = BitCache::shared(plan.window_cache());
+        let stores = self.run_stores(plan, &chunks);
         let start = Instant::now();
         let (done, interrupted) = fold_chunks(
             threads,
             start_chunk..total_chunks,
             opts,
             &mut sink,
-            || self.chunk_scratch(plan, &bits_root),
+            || self.chunk_scratch(plan, &stores),
             A::merge,
             |scratch, acc: &mut A, i| {
                 let (faults, out) = self.grade_plan_chunk(&chunks, scratch, i);
@@ -609,22 +616,41 @@ impl Engine {
         }
     }
 
+    /// The stores the workers of a run over `chunks` share: one golden
+    /// span store for the whole pool, so a span is replayed once per
+    /// run, not once per worker, and on the exhaustive plan's descending
+    /// walk one verdict window (`O(FFs)`), so a lane can inherit the
+    /// verdict of an upset another worker graded.
+    fn run_stores(&self, plan: &CampaignPlan<'_>, chunks: &ChunkPlan<'_>) -> RunStores {
+        let walk = chunks.walk();
+        RunStores {
+            bits: BitCache::shared(plan.window_cache()).walking(walk),
+            verdicts: (walk == Walk::Backward)
+                .then(|| VerdictWindow::new(self.grader.sim().num_ffs())),
+        }
+    }
+
     /// A worker's grading scratch, configured from the plan's collapse
-    /// mode and kernel, holding a handle of the run's one golden span
-    /// store `bits`. Cheap to rebuild — the pool recreates it after a
-    /// contained worker panic.
-    fn worker_scratch(&self, plan: &CampaignPlan<'_>, bits: &BitCache) -> GradeScratch {
-        self.grader
+    /// mode and kernel, holding handles of the run's shared `stores`.
+    /// Cheap to rebuild — the pool recreates it after a contained worker
+    /// panic.
+    fn worker_scratch(&self, plan: &CampaignPlan<'_>, stores: &RunStores) -> GradeScratch {
+        let scratch = self
+            .grader
             .new_scratch(plan.collapse(), plan.window_cache())
             .with_kernel(plan.kernel())
-            .with_bit_cache(bits.clone_handle())
+            .with_bit_cache(stores.bits.clone_handle());
+        match &stores.verdicts {
+            Some(window) => scratch.with_verdict_window(window.clone()),
+            None => scratch,
+        }
     }
 
     /// A single-fault worker's scratch: the grader's scratch, the chunk
     /// fault buffer, and the 64-lane outcome array.
-    fn chunk_scratch(&self, plan: &CampaignPlan<'_>, bits: &BitCache) -> ChunkScratch {
+    fn chunk_scratch(&self, plan: &CampaignPlan<'_>, stores: &RunStores) -> ChunkScratch {
         (
-            self.worker_scratch(plan, bits),
+            self.worker_scratch(plan, stores),
             Vec::with_capacity(64),
             [FaultOutcome::latent(); 64],
         )
@@ -1012,6 +1038,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn only_the_exhaustive_walk_aliases() {
+        let circuit = registry::build("b13s").unwrap();
+        let tb = Testbench::random(circuit.num_inputs(), 40, 3);
+        let engine = Engine::for_circuit(&circuit, &tb);
+        // One worker's scratch over every chunk of the plan, as the
+        // campaign loop builds and drives it; returns its alias counters.
+        let counters = |source: FaultSource| {
+            let plan = CampaignPlan::builder(&circuit, &tb).source(source).threads(1).build();
+            let mut drawn = None;
+            let chunks = engine.chunk_plan(plan.source(), &mut drawn).unwrap();
+            let stores = engine.run_stores(&plan, &chunks);
+            let mut scratch = engine.chunk_scratch(&plan, &stores);
+            for i in 0..chunks.num_chunks() {
+                let _ = engine.grade_plan_chunk(&chunks, &mut scratch, i);
+            }
+            (scratch.0.aliased_lanes(), scratch.0.alias_misses())
+        };
+        // One worker walking the cycles downwards finds every upset it
+        // looks up.
+        let (aliased, misses) = counters(FaultSource::Exhaustive);
+        assert!(aliased > 0, "no lane aliased");
+        assert_eq!(misses, 0);
+        // Ordered plans walk forward without a window.
+        assert_eq!(counters(FaultSource::Sampled { count: 300, seed: 5 }), (0, 0));
+        let list = FaultList::exhaustive(circuit.num_ffs(), tb.num_cycles());
+        assert_eq!(counters(FaultSource::List(list)), (0, 0));
     }
 
     #[test]

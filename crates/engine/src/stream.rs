@@ -10,9 +10,14 @@
 //!   ≤ 64-lane chunks. For the exhaustive source the chunks are
 //!   *computed arithmetically*, one injection cycle each — no
 //!   `flip-flops × cycles` fault vector ever exists; workers regenerate
-//!   their chunk from its index. Explicit lists are sorted by cycle and
-//!   packed full regardless of cycle boundaries: the grader injects each
-//!   lane at its own cycle, so a sparse sample fills every lane.
+//!   their chunk from its index — and the cycles are walked in
+//!   **descending** order: a fault that has become a single-bit upset
+//!   one or two cycles later then finds that upset already graded in
+//!   the run's verdict window (the alias collapse, see
+//!   `Grader::grade_chunk`). Explicit lists are sorted by cycle and
+//!   packed full regardless of cycle boundaries, in ascending order: the
+//!   grader injects each lane at its own cycle, so a sparse sample fills
+//!   every lane.
 //! - [`VerdictSink`] is the online accumulator contract: each worker
 //!   folds `(fault, outcome)` pairs into a private sink, and the
 //!   per-worker sinks are merged after the join. Sinks must be
@@ -27,13 +32,15 @@
 
 use seugrade_faultsim::{Fault, FaultClass, FaultOutcome, GradingSummary};
 use seugrade_netlist::FfIndex;
+use seugrade_sim::Walk;
 
 /// Fault lanes per chunk: one fault per lane of a 64-lane simulation
 /// word.
 const LANES: usize = 64;
 
 /// A single-fault campaign cut into cycle-sorted chunks of at most
-/// [`LANES`] faults, in cycle-major order.
+/// [`LANES`] faults, in cycle-major order: descending cycles on the
+/// exhaustive plan, ascending on ordered plans.
 ///
 /// The chunk sequence is the unit the pool's workers pull lazily; a
 /// worker holds one chunk (≤ 64 faults) and its grading scratch at a
@@ -41,11 +48,13 @@ const LANES: usize = 64;
 /// the exhaustive path.
 #[derive(Debug)]
 pub(crate) enum ChunkPlan<'a> {
-    /// The full `flip-flops × cycles` space; chunk `i` is derived from
-    /// its index alone.
+    /// The full `flip-flops × cycles` space, last cycle first; chunk `i`
+    /// is derived from its index alone.
     Exhaustive {
         /// Flip-flop dimension.
         num_ffs: usize,
+        /// Cycle dimension.
+        num_cycles: usize,
         /// Chunks per cycle: `ceil(num_ffs / LANES)`.
         per_cycle: usize,
         /// Total chunks: `per_cycle × num_cycles`.
@@ -69,11 +78,12 @@ pub(crate) enum ChunkPlan<'a> {
 impl<'a> ChunkPlan<'a> {
     /// Plans the exhaustive `num_ffs × num_cycles` space without
     /// materializing it, cutting each cycle into chunks of at most
-    /// [`LANES`] faults.
+    /// [`LANES`] faults, the last cycle first.
     pub(crate) fn exhaustive(num_ffs: usize, num_cycles: usize) -> Self {
         let per_cycle = num_ffs.div_ceil(LANES);
         ChunkPlan::Exhaustive {
             num_ffs,
+            num_cycles,
             per_cycle,
             chunks: per_cycle * num_cycles,
             faults: num_ffs * num_cycles,
@@ -117,6 +127,21 @@ impl<'a> ChunkPlan<'a> {
         }
     }
 
+    /// The order in which the chunks visit injection cycles: backward
+    /// on the exhaustive plan, forward on ordered plans.
+    pub(crate) fn walk(&self) -> Walk {
+        match self {
+            ChunkPlan::Exhaustive { .. } => Walk::Backward,
+            ChunkPlan::Ordered { .. } => Walk::Forward,
+        }
+    }
+
+    /// The injection cycle of exhaustive chunk `i`, counted from the
+    /// last cycle down, and the first flip-flop of its lanes.
+    fn exhaustive_origin(num_cycles: usize, per_cycle: usize, i: usize) -> (usize, usize) {
+        (num_cycles - 1 - i / per_cycle, (i % per_cycle) * LANES)
+    }
+
     /// Total faults across all chunks.
     pub(crate) fn num_faults(&self) -> usize {
         match self {
@@ -131,12 +156,14 @@ impl<'a> ChunkPlan<'a> {
     /// contiguously).
     pub(crate) fn faults_before(&self, chunk: usize) -> usize {
         match self {
-            ChunkPlan::Exhaustive { num_ffs, per_cycle, chunks, faults } => {
+            ChunkPlan::Exhaustive { num_ffs, per_cycle, chunks, faults, .. } => {
                 if chunk >= *chunks {
                     return *faults;
                 }
-                // Within a cycle, chunk j starts at flip-flop j*LANES,
-                // and j*LANES < num_ffs for every in-cycle index.
+                // Every cycle holds `num_ffs` faults, so the count is the
+                // same whichever end the walk starts from. Within a
+                // cycle, chunk j starts at flip-flop j*LANES, and
+                // j*LANES < num_ffs for every in-cycle index.
                 (chunk / per_cycle) * num_ffs + (chunk % per_cycle) * LANES
             }
             ChunkPlan::Ordered { faults, .. } => chunk.saturating_mul(LANES).min(faults.len()),
@@ -147,11 +174,10 @@ impl<'a> ChunkPlan<'a> {
     pub(crate) fn fill(&self, i: usize, buf: &mut Vec<Fault>) {
         buf.clear();
         match self {
-            ChunkPlan::Exhaustive { num_ffs, per_cycle, .. } => {
-                let cycle = (i / per_cycle) as u32;
-                let lo = (i % per_cycle) * LANES;
+            ChunkPlan::Exhaustive { num_ffs, num_cycles, per_cycle, .. } => {
+                let (cycle, lo) = Self::exhaustive_origin(*num_cycles, *per_cycle, i);
                 let hi = (lo + LANES).min(*num_ffs);
-                buf.extend((lo..hi).map(|ff| Fault::new(FfIndex::new(ff), cycle)));
+                buf.extend((lo..hi).map(|ff| Fault::new(FfIndex::new(ff), cycle as u32)));
             }
             ChunkPlan::Ordered { faults, order, .. } => {
                 buf.extend(order[self.sorted_range(i)].iter().map(|&fi| faults[fi as usize]));
@@ -167,11 +193,11 @@ impl<'a> ChunkPlan<'a> {
     /// Scatters chunk `i`'s verdicts back into submission order.
     pub(crate) fn scatter(&self, i: usize, out: &[FaultOutcome], dest: &mut [FaultOutcome]) {
         match self {
-            ChunkPlan::Exhaustive { num_ffs, per_cycle, .. } => {
-                // Exhaustive submission order *is* cycle-major, so the
-                // chunk lands contiguously.
-                let cycle = i / per_cycle;
-                let start = cycle * num_ffs + (i % per_cycle) * LANES;
+            ChunkPlan::Exhaustive { num_ffs, num_cycles, per_cycle, .. } => {
+                // Exhaustive submission order is ascending cycle-major,
+                // so the chunk lands contiguously.
+                let (cycle, lo) = Self::exhaustive_origin(*num_cycles, *per_cycle, i);
+                let start = cycle * num_ffs + lo;
                 dest[start..start + out.len()].copy_from_slice(out);
             }
             ChunkPlan::Ordered { order, .. } => {
@@ -322,6 +348,7 @@ mod tests {
             let plan = ChunkPlan::exhaustive(ffs, cycles);
             assert_eq!(plan.num_chunks(), per_cycle * cycles, "{ffs}x{cycles}");
             assert_eq!(plan.num_faults(), ffs * cycles);
+            assert_eq!(plan.walk(), Walk::Backward);
             let mut buf = Vec::new();
             let mut all = Vec::new();
             for i in 0..plan.num_chunks() {
@@ -331,8 +358,12 @@ mod tests {
                 assert!(buf.iter().all(|f| f.cycle == t), "same-cycle chunk");
                 all.extend_from_slice(&buf);
             }
+            // Cycle-major, the last cycle first, flip-flops ascending
+            // within a cycle.
             let reference = FaultList::exhaustive(ffs, cycles);
-            assert_eq!(all, reference.as_slice(), "{ffs}x{cycles}");
+            let descending: Vec<Fault> =
+                reference.as_slice().chunks(ffs).rev().flatten().copied().collect();
+            assert_eq!(all, descending, "{ffs}x{cycles}");
         }
     }
 
@@ -367,6 +398,14 @@ mod tests {
         };
         let (covered, dest) = scattered(&ordered);
         assert_eq!(scattered(&arithmetic), (covered.clone(), dest.clone()));
+        // The ordered plan walks forward, the arithmetic one backward.
+        let first_cycle = |plan: &ChunkPlan<'_>| {
+            let mut buf = Vec::new();
+            plan.fill(0, &mut buf);
+            buf[0].cycle
+        };
+        assert_eq!((ordered.walk(), first_cycle(&ordered)), (Walk::Forward, 0));
+        assert_eq!((arithmetic.walk(), first_cycle(&arithmetic)), (Walk::Backward, 2));
         let mut all = list.as_slice().to_vec();
         all.sort();
         assert_eq!(covered, all, "every fault exactly once");

@@ -5,6 +5,7 @@ use seugrade_sim::{
     BitCache, CompiledSim, DiffScratch, GoldenTrace, Kernel, SimState, Testbench, TracePolicy,
 };
 
+use crate::verdicts::{VerdictWindow, ALIAS_WINDOW};
 use crate::{Fault, FaultClass, FaultOutcome};
 
 /// Default capacity (in spans) of a grading run's golden span store, the
@@ -70,13 +71,14 @@ impl Collapse {
 
 /// Per-worker grading scratch: a reusable [`SimState`], the
 /// differential kernel's [`DiffScratch`], a golden [`BitCache`] handle,
-/// the [`Collapse`] mode and [`Kernel`], and work counters.
+/// an optional [`VerdictWindow`] handle, the [`Collapse`] mode and
+/// [`Kernel`], and work counters.
 ///
 /// One `GradeScratch` belongs to exactly one worker thread (no sharing,
 /// no locks); the engine's thread pool creates one per worker via
 /// [`Grader::new_scratch`] and rebuilds it after a contained panic.
 /// Scratch configuration affects only *speed* — verdicts are identical
-/// for every collapse mode and cache capacity.
+/// for every collapse mode, cache capacity and window.
 #[derive(Debug)]
 pub struct GradeScratch {
     st: SimState,
@@ -85,6 +87,16 @@ pub struct GradeScratch {
     kernel: Kernel,
     diff: DiffScratch,
     bits: BitCache,
+    alias: Alias,
+}
+
+/// The alias collapse's share of a scratch: the run's verdict window
+/// (none on ordered plans) and its counters.
+#[derive(Debug, Default)]
+struct Alias {
+    window: Option<VerdictWindow>,
+    lanes: u64,
+    misses: u64,
 }
 
 impl GradeScratch {
@@ -123,6 +135,36 @@ impl GradeScratch {
     pub fn with_bit_cache(mut self, bits: BitCache) -> Self {
         self.bits = bits;
         self
+    }
+
+    /// Hands the scratch a [`VerdictWindow`] handle (chainable): the
+    /// differential kernel under [`Collapse::Early`] then records every
+    /// graded verdict in it and retires a lane that has become a
+    /// single-bit upset the window holds (see
+    /// [`Grader::grade_chunk`]). The engine shares one window among the
+    /// workers of an exhaustive run, which walks cycles in descending
+    /// order so the upsets lanes turn into are graded first.
+    #[must_use]
+    pub fn with_verdict_window(mut self, window: VerdictWindow) -> Self {
+        self.alias.window = Some(window);
+        self
+    }
+
+    /// Lanes this scratch retired with the verdict of the single-bit
+    /// upset they turned into (the alias collapse). How many of them
+    /// found their verdict depends on thread timing under a shared
+    /// window; their verdicts do not.
+    #[must_use]
+    pub fn aliased_lanes(&self) -> u64 {
+        self.alias.lanes
+    }
+
+    /// Lanes that had become a single-bit upset whose verdict the window
+    /// did not hold (yet), and so kept simulating. Depends on thread
+    /// timing under a shared window.
+    #[must_use]
+    pub fn alias_misses(&self) -> u64 {
+        self.alias.misses
     }
 
     /// Faulty-machine cycles simulated through this scratch (one per
@@ -202,18 +244,6 @@ impl Grader {
         self.golden.policy()
     }
 
-    /// A simulation state with the golden machine at the start of cycle
-    /// `t` in every lane, replayed from the checkpoint at or before `t`.
-    /// The serial loops flip lane 0 and run lane 1 beside it as the
-    /// golden reference, so they replay only the `t mod K` cycles up to
-    /// the injection.
-    pub(crate) fn golden_lanes_at(&self, t: usize) -> SimState {
-        let seed = self.golden.window(&self.sim, &self.tb, t, t + 1);
-        let mut st = self.sim.new_state();
-        self.sim.load_state(&mut st, seed.state_at(t));
-        st
-    }
-
     /// The compiled simulator (shared with emulation models).
     #[must_use]
     pub fn sim(&self) -> &CompiledSim {
@@ -260,7 +290,7 @@ impl Grader {
         let n_cycles = self.tb.num_cycles();
         let t = fault.cycle as usize;
         assert!(t < n_cycles, "fault cycle out of range");
-        let mut st = self.golden_lanes_at(t);
+        let mut st = self.golden.lanes_at(&self.sim, &self.tb, t);
         self.sim.flip_ff_lane(&mut st, fault.ff, 0);
         let mut verdict = FaultOutcome::latent();
         let mut decided = false;
@@ -315,6 +345,7 @@ impl Grader {
             kernel: Kernel::Auto,
             diff: self.sim.new_diff_scratch(),
             bits: BitCache::new(cache_spans),
+            alias: Alias::default(),
         }
     }
 
@@ -328,6 +359,16 @@ impl Grader {
     /// order: the pass starts at the first lane's cycle and flips each
     /// lane in at its own cycle, so a lane tracks the golden machine
     /// until its fault arrives.
+    ///
+    /// With a [`VerdictWindow`] in the scratch
+    /// ([`GradeScratch::with_verdict_window`]), the differential kernel
+    /// under [`Collapse::Early`] also applies the **alias collapse**: a
+    /// lane whose state differs from golden in a single flip-flop `g`
+    /// after cycle `u`, within [`ALIAS_WINDOW`] cycles of the chunk's
+    /// first injection, takes the verdict of the upset `(g, u + 1)` if
+    /// the window holds it, and every verdict the chunk reaches goes
+    /// into the window. A lane whose upset is missing keeps simulating,
+    /// so the verdicts are the same with or without a window.
     ///
     /// This is the shard-sized building block the batching engines are
     /// made of: an external runtime can cut any cycle-sorted fault list
@@ -347,10 +388,10 @@ impl Grader {
         chunk: &[Fault],
         out: &mut [FaultOutcome],
     ) {
-        let GradeScratch { st, collapse, sim_steps, kernel, diff, bits } = scratch;
+        let GradeScratch { st, collapse, sim_steps, kernel, diff, bits, alias } = scratch;
         match kernel.resolve() {
             Kernel::Generic => self.grade_chunk_generic(st, bits, *collapse, sim_steps, chunk, out),
-            _ => self.grade_chunk_diff(diff, bits, *collapse, sim_steps, chunk, out),
+            _ => self.grade_chunk_diff(diff, bits, *collapse, alias, sim_steps, chunk, out),
         }
     }
 
@@ -468,17 +509,35 @@ impl Grader {
     /// failures are claimed before same-cycle silences, each lane
     /// records its first event only, and `sim_steps` counts one per
     /// walked cycle.
+    ///
+    /// **Alias collapse.** With a verdict window under
+    /// [`Collapse::Early`], after the failed and silent masks are taken
+    /// at cycle `u` while `u + 1 − t ≤ ALIAS_WINDOW` (`t` the first
+    /// lane's cycle), [`CompiledSim::diff_lone_ffs`] names the
+    /// undecided lanes left with exactly one deviant flip-flop `g`. Such
+    /// a lane is the upset `(g, u + 1)` from here on — the same
+    /// trajectory, so the same class, detection and convergence cycle —
+    /// and when the window holds that verdict the lane takes it and is
+    /// retired with the failed lanes. Every verdict of the chunk is
+    /// recorded in the window at the end, for the chunks of earlier
+    /// cycles. The walk of cycles `u + 1 ..` is never needed to decide
+    /// an aliased lane, so a window miss costs only the walk the lane
+    /// would have taken anyway.
+    #[allow(clippy::too_many_arguments)]
     fn grade_chunk_diff(
         &self,
         sc: &mut DiffScratch,
         bits: &mut BitCache,
         collapse: Collapse,
+        alias: &mut Alias,
         sim_steps: &mut u64,
         chunk: &[Fault],
         out: &mut [FaultOutcome],
     ) {
         let mut u = self.validate_chunk(chunk, out);
+        let first = u;
         let n_cycles = self.tb.num_cycles();
+        let window = alias.window.as_ref().filter(|_| collapse == Collapse::Early);
         let mut span = self.golden.bit_span_cached(&self.sim, &self.tb, u, bits);
         let (mut next, mut undecided) = (0, 0u64);
         while u < n_cycles {
@@ -496,10 +555,27 @@ impl Grader {
             let newly_silent = !state_diff & undecided;
             Self::mark(out, newly_silent, FaultOutcome::silent(u as u32));
             undecided &= !newly_silent;
+            let mut retired = newly_failed;
+            if let Some(window) = window
+                .filter(|_| undecided != 0 && u + 1 - first <= ALIAS_WINDOW && u + 1 < n_cycles)
+            {
+                let upset_cycle = (u + 1) as u32;
+                let mut aliased = 0u64;
+                self.sim.diff_lone_ffs(sc, undecided, |lane, g| match window.get(g, upset_cycle) {
+                    Some(verdict) => {
+                        out[lane as usize] = verdict;
+                        aliased |= 1u64 << lane;
+                    }
+                    None => alias.misses += 1,
+                });
+                alias.lanes += u64::from(aliased.count_ones());
+                undecided &= !aliased;
+                retired |= aliased;
+            }
             u += 1;
             if collapse == Collapse::Early {
-                if newly_failed != 0 {
-                    self.sim.diff_retire(sc, newly_failed);
+                if retired != 0 {
+                    self.sim.diff_retire(sc, retired);
                 }
                 if undecided == 0 {
                     debug_assert_eq!(sc.active_signals(), 0, "decided lanes left deviations");
@@ -511,6 +587,11 @@ impl Grader {
             }
         }
         self.sim.diff_reset(sc);
+        if let Some(window) = window {
+            for (f, &o) in chunk.iter().zip(out.iter()) {
+                window.put(f.ff, f.cycle, o);
+            }
+        }
     }
 
     /// Per-flip-flop failure counts (a weak-area map, the re-design aid
@@ -1024,6 +1105,95 @@ mod tests {
         g.grade_chunk(&mut horizon, &chunk, &mut out);
         assert_eq!(horizon.bit_cache().misses(), 1);
         assert_eq!(horizon.bit_cache().hits(), 13);
+    }
+
+    /// Four hold registers (`q <= en ? d : q`) whose XOR is observed
+    /// only when `obs` is high: a flip held for a cycle is still a
+    /// single-bit upset of the same flip-flop, so many faults alias.
+    fn hold_registers() -> seugrade_netlist::Netlist {
+        let mut b = NetlistBuilder::new("hold");
+        let en = b.input("en");
+        let obs = b.input("obs");
+        let mut parity = None;
+        for i in 0..4 {
+            let d = b.input(format!("d{i}"));
+            let q = b.dff(false);
+            let next = b.mux(en, q, d);
+            b.connect_dff(q, next).unwrap();
+            parity = Some(match parity {
+                None => q,
+                Some(p) => b.xor2(p, q),
+            });
+        }
+        let y = b.and2(parity.unwrap(), obs);
+        b.output("y", y);
+        b.finish().unwrap()
+    }
+
+    /// Grades the exhaustive space cycle by cycle, last cycle first when
+    /// `backward`, through one scratch; returns the verdicts in
+    /// submission order.
+    fn grade_cycle_by_cycle(
+        g: &Grader,
+        scratch: &mut GradeScratch,
+        backward: bool,
+    ) -> Vec<FaultOutcome> {
+        let (ffs, cycles) = (g.sim().num_ffs(), g.testbench().num_cycles());
+        let faults = FaultList::exhaustive(ffs, cycles);
+        let mut out = vec![FaultOutcome::latent(); faults.len()];
+        let mut order: Vec<usize> = (0..cycles).collect();
+        if backward {
+            order.reverse();
+        }
+        for t in order {
+            let lanes = t * ffs..(t + 1) * ffs;
+            let outs = out[lanes.clone()].chunks_mut(g.chunk_lanes());
+            for (chunk, o) in faults.as_slice()[lanes].chunks(g.chunk_lanes()).zip(outs) {
+                g.grade_chunk(scratch, chunk, o);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn hold_registers_alias_on_a_backward_walk_only() {
+        let n = hold_registers();
+        let tb = Testbench::random(n.num_inputs(), 40, 3);
+        let g = Grader::new(&n, &tb);
+        let faults = FaultList::exhaustive(n.num_ffs(), 40);
+        let reference = g.run_serial(faults.as_slice());
+        // Descending cycles: every single-bit upset a lane turns into
+        // within the window was graded before it, so every lookup hits.
+        let window = VerdictWindow::new(n.num_ffs());
+        let mut backward = g
+            .new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
+            .with_verdict_window(window.clone());
+        assert_eq!(grade_cycle_by_cycle(&g, &mut backward, true), reference);
+        let aliased = backward.aliased_lanes() as usize;
+        assert!(aliased * 8 > faults.len(), "{aliased} of {} faults aliased", faults.len());
+        assert_eq!(backward.alias_misses(), 0);
+        // Ascending cycles find nothing in a fresh window, and the lanes
+        // simulate on to the same verdicts.
+        let mut forward = g
+            .new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
+            .with_verdict_window(VerdictWindow::new(n.num_ffs()));
+        assert_eq!(grade_cycle_by_cycle(&g, &mut forward, false), reference);
+        assert_eq!(forward.aliased_lanes(), 0);
+        // A lane that misses may be a lone upset again a cycle later.
+        assert!(forward.alias_misses() >= backward.aliased_lanes());
+        assert!(forward.sim_steps() > backward.sim_steps());
+        // Without a window, or under horizon collapse, nothing aliases.
+        for scratch in [
+            g.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS),
+            g.new_scratch(Collapse::Horizon, DEFAULT_WINDOW_CACHE_SPANS).with_verdict_window(window),
+            g.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
+                .with_kernel(Kernel::Generic)
+                .with_verdict_window(VerdictWindow::new(n.num_ffs())),
+        ] {
+            let mut scratch = scratch;
+            assert_eq!(grade_cycle_by_cycle(&g, &mut scratch, true), reference);
+            assert_eq!((scratch.aliased_lanes(), scratch.alias_misses()), (0, 0));
+        }
     }
 
     #[test]

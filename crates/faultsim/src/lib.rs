@@ -70,8 +70,10 @@ pub mod multi;
 mod outcome;
 pub mod report;
 pub mod sampling;
+mod verdicts;
 
 pub use fault::{Fault, FaultList};
 pub use grader::{Collapse, GradeScratch, Grader, DEFAULT_WINDOW_CACHE_SPANS};
 pub use multi::MultiFault;
 pub use outcome::{FaultClass, FaultOutcome, GradingSummary};
+pub use verdicts::{VerdictWindow, ALIAS_WINDOW};

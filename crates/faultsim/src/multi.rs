@@ -83,7 +83,7 @@ impl Grader {
         let t = fault.cycle as usize;
         assert!(t < n_cycles, "fault cycle out of range");
         let sim = self.sim();
-        let mut st = self.golden_lanes_at(t);
+        let mut st = self.golden().lanes_at(sim, self.testbench(), t);
         for &ff in &fault.ffs {
             sim.flip_ff_lane(&mut st, ff, 0);
         }

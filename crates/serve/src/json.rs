@@ -3,7 +3,7 @@
 //! The serve protocol is line-delimited JSON over TCP, and the workspace
 //! deliberately links no external crates — so this module carries the
 //! ~300 lines of JSON the protocol needs, in the same home-grown spirit
-//! as the `seugrade-campaign-ckpt/v2` checkpoint grammar. Two
+//! as the `seugrade-campaign-ckpt/v3` checkpoint grammar. Two
 //! non-features keep it small and safe against hostile input:
 //!
 //! - **Bounded recursion.** Nesting deeper than [`MAX_DEPTH`] is a

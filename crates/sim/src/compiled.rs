@@ -48,6 +48,10 @@ pub struct CompiledSim {
     /// flip-flops whose `D` pin reads it (the dev-space step relation).
     pub(crate) ff_q_start: Vec<u32>,
     pub(crate) ff_q_targets: Vec<u32>,
+    /// Flip-flop index per signal slot, `u32::MAX` for slots that are no
+    /// flip-flop output: names the flip-flop behind a deviant `Q` slot
+    /// (the alias scan of the differential kernel).
+    pub(crate) ff_of_slot: Vec<u32>,
 }
 
 /// The mutable value store for a [`CompiledSim`]: one 64-lane word per
@@ -126,6 +130,10 @@ impl CompiledSim {
             ff_q_targets[*c as usize] = ffs[i];
             *c += 1;
         }
+        let mut ff_of_slot = vec![u32::MAX; num_cells];
+        for (i, &q) in ffs.iter().enumerate() {
+            ff_of_slot[q as usize] = i as u32;
+        }
         CompiledSim {
             num_cells,
             instrs,
@@ -144,6 +152,7 @@ impl CompiledSim {
             fanout: netlist.levelized_fanout(&lv),
             ff_q_start,
             ff_q_targets,
+            ff_of_slot,
         }
     }
 
@@ -346,15 +355,25 @@ impl CompiledSim {
     /// [`run_golden_with`](Self::run_golden_with) instead.
     #[must_use]
     pub fn run_golden(&self, tb: &Testbench) -> TraceWindow {
-        let power_on = self.state_lane(&self.new_state(), 0);
-        self.replay_span(tb, &power_on, 0, 0, tb.num_cycles())
+        let mut state = self.new_state();
+        let mut outputs = Vec::with_capacity(tb.num_cycles());
+        let mut states = Vec::with_capacity(tb.num_cycles() + 1);
+        states.push(self.state_lane(&state, 0));
+        for vector in tb.iter() {
+            self.set_inputs(&mut state, vector);
+            self.eval(&mut state);
+            outputs.push(self.outputs_lane(&state, 0));
+            self.step(&mut state);
+            states.push(self.state_lane(&state, 0));
+        }
+        TraceWindow::new(0, outputs, states)
     }
 
     /// Runs the full test bench from reset, capturing the golden
     /// reference run under the given [`TracePolicy`]: the flip-flop
     /// state at cycles `0, K, 2K, …` plus the end state — everything
-    /// else is replayed on demand through [`GoldenTrace::window`] and
-    /// the span store.
+    /// else is replayed on demand into the span store and, for the
+    /// serial graders, through [`GoldenTrace::lanes_at`].
     ///
     /// # Panics
     ///
@@ -380,41 +399,6 @@ impl CompiledSim {
         }
         let final_state = self.state_lane(&state, 0);
         GoldenTrace::new(self.num_outputs(), tb.num_cycles(), k, checkpoints, final_state)
-    }
-
-    /// Replays the golden run from a known state at cycle `from`,
-    /// discarding cycles before `start` and capturing outputs for
-    /// `start..end` and states for `start..=end` — the reconstruction
-    /// primitive behind [`GoldenTrace::window`] and
-    /// [`run_golden`](Self::run_golden).
-    pub(crate) fn replay_span(
-        &self,
-        tb: &Testbench,
-        state_at_from: &[bool],
-        from: usize,
-        start: usize,
-        end: usize,
-    ) -> TraceWindow {
-        debug_assert!(from <= start && start <= end && end <= tb.num_cycles());
-        let mut state = self.new_state();
-        self.load_state(&mut state, state_at_from);
-        // Silent advance up to the window start.
-        for t in from..start {
-            self.set_inputs(&mut state, tb.cycle(t));
-            self.eval(&mut state);
-            self.step(&mut state);
-        }
-        let mut outputs = Vec::with_capacity(end - start);
-        let mut states = Vec::with_capacity(end - start + 1);
-        states.push(self.state_lane(&state, 0));
-        for t in start..end {
-            self.set_inputs(&mut state, tb.cycle(t));
-            self.eval(&mut state);
-            outputs.push(self.outputs_lane(&state, 0));
-            self.step(&mut state);
-            states.push(self.state_lane(&state, 0));
-        }
-        TraceWindow::new(start, outputs, states)
     }
 }
 

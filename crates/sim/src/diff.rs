@@ -34,15 +34,24 @@
 //! lane whose fault has not been seeded yet carries no deviation either,
 //! so one chunk can hold faults injected at different cycles.
 //!
+//! After a step the deviant slots are exactly the deviant flip-flops, so
+//! [`CompiledSim::diff_lone_ffs`] finds, with one/many masks over them,
+//! the lanes whose state differs from golden in a single flip-flop `g`.
+//! Such a lane *is* the SEU `(g, u + 1)` from the next cycle on — the
+//! paper's per-cycle golden/faulty comparison widened from "equal" to
+//! "equal but one bit" — and the grader retires it with that fault's
+//! verdict when it has one (the alias collapse).
+//!
 //! The golden bits come from a [`BitSpan`]: one bit per cell per cycle
 //! (golden values are lane-uniform), shared across all chunks of a
 //! campaign through a [`BitCache`], the one golden span store of a
 //! grading run: each span is replayed once per store, at 1/64th the word
 //! cost of a value trace. Spans are replayed lane-parallel: one 64-lane
 //! tape pass rebuilds a missing span together with the uncached spans
-//! after it, each lane seeded with its own span's start state and
-//! stimulus. Seed states are bit-packed and loaded into (or read out of)
-//! the lanes by 64×64 bit transposes.
+//! the campaign's [`Walk`] reaches next (after it on a forward walk,
+//! before it on a backward one), each lane seeded with its own span's
+//! start state and stimulus. Seed states are bit-packed and loaded into
+//! (or read out of) the lanes by 64×64 bit transposes.
 //!
 //! Like the paper's state-scan, which restarts a faulty run from a
 //! scanned-in golden state instead of from reset, a replay need not
@@ -172,6 +181,24 @@ impl Store {
     }
 }
 
+/// The order in which a campaign visits injection cycles, as far as its
+/// golden span store is concerned: the direction a [`BitCache`] batches
+/// and looks ahead in.
+///
+/// A chunk always walks forward in time from its injection cycle; the
+/// walk order is the order of the chunks. Ordered (sampled and list)
+/// plans inject in ascending cycle order; the exhaustive plan grades
+/// its cycles in descending order, so the fault a lane turns into has
+/// always been graded before (see `Grader::grade_chunk`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Walk {
+    /// Ascending injection cycles: a miss batches the spans after it.
+    #[default]
+    Forward,
+    /// Descending injection cycles: a miss batches the spans before it.
+    Backward,
+}
+
 /// A small LRU of replayed golden [`BitSpan`]s, keyed by the exact
 /// `start..end` cycle span: the golden span store both faulty kernels
 /// read.
@@ -198,6 +225,7 @@ impl Store {
 #[derive(Debug)]
 pub struct BitCache {
     capacity: usize,
+    walk: Walk,
     store: BitStore,
     hits: u64,
     misses: u64,
@@ -221,19 +249,40 @@ impl BitCache {
     }
 
     fn with_store(capacity: usize, store: BitStore) -> Self {
-        BitCache { capacity, store, hits: 0, misses: 0, replayed_cycles: 0, replay_steps: 0 }
+        BitCache {
+            capacity,
+            walk: Walk::Forward,
+            store,
+            hits: 0,
+            misses: 0,
+            replayed_cycles: 0,
+            replay_steps: 0,
+        }
     }
 
-    /// A new handle with zeroed counters: same store for a
-    /// [`shared`](Self::shared) cache, a fresh empty cache otherwise.
+    /// Sets the order in which the campaign visits injection cycles
+    /// (chainable; the default is [`Walk::Forward`]). A replay pass
+    /// batches the missed span with the uncached spans the walk reaches
+    /// next, and looks ahead beyond them in the same direction. A pure
+    /// speed setting: the spans served are identical either way.
+    #[must_use]
+    pub fn walking(mut self, walk: Walk) -> Self {
+        self.walk = walk;
+        self
+    }
+
+    /// A new handle with zeroed counters and the same walk order: same
+    /// store for a [`shared`](Self::shared) cache, a fresh empty cache
+    /// otherwise.
     #[must_use]
     pub fn clone_handle(&self) -> Self {
-        match &self.store {
+        let handle = match &self.store {
             BitStore::Local(_) => Self::new(self.capacity),
             BitStore::Shared(store) => {
                 Self::with_store(self.capacity, BitStore::Shared(Arc::clone(store)))
             }
-        }
+        };
+        handle.walking(self.walk)
     }
 
     /// A capacity-0 cache: every span request replays from a checkpoint.
@@ -558,6 +607,38 @@ impl CompiledSim {
         (out_diff, state_diff)
     }
 
+    /// Calls `each(lane, ff)` for every lane of `live` whose state,
+    /// after the last [`diff_cycle`](Self::diff_cycle), deviates from
+    /// golden in exactly one flip-flop, `ff`: from the next cycle on the
+    /// lane is the single-bit upset of `ff` at that cycle.
+    ///
+    /// Two passes over the deviant `Q` slots: one/many masks find the
+    /// lanes with a single deviant flip-flop, and the second pass names
+    /// it, stopping once every such lane is named. Nothing is scanned
+    /// when no lane qualifies.
+    pub fn diff_lone_ffs(&self, sc: &DiffScratch, live: u64, mut each: impl FnMut(u32, FfIndex)) {
+        let (mut one, mut many) = (0u64, 0u64);
+        for &slot in &sc.touched {
+            let d = sc.dev[slot as usize] & live;
+            many |= one & d;
+            one |= d;
+        }
+        let mut lone = one & !many;
+        for &slot in &sc.touched {
+            if lone == 0 {
+                break;
+            }
+            let mut hit = sc.dev[slot as usize] & lone;
+            lone &= !hit;
+            let ff = self.ff_of_slot[slot as usize];
+            debug_assert_ne!(ff, u32::MAX, "a deviant slot after the step is a flip-flop");
+            while hit != 0 {
+                each(hit.trailing_zeros(), FfIndex::new(ff as usize));
+                hit &= hit - 1;
+            }
+        }
+    }
+
     /// Retires `lanes`: clears their bits in every deviant slot and drops
     /// slots left clean, so a decided lane stops driving its cone. The
     /// other lanes' deviations are untouched.
@@ -806,10 +887,11 @@ impl GoldenTrace {
     /// at the bench end, so each seeds at its own checkpoint.
     ///
     /// A miss replays the missing span together with the uncached spans
-    /// after it, stopping at the first cached span or the bench end, in
-    /// one lane-parallel pass of at most `max(1, capacity / 2)` spans
-    /// (never more than 64): a forward walk pays one pass for several
-    /// spans.
+    /// the cache's [`Walk`] reaches next — the spans after it on a
+    /// forward walk, before it on a backward one — stopping at the first
+    /// cached span or the bench edge, in one lane-parallel pass of at
+    /// most `max(1, capacity / 2)` spans (never more than 64): a walk
+    /// pays one pass for several spans.
     ///
     /// A span is cut into slices of `ceil(K / 8)` cycles. When the
     /// state at every slice start is known — for a span seeded in the
@@ -817,12 +899,12 @@ impl GoldenTrace {
     /// all the batch's slices fit in the 64 lanes, each slice replays in
     /// a lane of its own and the pass runs `ceil(K / 8)` steps instead of `K`.
     /// Otherwise every batch span replays whole, and the pass's idle
-    /// lanes **look ahead**: they replay the next spans that are neither
-    /// cached nor seeded, capture nothing, and snapshot their state at
-    /// each slice start into the seed table, so the passes after it run
-    /// sliced. Which spans a pass rebuilds, and so `misses`, `hits` and
-    /// `replayed_cycles`, do not depend on seeding; a capacity-0 cache
-    /// looks ahead at nothing.
+    /// lanes **look ahead**: they replay the next spans in walk order
+    /// beyond the batch that are neither cached nor seeded, capture
+    /// nothing, and snapshot their state at each slice start into the
+    /// seed table, so the passes after it run sliced. Which spans a pass
+    /// rebuilds, and so `misses`, `hits` and `replayed_cycles`, do not
+    /// depend on seeding; a capacity-0 cache looks ahead at nothing.
     ///
     /// # Panics
     ///
@@ -860,9 +942,18 @@ impl GoldenTrace {
         // Look-ahead pays only where a span has more than one slice, and
         // only a retaining store keeps what it finds.
         let look = cache.capacity > 0 && len > 1;
+        // The starts of the spans the walk reaches after the span at
+        // `from`, nearest first: later spans on a forward walk, earlier
+        // ones on a backward walk.
+        let walk = cache.walk;
+        let beyond = move |from: usize| {
+            (1..).map_while(move |i: usize| match walk {
+                Walk::Forward => Some(from + i * len).filter(|&start| start < n),
+                Walk::Backward => from.checked_sub(i * len),
+            })
+        };
         cache.locked(|store| {
-            let rest = (first + len..n).step_by(len).map(key);
-            let uncached = rest.take_while(|&k| !store.cached(k));
+            let uncached = beyond(first).map(key).take_while(|&k| !store.cached(k));
             let batch: Vec<SpanKey> =
                 std::iter::once(key(first)).chain(uncached).take(limit).collect();
             let known = |k: SpanKey| slices(k) == 1 || store.seeded(k);
@@ -877,9 +968,8 @@ impl GoldenTrace {
             let look_ahead = if sliced || !look {
                 Vec::new()
             } else {
-                let after = batch.last().map_or(first, |&(_, end)| end);
-                (after..n)
-                    .step_by(len)
+                let edge = batch.last().map_or(first, |&(start, _)| start);
+                beyond(edge)
                     .map(key)
                     .filter(|&k| slices(k) > 1 && !store.cached(k) && !store.seeded(k))
                     .take(64 - batch.len())
@@ -1163,10 +1253,10 @@ mod tests {
         }
     }
 
-    /// Walks every cycle of a `cycles`-long random bench forward,
-    /// checking every bit against a plain run, and returns the cache
-    /// with its counters.
-    fn forward_walk(
+    /// Walks every cycle of a `cycles`-long random bench in the cache's
+    /// walk order (ascending or descending cycles), checking every bit
+    /// against a plain run, and returns the cache with its counters.
+    fn walk_all(
         n: &seugrade_netlist::Netlist,
         policy: TracePolicy,
         cycles: usize,
@@ -1177,7 +1267,11 @@ mod tests {
         let golden = brute_force_values(&sim, &tb);
         let trace = sim.run_golden_with(&tb, policy);
         let mut cache = cache;
-        for (t, row) in golden.iter().enumerate() {
+        let mut order: Vec<(usize, &Vec<bool>)> = golden.iter().enumerate().collect();
+        if cache.walk == Walk::Backward {
+            order.reverse();
+        }
+        for (t, row) in order {
             let span = trace.bit_span_cached(&sim, &tb, t, &mut cache);
             for (slot, &bit) in row.iter().enumerate() {
                 assert_eq!(span.bit_at(slot, t), bit, "policy {policy} slot {slot} cycle {t}");
@@ -1199,13 +1293,35 @@ mod tests {
             .collect();
         assert!(states.len() > 700, "{} distinct states", states.len());
         let policy = TracePolicy::Checkpoint(64);
-        let mut cache = forward_walk(&live, policy, 1024, BitCache::new(8));
+        let mut cache = walk_all(&live, policy, 1024, BitCache::new(8));
         // One full pass (64 steps) seeds spans 4..16; the three passes
         // after it replay 4 spans each as 32 lanes of 8 cycles.
         assert_eq!(cache.misses(), 4);
         assert_eq!(cache.replay_steps(), 64 + 3 * 8);
         assert_eq!(cache.replayed_cycles(), 1024);
         assert_eq!(cache.seeded(), 0, "every seed was used");
+    }
+
+    #[test]
+    fn a_backward_walk_replays_no_more_than_a_forward_walk() {
+        let live = ring_of(130);
+        let policy = TracePolicy::Checkpoint(64);
+        let forward = walk_all(&live, policy, 1024, BitCache::new(8));
+        let mut backward = walk_all(&live, policy, 1024, BitCache::new(8).walking(Walk::Backward));
+        assert!(backward.misses() <= forward.misses(), "{} passes", backward.misses());
+        assert!(backward.replay_steps() <= forward.replay_steps(), "{}", backward.replay_steps());
+        // Spans 15..12 replay whole and seed 11..0, which then replay
+        // in slices, 4 spans per pass — the forward walk's mirror image.
+        assert_eq!(backward.misses(), 4);
+        assert_eq!(backward.replay_steps(), 64 + 3 * 8);
+        assert_eq!(backward.replayed_cycles(), 1024);
+        assert_eq!(backward.seeded(), 0, "every seed was used");
+        // A backward walk that batched forward would find every later
+        // span cached and replay one span per pass.
+        let mut shared = BitCache::shared(8).walking(Walk::Backward);
+        assert_eq!(shared.clone_handle().walk, Walk::Backward, "handles keep the walk");
+        assert_eq!(walk_all(&live, policy, 1024, shared.clone_handle()).misses(), 4);
+        assert_eq!(shared.held(), 8);
     }
 
     #[test]
@@ -1229,7 +1345,7 @@ mod tests {
         let n = ring_of(130);
         for (policy, cycles, capacity, passes, steps) in cases {
             let what = format!("{policy}, {cycles} cycles, capacity {capacity}");
-            let mut cache = forward_walk(&n, policy, cycles, BitCache::new(capacity));
+            let mut cache = walk_all(&n, policy, cycles, BitCache::new(capacity));
             assert_eq!(cache.misses(), passes, "{what}: passes");
             assert_eq!(cache.replay_steps(), steps, "{what}: steps");
             assert_eq!(cache.replayed_cycles(), cycles as u64, "{what}: each span rebuilt once");
@@ -1238,7 +1354,7 @@ mod tests {
         }
         // Capacity 0 keeps no seeds: every request replays its own span
         // whole, as without look-ahead.
-        let mut cache = forward_walk(&n, ck(64), 256, BitCache::disabled());
+        let mut cache = walk_all(&n, ck(64), 256, BitCache::disabled());
         assert_eq!(cache.misses(), 256);
         assert_eq!(cache.replay_steps(), 256 * 64);
         assert_eq!(cache.seeded(), 0);
@@ -1338,23 +1454,37 @@ mod tests {
                     }
                     sim.step(&mut st);
                     let mut state_diff = 0u64;
+                    let mut deviant = Vec::new();
                     for f in 0..sim.num_ffs() {
-                        state_diff |= sim.ff_raw(&st, FfIndex::new(f))
+                        let d = sim.ff_raw(&st, FfIndex::new(f))
                             ^ broadcast(values.state_at(t + 1)[f]);
+                        state_diff |= d;
+                        if d != 0 {
+                            deviant.push(FfIndex::new(f));
+                        }
                     }
+                    // Lanes 1 and 5 carry the same fault: both or
+                    // neither deviate in exactly one flip-flop.
+                    let lone = match deviant[..] {
+                        [g] => vec![(1, g), (5, g)],
+                        _ => Vec::new(),
+                    };
                     if t >= inject {
-                        ref_trail.push((out_diff, state_diff));
+                        ref_trail.push((out_diff, state_diff, lone));
                     }
                 }
                 // Differential kernel over the same fault.
                 sim.diff_seed(&mut sc, FfIndex::new(ff), 1);
                 sim.diff_seed(&mut sc, FfIndex::new(ff), 5);
-                for (i, &(ro, rs)) in ref_trail.iter().enumerate() {
+                for (i, (ro, rs, lone)) in ref_trail.iter().enumerate() {
                     let t = inject + i;
                     let span = trace.bit_span_cached(&sim, &tb, t, &mut cache);
                     let (o, s) = sim.diff_cycle(&mut sc, &span, t);
-                    assert_eq!(o, ro, "out_diff ff {ff} inject {inject} cycle {t}");
-                    assert_eq!(s, rs, "state_diff ff {ff} inject {inject} cycle {t}");
+                    assert_eq!(o, *ro, "out_diff ff {ff} inject {inject} cycle {t}");
+                    assert_eq!(s, *rs, "state_diff ff {ff} inject {inject} cycle {t}");
+                    let mut found = Vec::new();
+                    sim.diff_lone_ffs(&sc, !0, |lane, g| found.push((lane, g)));
+                    assert_eq!(&found, lone, "lone flip-flop ff {ff} inject {inject} cycle {t}");
                 }
                 sim.diff_reset(&mut sc);
                 assert_eq!(sc.active_signals(), 0);

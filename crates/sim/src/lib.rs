@@ -15,8 +15,8 @@
 //!   generation via [`SplitMix64`]);
 //! - [`GoldenTrace`] — the fault-free reference run, checkpointed under
 //!   a [`TracePolicy`] (full state every `K` cycles, everything else
-//!   replayed on demand into a bounded [`TraceWindow`] for the serial
-//!   reference) — the memory-bounded representation the streaming
+//!   replayed on demand, into golden lanes for the serial reference) —
+//!   the memory-bounded representation the streaming
 //!   campaign core grades against. [`CompiledSim::run_golden`] records
 //!   a whole run as one [`TraceWindow`] for conformance checks;
 //! - [`BitSpan`] / [`BitCache`] — golden internal values bit-packed per
@@ -75,7 +75,7 @@ mod trace;
 pub mod vcd;
 
 pub use compiled::{CompiledSim, SimState};
-pub use diff::{BitCache, BitSpan, DiffScratch};
+pub use diff::{BitCache, BitSpan, DiffScratch, Walk};
 pub use equiv::{equiv_check, Counterexample};
 pub use event::EventSim;
 pub use rng::SplitMix64;

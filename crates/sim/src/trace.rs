@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{CompiledSim, Testbench};
+use crate::{broadcast, CompiledSim, SimState, Testbench};
 
 /// How a [`GoldenTrace`] stores the reference run.
 ///
@@ -13,7 +13,7 @@ use crate::{CompiledSim, Testbench};
 /// trace stores the full flip-flop state every `K` cycles
 /// (`O(FFs × cycles / K)` memory), and outputs and intermediate states
 /// are replayed by the compiled simulator from the nearest checkpoint,
-/// into bounded [`TraceWindow`]s or bit-packed spans.
+/// into bit-packed spans or golden lanes.
 ///
 /// Every interval describes the *same* golden run; every consumer sees
 /// bit-identical data whatever `K` is (a property the agreement suites
@@ -68,10 +68,10 @@ impl fmt::Display for TracePolicy {
 /// Produced by
 /// [`CompiledSim::run_golden_with`](crate::CompiledSim::run_golden_with).
 /// The trace holds the flip-flop state at every `K`-th cycle and at the
-/// end of the run; golden data is handed out as bounded
-/// [`TraceWindow`]s via [`window`](Self::window), or as bit-packed spans
-/// through a [`BitCache`](crate::BitCache), both replayed from the
-/// nearest checkpoint. A whole-run [`TraceWindow`] comes from
+/// end of the run; golden data is handed out as bit-packed spans
+/// through a [`BitCache`](crate::BitCache), or as golden lanes for the
+/// serial graders via [`lanes_at`](Self::lanes_at), both replayed from
+/// the nearest checkpoint. A whole-run [`TraceWindow`] comes from
 /// [`CompiledSim::run_golden`](crate::CompiledSim::run_golden).
 #[derive(Clone, PartialEq, Eq)]
 pub struct GoldenTrace {
@@ -91,11 +91,9 @@ pub struct GoldenTrace {
 /// A contiguous span of golden values: outputs for cycles `start..end`
 /// and states for `start..=end`.
 ///
-/// [`GoldenTrace::window`] replays one from the nearest checkpoint;
 /// [`CompiledSim::run_golden`](crate::CompiledSim::run_golden) and
 /// [`EventSim::run_golden`](crate::EventSim::run_golden) record a whole
-/// run as one. Accessors take **absolute** cycle indices, so grading
-/// code is window-position agnostic.
+/// run as one. Accessors take **absolute** cycle indices.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceWindow {
     start: usize,
@@ -206,32 +204,35 @@ impl GoldenTrace {
         &self.final_state
     }
 
-    /// A window of golden data covering cycles `start..end` (outputs)
-    /// and `start..=end` (states), reconstructed by replaying `sim` from
-    /// the nearest stored checkpoint — `sim` and `tb` must be the pair
-    /// the trace was captured from (same compiled circuit, same
-    /// stimuli), which the graders guarantee by construction.
+    /// A simulation state holding the golden machine at the start of
+    /// cycle `t` in every lane: the checkpoint at or before `t` is
+    /// unpacked straight into the lanes and the `t mod K` cycles up to
+    /// `t` are replayed (none when `t` is a checkpoint). `sim` and `tb`
+    /// must be the pair the trace was captured from, which the graders
+    /// guarantee by construction. The serial graders flip lane 0 and
+    /// run lane 1 beside it as the golden reference.
     ///
     /// # Panics
     ///
-    /// Panics if `start >= end`, `end > num_cycles()`, or `sim`/`tb`
-    /// dimensions do not match the trace.
+    /// Panics if `t >= num_cycles()`, or `sim`/`tb` dimensions do not
+    /// match the trace.
     #[must_use]
-    pub fn window(
-        &self,
-        sim: &CompiledSim,
-        tb: &Testbench,
-        start: usize,
-        end: usize,
-    ) -> TraceWindow {
-        assert!(start < end, "empty trace window {start}..{end}");
-        assert!(end <= self.num_cycles, "window end {end} beyond trace");
-        assert_eq!(sim.num_ffs(), self.num_ffs(), "window sim flip-flop count");
-        assert_eq!(sim.num_outputs(), self.num_outputs, "window sim output count");
-        assert_eq!(tb.num_cycles(), self.num_cycles, "window test-bench length");
-        let from = start - start % self.interval;
-        let seed = unpack_bits(self.packed_state(from), self.num_ffs());
-        sim.replay_span(tb, &seed, from, start, end)
+    pub fn lanes_at(&self, sim: &CompiledSim, tb: &Testbench, t: usize) -> SimState {
+        assert!(t < self.num_cycles, "cycle {t} beyond trace");
+        assert_eq!(sim.num_ffs(), self.num_ffs(), "lanes sim flip-flop count");
+        assert_eq!(tb.num_cycles(), self.num_cycles, "lanes test-bench length");
+        let from = t - t % self.interval;
+        let seed = self.packed_state(from);
+        let mut st = sim.new_state();
+        for (i, &slot) in sim.ffs.iter().enumerate() {
+            st.values[slot as usize] = broadcast(seed[i / 64] >> (i % 64) & 1 == 1);
+        }
+        for u in from..t {
+            sim.set_inputs(&mut st, tb.cycle(u));
+            sim.eval(&mut st);
+            sim.step(&mut st);
+        }
+        st
     }
 
     /// The checkpointed golden flip-flop state at the start of cycle
@@ -290,11 +291,6 @@ pub(crate) fn pack_bits(bits: &[bool]) -> Vec<u64> {
     bits.chunks(64)
         .map(|c| c.iter().rev().fold(0, |w, &b| w << 1 | u64::from(b)))
         .collect()
-}
-
-/// The first `n` bits of `words`, as packed by [`pack_bits`].
-fn unpack_bits(words: &[u64], n: usize) -> Vec<bool> {
-    (0..n).map(|i| words[i / 64] >> (i % 64) & 1 == 1).collect()
 }
 
 impl fmt::Debug for GoldenTrace {
@@ -385,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_windows_match_the_whole_run_everywhere() {
+    fn golden_lanes_match_the_whole_run_at_every_cycle() {
         let n = counter3();
         let sim = crate::CompiledSim::new(&n);
         let tb = Testbench::constant_low(0, 21);
@@ -395,16 +391,10 @@ mod tests {
             let cp = sim.run_golden_with(&tb, TracePolicy::Checkpoint(k));
             assert_eq!(cp.policy(), TracePolicy::Checkpoint(k));
             assert_eq!(cp.final_state(), run.state_at(21), "K={k}");
-            for start in 0..21 {
-                for end in start + 1..=21 {
-                    let w = cp.window(&sim, &tb, start, end);
-                    assert_eq!(w.start(), start);
-                    assert_eq!(w.end(), end);
-                    for t in start..end {
-                        assert_eq!(w.output_at(t), run.output_at(t), "K={k} t={t}");
-                        assert_eq!(w.state_at(t), run.state_at(t), "K={k} t={t}");
-                    }
-                    assert_eq!(w.state_at(end), run.state_at(end), "K={k} end={end}");
+            for t in 0..21 {
+                let st = cp.lanes_at(&sim, &tb, t);
+                for lane in [0, 1, 63] {
+                    assert_eq!(sim.state_lane(&st, lane), run.state_at(t), "K={k} t={t}");
                 }
             }
         }
@@ -431,23 +421,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty trace window")]
-    fn empty_window_rejected() {
-        let n = counter3();
-        let sim = crate::CompiledSim::new(&n);
-        let tb = Testbench::constant_low(0, 8);
-        let g = sim.run_golden_with(&tb, TracePolicy::default());
-        let _ = g.window(&sim, &tb, 3, 3);
-    }
-
-    #[test]
     #[should_panic(expected = "outside window")]
     fn out_of_window_access_rejected() {
         let n = counter3();
         let sim = crate::CompiledSim::new(&n);
-        let tb = Testbench::constant_low(0, 8);
-        let g = sim.run_golden_with(&tb, TracePolicy::default());
-        let w = g.window(&sim, &tb, 2, 4);
+        let w = sim.run_golden(&Testbench::constant_low(0, 4));
         let _ = w.output_at(4);
     }
 }

@@ -1,5 +1,5 @@
 //! Hostile-input fuzzing: every grammar the workspace reads —
-//! `seugrade-campaign-ckpt/v2` checkpoints, ISCAS `.bench`, structural
+//! `seugrade-campaign-ckpt/v3` checkpoints, ISCAS `.bench`, structural
 //! BLIF, structural Verilog, the VHDL subset, and the
 //! `seugrade-serve/v1` wire protocol — must reject truncated or
 //! mutated input with a structured, line-numbered error. Never a
@@ -440,6 +440,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// Rewrites the checkpoint at `path` under schema line `schema`, with a
+/// matching checksum: what an older release would have written for the
+/// same campaign.
+fn relabel_schema(path: &std::path::Path, schema: &str) {
+    let text = std::fs::read_to_string(path).expect("checkpoint written");
+    let body: Vec<&str> = text.lines().collect();
+    let mut old: Vec<String> = body[..body.len() - 1].iter().map(|l| (*l).to_owned()).collect();
+    old[0] = schema.to_owned();
+    let old_body = old.join("\n");
+    let old_text = format!("{old_body}\nend {:016x}\n", fnv1a(old_body.as_bytes()));
+    std::fs::write(path, old_text).expect("write old checkpoint");
+}
+
 /// A checkpoint written under the old one-cycle-per-chunk layout is a
 /// typed error, even with an intact checksum: its cursor would name
 /// different faults under today's packed chunks.
@@ -451,18 +464,71 @@ fn old_layout_checkpoint_is_rejected() {
     let mut opts = ResumeOptions::checkpoint_to(&path);
     opts.limit = Some(1);
     resumable(&engine, &plan, &opts).expect("seed checkpoint");
-    let text = std::fs::read_to_string(&path).expect("checkpoint written");
-    let body: Vec<&str> = text.lines().collect();
-    let mut old: Vec<String> = body[..body.len() - 1].iter().map(|l| (*l).to_owned()).collect();
-    old[0] = "seugrade-campaign-ckpt/v1".to_owned();
-    let old_body = old.join("\n");
-    let old_text = format!("{old_body}\nend {:016x}\n", fnv1a(old_body.as_bytes()));
-    std::fs::write(&path, old_text).expect("write old checkpoint");
+    relabel_schema(&path, "seugrade-campaign-ckpt/v1");
     let err = resumable(&engine, &plan, &ResumeOptions::resume_from(&path))
         .expect_err("an old-layout checkpoint must not resume");
     std::fs::remove_file(&path).ok();
     assert!(matches!(err, EngineError::Resume(ResumeError::Corrupt { line: 1, .. })), "{err}");
     assert!(err.to_string().contains("unrecognized schema"), "{err}");
+}
+
+/// A `v2` checkpoint counted its cursor over an exhaustive walk that
+/// went up the cycles; today's walk goes down, so the same cursor names
+/// other faults. Resuming one is a typed line-1 error, never a panic
+/// and never a silent resume in the wrong order.
+#[test]
+fn ascending_walk_checkpoint_is_rejected_by_the_engine() {
+    let (circuit, tb, path) = lfsr8_campaign("v2");
+    let plan = CampaignPlan::builder(&circuit, &tb)
+        .policy(ShardPolicy { threads: 1, serial_below: 0 })
+        .build();
+    let engine = Engine::new(&plan);
+    let mut opts = ResumeOptions::checkpoint_to(&path);
+    opts.limit = Some(3);
+    resumable(&engine, &plan, &opts).expect("seed checkpoint");
+    relabel_schema(&path, "seugrade-campaign-ckpt/v2");
+    let err = resumable(&engine, &plan, &ResumeOptions::resume_from(&path))
+        .expect_err("a v2 checkpoint must not resume");
+    std::fs::remove_file(&path).ok();
+    assert!(matches!(err, EngineError::Resume(ResumeError::Corrupt { line: 1, .. })), "{err}");
+    assert!(err.to_string().contains("older release's chunk order"), "{err}");
+}
+
+/// A daemon that restarts over a spooled job whose checkpoint is `v2`
+/// fails that job with the typed resume error and keeps serving.
+#[test]
+fn ascending_walk_checkpoint_fails_its_spooled_job_on_daemon_start() {
+    use seugrade_serve::json::Value;
+    use seugrade_serve::{build_plan, Client, Job, JobSpec, Server, ServerConfig, Spool};
+
+    let spool_dir =
+        std::env::temp_dir().join(format!("seugrade-hostile-v2-spool-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&spool_dir);
+    let spool = Spool::open(&spool_dir).expect("open spool");
+    let mut spec = JobSpec::registry("s27");
+    spec.vectors = 24;
+    spool.write_spec("j1", &spec).expect("spool a job");
+    // A checkpoint of the job's own campaign, one chunk in, relabelled.
+    let job = Job::build("j1".to_owned(), spec).expect("job builds");
+    let plan = build_plan(&job.spec, &job.circuit, &job.testbench);
+    let mut opts = ResumeOptions::checkpoint_to(spool.ckpt_path("j1"));
+    opts.limit = Some(1);
+    resumable(&Engine::new(&plan), &plan, &opts).expect("seed checkpoint");
+    relabel_schema(&spool.ckpt_path("j1"), "seugrade-campaign-ckpt/v2");
+
+    let config = ServerConfig { addr: "127.0.0.1:0".to_owned(), workers: 1, spool: spool_dir };
+    let server = Server::bind(&config).expect("the daemon starts over a v2 checkpoint");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let snapshot =
+        client.wait("j1", std::time::Duration::from_secs(60)).expect("the job ends");
+    assert_eq!(snapshot.get("state").and_then(Value::as_str), Some("failed"), "{snapshot:?}");
+    let error = snapshot.get("error").and_then(Value::as_str).expect("an error message");
+    assert!(error.contains("corrupt checkpoint at line 1"), "{error}");
+    assert!(error.contains("older release's chunk order"), "{error}");
+    let v = client.request_line(r#"{"cmd":"ping"}"#).expect("the daemon keeps serving");
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
+    drop(server);
+    let _ = std::fs::remove_dir_all(&config.spool);
 }
 
 /// A cursor that does not sit on a chunk boundary of the plan — here

@@ -5,7 +5,9 @@
 //! registry, every trace policy, collapse on/off and 1/2/4/8 worker
 //! threads — and repeats the claim on generated random circuits,
 //! exhaustive and sampled (sampled chunks carry faults from several
-//! injection cycles).
+//! injection cycles). It also checks the differential kernel's alias
+//! collapse on generated circuits: a lane that becomes a single-bit
+//! upset takes exactly that upset's serial verdict.
 
 use proptest::prelude::*;
 use seugrade::generators::{random_sequential, RandomCircuitConfig};
@@ -194,6 +196,89 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The single-bit upset `(g, u + 1)` that fault `fault` turns into, if
+/// its state differs from golden in exactly one flip-flop `g` after a
+/// cycle `u` with `u + 1 − t ≤ ALIAS_WINDOW` while it is still
+/// undecided: found by stepping the fault beside the golden machine, as
+/// the serial reference does, with no differential-kernel code.
+fn serial_alias(grader: &Grader, fault: Fault) -> Option<Fault> {
+    let (sim, tb) = (grader.sim(), grader.testbench());
+    let t = fault.cycle as usize;
+    let mut st = grader.golden().lanes_at(sim, tb, t);
+    sim.flip_ff_lane(&mut st, fault.ff, 0);
+    for u in t..(t + ALIAS_WINDOW).min(tb.num_cycles() - 1) {
+        sim.set_inputs(&mut st, tb.cycle(u));
+        sim.eval(&mut st);
+        if sim.outputs_lane(&st, 0) != sim.outputs_lane(&st, 1) {
+            return None;
+        }
+        sim.step(&mut st);
+        let (faulty, golden) = (sim.state_lane(&st, 0), sim.state_lane(&st, 1));
+        let mut deviant = (0..faulty.len()).filter(|&i| faulty[i] != golden[i]);
+        match (deviant.next(), deviant.next()) {
+            (None, _) => return None,
+            (Some(g), None) => return Some(Fault::new(FfIndex::new(g), u as u32 + 1)),
+            _ => {}
+        }
+    }
+    None
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every lane the alias collapse retires takes the verdict that
+    /// `classify_serial` gives both its own fault `(f, t)` and the upset
+    /// `(g, u + 1)` it turned into. One worker walking the cycles
+    /// downwards finds every such upset in the window, so the kernel
+    /// aliases exactly the faults the serial walk names; the engine's
+    /// exhaustive digest at 1 and 4 threads is the serial one.
+    #[test]
+    fn aliased_lanes_inherit_the_serial_verdict_of_their_upset(
+        config in arb_config(),
+        seed in 0u64..1000,
+        k in 1usize..24,
+    ) {
+        let circuit = random_sequential(&config, seed);
+        let cycles = 24usize;
+        let tb = Testbench::random(circuit.num_inputs(), cycles, seed ^ 0x414c_4941);
+        let grader = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(k));
+        let ffs = circuit.num_ffs();
+        let faults = FaultList::exhaustive(ffs, cycles);
+        let serial = grader.run_serial(faults.as_slice());
+        let mut aliases = 0u64;
+        for (f, verdict) in faults.iter().zip(&serial) {
+            if let Some(upset) = serial_alias(&grader, f) {
+                aliases += 1;
+                prop_assert_eq!(grader.classify_serial(upset), *verdict, "{} is {}", f, upset);
+            }
+        }
+        let mut scratch = grader
+            .new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
+            .with_verdict_window(VerdictWindow::new(ffs));
+        let mut graded = vec![FaultOutcome::latent(); faults.len()];
+        for t in (0..cycles).rev() {
+            let lanes = t * ffs..(t + 1) * ffs;
+            let outs = graded[lanes.clone()].chunks_mut(grader.chunk_lanes());
+            for (chunk, out) in faults.as_slice()[lanes].chunks(grader.chunk_lanes()).zip(outs) {
+                grader.grade_chunk(&mut scratch, chunk, out);
+            }
+        }
+        prop_assert_eq!(&graded, &serial);
+        prop_assert_eq!(scratch.aliased_lanes(), aliases);
+        prop_assert_eq!(scratch.alias_misses(), 0);
+        let reference = StreamAccumulator::digest_of(faults.as_slice(), &serial);
+        for threads in [1, 4] {
+            let plan = CampaignPlan::builder(&circuit, &tb)
+                .trace_policy(TracePolicy::Checkpoint(k))
+                .policy(ShardPolicy { threads, serial_below: 0 })
+                .build();
+            let run = Engine::new(&plan).try_run_streamed(&plan).unwrap();
+            prop_assert_eq!(run.digest(), reference, "{} threads", threads);
         }
     }
 }

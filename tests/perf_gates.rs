@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use seugrade::prelude::*;
 
-/// Test-bench length of both gates.
+/// Test-bench length of every gate.
 const VECTORS: usize = 512;
 
 /// Grades `a` and `b` once untimed, then `pairs` times each in
@@ -60,17 +60,21 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Both gates, one after the other in one test, so no other test's
+/// Every gate, one after the other in one test, so no other test's
 /// threads run beside the timed work.
 #[test]
 #[ignore = "timing gate: run in release with --ignored"]
 fn perf_gates() {
     let circuit = registry::build("s5378g").expect("registered");
     let tb = Testbench::random(circuit.num_inputs(), VECTORS, 42);
-    let failures: Vec<String> = [kernel_gate(&circuit, &tb), span_store_gate(&circuit, &tb)]
-        .into_iter()
-        .flatten()
-        .collect();
+    let failures: Vec<String> = [
+        kernel_gate(&circuit, &tb),
+        span_store_gate(&circuit, &tb),
+        alias_gate(&circuit, &tb),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
@@ -122,6 +126,36 @@ fn span_store_gate(circuit: &Netlist, tb: &Testbench) -> Option<String> {
         format!(
             "the golden span store fell below 4x one replay per lookup: \
              median {stored:.3} s vs {uncached:.3} s"
+        )
+    })
+}
+
+/// The alias collapse must pay for itself: the exhaustive s5378g plan,
+/// which walks the cycles downwards and lets a lane that has become a
+/// single-bit upset inherit that upset's verdict, must grade at least
+/// 3x faster than the same faults submitted as a `FaultSource::List`,
+/// which walks upwards without a verdict window (1 thread, default
+/// kernel and span store). `interleaved_medians` asserts that both
+/// sides land on one digest. With aliasing switched off the two sides
+/// grade the same lanes for the same number of cycles and the ratio
+/// sits near 1, which fails.
+fn alias_gate(circuit: &Netlist, tb: &Testbench) -> Option<String> {
+    let plan = |source| {
+        CampaignPlan::builder(circuit, tb)
+            .source(source)
+            .policy(ShardPolicy::serial())
+            .trace_policy(TracePolicy::Checkpoint(64))
+            .build()
+    };
+    let list = FaultList::exhaustive(circuit.num_ffs(), tb.num_cycles());
+    let (aliased, listed) =
+        interleaved_medians(&plan(FaultSource::Exhaustive), &plan(FaultSource::List(list)), 5);
+    let ratio = listed / aliased;
+    println!("exhaustive s5378g: exhaustive plan {aliased:.3} s, same faults as a list {listed:.3} s, x{ratio:.2}");
+    (ratio < 3.0).then(|| {
+        format!(
+            "the alias collapse fell below 3x the un-aliased list walk: \
+             median {aliased:.3} s vs {listed:.3} s"
         )
     })
 }

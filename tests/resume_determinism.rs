@@ -437,3 +437,40 @@ fn sampled_campaign_resumes_identically() {
         assert_eq!(resumed.sink.summary(), reference.summary());
     }
 }
+
+/// The exhaustive walk grades cycles downwards, and a lane may inherit
+/// the verdict of an upset graded one or two cycles later. A run that
+/// stops in the middle of a cycle resumes with an empty verdict window,
+/// so the rest of that cycle finds nothing to inherit and simulates on:
+/// the digest is still the uninterrupted one, and the serial one, at 1
+/// and 4 threads.
+#[test]
+fn exhaustive_walk_stopped_mid_cycle_resumes_identically() {
+    let circuit = registry::build("b14c").expect("registered");
+    let tb = Testbench::random(circuit.num_inputs(), 12, 4);
+    let per_cycle = circuit.num_ffs().div_ceil(64);
+    assert!(per_cycle > 2, "{per_cycle} chunks per cycle");
+    let faults = FaultList::exhaustive(circuit.num_ffs(), tb.num_cycles());
+    let serial = Grader::new(&circuit, &tb).run_serial(faults.as_slice());
+    let serial_digest = StreamAccumulator::digest_of(faults.as_slice(), &serial);
+    for threads in [1, 4] {
+        let p = plan(&circuit, &tb, threads, TracePolicy::Checkpoint(5));
+        let engine = Engine::new(&p);
+        let reference = engine.try_run_streamed(&p).unwrap();
+        assert_eq!(reference.digest(), serial_digest, "{threads} threads");
+        let path = ckpt_path(&format!("exhaustive-mid-cycle-t{threads}"));
+        let mut opts = ResumeOptions::checkpoint_to(&path);
+        opts.every = 1;
+        // The whole last cycle and two chunks of the one before it.
+        opts.limit = Some(per_cycle + 2);
+        let partial = resumable(&engine, &p, &opts).expect("first leg");
+        assert_eq!(partial.faults_done, circuit.num_ffs() + 128);
+        let resumed = resumable(&engine, &p, &ResumeOptions::resume_from(&path))
+            .expect("exhaustive resume");
+        std::fs::remove_file(&path).ok();
+        assert!(resumed.is_complete());
+        assert_eq!(resumed.resumed_from, per_cycle + 2);
+        assert_eq!(resumed.sink.digest(), reference.digest(), "{threads} threads");
+        assert_eq!(resumed.sink.summary(), reference.summary());
+    }
+}
