@@ -360,9 +360,13 @@ impl VerdictSink for CampaignSink {
         self.timing.observe(fault, outcome);
     }
 
-    fn merge(&mut self, other: Self) {
-        self.acc.merge(other.acc);
-        self.timing.merge(&other.timing);
+    fn merge(&mut self, mut other: Self) {
+        self.absorb(&mut other);
+    }
+
+    fn absorb(&mut self, other: &mut Self) {
+        self.acc.absorb(&mut other.acc);
+        self.timing.absorb(&mut other.timing);
     }
 }
 

@@ -288,6 +288,10 @@ pub struct TimingAccumulator {
     num_faults: u64,
     /// Mask-scan: which flip-flops appeared (one mask step each).
     ff_seen: Vec<bool>,
+    /// The index of every set `ff_seen` entry, once each, so
+    /// [`absorb`](Self::absorb) costs the folded faults rather than the
+    /// circuit's flip-flops.
+    seen: Vec<u32>,
     /// Mask-scan: Σ (detect + 1) over failures.
     mask_fail_replay: u64,
     /// Faults with no detection (mask-scan replays them full-length;
@@ -310,11 +314,7 @@ impl TimingAccumulator {
     /// Folds one graded fault.
     pub fn observe(&mut self, fault: Fault, outcome: FaultOutcome) {
         self.num_faults += 1;
-        let ff = fault.ff.index();
-        if self.ff_seen.len() <= ff {
-            self.ff_seen.resize(ff + 1, false);
-        }
-        self.ff_seen[ff] = true;
+        self.see(fault.ff.index());
         let t = u64::from(fault.cycle);
         match outcome.detect_cycle {
             Some(u) => {
@@ -335,14 +335,21 @@ impl TimingAccumulator {
         }
     }
 
+    /// Marks flip-flop `ff` as seen.
+    fn see(&mut self, ff: usize) {
+        if self.ff_seen.len() <= ff {
+            self.ff_seen.resize(ff + 1, false);
+        }
+        if !std::mem::replace(&mut self.ff_seen[ff], true) {
+            self.seen.push(ff as u32);
+        }
+    }
+
     /// Absorbs another worker's accumulator.
     pub fn merge(&mut self, other: &TimingAccumulator) {
         self.num_faults += other.num_faults;
-        if self.ff_seen.len() < other.ff_seen.len() {
-            self.ff_seen.resize(other.ff_seen.len(), false);
-        }
-        for (dst, &src) in self.ff_seen.iter_mut().zip(&other.ff_seen) {
-            *dst |= src;
+        for &ff in &other.seen {
+            self.see(ff as usize);
         }
         self.mask_fail_replay += other.mask_fail_replay;
         self.undetected += other.undetected;
@@ -351,6 +358,18 @@ impl TimingAccumulator {
         self.tm_decided_run += other.tm_decided_run;
         self.latent += other.latent;
         self.latent_t_sum += other.latent_t_sum;
+    }
+
+    /// [`merge`](Self::merge)s `other` and leaves it empty, walking only
+    /// the flip-flops it saw; `other` keeps its `ff_seen` allocation
+    /// (all clear) for the next chunk.
+    pub(crate) fn absorb(&mut self, other: &mut TimingAccumulator) {
+        self.merge(other);
+        for ff in other.seen.drain(..) {
+            other.ff_seen[ff as usize] = false;
+        }
+        let ff_seen = std::mem::take(&mut other.ff_seen);
+        *other = TimingAccumulator { ff_seen, ..TimingAccumulator::default() };
     }
 
     /// Serializes the folded state as one single-line checkpoint record
@@ -410,9 +429,11 @@ impl TimingAccumulator {
                 }
             }
         }
+        let seen = (0..len as u32).filter(|&ff| ff_seen[ff as usize]).collect();
         Some(TimingAccumulator {
             num_faults: int(fields[0])?,
             ff_seen,
+            seen,
             mask_fail_replay: int(fields[1])?,
             undetected: int(fields[2])?,
             ss_fail_run: int(fields[3])?,
@@ -434,7 +455,7 @@ impl TimingAccumulator {
         num_ffs: usize,
     ) -> [CampaignTiming; 3] {
         let n = num_cycles as u64;
-        let distinct_ffs = self.ff_seen.iter().filter(|&&s| s).count() as u64;
+        let distinct_ffs = self.seen.len() as u64;
         let mask = finish(
             Technique::MaskScan,
             cfg,
@@ -687,6 +708,35 @@ mod tests {
         merged.merge(&b);
         merged.merge(&a);
         assert_eq!(merged.finish(&cfg, n_cycles, n_ff), expect);
+    }
+
+    #[test]
+    fn a_reused_chunk_accumulator_drains_into_the_same_fold() {
+        // Chunks of flip-flops 0..5 and 8..11 at two cycles: absorbing
+        // each through one reused accumulator must fold exactly what one
+        // accumulator observing everything folds, checkpoint line
+        // included (the `ff_seen` length and bitmap).
+        let cfg = cfg();
+        let mut forward = TimingAccumulator::default();
+        let mut worker = TimingAccumulator::default();
+        let mut chunk = TimingAccumulator::default();
+        for (ffs, t) in [(8..11, 4), (0..5, 4), (8..11, 2), (0..5, 2)] {
+            for ff in ffs {
+                let o = match ff % 3 {
+                    0 => FaultOutcome::failure(t + 1),
+                    1 => FaultOutcome::silent(t + 2),
+                    _ => FaultOutcome::latent(),
+                };
+                forward.observe(fault(ff, t), o);
+                chunk.observe(fault(ff, t), o);
+            }
+            worker.absorb(&mut chunk);
+            let empty = TimingAccumulator::default().finish(&cfg, 20, 11);
+            assert_eq!(chunk.finish(&cfg, 20, 11), empty);
+            assert!(chunk.ff_seen.iter().all(|&s| !s), "chunk drained");
+        }
+        assert_eq!(worker.finish(&cfg, 20, 11), forward.finish(&cfg, 20, 11));
+        assert_eq!(worker.checkpoint_line(), forward.checkpoint_line());
     }
 
     #[test]

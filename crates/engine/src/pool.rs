@@ -15,12 +15,15 @@
 //!
 //! - **Worker-panic containment.** Each item runs under
 //!   [`std::panic::catch_unwind`] with a *chunk-local* accumulator that
-//!   is merged into the worker's accumulator only on success, so a
-//!   panicked chunk never leaks a partial fold. The panicked chunk is
-//!   requeued (the worker's scratch is rebuilt first — a panic may have
-//!   left it mid-update) up to a bounded retry budget; a chunk that
-//!   panics on every attempt surfaces as
-//!   [`EngineError::WorkerPanic`] instead of poisoning the campaign.
+//!   is drained into the worker's accumulator only on success, so a
+//!   panicked chunk never leaks a partial fold. Each worker reuses one
+//!   chunk-local accumulator, so a sink whose drain touches only what
+//!   the chunk wrote folds a chunk in `O(lanes)`, however large the
+//!   circuit. The panicked chunk is requeued (the worker's scratch and
+//!   chunk-local accumulator are rebuilt first — a panic may have left
+//!   them mid-update) up to a bounded retry budget; a chunk that panics
+//!   on every attempt surfaces as [`EngineError::WorkerPanic`] instead
+//!   of poisoning the campaign.
 //! - **Cooperative cancellation.** A [`CancelToken`] is polled at chunk
 //!   boundaries only: on cancellation every worker finishes the chunk it
 //!   already claimed (and any requeued retries) before stopping, which
@@ -76,9 +79,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// items completed (an exact queue prefix).
 ///
 /// `init` creates one private scratch state per worker; `work` grades
-/// `(scratch, chunk accumulator, index)`. With `threads == 1` (or at
-/// most one item) everything runs inline on the calling thread — the
-/// reference schedule the multi-threaded runs are compared against.
+/// `(scratch, chunk accumulator, index)`, and `merge(acc, chunk)` moves
+/// a successful chunk's fold into the worker's accumulator, leaving the
+/// chunk accumulator empty for the worker's next item. With
+/// `threads == 1` (or at most one item) everything runs inline on the
+/// calling thread — the reference schedule the multi-threaded runs are
+/// compared against.
 /// Returns the worker accumulators in worker-index order (a single
 /// accumulator when everything ran inline). The caller merges them;
 /// because workers race for items, only **order-insensitive**
@@ -103,7 +109,7 @@ where
     S: Send,
     I: Fn() -> S + Sync,
     F: Fn() -> A + Sync,
-    M: Fn(&mut A, A) + Sync,
+    M: Fn(&mut A, &mut A) + Sync,
     W: Fn(&mut S, &mut A, usize) + Sync,
 {
     assert!(threads > 0, "the pool needs at least one thread");
@@ -115,6 +121,7 @@ where
         // between chunks.
         let mut scratch = init();
         let mut acc = init_acc();
+        let mut local = init_acc();
         let mut completed = 0usize;
         for i in 0..items {
             if cancelled() {
@@ -123,20 +130,17 @@ where
             let mut attempts = 0usize;
             loop {
                 attempts += 1;
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    let mut local = init_acc();
-                    work(&mut scratch, &mut local, i);
-                    local
-                }));
-                match run {
-                    Ok(local) => {
-                        merge(&mut acc, local);
+                match catch_unwind(AssertUnwindSafe(|| work(&mut scratch, &mut local, i))) {
+                    Ok(()) => {
+                        merge(&mut acc, &mut local);
                         completed += 1;
                         break;
                     }
                     Err(payload) => {
-                        // The panic may have left the scratch mid-update.
+                        // The panic may have left the scratch and the
+                        // chunk's partial fold mid-update.
                         scratch = init();
+                        local = init_acc();
                         if attempts > ctl.retry_budget {
                             return Err(EngineError::WorkerPanic {
                                 chunk: i,
@@ -167,6 +171,7 @@ where
                 scope.spawn(|| {
                     let mut scratch = init();
                     let mut acc = init_acc();
+                    let mut local = init_acc();
                     loop {
                         if fatal_flag.load(Ordering::SeqCst) {
                             break;
@@ -186,18 +191,16 @@ where
                                 i
                             }
                         };
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            let mut local = init_acc();
+                        match catch_unwind(AssertUnwindSafe(|| {
                             work(&mut scratch, &mut local, item);
-                            local
-                        }));
-                        match run {
-                            Ok(local) => {
-                                merge(&mut acc, local);
+                        })) {
+                            Ok(()) => {
+                                merge(&mut acc, &mut local);
                                 completed.fetch_add(1, Ordering::Relaxed);
                             }
                             Err(payload) => {
                                 scratch = init();
+                                local = init_acc();
                                 let mut r = retries.lock().expect("retry queue lock");
                                 let attempts = r.1.entry(item).or_insert(0);
                                 *attempts += 1;
@@ -249,7 +252,7 @@ mod tests {
             threads,
             || (),
             Vec::new,
-            |a: &mut Vec<usize>, b| a.extend(b),
+            |a: &mut Vec<usize>, b| a.append(b),
             |(), acc: &mut Vec<usize>, i| {
                 work(i);
                 acc.push(i);
@@ -271,7 +274,7 @@ mod tests {
             threads,
             init,
             Vec::new,
-            |a: &mut Vec<(usize, T)>, b| a.extend(b),
+            |a: &mut Vec<(usize, T)>, b| a.append(b),
             |scratch, acc: &mut Vec<(usize, T)>, i| acc.push((i, work(scratch, i))),
             &DEFAULT_CTL,
         )
@@ -302,7 +305,7 @@ mod tests {
             4,
             || (),
             || 0usize,
-            |a, b| *a += b,
+            |a, b| *a += std::mem::take(b),
             |(), acc, _| *acc += 1,
             &DEFAULT_CTL,
         )

@@ -523,7 +523,7 @@ impl Engine {
             opts,
             &mut sink,
             || self.chunk_scratch(plan, &stores),
-            A::merge,
+            A::absorb,
             |scratch, acc: &mut A, i| {
                 let (faults, out) = self.grade_plan_chunk(&chunks, scratch, i);
                 for (&f, &o) in faults.iter().zip(out) {
@@ -693,7 +693,7 @@ fn collect_chunks<S: Send>(
         &ResumeOptions::default(),
         &mut graded,
         init,
-        |a: &mut ChunkOutcomes, b| a.extend(b),
+        |a: &mut ChunkOutcomes, b| a.append(b),
         |scratch, acc, i| {
             let out = grade(scratch, i);
             on_shard(chunk_event(i, &out));
@@ -706,8 +706,10 @@ fn collect_chunks<S: Send>(
 
 /// The campaign loop, and the only caller of the pool: grades the chunk
 /// range `chunks` on `threads` workers, folding each chunk into a
-/// per-worker accumulator that `merge` folds into `acc` after every
-/// round.
+/// per-worker accumulator that `merge` drains into `acc` after every
+/// round. `merge(dst, src)` moves `src`'s fold into `dst` and leaves
+/// `src` empty; the pool also uses it to drain each chunk's fold into
+/// its worker's accumulator.
 ///
 /// With a checkpoint path in `opts`, rounds are [`ResumeOptions::every`]
 /// chunks long; without one, every remaining chunk (up to the limit)
@@ -724,7 +726,7 @@ fn fold_chunks<S: Send, A: Default + Send>(
     opts: &ResumeOptions,
     acc: &mut A,
     init: impl Fn() -> S + Sync,
-    merge: impl Fn(&mut A, A) + Sync,
+    merge: impl Fn(&mut A, &mut A) + Sync,
     work: impl Fn(&mut S, &mut A, usize) + Sync,
     mut persist: impl FnMut(usize, &A) -> Result<(), EngineError>,
 ) -> Result<(usize, bool), EngineError> {
@@ -750,8 +752,8 @@ fn fold_chunks<S: Send, A: Default + Send>(
             |scratch, a: &mut A, i| work(scratch, a, base + i),
             &ctl,
         )?;
-        for a in status.accs {
-            merge(acc, a);
+        for mut a in status.accs {
+            merge(acc, &mut a);
         }
         done += status.completed;
         interrupted = status.completed < round;

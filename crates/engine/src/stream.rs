@@ -211,10 +211,12 @@ impl<'a> ChunkPlan<'a> {
 
 /// An online accumulator of streamed verdicts.
 ///
-/// One sink is created per worker ([`Default`]); the pool folds every
-/// graded `(fault, outcome)` pair into the worker's private sink and
-/// merges the sinks after the join, in worker order. Because workers
-/// race for chunks, `observe`/`merge` **must be order-insensitive**
+/// Each worker holds two sinks ([`Default`]): a chunk's graded
+/// `(fault, outcome)` pairs fold into a chunk-local sink, which the
+/// pool [`absorb`](Self::absorb)s into the worker's private sink once
+/// the chunk succeeds (a panicked chunk's sink is thrown away), and
+/// the worker sinks are merged after the join, in worker order. Because
+/// workers race for chunks, `observe`/`merge` **must be order-insensitive**
 /// (commutative tallies, sums, maxima, …) — that is what makes a
 /// streamed campaign bit-identical at every thread count. The agreement
 /// suites enforce the property against the serial reference.
@@ -224,6 +226,15 @@ pub trait VerdictSink: Default + Send {
 
     /// Absorbs another worker's sink.
     fn merge(&mut self, other: Self);
+
+    /// Moves everything `other` has folded into `self` and leaves
+    /// `other` empty, ready for the worker's next chunk. The pool drains
+    /// every chunk's sink through it, so a sink with per-flip-flop state
+    /// should override it to touch only the entries `other` wrote; the
+    /// default merges `other` and replaces it with a fresh sink.
+    fn absorb(&mut self, other: &mut Self) {
+        self.merge(std::mem::take(other));
+    }
 }
 
 /// The standard streaming sink: class tallies, a per-flip-flop failure
@@ -232,6 +243,10 @@ pub trait VerdictSink: Default + Send {
 pub struct StreamAccumulator {
     summary: GradingSummary,
     failure_map: Vec<usize>,
+    /// The index of every nonzero `failure_map` entry, once each, so
+    /// [`absorb`](VerdictSink::absorb) costs the chunk's failures rather
+    /// than the circuit's flip-flops.
+    failing: Vec<u32>,
     digest: u64,
 }
 
@@ -266,7 +281,21 @@ impl StreamAccumulator {
         failure_map: Vec<usize>,
         digest: u64,
     ) -> Self {
-        StreamAccumulator { summary, failure_map, digest }
+        let failing =
+            (0..failure_map.len() as u32).filter(|&ff| failure_map[ff as usize] != 0).collect();
+        StreamAccumulator { summary, failure_map, failing, digest }
+    }
+
+    /// Adds `n` failures of flip-flop `ff` to the map.
+    fn add_failures(&mut self, ff: usize, n: usize) {
+        if self.failure_map.len() <= ff {
+            self.failure_map.resize(ff + 1, 0);
+        }
+        let count = &mut self.failure_map[ff];
+        if *count == 0 {
+            self.failing.push(ff as u32);
+        }
+        *count += n;
     }
 
     /// Pooled classification tallies.
@@ -314,24 +343,24 @@ impl VerdictSink for StreamAccumulator {
     fn observe(&mut self, fault: Fault, outcome: FaultOutcome) {
         self.summary.add(outcome.class);
         if outcome.class == FaultClass::Failure {
-            let ff = fault.ff.index();
-            if self.failure_map.len() <= ff {
-                self.failure_map.resize(ff + 1, 0);
-            }
-            self.failure_map[ff] += 1;
+            self.add_failures(fault.ff.index(), 1);
         }
         self.digest = self.digest.wrapping_add(verdict_hash(fault, outcome));
     }
 
-    fn merge(&mut self, other: Self) {
-        self.summary.merge(&other.summary);
-        if self.failure_map.len() < other.failure_map.len() {
-            self.failure_map.resize(other.failure_map.len(), 0);
+    fn merge(&mut self, mut other: Self) {
+        self.absorb(&mut other);
+    }
+
+    /// Walks only `other`'s failing flip-flops, and keeps `other`'s map
+    /// allocated (all zeros) for its next chunk.
+    fn absorb(&mut self, other: &mut Self) {
+        self.summary.merge(&std::mem::take(&mut other.summary));
+        for ff in other.failing.drain(..) {
+            let n = std::mem::take(&mut other.failure_map[ff as usize]);
+            self.add_failures(ff as usize, n);
         }
-        for (dst, src) in self.failure_map.iter_mut().zip(&other.failure_map) {
-            *dst += src;
-        }
-        self.digest = self.digest.wrapping_add(other.digest);
+        self.digest = self.digest.wrapping_add(std::mem::take(&mut other.digest));
     }
 }
 
@@ -492,6 +521,46 @@ mod tests {
             merged.digest(),
             StreamAccumulator::digest_of(list.as_slice(), &outcomes)
         );
+    }
+
+    #[test]
+    fn a_reused_chunk_sink_drains_into_the_same_fold() {
+        // The chunks of an exhaustive plan over 70 flip-flops, every
+        // third verdict a failure, folded through one reused chunk sink
+        // the way the pool folds them.
+        let plan = ChunkPlan::exhaustive(70, 3);
+        let mut buf = Vec::new();
+        let mut forward = StreamAccumulator::default();
+        let mut worker = StreamAccumulator::default();
+        let mut chunk = StreamAccumulator::default();
+        for i in 0..plan.num_chunks() {
+            plan.fill(i, &mut buf);
+            for (j, &f) in buf.iter().enumerate() {
+                let o = match (i + j) % 3 {
+                    0 => FaultOutcome::failure(f.cycle),
+                    _ => FaultOutcome::latent(),
+                };
+                forward.observe(f, o);
+                chunk.observe(f, o);
+            }
+            worker.absorb(&mut chunk);
+            assert_eq!(chunk.summary(), &GradingSummary::default(), "chunk {i} drained");
+            assert_eq!(chunk.digest(), 0);
+            assert!(chunk.failure_map().iter().all(|&n| n == 0));
+        }
+        assert_eq!(worker.summary(), forward.summary());
+        assert_eq!(worker.failure_map(), forward.failure_map(), "same entries and length");
+        assert_eq!(worker.digest(), forward.digest());
+        // A restored sink drains like the one it was saved from.
+        let mut restored = StreamAccumulator::from_parts(
+            worker.summary().clone(),
+            worker.failure_map().to_vec(),
+            worker.digest(),
+        );
+        let mut total = StreamAccumulator::default();
+        total.absorb(&mut restored);
+        assert_eq!(total.failure_map(), forward.failure_map());
+        assert!(restored.failure_map().iter().all(|&n| n == 0));
     }
 
     #[test]

@@ -1196,6 +1196,68 @@ mod tests {
         }
     }
 
+    /// Flip-flop 0 (`a`, loaded from an input) fans out to two
+    /// `len`-stage shift chains that reconverge into the accumulator `z`
+    /// (`z ^= p & q`, `p` and `q` the chain ends). Both chains carry
+    /// `a`'s value, so a flip of `a` at `t` deviates in two flip-flops
+    /// for `len` cycles and then in `z` alone: the upset `(z, t + len +
+    /// 1)`. Only `z` is observed, through `obs`.
+    fn reconvergent_chains(len: usize) -> seugrade_netlist::Netlist {
+        let mut b = NetlistBuilder::new("reconverge");
+        let d = b.input("d");
+        let obs = b.input("obs");
+        let a = b.dff(false);
+        b.connect_dff(a, d).unwrap();
+        let (mut p, mut q) = (a, a);
+        for _ in 0..len {
+            let (np, nq) = (b.dff(false), b.dff(false));
+            b.connect_dff(np, p).unwrap();
+            b.connect_dff(nq, q).unwrap();
+            (p, q) = (np, nq);
+        }
+        let z = b.dff(false);
+        let both = b.and2(p, q);
+        let next = b.xor2(z, both);
+        b.connect_dff(z, next).unwrap();
+        let y = b.and2(z, obs);
+        b.output("y", y);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn reconvergent_lanes_alias_several_cycles_after_injection() {
+        let (cycles, t) = (24, 10);
+        for len in 2..=5 {
+            let n = reconvergent_chains(len);
+            let tb = Testbench::random(n.num_inputs(), cycles, 5);
+            let g = Grader::new(&n, &tb);
+            let distance = len + 1;
+            assert!(distance <= ALIAS_WINDOW, "the window reaches the reconvergence");
+            // One worker's backward walk over the cycles after `t`.
+            let mut scratch = g
+                .new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
+                .with_verdict_window(VerdictWindow::new(n.num_ffs()));
+            for u in (t + 1..cycles).rev() {
+                let chunk: Vec<Fault> =
+                    (0..n.num_ffs()).map(|f| Fault::new(FfIndex::new(f), u as u32)).collect();
+                let mut out = vec![FaultOutcome::latent(); chunk.len()];
+                g.grade_chunk(&mut scratch, &chunk, &mut out);
+            }
+            let (aliased, steps) = (scratch.aliased_lanes(), scratch.sim_steps());
+            let fault = Fault::new(FfIndex::new(0), t as u32);
+            let mut out = [FaultOutcome::latent()];
+            g.grade_chunk(&mut scratch, &[fault], &mut out);
+            assert_eq!(out[0], g.classify_serial(fault), "len {len}");
+            assert_eq!(scratch.aliased_lanes() - aliased, 1, "len {len}: the lane aliased");
+            assert_eq!(
+                scratch.sim_steps() - steps,
+                distance as u64,
+                "len {len}: retired after cycle t + {len}, as the upset (z, t + {distance})"
+            );
+            assert_eq!(scratch.alias_misses(), 0, "len {len}");
+        }
+    }
+
     #[test]
     fn kernel_labels_round_trip() {
         for k in [Kernel::Auto, Kernel::Generic, Kernel::Differential] {

@@ -3,12 +3,12 @@
 //! multi-tenant bench harness need.
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use crate::json::{self, Value};
-use crate::proto::JobSpec;
+use crate::proto::{self, JobSpec};
 
 /// What a protocol exchange can fail with.
 #[derive(Debug)]
@@ -74,9 +74,7 @@ impl Client {
     /// [`ClientError::Server`] for structured rejections, otherwise
     /// transport/protocol failures.
     pub fn request_line(&mut self, line: &str) -> Result<Value, ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        proto::write_line(&mut self.writer, line)?;
         self.read_response()
     }
 

@@ -11,6 +11,7 @@
 //! grammar lives in `docs/PROTOCOL.md`.
 
 use std::fmt;
+use std::io::{self, Write};
 
 use seugrade_engine::ProgressEvent;
 use seugrade_faultsim::sampling::estimate_classes;
@@ -312,6 +313,21 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
 
 // --------------------------------------------------------------------
 // Responses and events
+
+/// Writes `line` and its newline in one `write_all`, so on a
+/// `TCP_NODELAY` socket a protocol line leaves as one segment and wakes
+/// its reader once.
+///
+/// # Errors
+///
+/// Propagates write failures.
+pub(crate) fn write_line(writer: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    writer.write_all(&buf)?;
+    writer.flush()
+}
 
 /// A successful response line: `schema`, `ok:true`, then `fields`.
 #[must_use]

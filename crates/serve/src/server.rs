@@ -13,7 +13,7 @@
 //! is raised. A hostile or hung client can therefore never wedge the
 //! daemon's exit.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -356,9 +356,7 @@ fn stream_events(daemon: &Daemon, job: &crate::job::Job, writer: &mut TcpStream)
 }
 
 fn send(writer: &mut TcpStream, line: &str) -> io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+    proto::write_line(writer, line)
 }
 
 #[cfg(test)]

@@ -34,15 +34,23 @@ const VECTORS: usize = 512;
 /// first run's.
 fn interleaved_medians(a: &CampaignPlan<'_>, b: &CampaignPlan<'_>, pairs: usize) -> (f64, f64) {
     let engines = [Engine::new(a), Engine::new(b)];
-    let plans = [a, b];
+    let streamed = |i: usize| {
+        let run = engines[i].try_run_streamed([a, b][i]).unwrap();
+        (run.digest(), run.stats().faults)
+    };
+    interleaved_runs([&mut || streamed(0), &mut || streamed(1)], pairs)
+}
+
+/// [`interleaved_medians`] over two closures that each grade one
+/// campaign and return its `(digest, faults)`.
+fn interleaved_runs(sides: [&mut dyn FnMut() -> (u64, usize); 2], pairs: usize) -> (f64, f64) {
     let mut times: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
     let mut reference = None;
     for rep in 0..=pairs {
         for i in [rep % 2, 1 - rep % 2] {
             let start = Instant::now();
-            let run = engines[i].try_run_streamed(plans[i]).unwrap();
+            let seen = sides[i]();
             let secs = start.elapsed().as_secs_f64();
-            let seen = (run.digest(), run.stats().faults);
             let expected = *reference.get_or_insert(seen);
             assert_eq!(seen, expected, "both sides must grade fault for fault alike");
             // Rep 0 warms caches and allocators on both sides.
@@ -71,6 +79,7 @@ fn perf_gates() {
         kernel_gate(&circuit, &tb),
         span_store_gate(&circuit, &tb),
         alias_gate(&circuit, &tb),
+        fold_gate(),
     ]
     .into_iter()
     .flatten()
@@ -156,6 +165,47 @@ fn alias_gate(circuit: &Netlist, tb: &Testbench) -> Option<String> {
         format!(
             "the alias collapse fell below 3x the un-aliased list walk: \
              median {aliased:.3} s vs {listed:.3} s"
+        )
+    })
+}
+
+/// Streaming must not cost more than materializing: the exhaustive
+/// s38417g plan over 32 vectors (1 thread) graded through
+/// `try_run_streamed`, which folds each chunk's verdicts into a
+/// chunk-local sink and drains it into the worker's, must be no more
+/// than 1.10x slower than the materialized `run` of the same plan,
+/// which keeps every verdict in one vector. A chunk fold that costs
+/// `O(FFs)` instead of `O(lanes)` (zero-filling and walking a
+/// 10,240-entry failure map per 64-lane chunk) read 1.32x and failed;
+/// the fold that drains only what the chunk wrote reads about 0.7x.
+fn fold_gate() -> Option<String> {
+    let circuit = registry::build("s38417g").expect("registered");
+    let tb = Testbench::random(circuit.num_inputs(), 32, 42);
+    let plan = CampaignPlan::builder(&circuit, &tb).policy(ShardPolicy::serial()).build();
+    let engine = Engine::new(&plan);
+    let (streamed, materialized) = interleaved_runs(
+        [
+            &mut || {
+                let run = engine.try_run_streamed(&plan).unwrap();
+                (run.digest(), run.stats().faults)
+            },
+            &mut || {
+                let run = engine.run(&plan);
+                let faults = run.single().expect("single-fault plan");
+                (StreamAccumulator::digest_of(faults.as_slice(), run.outcomes()), faults.len())
+            },
+        ],
+        15,
+    );
+    let ratio = streamed / materialized;
+    println!(
+        "exhaustive s38417g x 32: streamed {streamed:.4} s, materialized {materialized:.4} s, \
+         x{ratio:.2}"
+    );
+    (ratio > 1.10).then(|| {
+        format!(
+            "streaming fell more than 1.10x behind materializing: \
+             median {streamed:.4} s vs {materialized:.4} s"
         )
     })
 }
