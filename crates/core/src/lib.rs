@@ -57,8 +57,8 @@ pub mod prelude {
         StreamedCampaignStatus, Technique,
     };
     pub use seugrade_engine::{
-        CampaignPlan, CampaignPlanBuilder, CampaignRun, CancelToken, Checkpoint, Engine,
-        EngineError, EngineStats, FaultPlan, FaultSource, Fingerprint, PersistentSink,
+        CampaignPlan, CampaignPlanBuilder, CampaignRun, CampaignState, CancelToken, Checkpoint,
+        Engine, EngineError, EngineStats, FaultPlan, FaultSource, Fingerprint, PersistentSink,
         ProgressCounter, ProgressEvent, ProgressHook, ResumableRun, ResumeError, ResumeOptions,
         ShardPolicy, StreamAccumulator, StreamedRun, VerdictSink, CKPT_SCHEMA,
         DEFAULT_CHECKPOINT_EVERY,

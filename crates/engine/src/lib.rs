@@ -18,13 +18,16 @@
 //! (every verdict, in submission order), [`Engine::try_run_streamed`]
 //! (summary, failure map and digest only) and
 //! [`Engine::run_streamed_resumable_with`] (checkpoints, cancellation,
-//! chunk limits, any [`PersistentSink`]). Every one contains worker
-//! panics the same way.
+//! chunk limits, any [`PersistentSink`]). The last is a
+//! [`CampaignState`] built and advanced once; a caller that grades one
+//! campaign in many rounds (the serve daemon) keeps the state, with its
+//! drawn sample, span store and folded sink, and advances it per round.
+//! Every entry point contains worker panics the same way.
 //!
 //! | module | role |
 //! |--------|------|
 //! | [`plan`] | [`CampaignPlan`] builder: circuit × test bench × fault source × techniques × [`ShardPolicy`] × `TracePolicy` |
-//! | [`runtime`] | [`Engine`]: the one chunk loop and its entry points; [`CampaignRun`] / [`StreamedRun`] / [`ResumableRun`] results |
+//! | [`runtime`] | [`Engine`]: the one chunk loop and its entry points; [`CampaignState`], a resumable campaign's round state; [`CampaignRun`] / [`StreamedRun`] / [`ResumableRun`] results |
 //! | [`stream`] | cycle-major chunk plans (the exhaustive one last cycle first) and online [`VerdictSink`]s — the memory-bounded campaign core |
 //! | [`resume`] | `seugrade-campaign-ckpt/v3` checkpoints, [`Fingerprint`] verification, [`PersistentSink`] — the interruption-safety layer |
 //! | [`error`] | [`EngineError`]: structured failures (worker panics, checkpoint problems, MBU plans on streamed entries) |
@@ -93,5 +96,5 @@ pub use resume::{
     Checkpoint, Fingerprint, PersistentSink, ResumeError, ResumeOptions, CKPT_SCHEMA,
     DEFAULT_CHECKPOINT_EVERY,
 };
-pub use runtime::{CampaignRun, Engine, FaultPlan, ResumableRun, StreamedRun};
+pub use runtime::{CampaignRun, CampaignState, Engine, FaultPlan, ResumableRun, StreamedRun};
 pub use stream::{StreamAccumulator, VerdictSink};

@@ -7,6 +7,7 @@
 //! written between rounds.
 
 use std::ops::Range;
+use std::path::PathBuf;
 use std::time::Instant;
 
 use seugrade_faultsim::{
@@ -32,11 +33,11 @@ type ChunkScratch = (GradeScratch, Vec<Fault>, [FaultOutcome; 64]);
 /// verdicts, scattered into submission order after the join.
 type ChunkOutcomes = Vec<(usize, Vec<FaultOutcome>)>;
 
-/// What the workers of one run share, created once per run so the
-/// per-round scratch rebuilds keep it: the golden span store, walking
-/// in the chunk plan's order, and on a descending (exhaustive) walk the
-/// verdict window of the alias collapse. Each worker holds a handle of
-/// each.
+/// What the workers of one run share, created once per
+/// [`CampaignState`] so every round, and every per-round scratch
+/// rebuild, keeps it: the golden span store, walking in the chunk
+/// plan's order, and on a descending (exhaustive) walk the verdict
+/// window of the alias collapse. Each worker holds a handle of each.
 #[derive(Debug)]
 struct RunStores {
     bits: BitCache,
@@ -220,6 +221,193 @@ impl<A> ResumableRun<A> {
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.chunks_done == self.chunks_total
+    }
+}
+
+/// Where a checkpointed campaign persists after each round, and as
+/// what: the checkpoint path, the plan's fingerprint and the caller's
+/// metadata.
+#[derive(Debug)]
+struct Persist {
+    path: PathBuf,
+    fingerprint: Fingerprint,
+    meta: Vec<(String, String)>,
+}
+
+/// The round state of one resumable campaign: everything a run builds
+/// before its first chunk, kept so later rounds pay only for grading
+/// and the checkpoint write.
+///
+/// - the chunk plan, with the drawn sample;
+/// - the fingerprint and checkpoint path (checkpointed runs only);
+/// - the golden span store, seed table included, and on the exhaustive
+///   walk the alias collapse's verdict window;
+/// - the folded sink and the chunk cursor.
+///
+/// [`new`](Self::new) builds it fresh or, with
+/// [`ResumeOptions::resume`], from a checkpoint;
+/// [`advance`](Self::advance) grades up to [`ResumeOptions::limit`]
+/// more chunks. [`Engine::run_streamed_resumable_with`] is one of each.
+/// Advancing a kept state writes the same checkpoint bytes, round for
+/// round, as loading the checkpoint into a fresh engine before every
+/// round (`tests/resume_determinism.rs`): the span store and the
+/// verdict window hold golden data and verdicts only, which change how
+/// much a chunk simulates but never what it decides.
+#[derive(Debug)]
+pub struct CampaignState<A> {
+    chunks: ChunkPlan<'static>,
+    stores: RunStores,
+    persist: Option<Persist>,
+    sink: A,
+    done: usize,
+}
+
+impl<A: PersistentSink> CampaignState<A> {
+    /// Builds the state of `plan` on `engine`: draws the sample, plans
+    /// the chunks and creates the run's stores. With a checkpoint path
+    /// in `opts` it fingerprints the plan, and with
+    /// [`ResumeOptions::resume`] it loads and verifies the checkpoint
+    /// and restores its cursor and sink (the file's metadata replaces
+    /// [`ResumeOptions::meta`]). Grades nothing.
+    ///
+    /// # Errors
+    ///
+    /// Checkpoint load and validation failures, and MBU plans
+    /// ([`EngineError::MultiSource`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on plan/engine mismatch or `resume` without a checkpoint
+    /// path (programmer errors).
+    pub fn new(
+        engine: &Engine,
+        plan: &CampaignPlan<'_>,
+        opts: &ResumeOptions,
+    ) -> Result<Self, EngineError> {
+        engine.check_plan(plan);
+        assert!(
+            !opts.resume || opts.checkpoint.is_some(),
+            "resuming requires a checkpoint path"
+        );
+        let mut drawn = None;
+        let chunks = engine.chunk_plan(plan.source(), &mut drawn)?.into_owned();
+        let mut sink = A::default();
+        let mut done = 0;
+        // Only a checkpointed run pays for the fingerprint.
+        let mut persist = None;
+        if let Some(path) = &opts.checkpoint {
+            let fingerprint = Fingerprint::of(plan, chunks.num_chunks(), chunks.num_faults());
+            let mut meta = opts.meta.clone();
+            if opts.resume {
+                let ck = Checkpoint::load(path)?;
+                ck.verify(&fingerprint)?;
+                // The cursor must sit on a real chunk boundary of *this*
+                // plan: the fingerprint pins the chunk count, not where
+                // the chunks cut the fault list.
+                let boundary = chunks.faults_before(ck.chunks_done());
+                if ck.faults_done() != boundary {
+                    return Err(ResumeError::Mismatch {
+                        field: "fault cursor",
+                        expected: ck.faults_done().to_string(),
+                        found: boundary.to_string(),
+                    }
+                    .into());
+                }
+                done = ck.chunks_done();
+                sink = ck.restore_sink::<A>()?;
+                meta = ck.meta().to_vec();
+            }
+            persist = Some(Persist { path: path.clone(), fingerprint, meta });
+        }
+        let stores = engine.run_stores(plan, &chunks);
+        Ok(CampaignState { chunks, stores, persist, sink, done })
+    }
+
+    /// Grades the campaign on from its cursor, through the engine's one
+    /// chunk loop: up to [`ResumeOptions::limit`] chunks, in rounds of
+    /// [`ResumeOptions::every`] chunks when the state checkpoints (every
+    /// remaining chunk in one pool call otherwise), writing the
+    /// checkpoint atomically after each round, and stopping at a chunk
+    /// boundary on [`ResumeOptions::cancel`]. Reads `every`, `limit`,
+    /// `cancel`, `progress` and `retry_budget` from `opts`; the
+    /// checkpoint path, `resume` and `meta` were fixed by
+    /// [`new`](Self::new).
+    ///
+    /// The returned run borrows the cumulative sink; its `stats` cover
+    /// this call. After an error the cursor and sink hold every round
+    /// that completed, whether or not its checkpoint was written.
+    ///
+    /// # Errors
+    ///
+    /// Checkpoint write failures, and a chunk that panics on every
+    /// attempt ([`EngineError::WorkerPanic`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `engine` and `plan` do not match (a programmer error);
+    /// they must be the engine and plan the state was built from.
+    pub fn advance(
+        &mut self,
+        engine: &Engine,
+        plan: &CampaignPlan<'_>,
+        opts: &ResumeOptions,
+    ) -> Result<ResumableRun<&A>, EngineError> {
+        engine.check_plan(plan);
+        let CampaignState { chunks, stores, persist, sink, done } = self;
+        let total_chunks = chunks.num_chunks();
+        let resumed_from = *done;
+        let threads = engine.threads_for(plan, chunks.num_faults());
+        let round_len = if persist.is_some() { opts.every.max(1) } else { usize::MAX };
+        let start = Instant::now();
+        let interrupted = fold_chunks(
+            threads,
+            resumed_from..total_chunks,
+            round_len,
+            opts,
+            sink,
+            || engine.chunk_scratch(plan, stores),
+            A::absorb,
+            |scratch, acc: &mut A, i| {
+                let (faults, out) = engine.grade_plan_chunk(chunks, scratch, i);
+                for (&f, &o) in faults.iter().zip(out) {
+                    acc.observe(f, o);
+                }
+                if let Some(hook) = &opts.progress {
+                    hook.call(chunk_event(i, out));
+                }
+            },
+            |cursor, sink| {
+                *done = cursor;
+                match persist {
+                    Some(Persist { path, fingerprint, meta }) => Checkpoint::new(
+                        fingerprint.clone(),
+                        cursor,
+                        chunks.faults_before(cursor),
+                        meta.clone(),
+                        sink,
+                    )
+                    .write_atomic(path)
+                    .map_err(EngineError::from),
+                    None => Ok(()),
+                }
+            },
+        )?;
+        let faults_done = chunks.faults_before(*done);
+        Ok(ResumableRun {
+            stats: EngineStats {
+                faults: faults_done,
+                shards: *done,
+                threads: threads.min(total_chunks.max(1)),
+                wall_ns: start.elapsed().as_nanos(),
+            },
+            sink,
+            chunks_done: *done,
+            chunks_total: total_chunks,
+            faults_done,
+            faults_total: chunks.num_faults(),
+            resumed_from,
+            interrupted,
+        })
     }
 }
 
@@ -458,8 +646,12 @@ impl Engine {
     /// and resumes reproduces the uninterrupted run's digest exactly, at
     /// every thread count and trace policy.
     ///
-    /// The benchmark harness (`gradebench/`) calls this entry point by
-    /// this name.
+    /// This is [`CampaignState::new`] followed by one
+    /// [`CampaignState::advance`]: every call draws the sample, loads
+    /// the checkpoint and starts a cold span store. A caller that grades
+    /// one campaign in many rounds keeps the state instead. The
+    /// benchmark harness (`gradebench/`) calls this entry point by this
+    /// name.
     ///
     /// # Errors
     ///
@@ -476,91 +668,25 @@ impl Engine {
         plan: &CampaignPlan<'_>,
         opts: &ResumeOptions,
     ) -> Result<ResumableRun<A>, EngineError> {
-        self.check_plan(plan);
-        assert!(
-            !opts.resume || opts.checkpoint.is_some(),
-            "resuming requires a checkpoint path"
-        );
-        let mut drawn = None;
-        let chunks = self.chunk_plan(plan.source(), &mut drawn)?;
-        let total_chunks = chunks.num_chunks();
-
-        let mut sink = A::default();
-        let mut start_chunk = 0usize;
-        // Only a checkpointed run pays for the fingerprint.
-        let mut saved = None;
-        if let Some(path) = &opts.checkpoint {
-            let fingerprint = Fingerprint::of(plan, total_chunks, chunks.num_faults());
-            let mut meta = opts.meta.clone();
-            if opts.resume {
-                let ck = Checkpoint::load(path)?;
-                ck.verify(&fingerprint)?;
-                // The cursor must sit on a real chunk boundary of *this*
-                // plan: the fingerprint pins the chunk count, not where
-                // the chunks cut the fault list.
-                let boundary = chunks.faults_before(ck.chunks_done());
-                if ck.faults_done() != boundary {
-                    return Err(ResumeError::Mismatch {
-                        field: "fault cursor",
-                        expected: ck.faults_done().to_string(),
-                        found: boundary.to_string(),
-                    }
-                    .into());
-                }
-                start_chunk = ck.chunks_done();
-                sink = ck.restore_sink::<A>()?;
-                meta = ck.meta().to_vec();
-            }
-            saved = Some((path, fingerprint, meta));
-        }
-
-        let threads = self.threads_for(plan, chunks.num_faults());
-        let stores = self.run_stores(plan, &chunks);
-        let start = Instant::now();
-        let (done, interrupted) = fold_chunks(
-            threads,
-            start_chunk..total_chunks,
-            opts,
-            &mut sink,
-            || self.chunk_scratch(plan, &stores),
-            A::absorb,
-            |scratch, acc: &mut A, i| {
-                let (faults, out) = self.grade_plan_chunk(&chunks, scratch, i);
-                for (&f, &o) in faults.iter().zip(out) {
-                    acc.observe(f, o);
-                }
-                if let Some(hook) = &opts.progress {
-                    hook.call(chunk_event(i, out));
-                }
-            },
-            |done, sink| match &saved {
-                Some((path, fingerprint, meta)) => Checkpoint::new(
-                    fingerprint.clone(),
-                    done,
-                    chunks.faults_before(done),
-                    meta.clone(),
-                    sink,
-                )
-                .write_atomic(path)
-                .map_err(EngineError::from),
-                None => Ok(()),
-            },
-        )?;
-
-        let faults_done = chunks.faults_before(done);
-        Ok(ResumableRun {
-            stats: EngineStats {
-                faults: faults_done,
-                shards: done,
-                threads: threads.min(total_chunks.max(1)),
-                wall_ns: start.elapsed().as_nanos(),
-            },
-            sink,
-            chunks_done: done,
-            chunks_total: total_chunks,
+        let mut state = CampaignState::new(self, plan, opts)?;
+        let ResumableRun {
+            stats,
+            chunks_done,
+            chunks_total,
             faults_done,
-            faults_total: chunks.num_faults(),
-            resumed_from: start_chunk,
+            faults_total,
+            resumed_from,
+            interrupted,
+            ..
+        } = state.advance(self, plan, opts)?;
+        Ok(ResumableRun {
+            sink: state.sink,
+            stats,
+            chunks_done,
+            chunks_total,
+            faults_done,
+            faults_total,
+            resumed_from,
             interrupted,
         })
     }
@@ -690,6 +816,7 @@ fn collect_chunks<S: Send>(
     fold_chunks(
         threads,
         0..shards,
+        usize::MAX,
         &ResumeOptions::default(),
         &mut graded,
         init,
@@ -705,32 +832,29 @@ fn collect_chunks<S: Send>(
 }
 
 /// The campaign loop, and the only caller of the pool: grades the chunk
-/// range `chunks` on `threads` workers, folding each chunk into a
-/// per-worker accumulator that `merge` drains into `acc` after every
-/// round. `merge(dst, src)` moves `src`'s fold into `dst` and leaves
-/// `src` empty; the pool also uses it to drain each chunk's fold into
-/// its worker's accumulator.
+/// range `chunks` on `threads` workers in rounds of `round_len` chunks,
+/// folding each chunk into a per-worker accumulator that `merge` drains
+/// into `acc` after every round. `merge(dst, src)` moves `src`'s fold
+/// into `dst` and leaves `src` empty; the pool also uses it to drain
+/// each chunk's fold into its worker's accumulator.
 ///
-/// With a checkpoint path in `opts`, rounds are [`ResumeOptions::every`]
-/// chunks long; without one, every remaining chunk (up to the limit)
-/// goes to the pool in one call. `persist` runs with the cursor and
-/// `acc` after every round, and once when no chunk completes, so even a
-/// zero-round invocation leaves its checkpoint behind. The loop stops
-/// at a chunk boundary on cancellation or once `opts.limit` chunks are
-/// done. Returns the cursor and whether the run stopped before the last
-/// chunk.
+/// `persist` runs with the cursor and `acc` after every round, and once
+/// when no chunk completes, so even a zero-round invocation leaves its
+/// checkpoint behind. The loop stops at a chunk boundary on
+/// cancellation or once `opts.limit` chunks are done. Returns whether
+/// the run stopped before the last chunk.
 #[allow(clippy::too_many_arguments)]
 fn fold_chunks<S: Send, A: Default + Send>(
     threads: usize,
     chunks: Range<usize>,
+    round_len: usize,
     opts: &ResumeOptions,
     acc: &mut A,
     init: impl Fn() -> S + Sync,
     merge: impl Fn(&mut A, &mut A) + Sync,
     work: impl Fn(&mut S, &mut A, usize) + Sync,
     mut persist: impl FnMut(usize, &A) -> Result<(), EngineError>,
-) -> Result<(usize, bool), EngineError> {
-    let round_len = if opts.checkpoint.is_some() { opts.every.max(1) } else { usize::MAX };
+) -> Result<bool, EngineError> {
     let ctl = FoldControl { cancel: opts.cancel.as_ref(), retry_budget: opts.retry_budget };
     let cancelled = || opts.cancel.as_ref().is_some_and(crate::cancel::CancelToken::is_cancelled);
     let mut done = chunks.start;
@@ -765,7 +889,7 @@ fn fold_chunks<S: Send, A: Default + Send>(
     if done == chunks.start {
         persist(done, acc)?;
     }
-    Ok((done, interrupted))
+    Ok(interrupted)
 }
 
 #[cfg(test)]

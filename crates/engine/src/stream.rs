@@ -30,6 +30,8 @@
 //!   (or a streamed and a materialized run) be compared fault-for-fault
 //!   without either of them storing a single outcome.
 
+use std::borrow::Cow;
+
 use seugrade_faultsim::{Fault, FaultClass, FaultOutcome, GradingSummary};
 use seugrade_netlist::FfIndex;
 use seugrade_sim::Walk;
@@ -67,8 +69,10 @@ pub(crate) enum ChunkPlan<'a> {
     /// cycles: chunk `i` is `order[i × LANES ..]`, the last one holding
     /// the remainder.
     Ordered {
-        /// The faults, in submission order.
-        faults: &'a [Fault],
+        /// The faults, in submission order: borrowed from the plan's
+        /// list, or owned when the plan outlives its source (a drawn
+        /// sample, a kept campaign state).
+        faults: Cow<'a, [Fault]>,
         /// Cycle-major permutation of `0..faults.len()`: sorted position
         /// → submission index.
         order: Vec<u32>,
@@ -97,10 +101,11 @@ impl<'a> ChunkPlan<'a> {
     /// # Panics
     ///
     /// Panics if a fault's cycle is `>= num_cycles`.
-    pub(crate) fn ordered(faults: &'a [Fault], num_cycles: usize) -> Self {
+    pub(crate) fn ordered(faults: impl Into<Cow<'a, [Fault]>>, num_cycles: usize) -> Self {
+        let faults = faults.into();
         // Per-cycle counts, turned in place into each cycle's first slot.
         let mut cursor = vec![0usize; num_cycles];
-        for f in faults {
+        for f in faults.iter() {
             assert!((f.cycle as usize) < num_cycles, "fault cycle out of range");
             cursor[f.cycle as usize] += 1;
         }
@@ -117,6 +122,19 @@ impl<'a> ChunkPlan<'a> {
             cursor[c] += 1;
         }
         ChunkPlan::Ordered { faults, order }
+    }
+
+    /// The same plan, owning its faults: a plan that must outlive its
+    /// fault source (a drawn sample, a borrowed list) copies them once.
+    pub(crate) fn into_owned(self) -> ChunkPlan<'static> {
+        match self {
+            ChunkPlan::Exhaustive { num_ffs, num_cycles, per_cycle, chunks, faults } => {
+                ChunkPlan::Exhaustive { num_ffs, num_cycles, per_cycle, chunks, faults }
+            }
+            ChunkPlan::Ordered { faults, order } => {
+                ChunkPlan::Ordered { faults: Cow::Owned(faults.into_owned()), order }
+            }
+        }
     }
 
     /// Number of chunks.

@@ -234,7 +234,9 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
     }
 
     let mut stmts: Vec<(usize, Stmt<'_>)> = Vec::new();
-    let mut dff_nets: HashMap<&str, usize> = HashMap::new();
+    // Each DFF net's statement index, so a pragma patches its DFF
+    // without scanning every statement.
+    let mut dff_stmts: HashMap<&str, usize> = HashMap::new();
     for (lineno, raw) in src.lines().enumerate() {
         let line = lineno + 1;
         // `#` starts a comment (pragma or plain); any statement before
@@ -263,7 +265,7 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
                             msg: format!("DFF takes exactly one input, got {}", args.len()),
                         });
                     }
-                    dff_nets.insert(net, line);
+                    dff_stmts.insert(net, stmts.len());
                     // Init patched below once pragmas are matched.
                     stmts.push((line, Stmt::Dff { net, init: false, d: args[0] }));
                 }
@@ -339,18 +341,14 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
     // Patch pragma inits into their DFF statements; a pragma that names
     // no DFF is an error (most likely a typo in the net name).
     for (net, (pragma_line, value)) in &inits {
-        if !dff_nets.contains_key(net) {
+        let Some(&at) = dff_stmts.get(net) else {
             return Err(NetlistError::Parse {
                 line: *pragma_line,
                 msg: format!("init pragma names `{net}`, which is not a DFF"),
             });
-        }
-        for (_, stmt) in &mut stmts {
-            if let Stmt::Dff { net: dnet, init, .. } = stmt {
-                if dnet == net {
-                    *init = *value;
-                }
-            }
+        };
+        if let (_, Stmt::Dff { init, .. }) = &mut stmts[at] {
+            *init = *value;
         }
     }
 
@@ -488,6 +486,26 @@ y = AND(a, one, z)
     fn undefined_net_reported() {
         let err = parse("INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n").unwrap_err();
         assert!(matches!(err, NetlistError::UnknownNet { ref name, .. } if name == "ghost"));
+    }
+
+    #[test]
+    fn init_pragmas_patch_a_long_chain() {
+        // A 4096-DFF shift chain, every other flip-flop powering on at 1;
+        // each pragma finds its DFF by index, not by a scan.
+        let n = 4096;
+        let mut src = String::from("INPUT(d)\nOUTPUT(q4095)\n");
+        for i in 0..n {
+            let from = if i == 0 { "d".to_owned() } else { format!("q{}", i - 1) };
+            src.push_str(&format!("q{i} = DFF({from})\n"));
+            if i % 2 == 1 {
+                src.push_str(&format!("#@ init q{i} 1\n"));
+            }
+        }
+        let inits = parse(&src).unwrap().ff_init_values();
+        assert_eq!(inits.len(), n);
+        assert_eq!(inits.iter().filter(|&&b| b).count(), n / 2);
+        let err = parse(&format!("{src}#@ init d 1\n")).unwrap_err();
+        assert!(err.to_string().contains("not a DFF"), "{err}");
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
+use std::time::Instant;
 
 use seugrade_circuits::registry;
 use seugrade_engine::{CampaignPlan, CancelToken, ShardPolicy};
@@ -95,19 +96,43 @@ pub struct Job {
     /// folded into `status` and reset at every round boundary.
     live_faults: AtomicUsize,
     subscribers: Mutex<Vec<mpsc::Sender<String>>>,
+    outbox: Mutex<Outbox>,
+}
+
+/// Chunk event lines queued for a job's subscribers, and when queued
+/// lines last went out.
+#[derive(Debug, Default)]
+struct Outbox {
+    /// Queued lines, newline-separated, without a trailing newline.
+    lines: String,
+    /// The last hand-over; `None` before the first.
+    handed_over: Option<Instant>,
+}
+
+impl Outbox {
+    /// Appends `line` to the queued lines.
+    fn push(&mut self, line: &str) {
+        if !self.lines.is_empty() {
+            self.lines.push('\n');
+        }
+        self.lines.push_str(line);
+    }
 }
 
 impl Job {
-    /// Validates a spec into a runnable job: builds the circuit
-    /// (registry lookup or inline import), derives the test bench, and
-    /// sizes the fault space.
+    /// Validates a spec into a runnable job: checks its per-job limits,
+    /// builds the circuit (registry lookup or inline import), checks
+    /// the fault space and stimulus size against theirs, derives the
+    /// test bench, and sizes the fault space.
     ///
     /// # Errors
     ///
-    /// A human-readable message for an unknown registry name, a
-    /// netlist that fails to import, or a circuit with no flip-flops
-    /// (nothing to grade).
+    /// A human-readable message for a count over its limit, an unknown
+    /// registry name, a netlist that fails to import, a circuit with no
+    /// flip-flops (nothing to grade), or a fault space or test bench
+    /// over its limit (checked before the test bench is allocated).
     pub fn build(id: String, spec: JobSpec) -> Result<Job, String> {
+        spec.check_limits().map_err(|e| e.msg)?;
         let circuit = match &spec.circuit {
             CircuitSource::Registry(name) => registry::build(name)
                 .ok_or_else(|| format!("unknown registry circuit {name:?}"))?,
@@ -120,6 +145,18 @@ impl Job {
         if circuit.num_ffs() == 0 {
             return Err(format!("circuit {:?} has no flip-flops to grade", circuit.name()));
         }
+        let within = |what: &str, per_vector: usize, unit: &str, max: usize| {
+            if per_vector.checked_mul(spec.vectors).is_some_and(|n| n <= max) {
+                Ok(())
+            } else {
+                Err(format!(
+                    "job {what} is {per_vector} {unit} x {} vectors, over the limit of {max}",
+                    spec.vectors
+                ))
+            }
+        };
+        within("fault space", circuit.num_ffs(), "flip-flops", proto::MAX_FAULT_SPACE)?;
+        within("test bench", circuit.num_inputs(), "inputs", proto::MAX_STIMULUS_BITS)?;
         let testbench = Testbench::random(circuit.num_inputs(), spec.vectors, spec.seed);
         let space = circuit.num_ffs() * testbench.num_cycles();
         let faults_total = spec.sample.map_or(space, |n| n.min(space));
@@ -144,6 +181,7 @@ impl Job {
             cancel: Mutex::new(CancelToken::new()),
             live_faults: AtomicUsize::new(0),
             subscribers: Mutex::new(Vec::new()),
+            outbox: Mutex::new(Outbox::default()),
         })
     }
 
@@ -235,20 +273,49 @@ impl Job {
         rx
     }
 
-    /// Sends one pre-serialized event line to every live subscriber,
-    /// dropping the ones that hung up.
-    pub fn broadcast(&self, line: &str) {
-        let mut subs = self.subscribers.lock().expect("subscribers lock");
-        subs.retain(|tx| tx.send(line.to_owned()).is_ok());
+    /// Queues one chunk event line for the subscribers. The queued
+    /// lines go out together, as one channel send, once the daemon's
+    /// 25 ms poll interval has passed since the last hand-over (so a
+    /// job's first chunk goes out at once), or with the next
+    /// [`broadcast`](Self::broadcast) or
+    /// [`broadcast_terminal`](Self::broadcast_terminal).
+    pub fn queue_chunk_line(&self, line: &str) {
+        let mut outbox = self.outbox.lock().expect("outbox lock");
+        outbox.push(line);
+        if outbox.handed_over.map_or(true, |at| at.elapsed() >= crate::server::POLL) {
+            self.hand_over(&mut outbox, false);
+        }
     }
 
-    /// Broadcasts the terminal event for `status` and closes every
-    /// subscription (their streams end).
+    /// Sends the queued chunk lines and then `line` to every live
+    /// subscriber as one channel send, dropping the ones that hung up.
+    pub fn broadcast(&self, line: &str) {
+        let mut outbox = self.outbox.lock().expect("outbox lock");
+        outbox.push(line);
+        self.hand_over(&mut outbox, false);
+    }
+
+    /// Broadcasts the queued chunk lines and the terminal event for
+    /// `status`, and closes every subscription (their streams end).
     pub fn broadcast_terminal(&self, status: &JobStatus) {
-        let line = self.terminal_event_line(status);
+        let mut outbox = self.outbox.lock().expect("outbox lock");
+        outbox.push(&self.terminal_event_line(status));
+        self.hand_over(&mut outbox, true);
+    }
+
+    /// Sends the queued lines, one channel send per subscriber, under
+    /// the outbox lock, so lines reach every subscriber in queue order;
+    /// `close` ends every subscription afterwards.
+    fn hand_over(&self, outbox: &mut Outbox, close: bool) {
+        let batch = std::mem::take(&mut outbox.lines);
+        outbox.handed_over = Some(Instant::now());
         let mut subs = self.subscribers.lock().expect("subscribers lock");
-        for tx in subs.drain(..) {
-            let _ = tx.send(line.clone());
+        if close {
+            for tx in subs.drain(..) {
+                let _ = tx.send(batch.clone());
+            }
+        } else {
+            subs.retain(|tx| tx.send(batch.clone()).is_ok());
         }
     }
 

@@ -15,13 +15,15 @@
 //!                           ▼
 //!                        Scheduler (job queue + N workers)
 //!                           │ one round (spec.round chunks) at a time,
-//!                           │ re-enqueue (job, engine) until complete —
-//!                           │ round-robin; one engine per job, built once
+//!                           │ re-enqueue (job, engine, state) until
+//!                           │ complete — round-robin; one engine and one
+//!                           │ campaign state per job, built once
 //!                           ▼
-//!                        Engine::run_streamed_resumable_with::<CampaignSink>
+//!                        CampaignState::<CampaignSink>::advance
 //!                           │ (the engine's one chunk loop; checkpoint
 //!                           │  written at the round boundary)
-//!                           │ per-chunk ProgressHook ──▶ Job::broadcast
+//!                           │ per-chunk ProgressHook ──▶ Job::queue_chunk_line
+//!                           │ (handed over every 25 ms and at round end)
 //!                           ▼
 //!                        Spool  <spool>/j<N>/{job.json, job.ckpt, result.json}
 //! ```

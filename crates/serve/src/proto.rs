@@ -33,6 +33,24 @@ pub const DEFAULT_SEED: u64 = 42;
 /// Default chunks per scheduling round (and per checkpoint write).
 pub const DEFAULT_ROUND: usize = 64;
 
+/// Most test-bench vectors a job may ask for.
+pub const MAX_VECTORS: usize = 1 << 16;
+
+/// Most engine worker threads a job may ask for.
+pub const MAX_THREADS: usize = 256;
+
+/// Most chunks a job may grade per round.
+pub const MAX_ROUND: usize = 1 << 20;
+
+/// Most faults a job may sample. A sample is drawn and held in memory.
+pub const MAX_SAMPLE: usize = 1 << 22;
+
+/// Largest fault space, flip-flops × vectors, a job may grade.
+pub const MAX_FAULT_SPACE: usize = 1 << 26;
+
+/// Most stimulus bits, inputs × vectors, a job's test bench may hold.
+pub const MAX_STIMULUS_BITS: usize = 1 << 24;
+
 // --------------------------------------------------------------------
 // Job specification
 
@@ -127,11 +145,35 @@ impl JobSpec {
         Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
     }
 
+    /// Checks the spec's counts against the per-job limits
+    /// ([`MAX_VECTORS`], [`MAX_THREADS`], [`MAX_ROUND`], [`MAX_SAMPLE`]),
+    /// the ones that need no circuit.
+    ///
+    /// # Errors
+    ///
+    /// A [`ProtoError`] naming the first field over its limit.
+    pub fn check_limits(&self) -> Result<(), ProtoError> {
+        let fields = [
+            ("vectors", self.vectors, MAX_VECTORS),
+            ("threads", self.threads, MAX_THREADS),
+            ("round", self.round, MAX_ROUND),
+            ("sample", self.sample.unwrap_or(0), MAX_SAMPLE),
+        ];
+        match fields.into_iter().find(|&(_, n, max)| n > max) {
+            Some((key, n, max)) => {
+                Err(ProtoError { msg: format!("job.{key} is {n}, over the limit of {max}") })
+            }
+            None => Ok(()),
+        }
+    }
+
     /// Parses the protocol's `job` object back into a spec.
     ///
     /// # Errors
     ///
-    /// A [`ProtoError`] naming the offending field; never a panic.
+    /// A [`ProtoError`] naming the offending field, including a count
+    /// over its limit ([`check_limits`](Self::check_limits)); never a
+    /// panic.
     pub fn from_value(v: &Value) -> Result<JobSpec, ProtoError> {
         let bad = |msg: String| ProtoError { msg };
         if !matches!(v, Value::Obj(_)) {
@@ -208,7 +250,9 @@ impl JobSpec {
         };
         let threads = count_field("threads", 1)?;
         let round = count_field("round", DEFAULT_ROUND)?;
-        Ok(JobSpec { circuit, vectors, seed, sample, trace_policy, collapse, threads, round })
+        let spec = JobSpec { circuit, vectors, seed, sample, trace_policy, collapse, threads, round };
+        spec.check_limits()?;
+        Ok(spec)
     }
 }
 

@@ -1,11 +1,9 @@
 //! The job queue and the shared worker pool.
 //!
 //! N daemon workers multiplex any number of campaigns by grading in
-//! **rounds**: a worker pops a job, drives one round of
-//! [`JobSpec::round`] chunks through
-//! `Engine::run_streamed_resumable_with::<CampaignSink>` — the engine's
-//! one chunk loop, which writes the job's spooled checkpoint atomically
-//! at the round boundary — and
+//! **rounds**: a worker pops a job, advances its [`CampaignState`] by
+//! [`JobSpec::round`] chunks — the engine's one chunk loop, which writes
+//! the job's spooled checkpoint atomically at the round boundary — and
 //! re-enqueues the job at the back of the queue if chunks remain —
 //! round-robin fairness across tenants over one pool. Determinism
 //! holds because completed chunks always form an exact queue prefix
@@ -13,24 +11,29 @@
 //! rounds, workers, daemon restarts and resumes reproduces the solo
 //! one-shot digest bit-for-bit (`tests/serve_determinism.rs`).
 //!
-//! Each job's [`Engine`] (compiled simulator, test bench and golden
-//! trace) is built once, on the job's first round in this daemon life,
-//! and travels with the job's queue entry from round to round. An
-//! engine owns everything it grades with; only the per-round plan
-//! borrows the job's circuit and bench, and it is rebuilt each round
-//! for next to nothing. A job that finishes, fails, is cancelled or is
-//! stopped by a daemon shutdown leaves the queue, and its engine is
-//! dropped with the entry; `resume` and a daemon restart enqueue the
-//! job without one, so its next round builds a fresh engine. Resident
-//! engines are therefore exactly the live jobs that have graded a
-//! round. Engines are not shared between jobs: `JobSpec::seed` seeds
-//! both the test bench and the sample, so only identical resubmissions
-//! could share one.
+//! Each job's round state is built once, on the job's first round in
+//! this daemon life, and travels with the job's queue entry from round
+//! to round: its [`Engine`] (compiled simulator, test bench and golden
+//! trace) and, beside it, its [`CampaignState`] (drawn sample, resume
+//! fingerprint, golden span store with its seed table, folded
+//! [`CampaignSink`] and chunk cursor). Only the per-round plan borrows
+//! the job's circuit and bench, and it is rebuilt each round for next
+//! to nothing. A job that finishes, fails, is cancelled or is stopped
+//! by a daemon shutdown leaves the queue, and its state is dropped with
+//! the entry; `resume` and a daemon restart enqueue the job without
+//! one, so its next round builds a fresh engine and loads the spooled
+//! checkpoint. Resident states are therefore exactly the live jobs that
+//! have graded a round. They are not shared between jobs:
+//! `JobSpec::seed` seeds both the test bench and the sample, so only
+//! identical resubmissions could share one.
 //!
-//! What a round still pays on top of grading: the sample redraw, the
-//! resume fingerprint, the checkpoint load and write, and a cold golden
-//! bit-span store, seed table included: look-ahead seeds from one round
-//! do not reach the next.
+//! What a round still pays on top of grading: the atomic checkpoint
+//! write, and the hand-over of its event lines. The progress hook
+//! queues each chunk's event line on the job
+//! ([`Job::queue_chunk_line`]); queued lines reach the subscribers as
+//! one channel send, and so as one socket write, after a chunk once
+//! 25 ms have passed since the job's last hand-over, and at the end of
+//! the round together with the `state` or terminal line.
 
 use std::collections::VecDeque;
 use std::io;
@@ -42,7 +45,7 @@ use std::time::Duration;
 
 use seugrade_emulation::controller::TimingConfig;
 use seugrade_emulation::CampaignSink;
-use seugrade_engine::{Engine, ProgressHook, ResumeOptions};
+use seugrade_engine::{CampaignState, Engine, ProgressHook, ResumeOptions};
 use seugrade_faultsim::GradingSummary;
 
 use crate::job::{build_plan, Job, JobState, JobStatus};
@@ -50,8 +53,18 @@ use crate::json::Value;
 use crate::proto::{self, JobSpec};
 use crate::spool::Spool;
 
-/// One queue entry: a job plus its engine, once a round has built it.
-type Entry = (Arc<Job>, Option<Engine>);
+/// A job's resident round state, built by its first round in this
+/// daemon life: the engine, and beside it the campaign state its rounds
+/// advance (drawn sample, fingerprint, span store, folded sink and
+/// chunk cursor).
+struct Resident {
+    engine: Engine,
+    state: CampaignState<CampaignSink>,
+}
+
+/// One queue entry: a job plus its resident state, once a round has
+/// built it.
+type Entry = (Arc<Job>, Option<Resident>);
 
 /// The queue, registry and pool shared by workers and connections.
 pub(crate) struct SchedCore {
@@ -243,26 +256,26 @@ fn worker_loop(core: &Arc<SchedCore>) {
     }
 }
 
-/// Grades one round of a popped entry and re-enqueues the job, engine
-/// and all, if it is incomplete. Otherwise the entry, and the engine
-/// with it, is dropped here.
-fn work_entry(core: &Arc<SchedCore>, (job, engine): Entry) {
-    if let Some(engine) = run_round(core, &job, engine) {
+/// Grades one round of a popped entry and re-enqueues the job, resident
+/// state and all, if it is incomplete. Otherwise the entry, and the
+/// state with it, is dropped here.
+fn work_entry(core: &Arc<SchedCore>, (job, resident): Entry) {
+    if let Some(resident) = run_round(core, &job, resident) {
         if !core.stopping.load(Ordering::SeqCst) {
-            core.queue.lock().expect("queue lock").push_back((job, Some(engine)));
+            core.queue.lock().expect("queue lock").push_back((job, Some(resident)));
             core.queue_cv.notify_one();
         }
     }
 }
 
-/// Grades one round of `job` on `engine` (building it first if the job
-/// has none yet); returns the engine when the job should be
+/// Grades one round of `job` on its resident state (building it first
+/// if the job has none yet); returns the state when the job should be
 /// re-enqueued (more chunks remain and nobody stopped it).
 fn run_round(
     core: &Arc<SchedCore>,
     job: &Arc<Job>,
-    mut engine: Option<Engine>,
-) -> Option<Engine> {
+    mut resident: Option<Resident>,
+) -> Option<Resident> {
     // Claim under the status lock: a cancel that already flipped a
     // queued job wins, and the worker skips it.
     let mut claimed = false;
@@ -278,7 +291,7 @@ fn run_round(
 
     // Panic containment mirrors the engine pool: one poisoned round
     // fails one job, never the daemon.
-    let outcome = catch_unwind(AssertUnwindSafe(|| grade_round(core, job, &mut engine)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| grade_round(core, job, &mut resident)));
     job.reset_live_faults();
     match outcome {
         Err(panic) => {
@@ -329,7 +342,7 @@ fn run_round(
                     snapshot = Some(st.clone());
                 });
                 broadcast_progress(job, &snapshot.expect("status set above"));
-                engine
+                resident
             }
         }
     }
@@ -345,37 +358,42 @@ struct RoundReport {
     digest: u64,
     wall_ns: u128,
     complete: bool,
-    /// True when this round built the job's engine.
+    /// True when this round built the job's engine and campaign state.
     engine_built: bool,
     timings: Option<[seugrade_emulation::controller::CampaignTiming; 3]>,
 }
 
-/// Builds the plan for `job` (and its engine, on the job's first round)
-/// and grades one round through the resumable path (checkpointing to
-/// the job's spool).
+/// Builds the plan for `job` and grades one round by advancing the
+/// job's campaign state, which writes the spooled checkpoint. On the
+/// job's first round in this daemon life it builds the engine and the
+/// state first, resuming from the spooled checkpoint if there is one.
 fn grade_round(
     core: &Arc<SchedCore>,
     job: &Arc<Job>,
-    engine: &mut Option<Engine>,
+    resident: &mut Option<Resident>,
 ) -> Result<RoundReport, String> {
     let plan = build_plan(&job.spec, &job.circuit, &job.testbench);
-    let engine_built = engine.is_none();
-    let engine = engine.get_or_insert_with(|| Engine::new(&plan));
     let ckpt = core.spool.ckpt_path(&job.id);
     let mut opts = ResumeOptions::checkpoint_to(&ckpt);
     opts.every = job.spec.round;
     opts.limit = Some(job.spec.round);
-    opts.resume = ckpt.exists();
     opts.cancel = Some(job.cancel_token());
     let hooked = Arc::clone(job);
     opts.progress = Some(ProgressHook::new(move |ev| {
         hooked.note_live_faults(ev.faults);
-        hooked.broadcast(&proto::chunk_event_line(Some(&hooked.id), &ev));
+        hooked.queue_chunk_line(&proto::chunk_event_line(Some(&hooked.id), &ev));
     }));
-
-    let run = engine
-        .run_streamed_resumable_with::<CampaignSink>(&plan, &opts)
-        .map_err(|e| e.to_string())?;
+    let engine_built = resident.is_none();
+    let Resident { engine, state } = match resident {
+        Some(resident) => resident,
+        None => {
+            let engine = Engine::new(&plan);
+            opts.resume = ckpt.exists();
+            let state = CampaignState::new(&engine, &plan, &opts).map_err(|e| e.to_string())?;
+            resident.insert(Resident { engine, state })
+        }
+    };
+    let run = state.advance(engine, &plan, &opts).map_err(|e| e.to_string())?;
     let complete = run.is_complete();
     let timings = complete.then(|| {
         run.sink.finish_timings(
@@ -719,11 +737,54 @@ mod tests {
         sched.resume(&job.id).unwrap();
         assert_eq!(sched.queue_len(), 1, "no second entry for the same job");
         assert_eq!(sched.resident_engines(), 1);
+        // The re-armed entry keeps its campaign state too.
+        damage_checkpoint(&root, &job);
         sched.drain();
         let st = job.status();
         assert_eq!(st.state, JobState::Done);
         assert_eq!(st.engine_builds, 1);
         assert_eq!(st.digest, Some(reference_run(&spec).unwrap().0));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Overwrites `job`'s spooled checkpoint with bytes no load accepts.
+    fn damage_checkpoint(root: &std::path::Path, job: &Job) {
+        std::fs::write(root.join(&job.id).join("job.ckpt"), "not a checkpoint\n").unwrap();
+    }
+
+    #[test]
+    fn a_resident_job_grades_on_without_rereading_its_checkpoint() {
+        let spool = temp_spool("resident");
+        let root = spool.root().to_path_buf();
+        let sched = Scheduler::open(spool).unwrap();
+        let spec = tiny_spec();
+        let job = sched.submit(spec.clone()).unwrap();
+        assert!(sched.step());
+        // The kept state carries the cursor and the sink: later rounds
+        // only write the checkpoint, so a damaged file goes unread.
+        damage_checkpoint(&root, &job);
+        sched.drain();
+        let st = job.status();
+        assert_eq!(st.state, JobState::Done, "{st:?}");
+        assert_eq!(st.digest, Some(reference_run(&spec).unwrap().0));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_job_entering_the_queue_without_state_loads_its_checkpoint() {
+        let spool = temp_spool("reload");
+        let root = spool.root().to_path_buf();
+        let sched = Scheduler::open(spool).unwrap();
+        let job = sched.submit(tiny_spec()).unwrap();
+        assert!(sched.step());
+        sched.cancel(&job.id).unwrap();
+        assert!(sched.step(), "pops the cancelled entry and drops its state");
+        damage_checkpoint(&root, &job);
+        sched.resume(&job.id).unwrap();
+        sched.drain();
+        let st = job.status();
+        assert_eq!(st.state, JobState::Failed, "{st:?}");
+        assert!(st.error.as_deref().unwrap_or("").contains("corrupt checkpoint"), "{st:?}");
         std::fs::remove_dir_all(&root).unwrap();
     }
 

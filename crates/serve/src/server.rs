@@ -17,6 +17,7 @@ use std::io::{self, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -39,8 +40,10 @@ pub const DEFAULT_WORKERS: usize = 2;
 /// resynchronize). Generous because inline netlists travel in-line.
 pub const MAX_REQUEST_BYTES: usize = 8 * 1024 * 1024;
 
-/// How often blocked connection loops re-check the shutdown flag.
-const POLL: Duration = Duration::from_millis(25);
+/// How often blocked connection loops re-check the shutdown flag, and
+/// the longest a job's queued chunk event lines wait for a hand-over
+/// while chunks keep landing.
+pub(crate) const POLL: Duration = Duration::from_millis(25);
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -319,6 +322,9 @@ fn dispatch(daemon: &Arc<Daemon>, line: &str, line_no: usize, writer: &mut TcpSt
                 let msg = format!("unknown job {job:?}");
                 return send(writer, &proto::err_response(line_no, &msg)).is_ok();
             };
+            // Subscribe first: a client that has read the acknowledgment
+            // misses no event line handed over after it.
+            let events = job.subscribe();
             if send(
                 writer,
                 &proto::ok_response(vec![("streaming", Value::str(job.id.clone()))]),
@@ -327,7 +333,7 @@ fn dispatch(daemon: &Arc<Daemon>, line: &str, line_no: usize, writer: &mut TcpSt
             {
                 return false;
             }
-            return stream_events(daemon, &job, writer);
+            return stream_events(daemon, &events, writer);
         }
     };
     send(writer, &response).is_ok()
@@ -335,13 +341,13 @@ fn dispatch(daemon: &Arc<Daemon>, line: &str, line_no: usize, writer: &mut TcpSt
 
 /// Forwards a job's event lines until the job reaches a terminal state
 /// (its channel closes), the client hangs up, or the daemon shuts
-/// down. Returns whether the connection may continue in request mode.
-fn stream_events(daemon: &Daemon, job: &crate::job::Job, writer: &mut TcpStream) -> bool {
-    let rx = job.subscribe();
+/// down. Each received batch, one or more lines, is one socket write.
+/// Returns whether the connection may continue in request mode.
+fn stream_events(daemon: &Daemon, events: &Receiver<String>, writer: &mut TcpStream) -> bool {
     loop {
-        match rx.recv_timeout(POLL) {
-            Ok(line) => {
-                if send(writer, &line).is_err() {
+        match events.recv_timeout(POLL) {
+            Ok(lines) => {
+                if send(writer, &lines).is_err() {
                     return false;
                 }
             }

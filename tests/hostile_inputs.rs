@@ -725,3 +725,84 @@ fn dense_trace_policy_is_rejected_on_the_wire_and_in_the_spool() {
     drop(server);
     let _ = std::fs::remove_dir_all(&config.spool);
 }
+
+/// Per-job resource limits hold where a spec enters the daemon: a count
+/// over its limit is a parse error naming the field, and a fault space
+/// or test bench over its limit is a structured submit error, raised
+/// before the test bench is allocated. No job is created, and no
+/// over-limit job is ever run. The largest specs the test suites and
+/// benchmarks use stay within the limits.
+#[test]
+fn over_limit_specs_are_rejected_at_parse_and_submit() {
+    use seugrade_serve::proto::{
+        parse_request, MAX_FAULT_SPACE, MAX_ROUND, MAX_SAMPLE, MAX_STIMULUS_BITS, MAX_THREADS,
+        MAX_VECTORS,
+    };
+    use seugrade_serve::{Client, ClientError, Job, JobSpec, Server, ServerConfig};
+
+    let submit = |field: &str, value: usize| {
+        format!(r#"{{"cmd":"submit","job":{{"circuit":"s27","{field}":{value}}}}}"#)
+    };
+    for (field, max) in [
+        ("vectors", MAX_VECTORS),
+        ("threads", MAX_THREADS),
+        ("round", MAX_ROUND),
+        ("sample", MAX_SAMPLE),
+    ] {
+        parse_request(&submit(field, max)).unwrap_or_else(|e| panic!("{field} at its limit: {e}"));
+        for over in [max + 1, 1 << 40] {
+            let err = parse_request(&submit(field, over)).expect_err("over the limit");
+            assert!(err.msg.contains(&format!("job.{field}")), "{err}");
+            assert!(err.msg.contains("limit"), "{err}");
+        }
+    }
+    // A spec built in process meets the same limits in `Job::build`.
+    let mut spec = JobSpec::registry("s27");
+    spec.threads = 1 << 20;
+    let err = Job::build("j1".into(), spec).expect_err("hostile thread count");
+    assert!(err.contains("job.threads"), "{err}");
+
+    // Limits that need the circuit: 10,240 flip-flops x 65,536 vectors,
+    // and 400 inputs x 65,536 vectors of stimuli.
+    let mut huge = JobSpec::registry("s38417g");
+    huge.vectors = MAX_VECTORS;
+    assert!(10_240 * MAX_VECTORS > MAX_FAULT_SPACE);
+    let err = Job::build("j2".into(), huge.clone()).expect_err("fault space");
+    assert!(err.contains("fault space") && err.contains("limit"), "{err}");
+    let mut wide = String::new();
+    for i in 0..400 {
+        wide.push_str(&format!("INPUT(i{i})\n"));
+    }
+    wide.push_str("OUTPUT(q)\nq = DFF(i0)\n");
+    assert!(400 * MAX_VECTORS > MAX_STIMULUS_BITS);
+    let mut stimuli = JobSpec::registry("ignored");
+    stimuli.circuit = CircuitSource::Inline { format: SourceFormat::Bench, source: wide };
+    stimuli.vectors = MAX_VECTORS;
+    let err = Job::build("j3".into(), stimuli).expect_err("test bench");
+    assert!(err.contains("test bench") && err.contains("limit"), "{err}");
+
+    // The largest specs in use are accepted (built, not run).
+    let mut big = JobSpec::registry("s38417g");
+    big.vectors = 1024;
+    big.threads = 16;
+    Job::build("j4".into(), big).expect("s38417g x 1024 stays within the limits");
+
+    // Over the wire: a structured rejection, the connection stays open,
+    // no job exists.
+    let spool = std::env::temp_dir().join(format!("seugrade-hostile-limits-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&spool);
+    let config = ServerConfig { addr: "127.0.0.1:0".to_owned(), workers: 1, spool };
+    let server = Server::bind(&config).expect("bind daemon");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    match client.request_line(&submit("threads", 1_000_000)) {
+        Err(ClientError::Server { line: 1, msg }) => assert!(msg.contains("job.threads"), "{msg}"),
+        other => panic!("expected a structured rejection, got {other:?}"),
+    }
+    match client.submit(&huge) {
+        Err(ClientError::Server { line: 2, msg }) => assert!(msg.contains("fault space"), "{msg}"),
+        other => panic!("expected a structured rejection, got {other:?}"),
+    }
+    assert!(client.list().expect("list").is_empty(), "rejected submits create no job");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&config.spool);
+}

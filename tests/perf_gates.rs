@@ -80,6 +80,7 @@ fn perf_gates() {
         span_store_gate(&circuit, &tb),
         alias_gate(&circuit, &tb),
         fold_gate(),
+        rounds_gate(),
     ]
     .into_iter()
     .flatten()
@@ -206,6 +207,65 @@ fn fold_gate() -> Option<String> {
         format!(
             "streaming fell more than 1.10x behind materializing: \
              median {streamed:.4} s vs {materialized:.4} s"
+        )
+    })
+}
+
+/// Grading in rounds must stay close to grading in one go: a sampled
+/// s5378g campaign (256 vectors, 2048 faults, 1 thread), the serve
+/// benchmark's job, graded in 16-chunk resumable rounds through one
+/// kept [`CampaignState`], checkpoint written after every round, must
+/// take at most 1.25x the one-shot run of the same plan on the same
+/// engine. Rebuilding the state every round from the checkpoint (sample
+/// redraw, fingerprint, checkpoint load, cold span store) read
+/// 1.34-1.41x and failed; the kept state reads about 1.16x.
+fn rounds_gate() -> Option<String> {
+    let circuit = registry::build("s5378g").expect("registered");
+    let tb = Testbench::random(circuit.num_inputs(), 256, 42);
+    let plan = CampaignPlan::builder(&circuit, &tb)
+        .sampled(2048, 7)
+        .policy(ShardPolicy::serial())
+        .trace_policy(TracePolicy::Checkpoint(64))
+        .build();
+    let engine = Engine::new(&plan);
+    let path =
+        std::env::temp_dir().join(format!("seugrade-rounds-gate-{}.ckpt", std::process::id()));
+    let (rounds, one_shot) = interleaved_runs(
+        [
+            &mut || {
+                let mut opts = ResumeOptions::checkpoint_to(&path);
+                opts.every = 16;
+                opts.limit = Some(16);
+                let mut state = CampaignState::<CampaignSink>::new(&engine, &plan, &opts).unwrap();
+                loop {
+                    let run = state.advance(&engine, &plan, &opts).unwrap();
+                    if run.is_complete() {
+                        break (run.sink.digest(), run.faults_done);
+                    }
+                }
+            },
+            &mut || {
+                let run = engine
+                    .run_streamed_resumable_with::<CampaignSink>(&plan, &ResumeOptions::default())
+                    .unwrap();
+                (run.sink.digest(), run.faults_done)
+            },
+        ],
+        41,
+    );
+    std::fs::remove_file(&path).ok();
+    let ratio = rounds / one_shot;
+    println!(
+        "sampled s5378g x 256, 2048 faults: 16-chunk rounds {:.3} ms, one-shot {:.3} ms, x{ratio:.2}",
+        rounds * 1e3,
+        one_shot * 1e3
+    );
+    (ratio > 1.25).then(|| {
+        format!(
+            "grading in kept-state rounds fell more than 1.25x behind one-shot grading: \
+             median {:.3} ms vs {:.3} ms",
+            rounds * 1e3,
+            one_shot * 1e3
         )
     })
 }

@@ -474,3 +474,89 @@ fn exhaustive_walk_stopped_mid_cycle_resumes_identically() {
         assert_eq!(resumed.sink.summary(), reference.summary());
     }
 }
+
+/// Grades `plan` in rounds of `round` chunks two ways and checks that
+/// they write the same checkpoint bytes after every round and end on
+/// the one-shot digest: through one kept [`CampaignState`], and as a
+/// cold resume per round (a fresh engine, the checkpoint loaded from
+/// the file), the way a daemon restart or a benchmark replay grades.
+/// Before the kept state's `stall_at`-th round, it also advances once
+/// with a tripped cancel token: a job cancelled while queued and then
+/// resumed keeps its state, and the stalled advance grades nothing.
+fn kept_state_matches_cold_resume(
+    plan: &CampaignPlan<'_>,
+    round: usize,
+    stall_at: usize,
+    tag: &str,
+) {
+    let engine = Engine::new(plan);
+    let reference = engine.try_run_streamed(plan).unwrap();
+    let kept_path = ckpt_path(&format!("{tag}-kept"));
+    let cold_path = ckpt_path(&format!("{tag}-cold"));
+    std::fs::remove_file(&cold_path).ok();
+    let rounds = |path: &std::path::Path| {
+        let mut opts = ResumeOptions::checkpoint_to(path);
+        opts.every = round;
+        opts.limit = Some(round);
+        opts
+    };
+    let opts = rounds(&kept_path);
+    let mut state = CampaignState::<CampaignSink>::new(&engine, plan, &opts).unwrap();
+    for i in 0.. {
+        if i == stall_at {
+            let before = std::fs::read(&kept_path).ok();
+            let token = CancelToken::new();
+            token.cancel();
+            let stall = ResumeOptions { cancel: Some(token), ..rounds(&kept_path) };
+            let stalled = state.advance(&engine, plan, &stall).unwrap();
+            assert!(stalled.interrupted && stalled.chunks_done == stalled.resumed_from);
+            if let Some(before) = before {
+                let after = std::fs::read(&kept_path).unwrap();
+                assert_eq!(after, before, "{tag}: a stall rewrites the same cursor");
+            }
+        }
+        let kept = state.advance(&engine, plan, &opts).unwrap();
+        let (kept_done, kept_complete) = (kept.chunks_done, kept.is_complete());
+        let kept_digest = kept.sink.digest();
+
+        let cold_engine = Engine::new(plan);
+        let cold_opts = ResumeOptions { resume: cold_path.exists(), ..rounds(&cold_path) };
+        let cold =
+            cold_engine.run_streamed_resumable_with::<CampaignSink>(plan, &cold_opts).unwrap();
+        assert_eq!(cold.chunks_done, kept_done, "{tag}: round {i}");
+        assert_eq!(
+            std::fs::read(&kept_path).unwrap(),
+            std::fs::read(&cold_path).unwrap(),
+            "{tag}: checkpoint bytes after round {i}"
+        );
+        if kept_complete {
+            assert!(cold.is_complete());
+            assert_eq!(kept_digest, reference.digest(), "{tag}");
+            assert_eq!(cold.sink.digest(), reference.digest(), "{tag}");
+            break;
+        }
+    }
+    std::fs::remove_file(&kept_path).ok();
+    std::fs::remove_file(&cold_path).ok();
+}
+
+#[test]
+fn a_kept_campaign_state_writes_what_a_cold_resume_writes() {
+    let circuit = registry::build("b14c").expect("registered");
+    let tb = Testbench::random(circuit.num_inputs(), 12, 4);
+    for (label, source) in [
+        ("exhaustive", FaultSource::Exhaustive),
+        ("sampled", FaultSource::Sampled { count: 1500, seed: 3 }),
+    ] {
+        for threads in [1, 2] {
+            for round in [1, 4, 16] {
+                let plan = CampaignPlan::builder(&circuit, &tb)
+                    .source(source.clone())
+                    .policy(ShardPolicy { threads, serial_below: 0 })
+                    .build();
+                let tag = format!("kept-{label}-t{threads}-r{round}");
+                kept_state_matches_cold_resume(&plan, round, 1, &tag);
+            }
+        }
+    }
+}
