@@ -41,7 +41,7 @@ use seugrade_emulation::campaign::AutonomousCampaign;
 /// 160 instruction vectors, the exhaustive 34,400-fault list.
 ///
 /// This grades every fault through the sharded `seugrade-engine`
-/// runtime (bit-identical to the serial oracle at any thread count),
+/// runtime (bit-identical to the oracle at any thread count),
 /// which takes a couple of hundred milliseconds in release builds.
 #[must_use]
 pub fn paper_campaign() -> AutonomousCampaign {

@@ -98,7 +98,7 @@ pub fn speed_for(
     );
     if !sample.is_empty() {
         let start = Instant::now();
-        let outcomes = grader.run_serial(sample.as_slice());
+        let outcomes: Vec<_> = sample.iter().map(|f| grader.classify_serial(f)).collect();
         let dt = start.elapsed();
         assert_eq!(outcomes.len(), sample.len());
         rows.push(SpeedRow {

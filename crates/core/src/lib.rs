@@ -69,7 +69,7 @@ pub mod prelude {
     pub use seugrade_faultsim::sampling::{estimate_classes, wilson_interval, ClassEstimate};
     pub use seugrade_faultsim::{
         multi, report, Collapse, Fault, FaultClass, FaultList, FaultOutcome, GradeScratch,
-        Grader, GradingSummary, MultiFault, VerdictWindow, ALIAS_WINDOW,
+        Grader, GradingSummary, MultiFault, Oracle, VerdictWindow, ALIAS_WINDOW,
         DEFAULT_WINDOW_CACHE_SPANS,
     };
     pub use seugrade_harden::{dwc, tmr};

@@ -327,15 +327,14 @@ pub fn run_time_mux(circuit: &Netlist, tb: &Testbench) -> Vec<GateVerdict> {
 #[cfg(test)]
 mod tests {
     use seugrade_circuits::{registry, generators};
-    use seugrade_faultsim::{FaultList, Grader};
+    use seugrade_faultsim::{FaultList, Oracle};
     use seugrade_sim::Testbench;
 
     use super::*;
 
     fn oracle(circuit: &Netlist, tb: &Testbench) -> Vec<FaultOutcome> {
-        let g = Grader::new(circuit, tb);
         let faults = FaultList::exhaustive(circuit.num_ffs(), tb.num_cycles());
-        g.run_serial(faults.as_slice())
+        Oracle::new(circuit, tb).run(faults.as_slice())
     }
 
     #[test]

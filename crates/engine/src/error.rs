@@ -46,6 +46,12 @@ pub enum EngineError {
         /// Multi-bit faults in the rejected plan.
         faults: usize,
     },
+    /// The plan was built for another circuit or test bench than the
+    /// engine's: grading it would compare against the wrong golden run.
+    PlanMismatch {
+        /// What differs: `"circuit"` or `"test bench"`.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -61,6 +67,9 @@ impl fmt::Display for EngineError {
                 "streamed runs grade single-fault sources, not {faults} multi-bit faults; \
                  grade MBU campaigns through Engine::run"
             ),
+            EngineError::PlanMismatch { field } => {
+                write!(f, "plan {field} does not match engine")
+            }
         }
     }
 }
@@ -69,7 +78,9 @@ impl Error for EngineError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             EngineError::Resume(e) => Some(e),
-            EngineError::WorkerPanic { .. } | EngineError::MultiSource { .. } => None,
+            EngineError::WorkerPanic { .. }
+            | EngineError::MultiSource { .. }
+            | EngineError::PlanMismatch { .. } => None,
         }
     }
 }

@@ -9,7 +9,8 @@
 //! dispatches them across a home-grown chunk-queue thread pool
 //! (`std::thread::scope`, no external dependencies), and merges the
 //! per-shard verdicts **deterministically**: every thread count produces
-//! bit-identical outcomes, equal to the serial reference engine.
+//! bit-identical outcomes, equal to those of the independent
+//! [`Oracle`](seugrade_faultsim::Oracle) (`tests/engine_agreement.rs`).
 //!
 //! Like the paper's autonomous controller, the engine has **one campaign
 //! loop**: materialized, streamed, resumable and MBU runs all grade

@@ -236,7 +236,7 @@ impl<'a> CampaignPlan<'a> {
 
     /// The faulty-evaluation [`Kernel`] workers grade with. A pure speed
     /// knob: every kernel produces bit-identical verdicts (the
-    /// equivalence suites pin the digests), so — like the window cache —
+    /// oracle battery pins them), so — like the window cache —
     /// it is excluded from resume fingerprints: a campaign checkpointed
     /// under one kernel can resume under another.
     #[must_use]

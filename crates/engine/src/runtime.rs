@@ -272,19 +272,19 @@ impl<A: PersistentSink> CampaignState<A> {
     ///
     /// # Errors
     ///
-    /// Checkpoint load and validation failures, and MBU plans
-    /// ([`EngineError::MultiSource`]).
+    /// Checkpoint load and validation failures, MBU plans
+    /// ([`EngineError::MultiSource`]), and a plan for another circuit or
+    /// test bench ([`EngineError::PlanMismatch`]).
     ///
     /// # Panics
     ///
-    /// Panics on plan/engine mismatch or `resume` without a checkpoint
-    /// path (programmer errors).
+    /// Panics on `resume` without a checkpoint path (a programmer error).
     pub fn new(
         engine: &Engine,
         plan: &CampaignPlan<'_>,
         opts: &ResumeOptions,
     ) -> Result<Self, EngineError> {
-        engine.check_plan(plan);
+        engine.check_plan(plan)?;
         assert!(
             !opts.resume || opts.checkpoint.is_some(),
             "resuming requires a checkpoint path"
@@ -339,20 +339,17 @@ impl<A: PersistentSink> CampaignState<A> {
     ///
     /// # Errors
     ///
-    /// Checkpoint write failures, and a chunk that panics on every
-    /// attempt ([`EngineError::WorkerPanic`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `engine` and `plan` do not match (a programmer error);
-    /// they must be the engine and plan the state was built from.
+    /// Checkpoint write failures, a chunk that panics on every attempt
+    /// ([`EngineError::WorkerPanic`]), and an engine and plan that do not
+    /// match ([`EngineError::PlanMismatch`]); they must be the engine and
+    /// plan the state was built from.
     pub fn advance(
         &mut self,
         engine: &Engine,
         plan: &CampaignPlan<'_>,
         opts: &ResumeOptions,
     ) -> Result<ResumableRun<&A>, EngineError> {
-        engine.check_plan(plan);
+        engine.check_plan(plan)?;
         let CampaignState { chunks, stores, persist, sink, done } = self;
         let total_chunks = chunks.num_chunks();
         let resumed_from = *done;
@@ -422,8 +419,8 @@ impl<A: PersistentSink> CampaignState<A> {
 /// depend only on the fault itself, and the engine merges per-shard
 /// results back into submission order. Every `(fault source, seed)` pair
 /// therefore produces **bit-identical outcomes at every thread count**,
-/// equal to the serial reference engine — a property the cross-engine
-/// agreement suite enforces.
+/// equal to the independent [`Oracle`](seugrade_faultsim::Oracle)'s — a
+/// property the oracle battery (`tests/engine_agreement.rs`) enforces.
 #[derive(Debug)]
 pub struct Engine {
     grader: Grader,
@@ -462,8 +459,8 @@ impl Engine {
     /// Under [`TracePolicy::Checkpoint`] the engine's golden-trace
     /// memory is `O(FFs × cycles / K)`, and shards read golden values as
     /// `K`-cycle bit spans from the run's one span store; verdicts are
-    /// bit-identical for every `K` and to the serial reference (the
-    /// agreement suites enforce both).
+    /// bit-identical for every `K` and to the oracle's (the oracle
+    /// battery enforces both).
     ///
     /// # Panics
     ///
@@ -492,11 +489,11 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if the plan's dimensions do not match the engine's circuit
-    /// and test bench, if a fault targets an out-of-range cycle or
-    /// flip-flop, or if a chunk panics on every attempt of its retry
-    /// budget ([`run_with_progress`](Self::run_with_progress) reports
-    /// that as [`EngineError::WorkerPanic`]).
+    /// Panics with the error text where
+    /// [`run_with_progress`](Self::run_with_progress) returns an error
+    /// (a plan for another circuit or test bench, a chunk that panics on
+    /// every attempt of its retry budget), and if a fault targets an
+    /// out-of-range cycle or flip-flop.
     #[must_use]
     pub fn run(&self, plan: &CampaignPlan<'_>) -> CampaignRun {
         self.run_with_progress(plan, |_| {}).unwrap_or_else(|e| panic!("{e}"))
@@ -516,19 +513,18 @@ impl Engine {
     /// # Errors
     ///
     /// [`EngineError::WorkerPanic`] when a shard panics on every attempt
-    /// of its retry budget.
+    /// of its retry budget; [`EngineError::PlanMismatch`] when the plan
+    /// is for another circuit or test bench.
     ///
     /// # Panics
     ///
-    /// Panics if the plan's dimensions do not match the engine's circuit
-    /// and test bench, or if a fault targets an out-of-range cycle or
-    /// flip-flop.
+    /// Panics if a fault targets an out-of-range cycle or flip-flop.
     pub fn run_with_progress(
         &self,
         plan: &CampaignPlan<'_>,
         on_shard: impl Fn(ProgressEvent) + Sync,
     ) -> Result<CampaignRun, EngineError> {
-        self.check_plan(plan);
+        self.check_plan(plan)?;
         let start = Instant::now();
         let (faults, outcomes, shards, threads) = match plan.source() {
             FaultSource::Multi(list) => {
@@ -606,7 +602,7 @@ impl Engine {
     /// configuration that grades s5378-class circuits over multi-
     /// thousand-cycle benches without ever holding the campaign in RAM;
     /// the [digest](StreamedRun::digest) proves the verdicts
-    /// bit-identical to the materialized and serial engines.
+    /// bit-identical to the materialized run's and the oracle's.
     ///
     /// This is [`run_streamed_resumable_with`](Self::run_streamed_resumable_with)
     /// over a [`StreamAccumulator`] with default options (no checkpoint,
@@ -617,11 +613,9 @@ impl Engine {
     /// # Errors
     ///
     /// [`EngineError::WorkerPanic`] when a chunk panics on every attempt
-    /// of its retry budget; [`EngineError::MultiSource`] for an MBU plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics on plan/engine mismatch (a programmer error).
+    /// of its retry budget; [`EngineError::MultiSource`] for an MBU plan;
+    /// [`EngineError::PlanMismatch`] for a plan of another circuit or
+    /// test bench.
     pub fn try_run_streamed(
         &self,
         plan: &CampaignPlan<'_>,
@@ -656,13 +650,13 @@ impl Engine {
     /// # Errors
     ///
     /// Checkpoint load, validation and write failures, a chunk that
-    /// panics on every attempt ([`EngineError::WorkerPanic`]), and MBU
-    /// plans ([`EngineError::MultiSource`]).
+    /// panics on every attempt ([`EngineError::WorkerPanic`]), MBU plans
+    /// ([`EngineError::MultiSource`]), and a plan of another circuit or
+    /// test bench ([`EngineError::PlanMismatch`]).
     ///
     /// # Panics
     ///
-    /// Panics on plan/engine mismatch or `resume` without a checkpoint
-    /// path (programmer errors).
+    /// Panics on `resume` without a checkpoint path (a programmer error).
     pub fn run_streamed_resumable_with<A: PersistentSink>(
         &self,
         plan: &CampaignPlan<'_>,
@@ -692,18 +686,17 @@ impl Engine {
     }
 
     /// Rejects plans built for a different circuit or test bench.
-    fn check_plan(&self, plan: &CampaignPlan<'_>) {
-        assert_eq!(
-            plan.testbench(),
-            self.grader.testbench(),
-            "plan test bench does not match engine"
-        );
-        assert!(
-            plan.circuit().name() == self.circuit_name
-                && plan.circuit().num_cells() == self.num_cells
-                && plan.circuit().num_ffs() == self.grader.sim().num_ffs(),
-            "plan circuit does not match engine"
-        );
+    fn check_plan(&self, plan: &CampaignPlan<'_>) -> Result<(), EngineError> {
+        if plan.testbench() != self.grader.testbench() {
+            return Err(EngineError::PlanMismatch { field: "test bench" });
+        }
+        if plan.circuit().name() != self.circuit_name
+            || plan.circuit().num_cells() != self.num_cells
+            || plan.circuit().num_ffs() != self.grader.sim().num_ffs()
+        {
+            return Err(EngineError::PlanMismatch { field: "circuit" });
+        }
+        Ok(())
     }
 
     /// The cycle-major chunk plan of a single-fault source. The
@@ -895,26 +888,25 @@ fn fold_chunks<S: Send, A: Default + Send>(
 #[cfg(test)]
 mod tests {
     use seugrade_circuits::{generators, registry};
-    use seugrade_faultsim::{Fault, FaultClass};
+    use seugrade_faultsim::{Fault, FaultClass, Oracle};
 
     use crate::plan::ShardPolicy;
     use crate::progress::ProgressCounter;
     use super::*;
 
     #[test]
-    fn exhaustive_matches_serial_engine_at_every_thread_count() {
+    fn exhaustive_matches_the_oracle_at_every_thread_count() {
         let circuit = registry::build("b03s").unwrap();
         let tb = Testbench::random(circuit.num_inputs(), 25, 3);
-        let grader = Grader::new(&circuit, &tb);
         let faults = FaultList::exhaustive(circuit.num_ffs(), 25);
-        let serial = grader.run_serial(faults.as_slice());
+        let oracle = Oracle::new(&circuit, &tb).run(faults.as_slice());
         for threads in [1, 2, 4, 8] {
             let plan = CampaignPlan::builder(&circuit, &tb)
                 .policy(ShardPolicy::with_threads(threads))
                 .build();
             let run = plan.execute();
-            assert_eq!(run.outcomes(), serial.as_slice(), "{threads} threads");
-            assert_eq!(run.summary(), &GradingSummary::from_outcomes(&serial));
+            assert_eq!(run.outcomes(), oracle.as_slice(), "{threads} threads");
+            assert_eq!(run.summary(), &GradingSummary::from_outcomes(&oracle));
             assert_eq!(run.stats().threads, threads.min(run.stats().shards.max(1)));
         }
     }
@@ -949,34 +941,32 @@ mod tests {
     fn explicit_list_roundtrips_in_submission_order() {
         let circuit = generators::shift_register(6);
         let tb = Testbench::random(1, 15, 3);
-        let grader = Grader::new(&circuit, &tb);
         // A deliberately shuffled (reverse cycle-major) list.
         let mut faults: Vec<Fault> = FaultList::exhaustive(6, 15).iter().collect();
         faults.reverse();
         let list = FaultList::from_faults(faults.clone(), 6, 15);
-        let serial = grader.run_serial(&faults);
+        let oracle = Oracle::new(&circuit, &tb).run(&faults);
         let plan = CampaignPlan::builder(&circuit, &tb)
             .faults(list)
             .policy(ShardPolicy::with_threads(3))
             .build();
         let run = plan.execute();
-        assert_eq!(run.outcomes(), serial.as_slice());
+        assert_eq!(run.outcomes(), oracle.as_slice());
     }
 
     #[test]
-    fn multi_fault_campaign_matches_serial_multi_engine() {
+    fn multi_fault_campaign_matches_the_oracle() {
         let circuit = generators::lfsr(6, &[5, 2]);
         let tb = Testbench::constant_low(0, 12);
-        let grader = Grader::new(&circuit, &tb);
         let faults = MultiFault::adjacent_pairs(6, 12, 2);
-        let serial = grader.run_multi(&faults);
+        let oracle = Oracle::new(&circuit, &tb).run_multi(&faults);
         for threads in [1, 3] {
             let plan = CampaignPlan::builder(&circuit, &tb)
                 .multi(faults.clone())
                 .policy(ShardPolicy::with_threads(threads))
                 .build();
             let run = plan.execute();
-            assert_eq!(run.outcomes(), serial.as_slice(), "{threads} threads");
+            assert_eq!(run.outcomes(), oracle.as_slice(), "{threads} threads");
             assert_eq!(run.multi().unwrap().len(), faults.len());
             assert!(run.single().is_none());
         }
@@ -1061,30 +1051,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_checkpoint_engine_matches_serial() {
-        use seugrade_sim::TracePolicy;
-        let circuit = registry::build("b03s").unwrap();
-        let tb = Testbench::random(circuit.num_inputs(), 40, 11);
-        let grader = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(1));
-        let faults = FaultList::exhaustive(circuit.num_ffs(), 40);
-        let serial = grader.run_serial(faults.as_slice());
-        let serial_digest = StreamAccumulator::digest_of(faults.as_slice(), &serial);
-        for k in [1, 7, 40, 64] {
-            let plan = CampaignPlan::builder(&circuit, &tb)
-                .trace_policy(TracePolicy::Checkpoint(k))
-                .threads(2)
-                .build();
-            let engine = Engine::new(&plan);
-            assert_eq!(engine.grader().trace_policy(), TracePolicy::Checkpoint(k));
-            let streamed = engine.try_run_streamed(&plan).unwrap();
-            assert_eq!(streamed.digest(), serial_digest, "K={k}");
-            // The materialized path agrees under the same policy too.
-            let run = engine.run(&plan);
-            assert_eq!(run.outcomes(), serial.as_slice(), "K={k} materialized");
-        }
-    }
-
-    #[test]
     fn streamed_sampled_and_list_sources_agree_with_run() {
         let circuit = registry::build("b06s").unwrap();
         let tb = Testbench::random(circuit.num_inputs(), 20, 3);
@@ -1127,23 +1093,23 @@ mod tests {
     fn materialized_runs_contain_worker_panics() {
         let circuit = registry::build("b06s").unwrap();
         let tb = Testbench::random(circuit.num_inputs(), 20, 9);
-        let grader = Grader::new(&circuit, &tb);
+        let mut oracle = Oracle::new(&circuit, &tb);
         let faults = FaultList::exhaustive(circuit.num_ffs(), 20);
-        let serial = grader.run_serial(faults.as_slice());
+        let single_verdicts = oracle.run(faults.as_slice());
         let multi = MultiFault::adjacent_pairs(circuit.num_ffs(), 20, 2);
-        let multi_serial = grader.run_multi(&multi);
+        let multi_verdicts = oracle.run_multi(&multi);
         let engine = Engine::for_circuit(&circuit, &tb);
         for threads in [1, 4] {
             for (source, reference) in [
-                (FaultSource::Exhaustive, &serial),
-                (FaultSource::Multi(multi.clone()), &multi_serial),
+                (FaultSource::Exhaustive, &single_verdicts),
+                (FaultSource::Multi(multi.clone()), &multi_verdicts),
             ] {
                 let plan = CampaignPlan::builder(&circuit, &tb)
                     .source(source)
                     .policy(ShardPolicy::with_threads(threads))
                     .build();
                 // The callback panics once, on shard 2: the shard is
-                // retried and the verdicts are still the serial ones.
+                // retried and the verdicts are still the oracle's.
                 let first = std::sync::atomic::AtomicBool::new(true);
                 let run = engine
                     .run_with_progress(&plan, |e| {
@@ -1208,19 +1174,32 @@ mod tests {
         assert_eq!(run.stats().shards, 0);
     }
 
+    /// Grades `plan` on `engine` through every entry point and checks
+    /// that each rejects it with `PlanMismatch { field }`, and that `run`
+    /// panics with the same text.
+    fn assert_mismatch(engine: &Engine, plan: &CampaignPlan<'_>, field: &'static str) {
+        let expected = EngineError::PlanMismatch { field };
+        assert_eq!(engine.run_with_progress(plan, |_| {}).unwrap_err(), expected);
+        assert_eq!(engine.try_run_streamed(plan).unwrap_err(), expected);
+        let opts = ResumeOptions::default();
+        let state = CampaignState::<StreamAccumulator>::new(engine, plan, &opts);
+        assert_eq!(state.unwrap_err(), expected);
+        let panic = std::panic::catch_unwind(|| engine.run(plan)).unwrap_err();
+        let text = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(*text, expected.to_string());
+    }
+
     #[test]
-    #[should_panic(expected = "does not match engine")]
     fn mismatched_plan_rejected() {
         let c1 = generators::counter(2);
         let tb1 = Testbench::constant_low(0, 4);
         let tb2 = Testbench::constant_low(0, 9);
         let engine = Engine::for_circuit(&c1, &tb1);
         let plan = CampaignPlan::builder(&c1, &tb2).build();
-        let _ = engine.run(&plan);
+        assert_mismatch(&engine, &plan, "test bench");
     }
 
     #[test]
-    #[should_panic(expected = "test bench does not match")]
     fn same_shape_different_stimuli_rejected() {
         // Same width and cycle count, different input vectors: grading
         // against the wrong golden trace must not happen silently.
@@ -1229,11 +1208,10 @@ mod tests {
         let tb2 = Testbench::random(1, 10, 2);
         let engine = Engine::for_circuit(&circuit, &tb1);
         let plan = CampaignPlan::builder(&circuit, &tb2).build();
-        let _ = engine.run(&plan);
+        assert_mismatch(&engine, &plan, "test bench");
     }
 
     #[test]
-    #[should_panic(expected = "circuit does not match")]
     fn different_circuit_with_same_dimensions_rejected() {
         // Both circuits: 0 inputs, 4 flip-flops — dimensions alone would
         // not catch the swap.
@@ -1242,6 +1220,6 @@ mod tests {
         let tb = Testbench::constant_low(0, 8);
         let engine = Engine::for_circuit(&c1, &tb);
         let plan = CampaignPlan::builder(&c2, &tb).build();
-        let _ = engine.run(&plan);
+        assert_mismatch(&engine, &plan, "circuit");
     }
 }

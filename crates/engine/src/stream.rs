@@ -22,8 +22,8 @@
 //!   folds `(fault, outcome)` pairs into a private sink, and the
 //!   per-worker sinks are merged after the join. Sinks must be
 //!   **order-insensitive** (commutative observes/merges), which is what
-//!   keeps every thread count bit-identical to the serial reference —
-//!   a property the agreement suites enforce.
+//!   keeps every thread count bit-identical to the oracle —
+//!   a property the oracle battery enforces.
 //! - [`StreamAccumulator`] is the standard sink: class tallies, the
 //!   per-flip-flop failure map, and an order-independent verdict
 //!   [digest](StreamAccumulator::digest) that lets two streamed runs
@@ -236,8 +236,8 @@ impl<'a> ChunkPlan<'a> {
 /// the worker sinks are merged after the join, in worker order. Because
 /// workers race for chunks, `observe`/`merge` **must be order-insensitive**
 /// (commutative tallies, sums, maxima, …) — that is what makes a
-/// streamed campaign bit-identical at every thread count. The agreement
-/// suites enforce the property against the serial reference.
+/// streamed campaign bit-identical at every thread count. The oracle
+/// battery (`tests/engine_agreement.rs`) enforces the property.
 pub trait VerdictSink: Default + Send {
     /// Folds one graded fault into the sink.
     fn observe(&mut self, fault: Fault, outcome: FaultOutcome);
@@ -341,8 +341,8 @@ impl StreamAccumulator {
     }
 
     /// Computes the digest of a materialized `(faults, outcomes)` pair —
-    /// the bridge for comparing a streamed run against a serial or
-    /// materialized reference.
+    /// the bridge for comparing a streamed run against the oracle's or a
+    /// materialized run's verdicts.
     ///
     /// # Panics
     ///

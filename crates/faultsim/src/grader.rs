@@ -1,6 +1,6 @@
 //! The fault-grading engines.
 
-use seugrade_netlist::Netlist;
+use seugrade_netlist::{FfIndex, Netlist};
 use seugrade_sim::{
     BitCache, CompiledSim, DiffScratch, GoldenTrace, Kernel, SimState, Testbench, TracePolicy,
 };
@@ -34,10 +34,10 @@ pub const DEFAULT_WINDOW_CACHE_SPANS: usize = 8;
 ///   horizon regardless; verdicts still record only the *first* event
 ///   per lane.
 ///
-/// Verdicts are bit-identical either way (the collapse-equivalence
-/// suite enforces digest equality); only the work differs. `Horizon`
-/// exists as the measurable baseline that shows what early collapse
-/// buys.
+/// Verdicts are bit-identical either way (the oracle battery,
+/// `tests/collapse_equivalence.rs`, enforces digest equality); only the work
+/// differs. `Horizon` exists as the measurable baseline that shows what
+/// early collapse buys.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Collapse {
     /// Retire lanes at their decision cycle; stop the chunk when all
@@ -169,8 +169,8 @@ impl GradeScratch {
 
     /// Faulty-machine cycles simulated through this scratch (one per
     /// `eval` of a chunk walk; golden replay cycles are counted by the
-    /// [`bit_cache`](Self::bit_cache) instead). The collapse-equivalence suite
-    /// uses this to prove a retired lane is never re-simulated.
+    /// [`bit_cache`](Self::bit_cache) instead). The oracle battery uses
+    /// this to prove a retired lane is never re-simulated.
     #[must_use]
     pub fn sim_steps(&self) -> u64 {
         self.sim_steps
@@ -178,23 +178,24 @@ impl GradeScratch {
 }
 
 /// Fault grader: compiled simulator + golden trace for one
-/// (circuit, test bench) pair, with serial and bit-parallel engines.
+/// (circuit, test bench) pair, grading 64 faults per chunk (and one at
+/// a time through the serial loop).
 ///
 /// All engines implement the classification semantics documented at the
-/// [crate root](crate); the test suite enforces that they agree fault by
-/// fault.
+/// [crate root](crate); the tests check them fault by fault against the
+/// independent [`Oracle`](crate::Oracle).
 ///
 /// # Golden-trace storage
 ///
 /// The trace keeps only every `K`-th flip-flop state — memory
 /// `O(FFs × cycles / K)` instead of `O(FFs × cycles)`, at the cost of
 /// replaying the golden machine per span. The chunk walkers read it as
-/// bit-packed spans through a [`BitCache`]; the serial reference runs
-/// the golden machine beside the faulty one, seeded from the checkpoint
+/// bit-packed spans through a [`BitCache`]; the serial loop runs the
+/// golden machine beside the faulty one, seeded from the checkpoint
 /// before the injection. `K` is
 /// [`TracePolicy::default`] (64) under [`new`](Self::new), or chosen
 /// with [`with_policy`](Self::with_policy). Verdicts are bit-identical
-/// for every `K` (enforced by the agreement suites).
+/// for every `K` (enforced by the oracle battery).
 #[derive(Debug)]
 pub struct Grader {
     sim: CompiledSim,
@@ -256,15 +257,15 @@ impl Grader {
         &self.tb
     }
 
-    // ------------------------------------------------------------------
-    // Serial engine (reference implementation)
-    // ------------------------------------------------------------------
-
-    /// Grades one fault with the straightforward serial algorithm: lane 0
-    /// of one simulation word runs the faulty machine and lane 1 the
-    /// golden one, both seeded from the golden state at the injection
-    /// cycle, and they are compared every cycle. Verdicts are
-    /// bit-identical under every [`TracePolicy`].
+    /// Grades one fault with the compiled serial loop: lane 0 of one
+    /// simulation word runs the faulty machine and lane 1 the golden
+    /// one, both seeded from the golden state at the injection cycle,
+    /// and they are compared every cycle.
+    ///
+    /// This is not a reference — it steps the same compiled tape as
+    /// [`grade_chunk`](Self::grade_chunk); verdicts are checked against
+    /// [`Oracle`](crate::Oracle). It stays because the benchmark harness
+    /// (`gradebench/`) re-grades its timed faults through it.
     ///
     /// # Panics
     ///
@@ -272,54 +273,32 @@ impl Grader {
     /// flip-flop index outside the circuit.
     #[must_use]
     pub fn classify_serial(&self, fault: Fault) -> FaultOutcome {
-        self.classify_serial_with(fault, Collapse::Early)
+        self.serial(&[fault.ff], fault.cycle)
     }
 
-    /// [`classify_serial`](Self::classify_serial) under an explicit
-    /// [`Collapse`] mode. The verdict is identical either way —
-    /// [`Collapse::Horizon`] merely keeps simulating the decided lane to
-    /// the observation horizon, which is what the collapse benchmarks
-    /// measure against.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`classify_serial`](Self::classify_serial).
-    #[must_use]
-    pub fn classify_serial_with(&self, fault: Fault, collapse: Collapse) -> FaultOutcome {
+    /// The serial loop of [`classify_serial`](Self::classify_serial) and
+    /// [`classify_multi`](Self::classify_multi): flips every flip-flop of
+    /// `ffs` in lane 0 at the start of `cycle`.
+    pub(crate) fn serial(&self, ffs: &[FfIndex], cycle: u32) -> FaultOutcome {
         let n_cycles = self.tb.num_cycles();
-        let t = fault.cycle as usize;
+        let t = cycle as usize;
         assert!(t < n_cycles, "fault cycle out of range");
         let mut st = self.golden.lanes_at(&self.sim, &self.tb, t);
-        self.sim.flip_ff_lane(&mut st, fault.ff, 0);
-        let mut verdict = FaultOutcome::latent();
-        let mut decided = false;
+        for &ff in ffs {
+            self.sim.flip_ff_lane(&mut st, ff, 0);
+        }
         for u in t..n_cycles {
             self.sim.set_inputs(&mut st, self.tb.cycle(u));
             self.sim.eval(&mut st);
-            if !decided && self.sim.outputs_lane(&st, 0) != self.sim.outputs_lane(&st, 1) {
-                verdict = FaultOutcome::failure(u as u32);
-                decided = true;
-            }
-            if decided && collapse == Collapse::Early {
-                return verdict;
+            if self.sim.outputs_lane(&st, 0) != self.sim.outputs_lane(&st, 1) {
+                return FaultOutcome::failure(u as u32);
             }
             self.sim.step(&mut st);
-            if !decided && self.sim.state_lane(&st, 0) == self.sim.state_lane(&st, 1) {
-                verdict = FaultOutcome::silent(u as u32);
-                decided = true;
-                if collapse == Collapse::Early {
-                    return verdict;
-                }
+            if self.sim.state_lane(&st, 0) == self.sim.state_lane(&st, 1) {
+                return FaultOutcome::silent(u as u32);
             }
         }
-        verdict
-    }
-
-    /// Grades a fault list serially, in order.
-    #[must_use]
-    pub fn run_serial(&self, faults: &[Fault]) -> Vec<FaultOutcome> {
-        faults.iter().map(|&f| self.classify_serial(f)).collect()
+        FaultOutcome::latent()
     }
 
     // ------------------------------------------------------------------
@@ -373,8 +352,8 @@ impl Grader {
     /// This is the shard-sized building block the batching engines are
     /// made of: an external runtime can cut any cycle-sorted fault list
     /// into chunks, grade each chunk on whichever thread with whichever
-    /// scratch, and the verdicts stay identical to the serial engine's —
-    /// they depend only on the fault, never on lane placement or chunk
+    /// scratch, and the verdicts stay identical to the oracle's — they
+    /// depend only on the fault, never on lane placement or chunk
     /// composition.
     ///
     /// # Panics
@@ -610,11 +589,11 @@ impl Grader {
 
 #[cfg(test)]
 mod tests {
-    use seugrade_circuits::generators::{self, RandomCircuitConfig};
-    use seugrade_netlist::{FfIndex, NetlistBuilder};
+    use seugrade_circuits::generators;
+    use seugrade_netlist::NetlistBuilder;
     use seugrade_sim::Testbench;
 
-    use crate::FaultList;
+    use crate::{FaultList, Oracle};
     use super::*;
 
     /// Grades a cycle-sorted fault list 64 lanes at a time through one
@@ -626,132 +605,6 @@ mod tests {
             g.grade_chunk(&mut scratch, chunk, out);
         }
         out
-    }
-
-    #[test]
-    fn counter_faults_fail_immediately() {
-        // Every counter bit is a primary output: any flip is visible at
-        // its own injection cycle.
-        let n = generators::counter(4);
-        let tb = Testbench::constant_low(0, 10);
-        let g = Grader::new(&n, &tb);
-        for f in FaultList::exhaustive(4, 10).iter() {
-            let o = g.classify_serial(f);
-            assert_eq!(o.class, FaultClass::Failure, "{f}");
-            assert_eq!(o.detect_cycle, Some(f.cycle), "{f}");
-        }
-    }
-
-    #[test]
-    fn shift_register_detection_latency() {
-        // Flip bit i at cycle t; dout is bit w-1; the corrupted bit
-        // reaches the output after (w-1-i) further cycles.
-        let w = 6;
-        let n = generators::shift_register(w);
-        let cycles = 20;
-        let tb = Testbench::random(1, cycles, 3);
-        let g = Grader::new(&n, &tb);
-        for i in 0..w {
-            for t in 0..cycles as u32 {
-                let o = g.classify_serial(Fault::new(FfIndex::new(i), t));
-                let arrival = t + (w - 1 - i) as u32;
-                if arrival < cycles as u32 {
-                    assert_eq!(o.class, FaultClass::Failure, "ff{i}@{t}");
-                    assert_eq!(o.detect_cycle, Some(arrival), "ff{i}@{t}");
-                } else {
-                    assert_eq!(o.class, FaultClass::Latent, "ff{i}@{t}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn overwritten_ff_is_silent() {
-        // q <= input every cycle; output independent of q.
-        let mut b = NetlistBuilder::new("overwrite");
-        let a = b.input("a");
-        let q = b.dff(false);
-        b.connect_dff(q, a).unwrap();
-        b.output("y", a);
-        let n = b.finish().unwrap();
-        let tb = Testbench::random(1, 8, 5);
-        let g = Grader::new(&n, &tb);
-        for t in 0..8 {
-            let o = g.classify_serial(Fault::new(FfIndex::new(0), t));
-            assert_eq!(o.class, FaultClass::Silent, "cycle {t}");
-            assert_eq!(o.converge_cycle, Some(t), "overwritten next cycle");
-        }
-    }
-
-    #[test]
-    fn unobserved_self_loop_is_latent() {
-        let mut b = NetlistBuilder::new("latent");
-        let a = b.input("a");
-        let q = b.dff(false);
-        b.connect_dff(q, q).unwrap(); // holds forever
-        b.output("y", a); // q unobservable
-        let n = b.finish().unwrap();
-        let tb = Testbench::random(1, 8, 5);
-        let g = Grader::new(&n, &tb);
-        for t in 0..8 {
-            let o = g.classify_serial(Fault::new(FfIndex::new(0), t));
-            assert_eq!(o.class, FaultClass::Latent, "cycle {t}");
-        }
-    }
-
-    #[test]
-    fn masking_produces_silent_later() {
-        // q <= q AND a: once `a` goes low, both golden and faulty collapse
-        // to 0 -> convergence strictly after injection.
-        let mut b = NetlistBuilder::new("mask");
-        let a = b.input("a");
-        let q = b.dff(true);
-        let g1 = b.and2(q, a);
-        b.connect_dff(q, g1).unwrap();
-        b.output("y", a);
-        let n = b.finish().unwrap();
-        // a = 1,1,0,...
-        let tb = Testbench::new(vec![
-            vec![true],
-            vec![true],
-            vec![false],
-            vec![false],
-        ]);
-        let g = Grader::new(&n, &tb);
-        let o = g.classify_serial(Fault::new(FfIndex::new(0), 0));
-        assert_eq!(o.class, FaultClass::Silent);
-        assert_eq!(o.converge_cycle, Some(2), "converges when a drops");
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_small_circuits() {
-        for name in ["b01s", "b02s", "b06s"] {
-            let n = seugrade_circuits::registry::build(name).unwrap();
-            let tb = Testbench::random(n.num_inputs(), 25, 11);
-            let g = Grader::new(&n, &tb);
-            let faults = FaultList::exhaustive(n.num_ffs(), 25);
-            let serial = g.run_serial(faults.as_slice());
-            let parallel = grade_chunked(&g, faults.as_slice());
-            assert_eq!(serial, parallel, "{name}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_random_circuits() {
-        for seed in 0..8 {
-            let cfg = RandomCircuitConfig {
-                num_ffs: 10,
-                num_gates: 60,
-                ..Default::default()
-            };
-            let n = generators::random_sequential(&cfg, seed);
-            let tb = Testbench::random(n.num_inputs(), 30, seed + 100);
-            let g = Grader::new(&n, &tb);
-            let faults = FaultList::exhaustive(n.num_ffs(), 30);
-            let serial = g.run_serial(faults.as_slice());
-            let parallel = grade_chunked(&g, faults.as_slice());
-            assert_eq!(serial, parallel, "seed {seed}");
-        }
     }
 
     #[test]
@@ -790,24 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn grade_chunk_matches_serial() {
-        let n = seugrade_circuits::registry::build("b03s").unwrap();
-        let tb = Testbench::random(n.num_inputs(), 20, 7);
-        let g = Grader::new(&n, &tb);
-        let mut scratch = g.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS);
-        for t in 0..20u32 {
-            let chunk: Vec<Fault> = (0..n.num_ffs())
-                .map(|ff| Fault::new(FfIndex::new(ff), t))
-                .collect();
-            let mut out = vec![FaultOutcome::latent(); chunk.len()];
-            g.grade_chunk(&mut scratch, &chunk, &mut out);
-            for (f, o) in chunk.iter().zip(&out) {
-                assert_eq!(*o, g.classify_serial(*f), "{f}");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "not sorted")]
     fn unsorted_chunk_rejected() {
         let n = generators::counter(2);
@@ -820,9 +655,10 @@ mod tests {
     }
 
     /// Grades `chunk` through a fresh scratch and checks every lane
-    /// against the serial reference; returns the simulated cycles.
+    /// against the oracle; returns the simulated cycles.
     fn check_chunk(
         g: &Grader,
+        oracle: &mut Oracle,
         kernel: Kernel,
         collapse: Collapse,
         chunk: &[Fault],
@@ -834,7 +670,7 @@ mod tests {
         for (f, o) in chunk.iter().zip(&out) {
             assert_eq!(
                 *o,
-                g.classify_serial(*f),
+                oracle.classify(*f),
                 "{what}: {f} kernel {kernel} {} collapse {}",
                 g.trace_policy(),
                 collapse.label()
@@ -844,7 +680,7 @@ mod tests {
     }
 
     #[test]
-    fn staggered_chunks_match_serial() {
+    fn staggered_chunks_match_the_oracle() {
         use seugrade_sim::TracePolicy;
         let n = seugrade_circuits::registry::build("b06s").unwrap();
         let cycles = 40;
@@ -860,24 +696,24 @@ mod tests {
             .iter()
             .map(|&(ff, c)| Fault::new(FfIndex::new(ff % ffs), c))
             .collect();
-        let serial = Grader::new(&n, &tb);
+        let mut oracle = Oracle::new(&n, &tb);
         // A lane injected after the earlier lane has decided: the
         // differential walk must skip the idle cycles in between.
         let first = FaultList::exhaustive(ffs, cycles)
             .iter()
             .find(|&f| {
-                let o = serial.classify_serial(f);
+                let o = oracle.classify(f);
                 o.class != FaultClass::Latent && (o.classify_cycle(cycles) as usize) < cycles - 10
             })
             .expect("an early-decided fault");
-        let decided = serial.classify_serial(first).classify_cycle(cycles);
+        let decided = oracle.classify(first).classify_cycle(cycles);
         let late = Fault::new(FfIndex::new(0), decided + 5);
         let gap = [first, late];
         // A latent lane injected late: nothing may decide it before its
         // fault arrives.
         let latent = FaultList::exhaustive(ffs, cycles)
             .iter()
-            .find(|&f| f.cycle > 5 && serial.classify_serial(f).class == FaultClass::Latent)
+            .find(|&f| f.cycle > 5 && oracle.classify(f).class == FaultClass::Latent)
             .expect("a late latent fault");
         let quiet = [Fault::new(FfIndex::new(0), 0), latent];
         for policy in [1, 4, 64].map(TracePolicy::Checkpoint) {
@@ -885,44 +721,23 @@ mod tests {
             for kernel in Kernel::CONCRETE {
                 for collapse in [Collapse::Early, Collapse::Horizon] {
                     for chunk in packed.chunks(g.chunk_lanes()) {
-                        check_chunk(&g, kernel, collapse, chunk, "packed");
+                        check_chunk(&g, &mut oracle, kernel, collapse, chunk, "packed");
                     }
-                    check_chunk(&g, kernel, collapse, &wide, "wide");
-                    check_chunk(&g, kernel, collapse, &quiet, "quiet");
-                    let steps = check_chunk(&g, kernel, collapse, &gap, "gap");
+                    check_chunk(&g, &mut oracle, kernel, collapse, &wide, "wide");
+                    check_chunk(&g, &mut oracle, kernel, collapse, &quiet, "quiet");
+                    let steps = check_chunk(&g, &mut oracle, kernel, collapse, &gap, "gap");
                     if kernel == Kernel::Differential && collapse == Collapse::Early {
-                        let walked = |f: Fault| {
-                            u64::from(g.classify_serial(f).classify_cycle(cycles) - f.cycle) + 1
+                        let mut walked = |f: Fault| {
+                            u64::from(oracle.classify(f).classify_cycle(cycles) - f.cycle) + 1
                         };
+                        let expected = walked(first) + walked(late);
                         assert_eq!(
                             steps,
-                            walked(first) + walked(late),
+                            expected,
                             "{policy}: the walk jumps over the idle cycles"
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn checkpoint_intervals_agree_on_verdicts() {
-        use seugrade_sim::TracePolicy;
-        for name in ["b03s", "b06s"] {
-            let n = seugrade_circuits::registry::build(name).unwrap();
-            let tb = Testbench::random(n.num_inputs(), 25, 19);
-            // `Checkpoint(1)` puts every cycle on a span edge.
-            let every = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(1));
-            let faults = FaultList::exhaustive(n.num_ffs(), 25);
-            let reference = every.run_serial(faults.as_slice());
-            // K smaller than, dividing, not dividing, and exceeding the
-            // bench length — every window geometry.
-            for k in [1, 3, 5, 25, 64] {
-                let cp = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(k));
-                assert_eq!(cp.trace_policy(), TracePolicy::Checkpoint(k));
-                assert_eq!(cp.run_serial(faults.as_slice()), reference, "{name} K={k} serial");
-                let parallel = grade_chunked(&cp, faults.as_slice());
-                assert_eq!(parallel, reference, "{name} K={k} parallel");
             }
         }
     }
@@ -957,7 +772,9 @@ mod tests {
         let n = generators::counter(2);
         let tb = Testbench::constant_low(0, 4);
         let g = Grader::new(&n, &tb);
-        let _ = g.classify_serial(Fault::new(FfIndex::new(0), 99));
+        let mut scratch = g.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS);
+        let mut out = [FaultOutcome::latent()];
+        g.grade_chunk(&mut scratch, &[Fault::new(FfIndex::new(0), 99)], &mut out);
     }
 
     #[test]
@@ -967,40 +784,6 @@ mod tests {
         }
         assert_eq!(Collapse::default(), Collapse::Early);
         assert_eq!(Collapse::from_label("sometimes"), None);
-    }
-
-    #[test]
-    fn horizon_collapse_matches_early_verdicts() {
-        use seugrade_sim::TracePolicy;
-        let n = seugrade_circuits::registry::build("b06s").unwrap();
-        let tb = Testbench::random(n.num_inputs(), 25, 11);
-        let faults = FaultList::exhaustive(n.num_ffs(), 25);
-        for policy in [TracePolicy::Checkpoint(1), TracePolicy::Checkpoint(4)] {
-            let g = Grader::with_policy(&n, &tb, policy);
-            let reference = g.run_serial(faults.as_slice());
-            for (i, &f) in faults.as_slice().iter().enumerate() {
-                assert_eq!(
-                    g.classify_serial_with(f, Collapse::Horizon),
-                    reference[i],
-                    "{f} under {policy}"
-                );
-            }
-            let mut scratch = g.new_scratch(Collapse::Horizon, 4);
-            let mut out = [FaultOutcome::latent(); 64];
-            // Exhaustive lists are cycle-major: each group shares a cycle.
-            for (group_start, group) in faults.as_slice().chunks(n.num_ffs()).enumerate() {
-                for (k0, chunk) in group.chunks(g.chunk_lanes()).enumerate() {
-                    g.grade_chunk(&mut scratch, chunk, &mut out[..chunk.len()]);
-                    let base = group_start * n.num_ffs() + k0 * g.chunk_lanes();
-                    for (k, o) in out[..chunk.len()].iter().enumerate() {
-                        assert_eq!(
-                            *o, reference[base + k],
-                            "chunked horizon verdict under {policy}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -1032,50 +815,6 @@ mod tests {
         g.grade_chunk(&mut horizon, &[Fault::new(FfIndex::new(0), t)], &mut out);
         assert_eq!(out[0].converge_cycle, Some(t), "verdict unchanged");
         assert_eq!(horizon.sim_steps(), 32 - u64::from(t));
-    }
-
-    #[test]
-    fn every_kernel_agrees_with_serial() {
-        use seugrade_sim::TracePolicy;
-        // 70 cycles is a multiple of neither 4 nor 64, so both end on a
-        // short span; `Checkpoint(1)` puts every cycle on a span edge.
-        // Either way a silence at the last cycle is decided without a
-        // final state.
-        for (name, cycles) in [("b03s", 25), ("b06s", 25), ("b06s", 70)] {
-            let n = seugrade_circuits::registry::build(name).unwrap();
-            let tb = Testbench::random(n.num_inputs(), cycles, 31);
-            let faults = FaultList::exhaustive(n.num_ffs(), cycles);
-            for policy in [1, 4, 64].map(TracePolicy::Checkpoint) {
-                let g = Grader::with_policy(&n, &tb, policy);
-                let reference = g.run_serial(faults.as_slice());
-                for kernel in Kernel::CONCRETE {
-                    for collapse in [Collapse::Early, Collapse::Horizon] {
-                        let mut scratch =
-                            g.new_scratch(collapse, 4).with_kernel(kernel);
-                        assert_eq!(scratch.kernel(), kernel);
-                        let mut got = vec![FaultOutcome::latent(); faults.len()];
-                        let mut out = [FaultOutcome::latent(); 64];
-                        for (gi, group) in
-                            faults.as_slice().chunks(n.num_ffs()).enumerate()
-                        {
-                            for (ci, chunk) in
-                                group.chunks(g.chunk_lanes()).enumerate()
-                            {
-                                g.grade_chunk(&mut scratch, chunk, &mut out[..chunk.len()]);
-                                let base = gi * n.num_ffs() + ci * g.chunk_lanes();
-                                got[base..base + chunk.len()]
-                                    .copy_from_slice(&out[..chunk.len()]);
-                            }
-                        }
-                        assert_eq!(
-                            got, reference,
-                            "{name}/{cycles} {policy} kernel {kernel} collapse {}",
-                            collapse.label()
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -1161,7 +900,7 @@ mod tests {
         let tb = Testbench::random(n.num_inputs(), 40, 3);
         let g = Grader::new(&n, &tb);
         let faults = FaultList::exhaustive(n.num_ffs(), 40);
-        let reference = g.run_serial(faults.as_slice());
+        let reference = Oracle::new(&n, &tb).run(faults.as_slice());
         // Descending cycles: every single-bit upset a lane turns into
         // within the window was graded before it, so every lookup hits.
         let window = VerdictWindow::new(n.num_ffs());
@@ -1247,7 +986,7 @@ mod tests {
             let fault = Fault::new(FfIndex::new(0), t as u32);
             let mut out = [FaultOutcome::latent()];
             g.grade_chunk(&mut scratch, &[fault], &mut out);
-            assert_eq!(out[0], g.classify_serial(fault), "len {len}");
+            assert_eq!(out[0], Oracle::new(&n, &tb).classify(fault), "len {len}");
             assert_eq!(scratch.aliased_lanes() - aliased, 1, "len {len}: the lane aliased");
             assert_eq!(
                 scratch.sim_steps() - steps,

@@ -28,21 +28,27 @@
 //! # Engines
 //!
 //! [`Grader`] bundles the compiled simulator and the golden trace and
-//! offers two interchangeable execution strategies: serial (one fault
-//! at a time — the readable reference, [`Grader::run_serial`]) and
-//! bit-parallel (64 faulty machines per simulation pass,
-//! [`Grader::grade_chunk`]). A chunk is one cycle-sorted 64-lane pass
+//! grades bit-parallel: 64 faulty machines per simulation pass,
+//! [`Grader::grade_chunk`]. A chunk is one cycle-sorted 64-lane pass
 //! with a caller-owned [`GradeScratch`]; the `seugrade-engine` campaign
 //! runtime cuts every campaign into such chunks and schedules them
-//! across worker threads, so whole-list bit-parallel grading goes
-//! through the engine.
+//! across worker threads, so whole-list grading goes through the
+//! engine.
+//!
+//! # The oracle
+//!
+//! [`Oracle`] grades one fault at a time on the event-driven simulator,
+//! against its own golden run, by the definitions above and nothing
+//! else. It shares no evaluation code with [`Grader`], so the tests
+//! check every production path against it.
 //!
 //! # Example
 //!
 //! ```
 //! use seugrade_circuits::generators;
 //! use seugrade_faultsim::{
-//!     Collapse, FaultList, FaultOutcome, Grader, GradingSummary, DEFAULT_WINDOW_CACHE_SPANS,
+//!     Collapse, FaultList, FaultOutcome, Grader, GradingSummary, Oracle,
+//!     DEFAULT_WINDOW_CACHE_SPANS,
 //! };
 //! use seugrade_sim::Testbench;
 //!
@@ -57,7 +63,7 @@
 //! for (chunk, out) in faults.as_slice().chunks(64).zip(outcomes.chunks_mut(64)) {
 //!     grader.grade_chunk(&mut scratch, chunk, out);
 //! }
-//! assert_eq!(outcomes, grader.run_serial(faults.as_slice()));
+//! assert_eq!(outcomes, Oracle::new(&circuit, &tb).run(faults.as_slice()));
 //! assert_eq!(GradingSummary::from_outcomes(&outcomes).total(), 8 * 20);
 //! ```
 
@@ -67,6 +73,7 @@
 mod fault;
 mod grader;
 pub mod multi;
+pub mod oracle;
 mod outcome;
 pub mod report;
 pub mod sampling;
@@ -75,5 +82,6 @@ mod verdicts;
 pub use fault::{Fault, FaultList};
 pub use grader::{Collapse, GradeScratch, Grader, DEFAULT_WINDOW_CACHE_SPANS};
 pub use multi::MultiFault;
+pub use oracle::Oracle;
 pub use outcome::{FaultClass, FaultOutcome, GradingSummary};
 pub use verdicts::{VerdictWindow, ALIAS_WINDOW};

@@ -68,43 +68,18 @@ impl MultiFault {
 }
 
 impl Grader {
-    /// Grades one multi-bit fault with the serial engine (the same
-    /// classification semantics as single faults; only injection
-    /// differs): lane 0 runs the faulty machine beside the golden one in
-    /// lane 1, as in [`classify_serial`](Self::classify_serial), so any
-    /// [`TracePolicy`](seugrade_sim::TracePolicy) works.
+    /// Grades one multi-bit fault with the compiled serial loop of
+    /// [`classify_serial`](Self::classify_serial); only the injection
+    /// differs. This is the production path of MBU campaigns
+    /// (`Engine::run` of a multi-bit plan), not a reference: verdicts
+    /// are checked against [`Oracle::classify_multi`](crate::Oracle::classify_multi).
     ///
     /// # Panics
     ///
     /// Panics if the cycle or any flip-flop index is out of range.
     #[must_use]
     pub fn classify_multi(&self, fault: &MultiFault) -> FaultOutcome {
-        let n_cycles = self.testbench().num_cycles();
-        let t = fault.cycle as usize;
-        assert!(t < n_cycles, "fault cycle out of range");
-        let sim = self.sim();
-        let mut st = self.golden().lanes_at(sim, self.testbench(), t);
-        for &ff in &fault.ffs {
-            sim.flip_ff_lane(&mut st, ff, 0);
-        }
-        for u in t..n_cycles {
-            sim.set_inputs(&mut st, self.testbench().cycle(u));
-            sim.eval(&mut st);
-            if sim.outputs_lane(&st, 0) != sim.outputs_lane(&st, 1) {
-                return FaultOutcome::failure(u as u32);
-            }
-            sim.step(&mut st);
-            if sim.state_lane(&st, 0) == sim.state_lane(&st, 1) {
-                return FaultOutcome::silent(u as u32);
-            }
-        }
-        FaultOutcome::latent()
-    }
-
-    /// Grades a list of multi-bit faults.
-    #[must_use]
-    pub fn run_multi(&self, faults: &[MultiFault]) -> Vec<FaultOutcome> {
-        faults.iter().map(|f| self.classify_multi(f)).collect()
+        self.serial(&fault.ffs, fault.cycle)
     }
 }
 
@@ -113,22 +88,8 @@ mod tests {
     use seugrade_circuits::generators;
     use seugrade_sim::Testbench;
 
-    use crate::{Fault, FaultClass, GradingSummary};
+    use crate::{FaultClass, GradingSummary, Oracle};
     use super::*;
-
-    #[test]
-    fn single_bit_multifault_equals_single_fault() {
-        let circuit = generators::shift_register(6);
-        let tb = Testbench::random(1, 15, 3);
-        let g = Grader::new(&circuit, &tb);
-        for ff in 0..6 {
-            for t in 0..15 {
-                let single = g.classify_serial(Fault::new(FfIndex::new(ff), t));
-                let multi = g.classify_multi(&MultiFault::new(vec![FfIndex::new(ff)], t));
-                assert_eq!(single, multi, "ff{ff}@{t}");
-            }
-        }
-    }
 
     #[test]
     fn adjacent_enumeration_shape() {
@@ -157,17 +118,17 @@ mod tests {
         let plain = generators::lfsr(5, &[4, 2]);
         let hardened = tmr(&plain);
         let tb = Testbench::constant_low(0, 16);
-        let g = Grader::new(&hardened, &tb);
+        let mut oracle = Oracle::new(&hardened, &tb);
 
         // All single faults heal (silent).
         let singles = MultiFault::adjacent_pairs(hardened.num_ffs(), 16, 1);
-        let s = GradingSummary::from_outcomes(&g.run_multi(&singles));
+        let s = GradingSummary::from_outcomes(&oracle.run_multi(&singles));
         assert_eq!(s.count(FaultClass::Failure), 0);
 
         // Adjacent doubles can hit two copies of the same bit (the TMR
         // layout interleaves copies), defeating the voter.
         let doubles = MultiFault::adjacent_pairs(hardened.num_ffs(), 16, 2);
-        let d = GradingSummary::from_outcomes(&g.run_multi(&doubles));
+        let d = GradingSummary::from_outcomes(&oracle.run_multi(&doubles));
         assert!(
             d.count(FaultClass::Failure) > 0,
             "MBUs must defeat interleaved TMR: {d}"
@@ -181,16 +142,17 @@ mod tests {
     }
 
     #[test]
-    fn multi_verdicts_are_policy_independent() {
+    fn multi_verdicts_match_the_oracle_under_every_policy() {
         use seugrade_sim::TracePolicy;
         let circuit = generators::lfsr(6, &[5, 2]);
         let tb = Testbench::constant_low(0, 20);
-        let every = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(1));
-        let faults = MultiFault::adjacent_pairs(6, 20, 2);
-        let reference = every.run_multi(&faults);
-        for k in [7, 20, 32, 64] {
-            let cp = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(k));
-            assert_eq!(cp.run_multi(&faults), reference, "K={k}");
+        let mut faults = MultiFault::adjacent_pairs(6, 20, 2);
+        faults.extend(MultiFault::adjacent_pairs(6, 20, 1));
+        let reference = Oracle::new(&circuit, &tb).run_multi(&faults);
+        for k in [1, 7, 20, 32, 64] {
+            let g = Grader::with_policy(&circuit, &tb, TracePolicy::Checkpoint(k));
+            let graded: Vec<FaultOutcome> = faults.iter().map(|f| g.classify_multi(f)).collect();
+            assert_eq!(graded, reference, "K={k}");
         }
     }
 }

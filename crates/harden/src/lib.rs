@@ -166,7 +166,7 @@ pub fn dwc(old: &Netlist) -> Netlist {
 #[cfg(test)]
 mod tests {
     use seugrade_circuits::generators;
-    use seugrade_faultsim::{FaultClass, FaultList, Grader, GradingSummary};
+    use seugrade_faultsim::{FaultClass, FaultList, GradingSummary, Oracle};
     use seugrade_sim::{CompiledSim, Testbench};
 
     use super::*;
@@ -205,17 +205,15 @@ mod tests {
         // hardened, every fault must be silent (voted away next cycle).
         let plain = generators::lfsr(6, &[5, 4]);
         let tb = Testbench::constant_low(0, 20);
-        let g_plain = Grader::new(&plain, &tb);
         let faults = FaultList::exhaustive(6, 20);
         let plain_sum =
-            GradingSummary::from_outcomes(&g_plain.run_serial(faults.as_slice()));
+            GradingSummary::from_outcomes(&Oracle::new(&plain, &tb).run(faults.as_slice()));
         assert_eq!(plain_sum.count(FaultClass::Failure), 120);
 
         let hard = tmr(&plain);
-        let g_hard = Grader::new(&hard, &tb);
         let hard_faults = FaultList::exhaustive(18, 20);
         let hard_sum =
-            GradingSummary::from_outcomes(&g_hard.run_serial(hard_faults.as_slice()));
+            GradingSummary::from_outcomes(&Oracle::new(&hard, &tb).run(hard_faults.as_slice()));
         assert_eq!(hard_sum.count(FaultClass::Failure), 0, "{hard_sum}");
         assert_eq!(hard_sum.count(FaultClass::Silent), 18 * 20);
     }
@@ -227,9 +225,8 @@ mod tests {
         let plain = generators::counter(4);
         let hard = dwc(&plain);
         let tb = Testbench::constant_low(0, 10);
-        let g = Grader::new(&hard, &tb);
         let faults = FaultList::exhaustive(8, 10);
-        let outcomes = g.run_serial(faults.as_slice());
+        let outcomes = Oracle::new(&hard, &tb).run(faults.as_slice());
         let summary = GradingSummary::from_outcomes(&outcomes);
         assert_eq!(
             summary.count(FaultClass::Failure),

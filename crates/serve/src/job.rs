@@ -120,17 +120,19 @@ impl Outbox {
 }
 
 impl Job {
-    /// Validates a spec into a runnable job: checks its per-job limits,
-    /// builds the circuit (registry lookup or inline import), checks
-    /// the fault space and stimulus size against theirs, derives the
-    /// test bench, and sizes the fault space.
+    /// Validates a spec into a runnable job: checks its per-job limits
+    /// (the inline source size before the import), builds the circuit
+    /// (registry lookup or inline import), checks its cells, fault space
+    /// and stimulus size against theirs, derives the test bench, and
+    /// sizes the fault space.
     ///
     /// # Errors
     ///
-    /// A human-readable message for a count over its limit, an unknown
-    /// registry name, a netlist that fails to import, a circuit with no
-    /// flip-flops (nothing to grade), or a fault space or test bench
-    /// over its limit (checked before the test bench is allocated).
+    /// A human-readable message for a count or source over its limit,
+    /// an unknown registry name, a netlist that fails to import, a
+    /// circuit over the cell limit or with no flip-flops (nothing to
+    /// grade), or a fault space or test bench over its limit (checked
+    /// before the test bench is allocated).
     pub fn build(id: String, spec: JobSpec) -> Result<Job, String> {
         spec.check_limits().map_err(|e| e.msg)?;
         let circuit = match &spec.circuit {
@@ -142,6 +144,13 @@ impl Job {
                     .netlist
             }
         };
+        if circuit.num_cells() > proto::MAX_CELLS {
+            return Err(format!(
+                "job circuit has {} cells, over the limit of {}",
+                circuit.num_cells(),
+                proto::MAX_CELLS
+            ));
+        }
         if circuit.num_ffs() == 0 {
             return Err(format!("circuit {:?} has no flip-flops to grade", circuit.name()));
         }

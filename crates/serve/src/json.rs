@@ -352,13 +352,17 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control byte in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, escape or control
+                    // byte. Those are ASCII, so the run ends on a char
+                    // boundary of the input (a &str), and each byte is
+                    // validated once.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }

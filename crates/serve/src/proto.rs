@@ -51,6 +51,17 @@ pub const MAX_FAULT_SPACE: usize = 1 << 26;
 /// Most stimulus bits, inputs × vectors, a job's test bench may hold.
 pub const MAX_STIMULUS_BITS: usize = 1 << 24;
 
+/// Most bytes of inline netlist source a job may carry. It sits below
+/// the request-line cap, so an over-limit source is answered with a
+/// field-naming rejection on a connection that stays open.
+pub const MAX_SOURCE_BYTES: usize = 1 << 22;
+
+/// Most cells (inputs, constants, gates and flip-flops) a job's circuit
+/// may have; 14× the largest registry circuit, s38417g.
+pub const MAX_CELLS: usize = 1 << 18;
+
+const _: () = assert!(MAX_SOURCE_BYTES < crate::server::MAX_REQUEST_BYTES);
+
 // --------------------------------------------------------------------
 // Job specification
 
@@ -145,9 +156,10 @@ impl JobSpec {
         Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
     }
 
-    /// Checks the spec's counts against the per-job limits
-    /// ([`MAX_VECTORS`], [`MAX_THREADS`], [`MAX_ROUND`], [`MAX_SAMPLE`]),
-    /// the ones that need no circuit.
+    /// Checks the spec against the per-job limits that need no circuit:
+    /// the counts ([`MAX_VECTORS`], [`MAX_THREADS`], [`MAX_ROUND`],
+    /// [`MAX_SAMPLE`]) and the inline source size ([`MAX_SOURCE_BYTES`]),
+    /// so an oversized source is rejected before it is imported.
     ///
     /// # Errors
     ///
@@ -159,11 +171,19 @@ impl JobSpec {
             ("round", self.round, MAX_ROUND),
             ("sample", self.sample.unwrap_or(0), MAX_SAMPLE),
         ];
-        match fields.into_iter().find(|&(_, n, max)| n > max) {
-            Some((key, n, max)) => {
-                Err(ProtoError { msg: format!("job.{key} is {n}, over the limit of {max}") })
+        if let Some((key, n, max)) = fields.into_iter().find(|&(_, n, max)| n > max) {
+            return Err(ProtoError { msg: format!("job.{key} is {n}, over the limit of {max}") });
+        }
+        match &self.circuit {
+            CircuitSource::Inline { source, .. } if source.len() > MAX_SOURCE_BYTES => {
+                Err(ProtoError {
+                    msg: format!(
+                        "job.netlist.source is {} bytes, over the limit of {MAX_SOURCE_BYTES}",
+                        source.len()
+                    ),
+                })
             }
-            None => Ok(()),
+            _ => Ok(()),
         }
     }
 

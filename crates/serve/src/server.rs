@@ -206,15 +206,18 @@ enum ReadLine {
 impl LineReader {
     fn next(&mut self, daemon: &Daemon) -> ReadLine {
         let mut chunk = [0u8; 4096];
+        // Bytes already searched for the newline: each is searched once.
+        let mut scanned = 0;
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
+            if let Some(pos) = self.buf[scanned..].iter().position(|&b| b == b'\n') {
+                let mut line: Vec<u8> = self.buf.drain(..=scanned + pos).collect();
                 line.pop(); // the newline
                 if line.last() == Some(&b'\r') {
                     line.pop();
                 }
                 return ReadLine::Line(line);
             }
+            scanned = self.buf.len();
             if self.buf.len() > MAX_REQUEST_BYTES {
                 return ReadLine::TooLong;
             }

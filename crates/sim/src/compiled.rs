@@ -234,7 +234,7 @@ impl CompiledSim {
     ///
     /// Runs the specialized SoA tape — homogeneous opcode runs with
     /// `Not`/`Buf` folded into consumer pins as negation masks. Golden
-    /// runs, windowed trace and bit-span replay and the serial reference
+    /// runs, windowed trace and bit-span replay and the serial
     /// classifier all go through here;
     /// [`eval_generic`](Self::eval_generic) keeps the historical
     /// per-instruction walk as the generic faulty kernel.

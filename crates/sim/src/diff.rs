@@ -965,13 +965,17 @@ impl GoldenTrace {
                 .map(|&(start, end)| if sliced { slice.min(end - start) } else { end - start })
                 .max()
                 .unwrap_or(0);
+            // A look-ahead lane must reach its span's last slice start
+            // within the pass: a pass of only a short final span is too
+            // short to seed a full one.
+            let reached = |k: SpanKey| slices(k) > 1 && (slices(k) - 1) * slice <= steps;
             let look_ahead = if sliced || !look {
                 Vec::new()
             } else {
                 let edge = batch.last().map_or(first, |&(start, _)| start);
                 beyond(edge)
                     .map(key)
-                    .filter(|&k| slices(k) > 1 && !store.cached(k) && !store.seeded(k))
+                    .filter(|&k| reached(k) && !store.cached(k) && !store.seeded(k))
                     .take(64 - batch.len())
                     .collect()
             };
@@ -1008,8 +1012,8 @@ impl GoldenTrace {
         for &(start, end) in &pass.look_ahead {
             let slices = (end - start).div_ceil(slice);
             let cycles = start..start + (slices - 1) * slice;
-            // Only a full-length pass looks ahead: every slice start is
-            // reached.
+            // The plan looks ahead only at spans whose every slice start
+            // the pass reaches.
             debug_assert!(cycles.len() <= pass.steps);
             lanes.push(ReplayLane { seed: self.packed_state(start), cycles, capture: None });
         }
@@ -1322,6 +1326,21 @@ mod tests {
         assert_eq!(shared.clone_handle().walk, Walk::Backward, "handles keep the walk");
         assert_eq!(walk_all(&live, policy, 1024, shared.clone_handle()).misses(), 4);
         assert_eq!(shared.held(), 8);
+    }
+
+    #[test]
+    fn a_short_final_span_seeds_nothing_on_a_backward_walk() {
+        // Capacity 2 rebuilds one span per pass. A backward walk misses
+        // the 20-cycle final span first; its pass runs 20 steps, too few
+        // to reach the slice starts of a 64-cycle span, so it looks ahead
+        // at nothing. The next pass replays span 15 whole and seeds
+        // spans 14..0, which replay in slices.
+        let n = ring_of(130);
+        let cache = BitCache::new(2).walking(Walk::Backward);
+        let mut cache = walk_all(&n, TracePolicy::Checkpoint(64), 1044, cache);
+        assert_eq!(cache.misses(), 17);
+        assert_eq!(cache.replay_steps(), 20 + 64 + 15 * 8);
+        assert_eq!(cache.seeded(), 0, "every seed was used");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Activity-driven (event) simulator — the cross-check oracle.
+//! Activity-driven (event) simulator — the engine of the fault-grading
+//! oracle.
 
 use seugrade_netlist::{CellKind, FfIndex, Netlist, SigId};
 
@@ -11,6 +12,8 @@ use crate::{Testbench, TraceWindow};
 /// (per-gate events propagated in level order instead of a full compiled
 /// sweep). The test suites simulate every circuit on both engines and
 /// require identical traces; a divergence indicates a bug in one engine.
+/// The fault-grading oracle (`seugrade_faultsim::Oracle`) runs on it, so
+/// its verdicts share no evaluation code with the production graders.
 ///
 /// # Example
 ///
@@ -43,6 +46,9 @@ pub struct EventSim {
     /// Per-level worklists, reused across eval calls.
     dirty: Vec<Vec<SigId>>,
     in_queue: Vec<bool>,
+    /// Gate pin values and latched next state, reused across calls.
+    pins: Vec<bool>,
+    next: Vec<bool>,
     events_processed: u64,
 }
 
@@ -67,6 +73,8 @@ impl EventSim {
             values: vec![false; n],
             dirty: vec![Vec::new(); depth + 1],
             in_queue: vec![false; n],
+            pins: Vec::new(),
+            next: vec![false; netlist.num_ffs()],
             events_processed: 0,
             netlist: netlist.clone(),
         };
@@ -106,8 +114,8 @@ impl EventSim {
     }
 
     fn schedule_fanout(&mut self, id: SigId) {
-        let consumers: Vec<SigId> = self.fanout[id.index()].clone();
-        for c in consumers {
+        for k in 0..self.fanout[id.index()].len() {
+            let c = self.fanout[id.index()][k];
             if matches!(self.netlist.cell(c).kind(), CellKind::Gate(_)) {
                 self.schedule(c);
             }
@@ -123,28 +131,24 @@ impl EventSim {
                 let CellKind::Gate(kind) = cell.kind() else {
                     continue;
                 };
-                let pins: Vec<bool> = cell
-                    .pins()
-                    .iter()
-                    .map(|p| self.values[p.index()])
-                    .collect();
-                let new = kind.eval_bool(&pins);
+                self.pins.clear();
+                self.pins.extend(cell.pins().iter().map(|p| self.values[p.index()]));
+                let new = kind.eval_bool(&self.pins);
                 if new != self.values[id.index()] {
                     self.values[id.index()] = new;
                     // Fanout gates are at strictly higher levels, so the
                     // per-level sweep visits them later in this settle.
-                    let consumers: Vec<SigId> = self.fanout[id.index()]
-                        .iter()
-                        .copied()
-                        .filter(|c| {
-                            matches!(self.netlist.cell(*c).kind(), CellKind::Gate(_))
-                        })
-                        .collect();
-                    for c in consumers {
-                        self.schedule(c);
-                    }
+                    self.schedule_fanout(id);
                 }
             }
+        }
+    }
+
+    /// Sets signal `sig` to `bit` and schedules its fan-out if it changed.
+    fn drive(&mut self, sig: SigId, bit: bool) {
+        if self.values[sig.index()] != bit {
+            self.values[sig.index()] = bit;
+            self.schedule_fanout(sig);
         }
     }
 
@@ -157,34 +161,37 @@ impl EventSim {
     ///
     /// Panics if `vector` length differs from the input count.
     pub fn set_inputs(&mut self, vector: &[bool]) {
-        let inputs: Vec<SigId> = self.netlist.inputs().to_vec();
-        assert_eq!(vector.len(), inputs.len(), "input vector width");
-        for (i, &bit) in inputs.iter().zip(vector) {
-            if self.values[i.index()] != bit {
-                self.values[i.index()] = bit;
-                self.schedule_fanout(*i);
-            }
+        assert_eq!(vector.len(), self.netlist.num_inputs(), "input vector width");
+        for (k, &bit) in vector.iter().enumerate() {
+            self.drive(self.netlist.inputs()[k], bit);
         }
         self.settle();
     }
 
     /// Latches flip-flops (`Q <= D`) and settles the new state.
     pub fn step(&mut self) {
-        let ffs: Vec<SigId> = self.netlist.ffs().to_vec();
-        let mut changed = Vec::new();
         // Two-phase: read all D values first, then commit.
-        let next: Vec<bool> = ffs
-            .iter()
-            .map(|&f| self.values[self.netlist.cell(f).pins()[0].index()])
-            .collect();
-        for (f, nv) in ffs.iter().zip(next) {
-            if self.values[f.index()] != nv {
-                self.values[f.index()] = nv;
-                changed.push(*f);
-            }
+        for k in 0..self.next.len() {
+            let d = self.netlist.cell(self.netlist.ffs()[k]).pins()[0];
+            self.next[k] = self.values[d.index()];
         }
-        for f in changed {
-            self.schedule_fanout(f);
+        for k in 0..self.next.len() {
+            self.drive(self.netlist.ffs()[k], self.next[k]);
+        }
+        self.settle();
+    }
+
+    /// Loads a flip-flop vector (in [`FfIndex`] order) and settles: only
+    /// the cones of flip-flops whose value changes are re-evaluated. The
+    /// inputs keep their last applied values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` length differs from the flip-flop count.
+    pub fn load_state(&mut self, state: &[bool]) {
+        assert_eq!(state.len(), self.next.len(), "state vector width");
+        for (k, &bit) in state.iter().enumerate() {
+            self.drive(self.netlist.ffs()[k], bit);
         }
         self.settle();
     }

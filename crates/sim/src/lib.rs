@@ -6,8 +6,9 @@
 //!   are `u64` words of **64 independent boolean lanes**. Lane 0 alone
 //!   gives a fast scalar simulator; all 64 lanes give the bit-parallel
 //!   engine used by the fault simulator (64 faulty machines per pass).
-//! - [`EventSim`] — a straightforward activity-driven simulator used as a
-//!   cross-check oracle in tests.
+//! - [`EventSim`] — a straightforward activity-driven simulator, the
+//!   engine of the fault-grading oracle (`seugrade_faultsim::Oracle`):
+//!   it shares no evaluation code with `CompiledSim`.
 //!
 //! Shared infrastructure:
 //!
@@ -15,7 +16,7 @@
 //!   generation via [`SplitMix64`]);
 //! - [`GoldenTrace`] — the fault-free reference run, checkpointed under
 //!   a [`TracePolicy`] (full state every `K` cycles, everything else
-//!   replayed on demand, into golden lanes for the serial reference) —
+//!   replayed on demand, into golden lanes for the serial loop) —
 //!   the memory-bounded representation the streaming
 //!   campaign core grades against. [`CompiledSim::run_golden`] records
 //!   a whole run as one [`TraceWindow`] for conformance checks;

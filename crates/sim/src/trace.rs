@@ -16,8 +16,8 @@ use crate::{broadcast, CompiledSim, SimState, Testbench};
 /// into bit-packed spans or golden lanes.
 ///
 /// Every interval describes the *same* golden run; every consumer sees
-/// bit-identical data whatever `K` is (a property the agreement suites
-/// enforce through fault verdicts). The default is `Checkpoint(64)`.
+/// bit-identical data whatever `K` is (a property the oracle battery
+/// enforces through fault verdicts). The default is `Checkpoint(64)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TracePolicy {
     /// Full flip-flop state every `K` cycles; everything else replayed.

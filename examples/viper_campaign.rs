@@ -28,7 +28,7 @@ fn main() {
     );
 
     // Grade the exhaustive fault list once with the sharded engine; the
-    // verdicts are bit-identical to the serial oracle at any thread count.
+    // verdicts are bit-identical to the oracle's at any thread count.
     let plan = CampaignPlan::builder(&circuit, &tb)
         .policy(ShardPolicy::auto())
         .build();

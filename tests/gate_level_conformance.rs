@@ -7,9 +7,8 @@ use seugrade::prelude::*;
 use seugrade_emulation::gate_level::{run_mask_scan, run_state_scan, run_time_mux};
 
 fn oracle(circuit: &Netlist, tb: &Testbench) -> Vec<FaultOutcome> {
-    let grader = Grader::new(circuit, tb);
     let faults = FaultList::exhaustive(circuit.num_ffs(), tb.num_cycles());
-    grader.run_serial(faults.as_slice())
+    Oracle::new(circuit, tb).run(faults.as_slice())
 }
 
 #[test]

@@ -806,3 +806,65 @@ fn over_limit_specs_are_rejected_at_parse_and_submit() {
     drop(server);
     let _ = std::fs::remove_dir_all(&config.spool);
 }
+
+#[test]
+fn over_limit_sources_and_circuits_are_rejected_at_parse_and_submit() {
+    use seugrade_serve::proto::{parse_request, MAX_CELLS, MAX_SOURCE_BYTES};
+    use seugrade_serve::{Client, ClientError, Job, Server, ServerConfig};
+
+    // s27 padded with comment lines to `len` bytes.
+    let padded = |len: usize| {
+        let mut source = std::fs::read_to_string("fixtures/s27.bench").expect("fixture");
+        while source.len() < len {
+            let pad = (len - source.len()).min(1000);
+            source.push_str(&format!("#{}\n", "x".repeat(pad.saturating_sub(2))));
+        }
+        source.truncate(len);
+        source
+    };
+    let submit = |source: &str| {
+        format!(
+            r#"{{"cmd":"submit","job":{{"netlist":{{"format":"bench","source":"{}"}}}}}}"#,
+            source.replace('\n', "\\n")
+        )
+    };
+    parse_request(&submit(&padded(MAX_SOURCE_BYTES))).expect("a source at its limit parses");
+    let over = padded(MAX_SOURCE_BYTES + 1);
+    let err = parse_request(&submit(&over)).expect_err("over the source limit");
+    assert!(err.msg.contains("job.netlist.source") && err.msg.contains("limit"), "{err}");
+    let mut spec = JobSpec::registry("ignored");
+    spec.circuit = CircuitSource::Inline { format: SourceFormat::Bench, source: over.clone() };
+    let err = Job::build("j1".into(), spec.clone()).expect_err("over the source limit");
+    assert!(err.contains("job.netlist.source"), "{err}");
+
+    // A source under its limit whose circuit is over the cell limit:
+    // the cells are counted after the import, before anything is built
+    // from the circuit.
+    let mut wide = String::from("INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n");
+    for i in 0..MAX_CELLS {
+        wide.push_str(&format!("g{i:x}=NOT(a)\n"));
+    }
+    assert!(wide.len() <= MAX_SOURCE_BYTES, "{} bytes", wide.len());
+    let mut cells = JobSpec::registry("ignored");
+    cells.circuit = CircuitSource::Inline { format: SourceFormat::Bench, source: wide };
+    let err = Job::build("j2".into(), cells).expect_err("over the cell limit");
+    assert!(err.contains("cells") && err.contains("limit"), "{err}");
+
+    // Over the wire: a structured rejection, the connection stays open,
+    // no job exists.
+    let spool =
+        std::env::temp_dir().join(format!("seugrade-hostile-source-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&spool);
+    let config = ServerConfig { addr: "127.0.0.1:0".to_owned(), workers: 1, spool };
+    let server = Server::bind(&config).expect("bind daemon");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    match client.submit(&spec) {
+        Err(ClientError::Server { line: 1, msg }) => {
+            assert!(msg.contains("job.netlist.source"), "{msg}");
+        }
+        other => panic!("expected a structured rejection, got {other:?}"),
+    }
+    assert!(client.list().expect("list").is_empty(), "rejected submits create no job");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&config.spool);
+}

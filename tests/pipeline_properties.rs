@@ -20,18 +20,17 @@ fn arb_config() -> impl Strategy<Value = RandomCircuitConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The serial engine and the bit-parallel campaign engine agree on
-    /// arbitrary circuits.
+    /// The oracle and the bit-parallel campaign engine agree on arbitrary
+    /// circuits.
     #[test]
     fn engines_agree(config in arb_config(), seed in 0u64..1000, tb_seed in 0u64..1000) {
         let circuit = random_sequential(&config, seed);
         let cycles = 18usize;
         let tb = Testbench::random(circuit.num_inputs(), cycles, tb_seed);
-        let grader = Grader::new(&circuit, &tb);
         let faults = FaultList::exhaustive(circuit.num_ffs(), cycles);
-        let serial = grader.run_serial(faults.as_slice());
+        let oracle = Oracle::new(&circuit, &tb).run(faults.as_slice());
         let run = CampaignPlan::builder(&circuit, &tb).threads(2).build().execute();
-        prop_assert_eq!(serial.as_slice(), run.outcomes());
+        prop_assert_eq!(oracle.as_slice(), run.outcomes());
     }
 
     /// Outcome invariants: detection/convergence never precede injection,

@@ -442,7 +442,7 @@ fn sampled_campaign_resumes_identically() {
 /// the verdict of an upset graded one or two cycles later. A run that
 /// stops in the middle of a cycle resumes with an empty verdict window,
 /// so the rest of that cycle finds nothing to inherit and simulates on:
-/// the digest is still the uninterrupted one, and the serial one, at 1
+/// the digest is still the uninterrupted one, and the oracle's, at 1
 /// and 4 threads.
 #[test]
 fn exhaustive_walk_stopped_mid_cycle_resumes_identically() {
@@ -451,13 +451,13 @@ fn exhaustive_walk_stopped_mid_cycle_resumes_identically() {
     let per_cycle = circuit.num_ffs().div_ceil(64);
     assert!(per_cycle > 2, "{per_cycle} chunks per cycle");
     let faults = FaultList::exhaustive(circuit.num_ffs(), tb.num_cycles());
-    let serial = Grader::new(&circuit, &tb).run_serial(faults.as_slice());
-    let serial_digest = StreamAccumulator::digest_of(faults.as_slice(), &serial);
+    let oracle = Oracle::new(&circuit, &tb).run(faults.as_slice());
+    let oracle_digest = StreamAccumulator::digest_of(faults.as_slice(), &oracle);
     for threads in [1, 4] {
         let p = plan(&circuit, &tb, threads, TracePolicy::Checkpoint(5));
         let engine = Engine::new(&p);
         let reference = engine.try_run_streamed(&p).unwrap();
-        assert_eq!(reference.digest(), serial_digest, "{threads} threads");
+        assert_eq!(reference.digest(), oracle_digest, "{threads} threads");
         let path = ckpt_path(&format!("exhaustive-mid-cycle-t{threads}"));
         let mut opts = ResumeOptions::checkpoint_to(&path);
         opts.every = 1;

@@ -110,12 +110,14 @@ fn mbu_pipeline_on_viper_subset() {
     // the worse of their constituent singles in aggregate.
     let circuit = viper::viper();
     let tb = stimuli::viper_program(24, 3);
-    let grader = Grader::new(&circuit, &tb);
+    let engine = Engine::for_circuit(&circuit, &tb);
+    let grade = |faults: Vec<MultiFault>| {
+        let plan = CampaignPlan::builder(&circuit, &tb).multi(faults).build();
+        engine.run(&plan).summary().clone()
+    };
 
-    let singles = MultiFault::adjacent_pairs(circuit.num_ffs(), 4, 1);
-    let doubles = MultiFault::adjacent_pairs(circuit.num_ffs(), 4, 2);
-    let s1 = GradingSummary::from_outcomes(&grader.run_multi(&singles));
-    let s2 = GradingSummary::from_outcomes(&grader.run_multi(&doubles));
+    let s1 = grade(MultiFault::adjacent_pairs(circuit.num_ffs(), 4, 1));
+    let s2 = grade(MultiFault::adjacent_pairs(circuit.num_ffs(), 4, 2));
     assert_eq!(s1.total(), 215 * 4);
     assert_eq!(s2.total(), 214 * 4);
     assert!(
