@@ -52,6 +52,10 @@ pub enum EngineError {
         /// What differs: `"circuit"` or `"test bench"`.
         field: &'static str,
     },
+    /// [`ResumeOptions::resume`](crate::ResumeOptions::resume) was set
+    /// without a [`checkpoint`](crate::ResumeOptions::checkpoint) path
+    /// to resume from.
+    ResumeWithoutCheckpoint,
 }
 
 impl fmt::Display for EngineError {
@@ -70,6 +74,9 @@ impl fmt::Display for EngineError {
             EngineError::PlanMismatch { field } => {
                 write!(f, "plan {field} does not match engine")
             }
+            EngineError::ResumeWithoutCheckpoint => {
+                f.write_str("resuming requires a checkpoint path")
+            }
         }
     }
 }
@@ -80,7 +87,8 @@ impl Error for EngineError {
             EngineError::Resume(e) => Some(e),
             EngineError::WorkerPanic { .. }
             | EngineError::MultiSource { .. }
-            | EngineError::PlanMismatch { .. } => None,
+            | EngineError::PlanMismatch { .. }
+            | EngineError::ResumeWithoutCheckpoint => None,
         }
     }
 }

@@ -273,22 +273,18 @@ impl<A: PersistentSink> CampaignState<A> {
     /// # Errors
     ///
     /// Checkpoint load and validation failures, MBU plans
-    /// ([`EngineError::MultiSource`]), and a plan for another circuit or
-    /// test bench ([`EngineError::PlanMismatch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on `resume` without a checkpoint path (a programmer error).
+    /// ([`EngineError::MultiSource`]), a plan for another circuit or
+    /// test bench ([`EngineError::PlanMismatch`]), and `resume` without
+    /// a checkpoint path ([`EngineError::ResumeWithoutCheckpoint`]).
     pub fn new(
         engine: &Engine,
         plan: &CampaignPlan<'_>,
         opts: &ResumeOptions,
     ) -> Result<Self, EngineError> {
         engine.check_plan(plan)?;
-        assert!(
-            !opts.resume || opts.checkpoint.is_some(),
-            "resuming requires a checkpoint path"
-        );
+        if opts.resume && opts.checkpoint.is_none() {
+            return Err(EngineError::ResumeWithoutCheckpoint);
+        }
         let mut drawn = None;
         let chunks = engine.chunk_plan(plan.source(), &mut drawn)?.into_owned();
         let mut sink = A::default();
@@ -355,6 +351,11 @@ impl<A: PersistentSink> CampaignState<A> {
         let resumed_from = *done;
         let threads = engine.threads_for(plan, chunks.num_faults());
         let round_len = if persist.is_some() { opts.every.max(1) } else { usize::MAX };
+        // A forward walk never returns to the cycles behind its cursor:
+        // each round drops the spans and seeds that end before the next
+        // chunk's injection cycle, so a resident state holds only what
+        // is ahead.
+        let mut behind = (chunks.walk() == Walk::Forward).then(|| stores.bits.clone_handle());
         let start = Instant::now();
         let interrupted = fold_chunks(
             threads,
@@ -375,6 +376,9 @@ impl<A: PersistentSink> CampaignState<A> {
             },
             |cursor, sink| {
                 *done = cursor;
+                if let Some(bits) = &mut behind {
+                    bits.forget_before(chunks.first_cycle(cursor).unwrap_or(usize::MAX));
+                }
                 match persist {
                     Some(Persist { path, fingerprint, meta }) => Checkpoint::new(
                         fingerprint.clone(),
@@ -651,12 +655,9 @@ impl Engine {
     ///
     /// Checkpoint load, validation and write failures, a chunk that
     /// panics on every attempt ([`EngineError::WorkerPanic`]), MBU plans
-    /// ([`EngineError::MultiSource`]), and a plan of another circuit or
-    /// test bench ([`EngineError::PlanMismatch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on `resume` without a checkpoint path (a programmer error).
+    /// ([`EngineError::MultiSource`]), a plan of another circuit or
+    /// test bench ([`EngineError::PlanMismatch`]), and `resume` without
+    /// a checkpoint path ([`EngineError::ResumeWithoutCheckpoint`]).
     pub fn run_streamed_resumable_with<A: PersistentSink>(
         &self,
         plan: &CampaignPlan<'_>,

@@ -413,13 +413,11 @@ impl Grader {
 
     /// Records `verdict` for every lane set in `lanes`.
     fn mark(out: &mut [FaultOutcome], lanes: u64, verdict: FaultOutcome) {
-        if lanes == 0 {
-            return;
-        }
-        for (lane, o) in out.iter_mut().enumerate() {
-            if lanes >> lane & 1 == 1 {
-                *o = verdict;
-            }
+        // Lanes past the chunk's faults have no outcome slot.
+        let mut lanes = lanes & u64::MAX.checked_shr(64 - out.len() as u32).unwrap_or(0);
+        while lanes != 0 {
+            out[lanes.trailing_zeros() as usize] = verdict;
+            lanes &= lanes - 1;
         }
     }
 

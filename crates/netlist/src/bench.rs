@@ -54,7 +54,7 @@
 use std::collections::HashMap;
 
 use crate::ident::EmitNames;
-use crate::import::{lower, Stmt};
+use crate::import::{lower, Lowering, Stmt, Stmts};
 use crate::{CellKind, GateKind, Netlist, NetlistError, SigId};
 
 /// Serializes a netlist to ISCAS `.bench` text — the interop emitter
@@ -133,8 +133,14 @@ fn emit_into(netlist: &Netlist, out: &mut impl std::fmt::Write) -> std::fmt::Res
     Ok(())
 }
 
-/// Splits `NAME(arg, arg, ...)` into the head token and its arguments.
-fn call<'a>(text: &'a str, line: usize) -> Result<(&'a str, Vec<&'a str>), NetlistError> {
+/// Splits `NAME(arg, arg, ...)` into the head token and its arguments,
+/// staging the arguments at the end of `pins`; returns the head and
+/// where the arguments start.
+fn call<'a>(
+    text: &'a str,
+    line: usize,
+    pins: &mut Vec<&'a str>,
+) -> Result<(&'a str, usize), NetlistError> {
     let open = text.find('(').ok_or_else(|| NetlistError::Parse {
         line,
         msg: format!("expected `(` in `{text}`"),
@@ -150,35 +156,40 @@ fn call<'a>(text: &'a str, line: usize) -> Result<(&'a str, Vec<&'a str>), Netli
         });
     }
     let head = text[..open].trim();
-    let inner = &text[open + 1..close];
-    let args: Vec<&str> = inner
-        .split(',')
-        .map(str::trim)
-        .filter(|a| !a.is_empty())
-        .collect();
     if head.is_empty() {
         return Err(NetlistError::Parse {
             line,
             msg: format!("missing function name in `{text}`"),
         });
     }
-    Ok((head, args))
+    let start = pins.len();
+    pins.extend(text[open + 1..close].split(',').map(str::trim).filter(|a| !a.is_empty()));
+    Ok((head, start))
 }
+
+/// `.bench` gate keywords (case-insensitive) and their IR gate kinds.
+const GATES: [(&str, GateKind); 11] = [
+    ("AND", GateKind::And),
+    ("OR", GateKind::Or),
+    ("NAND", GateKind::Nand),
+    ("NOR", GateKind::Nor),
+    ("XOR", GateKind::Xor),
+    ("XNOR", GateKind::Xnor),
+    ("NOT", GateKind::Not),
+    ("INV", GateKind::Not),
+    ("BUF", GateKind::Buf),
+    ("BUFF", GateKind::Buf),
+    ("MUX", GateKind::Mux),
+];
 
 /// Maps a `.bench` gate keyword to the IR gate kind.
 fn gate_kind(name: &str) -> Option<GateKind> {
-    match name.to_ascii_uppercase().as_str() {
-        "AND" => Some(GateKind::And),
-        "OR" => Some(GateKind::Or),
-        "NAND" => Some(GateKind::Nand),
-        "NOR" => Some(GateKind::Nor),
-        "XOR" => Some(GateKind::Xor),
-        "XNOR" => Some(GateKind::Xnor),
-        "NOT" | "INV" => Some(GateKind::Not),
-        "BUF" | "BUFF" => Some(GateKind::Buf),
-        "MUX" => Some(GateKind::Mux),
-        _ => None,
-    }
+    GATES.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|&(_, kind)| kind)
+}
+
+/// Whether `word` is one of `keywords`, ignoring ASCII case.
+fn is_any(word: &str, keywords: &[&str]) -> bool {
+    keywords.iter().any(|k| k.eq_ignore_ascii_case(word))
 }
 
 /// Parses ISCAS `.bench` text into a validated [`Netlist`].
@@ -186,6 +197,10 @@ fn gate_kind(name: &str) -> Option<GateKind> {
 /// The netlist's module name is `bench` (the format has no name
 /// directive); rename-sensitive callers can rebuild through
 /// [`crate::import`] fixtures or ignore the name.
+///
+/// One pass over the lines collects the statements and the
+/// `#@ init` pragmas. A malformed pragma is reported before any
+/// malformed statement, wherever the two stand in the file.
 ///
 /// # Errors
 ///
@@ -195,164 +210,153 @@ fn gate_kind(name: &str) -> Option<GateKind> {
 /// and any validation error from the shared lowering (dangling outputs,
 /// combinational loops, duplicate port names).
 pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
-    // Pragma sweep first: `#@ init <net> <0|1>` assigns a DFF's
-    // power-on value. The pragma may stand alone or trail a statement
-    // (`q = DFF(nx) #@ init q 1`); it is recognized whenever the
-    // line's *first* `#` is immediately followed by `@`.
+    parse_with(src, lower)
+}
+
+/// [`parse`] through the given lowering: the unit tests check the
+/// shared lowering against a reference one through here.
+pub(crate) fn parse_with(src: &str, lower: Lowering) -> Result<Netlist, NetlistError> {
+    let mut stmts = Stmts::default();
+    // `#@ init <net> <0|1>` assigns a DFF's power-on value: net →
+    // (pragma line, value).
     let mut inits: HashMap<&str, (usize, bool)> = HashMap::new();
+    // The first malformed statement; later lines are still scanned for
+    // pragmas, whose errors come first.
+    let mut bad_stmt = None;
     for (lineno, raw) in src.lines().enumerate() {
         let line = lineno + 1;
-        let Some(hash) = raw.find('#') else { continue };
-        let Some(rest) = raw[hash + 1..].strip_prefix('@') else { continue };
-        let toks: Vec<&str> = rest.split_whitespace().collect();
-        match toks.as_slice() {
-            ["init", net, bit] => {
-                let value = match *bit {
-                    "0" => false,
-                    "1" => true,
-                    other => {
-                        return Err(NetlistError::Parse {
-                            line,
-                            msg: format!("init pragma expects 0 or 1, found `{other}`"),
-                        })
-                    }
-                };
-                if inits.insert(net, (line, value)).is_some() {
-                    return Err(NetlistError::Parse {
-                        line,
-                        msg: format!("duplicate init pragma for `{net}`"),
-                    });
-                }
-            }
-            _ => {
+        // `#` starts a comment; the pragma may stand alone or trail a
+        // statement (`q = DFF(nx) #@ init q 1`), and is recognized
+        // whenever the line's *first* `#` is immediately followed by
+        // `@`. Any statement before it still parses.
+        let (text, comment) = match raw.find('#') {
+            Some(hash) => (&raw[..hash], Some(&raw[hash + 1..])),
+            None => (raw, None),
+        };
+        if let Some(rest) = comment.and_then(|c| c.strip_prefix('@')) {
+            let (net, value) = pragma(rest, line)?;
+            if inits.insert(net, (line, value)).is_some() {
                 return Err(NetlistError::Parse {
                     line,
-                    msg: format!("unknown pragma `#@{rest}` (expected `#@ init <net> <0|1>`)"),
+                    msg: format!("duplicate init pragma for `{net}`"),
                 });
             }
+        }
+        let text = text.trim();
+        if bad_stmt.is_none() && !text.is_empty() {
+            bad_stmt = statement(text, line, &mut stmts).err();
         }
     }
-
-    let mut stmts: Vec<(usize, Stmt<'_>)> = Vec::new();
-    // Each DFF net's statement index, so a pragma patches its DFF
-    // without scanning every statement.
-    let mut dff_stmts: HashMap<&str, usize> = HashMap::new();
-    for (lineno, raw) in src.lines().enumerate() {
-        let line = lineno + 1;
-        // `#` starts a comment (pragma or plain); any statement before
-        // it still parses, so trailing `#@ init` pragmas compose.
-        let text = raw.split('#').next().unwrap_or("").trim();
-        if text.is_empty() {
-            continue;
-        }
-
-        if let Some(eq) = text.find('=') {
-            // `<net> = FUNC(args)`
-            let net = text[..eq].trim();
-            if net.is_empty() || net.split_whitespace().count() != 1 {
-                return Err(NetlistError::Parse {
-                    line,
-                    msg: format!("expected a single net name before `=` in `{text}`"),
-                });
-            }
-            let (func, args) = call(text[eq + 1..].trim(), line)?;
-            let upper = func.to_ascii_uppercase();
-            match upper.as_str() {
-                "DFF" | "FF" => {
-                    if args.len() != 1 {
-                        return Err(NetlistError::Parse {
-                            line,
-                            msg: format!("DFF takes exactly one input, got {}", args.len()),
-                        });
-                    }
-                    dff_stmts.insert(net, stmts.len());
-                    // Init patched below once pragmas are matched.
-                    stmts.push((line, Stmt::Dff { net, init: false, d: args[0] }));
-                }
-                "CONST0" | "GND" | "CONST1" | "VCC" => {
-                    if !args.is_empty() {
-                        return Err(NetlistError::Parse {
-                            line,
-                            msg: format!("{upper} takes no arguments"),
-                        });
-                    }
-                    let value = matches!(upper.as_str(), "CONST1" | "VCC");
-                    stmts.push((line, Stmt::Const { net, value }));
-                }
-                _ => {
-                    let kind = gate_kind(func).ok_or_else(|| NetlistError::Parse {
-                        line,
-                        msg: format!("unknown gate function `{func}`"),
-                    })?;
-                    if args.is_empty() {
-                        return Err(NetlistError::Parse {
-                            line,
-                            msg: format!("gate `{func}` needs at least one input"),
-                        });
-                    }
-                    let (min, max) = kind.arity();
-                    // Some suites write degenerate 1-input AND/OR/...
-                    // gates; the builder collapses those to buffers.
-                    // MUX gets no such exemption — a 1-input MUX is a
-                    // truncated line, not a convention.
-                    let collapsible = min == 2 && args.len() == 1;
-                    if args.len() > max || (args.len() < min && !collapsible) {
-                        return Err(NetlistError::Parse {
-                            line,
-                            msg: format!("gate `{func}` given {} inputs", args.len()),
-                        });
-                    }
-                    stmts.push((line, Stmt::Gate { kind, net, pins: args }));
-                }
-            }
-        } else {
-            let (head, args) = call(text, line)?;
-            match head.to_ascii_uppercase().as_str() {
-                "INPUT" => {
-                    if args.len() != 1 {
-                        return Err(NetlistError::Parse {
-                            line,
-                            msg: "INPUT takes exactly one name".into(),
-                        });
-                    }
-                    stmts.push((line, Stmt::Input { name: args[0] }));
-                }
-                "OUTPUT" => {
-                    if args.len() != 1 {
-                        return Err(NetlistError::Parse {
-                            line,
-                            msg: "OUTPUT takes exactly one name".into(),
-                        });
-                    }
-                    // The output port borrows the net's name, matching
-                    // how the suites reference outputs.
-                    stmts.push((line, Stmt::Output { name: args[0], net: args[0] }));
-                }
-                other => {
-                    return Err(NetlistError::Parse {
-                        line,
-                        msg: format!("unknown statement `{other}`"),
-                    });
-                }
-            }
-        }
+    if let Some(e) = bad_stmt {
+        return Err(e);
     }
 
     // Patch pragma inits into their DFF statements; a pragma that names
     // no DFF is an error (most likely a typo in the net name).
-    for (net, (pragma_line, value)) in &inits {
-        let Some(&at) = dff_stmts.get(net) else {
+    if !inits.is_empty() {
+        for (_, stmt) in &mut stmts.list {
+            if let Stmt::Dff { net, init, .. } = stmt {
+                if let Some((_, value)) = inits.remove(net) {
+                    *init = value;
+                }
+            }
+        }
+        if let Some((net, (line, _))) = inits.into_iter().min_by_key(|(_, (line, _))| *line) {
             return Err(NetlistError::Parse {
-                line: *pragma_line,
+                line,
                 msg: format!("init pragma names `{net}`, which is not a DFF"),
             });
-        };
-        if let (_, Stmt::Dff { init, .. }) = &mut stmts[at] {
-            *init = *value;
         }
     }
 
     lower("bench".to_owned(), &stmts)
+}
+
+/// Parses the body of a `#@` pragma (the text after `#@`) on line
+/// `line`: `init <net> <0|1>`.
+fn pragma(rest: &str, line: usize) -> Result<(&str, bool), NetlistError> {
+    let mut toks = rest.split_whitespace();
+    match (toks.next(), toks.next(), toks.next(), toks.next()) {
+        (Some("init"), Some(net), Some(bit), None) => match bit {
+            "0" => Ok((net, false)),
+            "1" => Ok((net, true)),
+            other => Err(NetlistError::Parse {
+                line,
+                msg: format!("init pragma expects 0 or 1, found `{other}`"),
+            }),
+        },
+        _ => Err(NetlistError::Parse {
+            line,
+            msg: format!("unknown pragma `#@{rest}` (expected `#@ init <net> <0|1>`)"),
+        }),
+    }
+}
+
+/// Parses one statement — `text` is line `line` without its comment,
+/// trimmed and non-empty — onto `stmts`.
+fn statement<'a>(text: &'a str, line: usize, stmts: &mut Stmts<'a>) -> Result<(), NetlistError> {
+    let err = |msg: String| NetlistError::Parse { line, msg };
+    let Some(eq) = text.find('=') else {
+        let (head, at) = call(text, line, &mut stmts.pins)?;
+        let args = stmts.pins.len() - at;
+        let port = stmts.pins.get(at).copied();
+        stmts.pins.truncate(at);
+        let stmt = if head.eq_ignore_ascii_case("INPUT") {
+            match (args, port) {
+                (1, Some(name)) => Stmt::Input { name },
+                _ => return Err(err("INPUT takes exactly one name".into())),
+            }
+        } else if head.eq_ignore_ascii_case("OUTPUT") {
+            // The output port borrows the net's name, matching how the
+            // suites reference outputs.
+            match (args, port) {
+                (1, Some(name)) => Stmt::Output { name, net: name },
+                _ => return Err(err("OUTPUT takes exactly one name".into())),
+            }
+        } else {
+            return Err(err(format!("unknown statement `{}`", head.to_ascii_uppercase())));
+        };
+        stmts.push(line, stmt);
+        return Ok(());
+    };
+    // `<net> = FUNC(args)`
+    let net = text[..eq].trim();
+    if net.is_empty() || net.contains(char::is_whitespace) {
+        return Err(err(format!("expected a single net name before `=` in `{text}`")));
+    }
+    let (func, at) = call(text[eq + 1..].trim(), line, &mut stmts.pins)?;
+    let args = stmts.pins.len() - at;
+    if is_any(func, &["DFF", "FF"]) {
+        if args != 1 {
+            return Err(err(format!("DFF takes exactly one input, got {args}")));
+        }
+        let d = stmts.pins[at];
+        stmts.pins.truncate(at);
+        // Init patched once pragmas are matched.
+        stmts.push(line, Stmt::Dff { net, init: false, d });
+    } else if is_any(func, &["CONST0", "GND", "CONST1", "VCC"]) {
+        if args != 0 {
+            return Err(err(format!("{} takes no arguments", func.to_ascii_uppercase())));
+        }
+        let value = is_any(func, &["CONST1", "VCC"]);
+        stmts.push(line, Stmt::Const { net, value });
+    } else {
+        let kind = gate_kind(func).ok_or_else(|| err(format!("unknown gate function `{func}`")))?;
+        if args == 0 {
+            return Err(err(format!("gate `{func}` needs at least one input")));
+        }
+        let (min, max) = kind.arity();
+        // Some suites write degenerate 1-input AND/OR/... gates; the
+        // builder collapses those to buffers. MUX gets no such
+        // exemption — a 1-input MUX is a truncated line, not a
+        // convention.
+        let collapsible = min == 2 && args == 1;
+        if args > max || (args < min && !collapsible) {
+            return Err(err(format!("gate `{func}` given {args} inputs")));
+        }
+        stmts.push(line, Stmt::Gate { kind, net, pins: at..stmts.pins.len() });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

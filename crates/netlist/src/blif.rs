@@ -69,7 +69,7 @@
 use std::collections::HashMap;
 
 use crate::ident::EmitNames;
-use crate::import::{lower, Stmt};
+use crate::import::{lower, Lowering, Stmt, Stmts};
 use crate::{CellKind, GateKind, Netlist, NetlistError, SigId};
 
 /// Serializes a netlist to structural BLIF — the emitter pairing
@@ -413,6 +413,12 @@ fn one_hot_kind(rows: &[&str], n: usize) -> Option<GateKind> {
 /// to nets never defined, and any validation error from the shared
 /// lowering (dangling outputs, combinational loops, duplicate ports).
 pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
+    parse_with(src, lower)
+}
+
+/// [`parse`] through the given lowering: the unit tests check the
+/// shared lowering against a reference one through here.
+pub(crate) fn parse_with(src: &str, lower: Lowering) -> Result<Netlist, NetlistError> {
     // Join `\` continuation lines, keeping the first physical line's
     // number for diagnostics.
     let mut logical: Vec<(usize, String)> = Vec::new();
@@ -608,20 +614,19 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
 
     // Lower through the shared import layer. The owned statements are
     // borrowed here so `Stmt`'s zero-copy shape is reused unchanged.
-    let mut stmts: Vec<(usize, Stmt<'_>)> = Vec::with_capacity(stmts_owned.len());
-    for (line, s) in &stmts_owned {
-        let stmt = match s {
-            OwnedStmt::Input(name) => Stmt::Input { name },
-            OwnedStmt::Output(name) => Stmt::Output { name, net: name },
-            OwnedStmt::Latch { d, net, init } => Stmt::Dff { net, init: *init, d },
-            OwnedStmt::Const { net, value } => Stmt::Const { net, value: *value },
-            OwnedStmt::Gate { kind, net, pins } => Stmt::Gate {
-                kind: *kind,
-                net,
-                pins: pins.iter().map(String::as_str).collect(),
-            },
-        };
-        stmts.push((*line, stmt));
+    let mut stmts = Stmts::default();
+    for &(line, ref s) in &stmts_owned {
+        match s {
+            OwnedStmt::Input(name) => stmts.push(line, Stmt::Input { name }),
+            OwnedStmt::Output(name) => stmts.push(line, Stmt::Output { name, net: name }),
+            OwnedStmt::Latch { d, net, init } => {
+                stmts.push(line, Stmt::Dff { net, init: *init, d });
+            }
+            OwnedStmt::Const { net, value } => stmts.push(line, Stmt::Const { net, value: *value }),
+            OwnedStmt::Gate { kind, net, pins } => {
+                stmts.gate(line, *kind, net, pins.iter().map(String::as_str));
+            }
+        }
     }
 
     lower(model_name.unwrap_or_else(|| "blif".to_owned()), &stmts)

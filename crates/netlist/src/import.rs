@@ -44,15 +44,15 @@
 //! # Ok::<(), seugrade_netlist::NetlistError>(())
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 use std::path::Path;
 
 use crate::{Cell, CellKind, GateKind, Netlist, NetlistBuilder, NetlistError, SigId};
 
-/// One frontend-independent netlist statement, tagged with its 1-based
-/// source line for error reporting.
+/// One frontend-independent netlist statement.
 ///
 /// Net references are plain tokens; resolution (including forward
 /// references) happens in [`lower`].
@@ -76,8 +76,9 @@ pub(crate) enum Stmt<'a> {
         kind: GateKind,
         /// Output net name.
         net: &'a str,
-        /// Input net names, in pin order.
-        pins: Vec<&'a str>,
+        /// Input net names, in pin order: a range of the
+        /// [`Stmts`] pin pool.
+        pins: Range<usize>,
     },
     /// A D flip-flop.
     Dff {
@@ -97,154 +98,234 @@ pub(crate) enum Stmt<'a> {
     },
 }
 
+/// A frontend's statements in source order, each tagged with its
+/// 1-based source line for error reporting, and one pool holding the
+/// pin names of every gate.
+#[derive(Debug, Default)]
+pub(crate) struct Stmts<'a> {
+    pub(crate) list: Vec<(usize, Stmt<'a>)>,
+    /// Gate pin names, one gate's after the other; a frontend may also
+    /// stage a statement's arguments at the end and truncate them away.
+    pub(crate) pins: Vec<&'a str>,
+}
+
+impl<'a> Stmts<'a> {
+    /// Appends a statement.
+    pub(crate) fn push(&mut self, line: usize, stmt: Stmt<'a>) {
+        self.list.push((line, stmt));
+    }
+
+    /// Appends a gate statement whose pins are `pins`.
+    pub(crate) fn gate(
+        &mut self,
+        line: usize,
+        kind: GateKind,
+        net: &'a str,
+        pins: impl IntoIterator<Item = &'a str>,
+    ) {
+        let start = self.pins.len();
+        self.pins.extend(pins);
+        self.push(line, Stmt::Gate { kind, net, pins: start..self.pins.len() });
+    }
+}
+
+/// A lowering of a frontend's statements: [`lower`], or a reference
+/// one in the unit tests.
+pub(crate) type Lowering = fn(String, &Stmts<'_>) -> Result<Netlist, NetlistError>;
+
+/// A statement's index in [`Stmts::list`], as the lowering tables hold it.
+type StmtIx = u32;
+
 /// Lowers a frontend's statement list into a validated [`Netlist`].
 ///
 /// This is the shared import layer: every textual frontend funnels
-/// through here, so duplicate/undefined-net diagnostics, gate fixpoint
-/// ordering and final validation behave identically across formats.
-pub(crate) fn lower(
-    model_name: String,
-    stmts: &[(usize, Stmt<'_>)],
-) -> Result<Netlist, NetlistError> {
-    // Duplicate net definitions and duplicate output ports, with lines.
-    {
-        let mut defined: HashMap<&str, usize> = HashMap::new();
-        let mut out_ports: HashMap<&str, usize> = HashMap::new();
-        for (line, stmt) in stmts {
-            match stmt {
-                Stmt::Input { name } => {
-                    if defined.insert(name, *line).is_some() {
-                        return Err(NetlistError::Parse {
-                            line: *line,
-                            msg: format!("net `{name}` defined twice"),
-                        });
-                    }
-                }
-                Stmt::Const { net, .. } | Stmt::Dff { net, .. } | Stmt::Gate { net, .. } => {
-                    if defined.insert(net, *line).is_some() {
-                        return Err(NetlistError::Parse {
-                            line: *line,
-                            msg: format!("net `{net}` defined twice"),
-                        });
-                    }
-                }
-                Stmt::Output { name, .. } => {
-                    if out_ports.insert(name, *line).is_some() {
-                        return Err(NetlistError::Parse {
-                            line: *line,
-                            msg: format!("output `{name}` declared twice"),
-                        });
-                    }
-                }
+/// through here, so duplicate/undefined-net diagnostics, gate ordering
+/// and final validation behave identically across formats.
+///
+/// Gates are ordered by a dependency worklist in
+/// O(statements + pins): a gate becomes ready once every gate it reads
+/// exists. Cells come out in the order of a sweep that visits the
+/// pending gates in file order, round after round, and creates each
+/// one as soon as its pins exist: by that sweep's round, then by file
+/// position. Statement order therefore changes neither the netlist nor
+/// the cost of building it.
+pub(crate) fn lower(model_name: String, stmts: &Stmts<'_>) -> Result<Netlist, NetlistError> {
+    let list = &stmts.list;
+    // The one name table: net name → its defining statement. Keyed by
+    // the standard library's randomly seeded hasher, since the names
+    // come from untrusted input.
+    let mut defs: HashMap<&str, StmtIx> = HashMap::with_capacity(list.len());
+    let mut out_ports: HashSet<&str> = HashSet::new();
+    for (i, (line, stmt)) in list.iter().enumerate() {
+        let twice = match stmt {
+            Stmt::Input { name: net }
+            | Stmt::Const { net, .. }
+            | Stmt::Dff { net, .. }
+            | Stmt::Gate { net, .. } => {
+                defs.insert(net, i as StmtIx).map(|_| format!("net `{net}` defined twice"))
             }
+            Stmt::Output { name, .. } => {
+                (!out_ports.insert(name)).then(|| format!("output `{name}` declared twice"))
+            }
+        };
+        if let Some(msg) = twice {
+            return Err(NetlistError::Parse { line: *line, msg });
         }
     }
+    drop(out_ports);
 
-    let mut b = NetlistBuilder::new(model_name);
-    let mut nets: HashMap<&str, SigId> = HashMap::new();
-
-    // Inputs, constants and flip-flops first: they can be referenced
-    // freely (flip-flop outputs are the sequential feedback points).
-    for (_, stmt) in stmts {
+    // Resolve every name read to its defining statement: gate pins
+    // into `pin_def` (parallel to the pin pool), flip-flop data pins
+    // and output nets into `net_def`, in file order, `UNDEFINED` when
+    // no statement defines them. The first gate in file order that
+    // reads a never-defined net is the error; a flip-flop or output
+    // that does is reported after the gates are ordered.
+    const UNDEFINED: StmtIx = StmtIx::MAX;
+    let mut pin_def: Vec<StmtIx> = Vec::with_capacity(stmts.pins.len());
+    let mut net_def: Vec<StmtIx> = Vec::new();
+    for (line, stmt) in list {
         match stmt {
-            Stmt::Input { name } => {
-                let id = b.input(*name);
-                nets.insert(name, id);
+            Stmt::Gate { pins, .. } => {
+                for &p in &stmts.pins[pins.clone()] {
+                    let &d = defs.get(p).ok_or_else(|| NetlistError::UnknownNet {
+                        line: *line,
+                        name: p.to_owned(),
+                    })?;
+                    pin_def.push(d);
+                }
             }
-            Stmt::Const { net, value } => {
-                // Constants are deduplicated by the builder: several
-                // const nets of the same value alias one cell.
-                let id = b.constant(*value);
-                nets.insert(net, id);
+            Stmt::Dff { d: net, .. } | Stmt::Output { net, .. } => {
+                net_def.push(defs.get(net).copied().unwrap_or(UNDEFINED));
             }
-            Stmt::Dff { net, init, .. } => {
-                let id = b.dff(*init);
-                nets.insert(net, id);
+            Stmt::Input { .. } | Stmt::Const { .. } => {}
+        }
+    }
+    drop(defs);
+    let is_gate = |d: StmtIx| matches!(list[d as usize].1, Stmt::Gate { .. });
+    let gate_pins = |i: usize| match &list[i].1 {
+        Stmt::Gate { pins, .. } => pins.clone(),
+        _ => 0..0,
+    };
+
+    // The gates reading each gate (CSR by statement index: gate `d`'s
+    // readers are `readers[readers_start[d]..readers_start[d + 1]]`, in
+    // file order), and how many gate pins each gate still waits for.
+    let n = list.len();
+    let mut readers_start: Vec<StmtIx> = vec![0; n + 1];
+    let mut waiting: Vec<StmtIx> = vec![0; n];
+    for g in 0..n {
+        for &d in &pin_def[gate_pins(g)] {
+            if is_gate(d) {
+                readers_start[d as usize] += 1;
+                waiting[g] += 1;
             }
-            _ => {}
+        }
+    }
+    let mut total = 0;
+    for start in &mut readers_start {
+        total += *start;
+        *start = total;
+    }
+    let mut readers: Vec<StmtIx> = vec![0; total as usize];
+    for g in (0..n).rev() {
+        for &d in pin_def[gate_pins(g)].iter().rev() {
+            if is_gate(d) {
+                readers_start[d as usize] -= 1;
+                readers[readers_start[d as usize] as usize] = g as StmtIx;
+            }
         }
     }
 
-    // Gates to a fixpoint: statement order is usually already
-    // topological, so this loop normally completes in one sweep. Gates
-    // whose pins are not all resolved yet are retried next round.
-    let mut pending: Vec<(usize, &Stmt<'_>)> = stmts
-        .iter()
-        .filter(|(_, s)| matches!(s, Stmt::Gate { .. }))
-        .map(|(l, s)| (*l, s))
-        .collect();
-    loop {
-        let before = pending.len();
-        pending.retain(|(_, stmt)| {
-            let Stmt::Gate { kind, net, pins } = stmt else { unreachable!() };
-            let resolved: Option<Vec<SigId>> =
-                pins.iter().map(|p| nets.get(p).copied()).collect();
-            match resolved {
-                Some(pin_ids) => {
-                    let id = b.gate(*kind, &pin_ids);
-                    nets.insert(net, id);
-                    false
-                }
-                None => true,
+    // The worklist. A gate's sweep round is at least 1, and at least
+    // each gate pin's round — one more when that pin is defined further
+    // down the file, which a file-order sweep reaches only in the next
+    // round.
+    let mut ready: Vec<StmtIx> =
+        (0..n).filter(|&g| waiting[g] == 0 && is_gate(g as StmtIx)).map(|g| g as StmtIx).collect();
+    let mut round: Vec<StmtIx> = vec![1; n];
+    let mut next = 0;
+    while next < ready.len() {
+        let q = ready[next] as usize;
+        next += 1;
+        for &g in &readers[readers_start[q] as usize..readers_start[q + 1] as usize] {
+            let g = g as usize;
+            round[g] = round[g].max(round[q] + StmtIx::from(q > g));
+            waiting[g] -= 1;
+            if waiting[g] == 0 {
+                ready.push(g as StmtIx);
             }
-        });
-        if pending.is_empty() || pending.len() == before {
-            break;
         }
     }
-    if !pending.is_empty() {
-        // Either a reference to a never-defined net, or a combinational
-        // loop among gates; distinguish by checking whether every pin
-        // name is defined *somewhere* in the file.
-        let all_defined: std::collections::HashSet<&str> = stmts
-            .iter()
-            .filter_map(|(_, s)| match s {
-                Stmt::Input { name } => Some(*name),
-                Stmt::Const { net, .. } | Stmt::Dff { net, .. } | Stmt::Gate { net, .. } => {
-                    Some(*net)
-                }
-                Stmt::Output { .. } => None,
-            })
-            .collect();
-        for (line, stmt) in &pending {
-            let Stmt::Gate { pins, .. } = stmt else { unreachable!() };
-            for p in pins {
-                if !all_defined.contains(p) {
-                    return Err(NetlistError::UnknownNet {
-                        line: *line,
-                        name: (*p).to_owned(),
-                    });
-                }
-            }
-        }
-        // All names exist but the gates never became ready: a cycle.
-        // The cells were never created, so report placeholder ids in
-        // file order.
-        let cells: Vec<SigId> = (0..pending.len()).map(SigId::new).collect();
+    let num_gates = list.iter().filter(|(_, s)| matches!(s, Stmt::Gate { .. })).count();
+    if ready.len() < num_gates {
+        // Every name exists but these gates never became ready: a
+        // combinational loop. The cells were never created, so report
+        // placeholder ids.
+        let cells: Vec<SigId> = (0..num_gates - ready.len()).map(SigId::new).collect();
         return Err(NetlistError::CombinationalLoop { cells });
     }
+    drop((readers, readers_start, waiting));
+
+    // Creation order: by round, then file position (a counting sort).
+    let max_round = ready.iter().map(|&g| round[g as usize]).max().unwrap_or(0) as usize;
+    let mut round_start: Vec<StmtIx> = vec![0; max_round + 2];
+    for &g in &ready {
+        round_start[round[g as usize] as usize + 1] += 1;
+    }
+    for r in 0..=max_round {
+        round_start[r + 1] += round_start[r];
+    }
+    let mut order: Vec<StmtIx> = vec![0; ready.len()];
+    for g in (0..n).filter(|&g| is_gate(g as StmtIx)) {
+        let at = &mut round_start[round[g] as usize];
+        order[*at as usize] = g as StmtIx;
+        *at += 1;
+    }
+    drop((ready, round, round_start));
+
+    let mut b = NetlistBuilder::new(model_name);
+    // The signal of each statement; inputs, constants and flip-flops
+    // first, so forward references resolve (flip-flop outputs are the
+    // sequential feedback points).
+    let mut sig: Vec<SigId> = vec![SigId::INVALID; n];
+    for (i, (_, stmt)) in list.iter().enumerate() {
+        sig[i] = match stmt {
+            Stmt::Input { name } => b.input(*name),
+            // Constants are deduplicated by the builder: several const
+            // nets of the same value alias one cell.
+            Stmt::Const { value, .. } => b.constant(*value),
+            Stmt::Dff { init, .. } => b.dff(*init),
+            Stmt::Gate { .. } | Stmt::Output { .. } => continue,
+        };
+    }
+    let mut pin_sigs: Vec<SigId> = Vec::new();
+    for &g in &order {
+        let g = g as usize;
+        let Stmt::Gate { kind, .. } = list[g].1 else { unreachable!("order holds gates only") };
+        pin_sigs.clear();
+        pin_sigs.extend(pin_def[gate_pins(g)].iter().map(|&d| sig[d as usize]));
+        sig[g] = b.gate(kind, &pin_sigs);
+    }
+    drop((order, pin_def, pin_sigs));
 
     // Close sequential loops and declare outputs.
-    for (line, stmt) in stmts {
-        match stmt {
-            Stmt::Dff { net, d, .. } => {
-                let ff = nets[net];
-                let d_id = *nets.get(d).ok_or_else(|| NetlistError::UnknownNet {
-                    line: *line,
-                    name: (*d).to_owned(),
-                })?;
-                b.connect_dff(ff, d_id)?;
-            }
-            Stmt::Output { name, net } => {
-                let sig = *nets.get(net).ok_or_else(|| NetlistError::UnknownNet {
-                    line: *line,
-                    name: (*net).to_owned(),
-                })?;
-                b.output(*name, sig);
-            }
-            _ => {}
+    let mut net_defs = net_def.iter();
+    for (i, (line, stmt)) in list.iter().enumerate() {
+        let (port, net) = match stmt {
+            Stmt::Dff { d, .. } => (None, d),
+            Stmt::Output { name, net } => (Some(name), net),
+            _ => continue,
+        };
+        let def = *net_defs.next().expect("one entry per flip-flop and output");
+        if def == UNDEFINED {
+            return Err(NetlistError::UnknownNet { line: *line, name: (*net).to_owned() });
+        }
+        match port {
+            None => b.connect_dff(sig[i], sig[def as usize])?,
+            Some(name) => b.output(*name, sig[def as usize]),
         }
     }
+    drop((net_def, sig));
 
     b.finish()
 }
@@ -445,10 +526,9 @@ pub fn import_str_with(
         SourceFormat::Vhdl => crate::vhdl::parse(src)?,
     };
     let parsed_cells = parsed.num_cells();
-    let (netlist, swept_buffers) = if options.sweep_buffers {
-        sweep_buffers(&parsed)
-    } else {
-        (parsed, 0)
+    let (netlist, swept_buffers) = match options.sweep_buffers.then(|| swept(&parsed)).flatten() {
+        Some(swept) => swept,
+        None => (parsed, 0),
     };
     let stats = ImportStats {
         format,
@@ -555,44 +635,55 @@ pub fn import_path_with(
 /// Debug names attached to swept buffers are dropped.
 #[must_use]
 pub fn sweep_buffers(netlist: &Netlist) -> (Netlist, usize) {
-    let n = netlist.num_cells();
+    swept(netlist).unwrap_or_else(|| (netlist.clone(), 0))
+}
 
-    // Resolve each signal through any chain of buffers to its root
-    // driver. Cells are in topological-creation order only for DAG
-    // edges, not necessarily for ids, so resolve iteratively per cell.
-    let mut root: Vec<SigId> = (0..n).map(SigId::new).collect();
-    for i in 0..n {
-        let mut cur = SigId::new(i);
-        // Follow the chain; buffer chains are acyclic because the
-        // combinational part of a validated netlist is acyclic.
-        while let CellKind::Gate(GateKind::Buf) = netlist.cell(cur).kind() {
-            cur = netlist.cell(cur).pins()[0];
-        }
-        root[i] = cur;
+/// [`sweep_buffers`], or `None` when the netlist has no buffer to
+/// sweep (so the caller keeps its netlist instead of a copy).
+fn swept(netlist: &Netlist) -> Option<(Netlist, usize)> {
+    let n = netlist.num_cells();
+    let is_buf = |i: usize| matches!(netlist.cells[i].kind(), CellKind::Gate(GateKind::Buf));
+    let removed = (0..n).filter(|&i| is_buf(i)).count();
+    if removed == 0 {
+        return None;
     }
 
-    let is_buf =
-        |id: SigId| matches!(netlist.cell(id).kind(), CellKind::Gate(GateKind::Buf));
-    let removed = (0..n).map(SigId::new).filter(|&id| is_buf(id)).count();
-    if removed == 0 {
-        return (netlist.clone(), 0);
+    // Resolve each signal through any chain of buffers to its root
+    // driver, memoized so every chain is walked once (cell ids need not
+    // be topological). Buffer chains are acyclic because the
+    // combinational part of a validated netlist is acyclic.
+    const UNRESOLVED: u32 = u32::MAX;
+    let mut root = vec![UNRESOLVED; n];
+    let mut chain = Vec::new();
+    for i in 0..n {
+        let mut cur = i;
+        while root[cur] == UNRESOLVED {
+            if is_buf(cur) {
+                chain.push(cur);
+                cur = netlist.cells[cur].pins()[0].index();
+            } else {
+                root[cur] = cur as u32;
+            }
+        }
+        let r = root[cur];
+        for link in chain.drain(..) {
+            root[link] = r;
+        }
     }
 
     // Compact: survivors keep their relative order.
-    let mut new_id: HashMap<SigId, SigId> = HashMap::new();
-    let mut cells: Vec<Cell> = Vec::new();
-    for (id, cell) in netlist.iter_cells() {
-        if is_buf(id) {
-            continue;
+    let mut new_id = vec![UNRESOLVED; n];
+    let mut cells: Vec<Cell> = Vec::with_capacity(n - removed);
+    for (i, cell) in netlist.cells.iter().enumerate() {
+        if !is_buf(i) {
+            new_id[i] = cells.len() as u32;
+            cells.push(cell.clone());
         }
-        let nid = SigId::new(cells.len());
-        new_id.insert(id, nid);
-        cells.push(cell.clone());
     }
-    let map = |sig: SigId| -> SigId { new_id[&root[sig.index()]] };
+    let map = |sig: SigId| SigId::new(new_id[root[sig.index()] as usize] as usize);
     for cell in &mut cells {
         for pin in cell.pins_mut() {
-            *pin = new_id[&root[pin.index()]];
+            *pin = map(*pin);
         }
     }
 
@@ -606,7 +697,8 @@ pub fn sweep_buffers(netlist: &Netlist) -> (Netlist, usize) {
     let cell_names = netlist
         .cell_names
         .iter()
-        .filter_map(|(old, name)| new_id.get(old).map(|&nid| (nid, name.clone())))
+        .filter(|(old, _)| !is_buf(old.index()))
+        .map(|(old, name)| (SigId::new(new_id[old.index()] as usize), name.clone()))
         .collect();
 
     let swept = Netlist {
@@ -619,12 +711,352 @@ pub fn sweep_buffers(netlist: &Netlist) -> (Netlist, usize) {
         cell_names,
     };
     debug_assert!(swept.levelize().is_ok(), "sweep broke the netlist");
-    (swept, removed)
+    Some((swept, removed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The lowering the dependency worklist replaced, kept as the
+    /// reference: gates are retried in file order, sweep after sweep,
+    /// until none is left or a sweep creates none. The worklist must
+    /// reproduce its netlist cell for cell, and its errors.
+    fn sweep_lower(model_name: String, stmts: &Stmts<'_>) -> Result<Netlist, NetlistError> {
+        let list = &stmts.list;
+        {
+            let mut defined: HashMap<&str, usize> = HashMap::new();
+            let mut out_ports: HashMap<&str, usize> = HashMap::new();
+            for (line, stmt) in list {
+                let (twice, msg) = match stmt {
+                    Stmt::Input { name: net }
+                    | Stmt::Const { net, .. }
+                    | Stmt::Dff { net, .. }
+                    | Stmt::Gate { net, .. } => {
+                        (defined.insert(net, *line).is_some(), format!("net `{net}` defined twice"))
+                    }
+                    Stmt::Output { name, .. } => (
+                        out_ports.insert(name, *line).is_some(),
+                        format!("output `{name}` declared twice"),
+                    ),
+                };
+                if twice {
+                    return Err(NetlistError::Parse { line: *line, msg });
+                }
+            }
+        }
+        let mut b = NetlistBuilder::new(model_name);
+        let mut nets: HashMap<&str, SigId> = HashMap::new();
+        for (_, stmt) in list {
+            match stmt {
+                Stmt::Input { name } => {
+                    nets.insert(name, b.input(*name));
+                }
+                Stmt::Const { net, value } => {
+                    nets.insert(net, b.constant(*value));
+                }
+                Stmt::Dff { net, init, .. } => {
+                    nets.insert(net, b.dff(*init));
+                }
+                _ => {}
+            }
+        }
+        let mut pending: Vec<&(usize, Stmt<'_>)> =
+            list.iter().filter(|(_, s)| matches!(s, Stmt::Gate { .. })).collect();
+        loop {
+            let before = pending.len();
+            pending.retain(|(_, stmt)| {
+                let Stmt::Gate { kind, net, pins } = stmt else { unreachable!() };
+                let resolved: Option<Vec<SigId>> =
+                    stmts.pins[pins.clone()].iter().map(|p| nets.get(p).copied()).collect();
+                match resolved {
+                    Some(pin_ids) => {
+                        let id = b.gate(*kind, &pin_ids);
+                        nets.insert(net, id);
+                        false
+                    }
+                    None => true,
+                }
+            });
+            if pending.is_empty() || pending.len() == before {
+                break;
+            }
+        }
+        if !pending.is_empty() {
+            let all_defined: HashSet<&str> = list
+                .iter()
+                .filter_map(|(_, s)| match s {
+                    Stmt::Input { name } => Some(*name),
+                    Stmt::Const { net, .. } | Stmt::Dff { net, .. } | Stmt::Gate { net, .. } => {
+                        Some(*net)
+                    }
+                    Stmt::Output { .. } => None,
+                })
+                .collect();
+            for (line, stmt) in &pending {
+                let Stmt::Gate { pins, .. } = stmt else { unreachable!() };
+                for p in &stmts.pins[pins.clone()] {
+                    if !all_defined.contains(p) {
+                        return Err(NetlistError::UnknownNet {
+                            line: *line,
+                            name: (*p).to_owned(),
+                        });
+                    }
+                }
+            }
+            let cells: Vec<SigId> = (0..pending.len()).map(SigId::new).collect();
+            return Err(NetlistError::CombinationalLoop { cells });
+        }
+        for (line, stmt) in list {
+            match stmt {
+                Stmt::Dff { net, d, .. } => {
+                    let d_id = *nets.get(d).ok_or_else(|| NetlistError::UnknownNet {
+                        line: *line,
+                        name: (*d).to_owned(),
+                    })?;
+                    b.connect_dff(nets[net], d_id)?;
+                }
+                Stmt::Output { name, net } => {
+                    let sig = *nets.get(net).ok_or_else(|| NetlistError::UnknownNet {
+                        line: *line,
+                        name: (*net).to_owned(),
+                    })?;
+                    b.output(*name, sig);
+                }
+                _ => {}
+            }
+        }
+        b.finish()
+    }
+
+    /// A small xorshift stream for the generated sources.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// A random sequential netlist: every gate kind, constants, and
+    /// flip-flops read by gates and by each other.
+    fn random_netlist(seed: u64, gates: usize) -> Netlist {
+        let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+        let mut b = NetlistBuilder::new("gen");
+        let mut pool: Vec<SigId> = (0..4).map(|i| b.input(format!("i{i}"))).collect();
+        let ffs: Vec<SigId> = (0..6).map(|i| b.dff(i % 2 == 1)).collect();
+        pool.extend(&ffs);
+        pool.push(b.constant(true));
+        for _ in 0..gates {
+            let kind = GateKind::ALL[rng.below(GateKind::ALL.len())];
+            let arity = match kind {
+                GateKind::Not | GateKind::Buf => 1,
+                GateKind::Mux => 3,
+                GateKind::Nand | GateKind::Nor => 2,
+                _ => 2 + rng.below(2),
+            };
+            let pins: Vec<SigId> = (0..arity).map(|_| pool[rng.below(pool.len())]).collect();
+            pool.push(b.gate(kind, &pins));
+        }
+        for (i, &ff) in ffs.iter().enumerate() {
+            // Every other flip-flop reads a flip-flop directly.
+            let d = if i % 2 == 0 { ffs[(i + 1) % ffs.len()] } else { pool[pool.len() - 1 - i] };
+            b.connect_dff(ff, d).unwrap();
+        }
+        for k in 0..3 {
+            b.output(format!("o{k}"), pool[pool.len() - 1 - 2 * k]);
+        }
+        b.finish().unwrap()
+    }
+
+    /// The same netlist in the VHDL subset (which has no emitter):
+    /// one concurrent assignment per gate, one registered assignment
+    /// per flip-flop.
+    fn vhdl_source(n: &Netlist) -> String {
+        let name = |s: SigId| match n.inputs().iter().position(|&i| i == s) {
+            Some(k) => format!("i{k}"),
+            None => format!("n{}", s.index()),
+        };
+        let mut ports = vec!["clk : in std_logic".to_owned()];
+        ports.extend((0..n.num_inputs()).map(|k| format!("i{k} : in std_logic")));
+        ports.extend((0..n.num_outputs()).map(|k| format!("o{k} : out std_logic")));
+        let mut src =
+            format!("entity gen is\n  port (\n    {}\n  );\nend gen;\n", ports.join(";\n    "));
+        src += "architecture rtl of gen is\n";
+        let (mut comb, mut regs) = (Vec::new(), Vec::new());
+        for (id, cell) in n.iter_cells() {
+            let pins: Vec<String> = cell.pins().iter().map(|&p| name(p)).collect();
+            let rhs = match cell.kind() {
+                CellKind::Input => continue,
+                CellKind::Const(v) => format!("'{}'", u8::from(v)),
+                CellKind::Dff { init } => {
+                    src += &format!("  signal {} : std_logic := '{}';\n", name(id), u8::from(init));
+                    regs.push(format!("      {} <= {};", name(id), pins[0]));
+                    continue;
+                }
+                CellKind::Gate(GateKind::Buf) => pins[0].clone(),
+                CellKind::Gate(GateKind::Not) => format!("not {}", pins[0]),
+                CellKind::Gate(GateKind::Mux) => {
+                    format!("({} and {}) or (not {} and {})", pins[0], pins[2], pins[0], pins[1])
+                }
+                CellKind::Gate(kind) => pins.join(&format!(" {} ", kind.mnemonic())),
+            };
+            src += &format!("  signal {} : std_logic;\n", name(id));
+            comb.push(format!("  {} <= {rhs};", name(id)));
+        }
+        for (k, (_, s)) in n.outputs().iter().enumerate() {
+            comb.push(format!("  o{k} <= {};", name(*s)));
+        }
+        src += "begin\n";
+        src += &comb.join("\n");
+        src += "\n  process (clk)\n  begin\n    if rising_edge(clk) then\n";
+        src += &regs.join("\n");
+        src += "\n    end if;\n  end process;\nend rtl;\n";
+        src
+    }
+
+    /// Shuffles the units of `src` that `movable` accepts among their
+    /// own positions. A unit is a line plus the lines after it that
+    /// `continues` claims (a BLIF cover's rows).
+    fn shuffle(
+        src: &str,
+        seed: u64,
+        movable: impl Fn(&str) -> bool,
+        continues: impl Fn(&str) -> bool,
+    ) -> String {
+        let mut units: Vec<Vec<&str>> = Vec::new();
+        for line in src.lines() {
+            match units.last_mut() {
+                Some(unit) if continues(line) => unit.push(line),
+                _ => units.push(vec![line]),
+            }
+        }
+        let slots: Vec<usize> = (0..units.len()).filter(|&u| movable(units[u][0])).collect();
+        let mut moved: Vec<Vec<&str>> = slots.iter().map(|&u| units[u].clone()).collect();
+        let mut rng = Rng(seed | 1);
+        for i in (1..moved.len()).rev() {
+            moved.swap(i, rng.below(i + 1));
+        }
+        for (&u, unit) in slots.iter().zip(moved) {
+            units[u] = unit;
+        }
+        units.concat().join("\n") + "\n"
+    }
+
+    type Parse = fn(&str, Lowering) -> Result<Netlist, NetlistError>;
+
+    /// Generated sources in every format, shuffled.
+    fn shuffled_sources(n: &Netlist, seed: u64) -> Vec<(&'static str, Parse, String)> {
+        let never = |_: &str| false;
+        vec![
+            (
+                "bench",
+                crate::bench::parse_with as Parse,
+                shuffle(&crate::bench::emit(n), seed, |l| l.contains('='), never),
+            ),
+            (
+                "snl",
+                crate::text::parse_with,
+                shuffle(
+                    &crate::text::emit(n),
+                    seed,
+                    |l| ["gate ", "dff ", "const "].iter().any(|k| l.starts_with(k)),
+                    never,
+                ),
+            ),
+            (
+                "blif",
+                crate::blif::parse_with,
+                shuffle(
+                    &crate::blif::emit(n),
+                    seed,
+                    |l| l.starts_with(".names") || l.starts_with(".latch"),
+                    |l| !l.starts_with('.') && !l.starts_with('#'),
+                ),
+            ),
+            (
+                "verilog",
+                crate::vlog::parse_with,
+                shuffle(
+                    &crate::vlog::emit(n),
+                    seed,
+                    |l| {
+                        l.starts_with("  ")
+                            && !["  input", "  output", "  wire"].iter().any(|k| l.starts_with(k))
+                    },
+                    never,
+                ),
+            ),
+            (
+                "vhdl",
+                crate::vhdl::parse_with,
+                shuffle(
+                    &vhdl_source(n),
+                    seed,
+                    // Concurrent assignments only, not registered ones.
+                    |l| l.starts_with("  ") && !l.starts_with("   ") && l.contains("<="),
+                    never,
+                ),
+            ),
+        ]
+    }
+
+    #[test]
+    fn worklist_lowering_matches_the_sweep_on_shuffled_sources() {
+        for seed in 1..=6 {
+            let n = random_netlist(seed, 20 + 30 * seed as usize);
+            for (format, parse, src) in shuffled_sources(&n, seed) {
+                let fresh = parse(&src, lower);
+                assert!(fresh.is_ok(), "{format} seed {seed}: {fresh:?}\n{src}");
+                assert_eq!(fresh, parse(&src, sweep_lower), "{format} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn worklist_lowering_matches_the_sweep_on_the_fixtures() {
+        let fixtures: [(Parse, &str); 8] = [
+            (crate::bench::parse_with, include_str!("../../../fixtures/s27.bench")),
+            (crate::bench::parse_with, include_str!("../../../fixtures/s208a.bench")),
+            (crate::bench::parse_with, include_str!("../../../fixtures/s344a.bench")),
+            (crate::blif::parse_with, include_str!("../../../fixtures/s27.blif")),
+            (crate::vlog::parse_with, include_str!("../../../fixtures/s27.v")),
+            (crate::vlog::parse_with, include_str!("../../../fixtures/s208a.v")),
+            (crate::vlog::parse_with, include_str!("../../../fixtures/s344a.v")),
+            (crate::vhdl::parse_with, include_str!("../../../fixtures/b14c.vhd")),
+        ];
+        for (i, (parse, src)) in fixtures.into_iter().enumerate() {
+            let fresh = parse(src, lower);
+            assert!(fresh.is_ok(), "fixture {i}: {fresh:?}");
+            assert_eq!(fresh, parse(src, sweep_lower), "fixture {i}");
+        }
+    }
+
+    #[test]
+    fn worklist_lowering_reports_the_sweeps_errors() {
+        let cases = [
+            // Unknown nets: in a gate (the first in file order wins), in
+            // a flip-flop's data pin, and behind an output.
+            "INPUT(a)\nOUTPUT(y)\ny = AND(x, a)\nz = OR(w, a)\n",
+            "INPUT(a)\nOUTPUT(y)\ny = AND(z, a)\nz = OR(w, a)\nv = NOT(u)\n",
+            "INPUT(a)\nOUTPUT(q)\nq = DFF(nope)\n",
+            "INPUT(a)\nOUTPUT(nope)\ny = NOT(a)\n",
+            // Combinational loops, with and without a tail.
+            "INPUT(a)\nOUTPUT(y)\ny = AND(z, a)\nz = OR(y, a)\n",
+            "INPUT(a)\nOUTPUT(t)\nt = NOT(y)\ny = AND(z, a)\nz = OR(y, a)\ns = BUF(s)\n",
+            // Duplicates.
+            "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ny = BUF(a)\n",
+            "INPUT(a)\nOUTPUT(y)\nOUTPUT(y)\ny = NOT(a)\n",
+        ];
+        for src in cases {
+            let fresh = crate::bench::parse_with(src, lower);
+            assert!(fresh.is_err(), "{src}");
+            assert_eq!(fresh, crate::bench::parse_with(src, sweep_lower), "{src}");
+        }
+    }
 
     #[test]
     fn sweep_removes_buffer_chains() {

@@ -159,7 +159,32 @@ impl Netlist {
             }
         }
 
-        let fanout = self.fanout_map();
+        // The gates reading each gate, as a CSR: gate `g`'s readers are
+        // `readers[start[g]..start[g + 1]]`, ascending (a gate reading
+        // `g` twice appears twice).
+        let is_gate = |s: SigId| matches!(self.cell(s).kind(), CellKind::Gate(_));
+        let mut start = vec![0u32; n + 1];
+        for (id, cell) in self.iter_cells() {
+            if is_gate(id) {
+                for &p in cell.pins().iter().filter(|&&p| is_gate(p)) {
+                    start[p.index()] += 1;
+                }
+            }
+        }
+        let mut total = 0;
+        for s in &mut start {
+            total += *s;
+            *s = total;
+        }
+        let mut readers = vec![SigId::INVALID; total as usize];
+        for (i, cell) in self.cells.iter().enumerate().rev() {
+            if is_gate(SigId::new(i)) {
+                for &p in cell.pins().iter().filter(|&&p| is_gate(p)) {
+                    start[p.index()] -= 1;
+                    readers[start[p.index()] as usize] = SigId::new(i);
+                }
+            }
+        }
         let total_gates = self.num_gates();
         let mut order = Vec::with_capacity(total_gates);
         let mut depth = 0u32;
@@ -176,13 +201,12 @@ impl Netlist {
             level[id.index()] = lvl;
             depth = depth.max(lvl);
             order.push(id);
-            for &succ in &fanout[id.index()] {
-                if matches!(self.cell(succ).kind(), CellKind::Gate(_)) {
-                    let r = &mut remaining_pins[succ.index()];
-                    *r -= 1;
-                    if *r == 0 {
-                        ready.push(succ);
-                    }
+            let succs = start[id.index()] as usize..start[id.index() + 1] as usize;
+            for &succ in &readers[succs] {
+                let r = &mut remaining_pins[succ.index()];
+                *r -= 1;
+                if *r == 0 {
+                    ready.push(succ);
                 }
             }
         }

@@ -39,7 +39,7 @@
 use std::fmt::Write as _;
 
 use crate::ident::EmitNames;
-use crate::import::{lower, Stmt};
+use crate::import::{lower, Lowering, Stmt, Stmts};
 use crate::{CellKind, GateKind, Netlist, NetlistError, SigId};
 
 /// Serializes a netlist to the SNL text format.
@@ -121,8 +121,14 @@ pub fn emit(netlist: &Netlist) -> String {
 /// combinational loops). Parse-layer errors carry 1-based line numbers;
 /// see the [error contract](crate::NetlistError).
 pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
+    parse_with(src, lower)
+}
+
+/// [`parse`] through the given lowering: the unit tests check the
+/// shared lowering against a reference one through here.
+pub(crate) fn parse_with(src: &str, lower: Lowering) -> Result<Netlist, NetlistError> {
     let mut model_name = String::from("unnamed");
-    let mut stmts: Vec<(usize, Stmt<'_>)> = Vec::new();
+    let mut stmts = Stmts::default();
     let mut saw_end = false;
 
     for (lineno, raw) in src.lines().enumerate() {
@@ -167,7 +173,7 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
                         msg: "input takes exactly one name".into(),
                     });
                 }
-                stmts.push((line, Stmt::Input { name: rest[0] }));
+                stmts.push(line, Stmt::Input { name: rest[0] });
             }
             "const" => {
                 if rest.len() != 2 {
@@ -176,7 +182,7 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
                         msg: "const takes <net> <0|1>".into(),
                     });
                 }
-                stmts.push((line, Stmt::Const { net: rest[0], value: parse_bit(rest[1])? }));
+                stmts.push(line, Stmt::Const { net: rest[0], value: parse_bit(rest[1])? });
             }
             "gate" => {
                 if rest.len() < 3 {
@@ -189,10 +195,7 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
                     line,
                     msg: format!("unknown gate kind `{}`", rest[0]),
                 })?;
-                stmts.push((
-                    line,
-                    Stmt::Gate { kind, net: rest[1], pins: rest[2..].to_vec() },
-                ));
+                stmts.gate(line, kind, rest[1], rest[2..].iter().copied());
             }
             "dff" => {
                 if rest.len() != 3 {
@@ -201,10 +204,7 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
                         msg: "dff takes <net> <init> <d-net>".into(),
                     });
                 }
-                stmts.push((
-                    line,
-                    Stmt::Dff { net: rest[0], init: parse_bit(rest[1])?, d: rest[2] },
-                ));
+                stmts.push(line, Stmt::Dff { net: rest[0], init: parse_bit(rest[1])?, d: rest[2] });
             }
             "output" => {
                 if rest.len() != 2 {
@@ -213,7 +213,7 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
                         msg: "output takes <port> <net>".into(),
                     });
                 }
-                stmts.push((line, Stmt::Output { name: rest[0], net: rest[1] }));
+                stmts.push(line, Stmt::Output { name: rest[0], net: rest[1] });
             }
             "end" => {
                 if !rest.is_empty() {

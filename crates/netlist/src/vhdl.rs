@@ -87,7 +87,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::import::{lower, Stmt};
+use crate::import::{lower, Lowering, Stmt, Stmts};
 use crate::{GateKind, Netlist, NetlistError};
 
 /// Maximum expression nesting depth (parentheses plus `not` chains).
@@ -588,6 +588,12 @@ fn parse_clock_condition<'a>(p: &mut Parser<'a>) -> Result<(&'a str, usize), Net
 /// for signals never driven, and any validation error from the shared
 /// lowering. All parse-layer errors carry 1-based line numbers.
 pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
+    parse_with(src, lower)
+}
+
+/// [`parse`] through the given lowering: the unit tests check the
+/// shared lowering against a reference one through here.
+pub(crate) fn parse_with(src: &str, lower: Lowering) -> Result<Netlist, NetlistError> {
     let toks = lex(src)?;
     let eof_line = src.lines().count().max(1);
     let mut p = Parser { toks, pos: 0, eof_line };
@@ -911,23 +917,18 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
         }
     }
 
-    let stmts: Vec<(usize, Stmt<'_>)> = owned
-        .iter()
-        .map(|(line, s)| {
-            let stmt = match s {
-                OStmt::Input { name } => Stmt::Input { name },
-                OStmt::Const { net, value } => Stmt::Const { net, value: *value },
-                OStmt::Gate { kind, net, pins } => Stmt::Gate {
-                    kind: *kind,
-                    net,
-                    pins: pins.iter().map(String::as_str).collect(),
-                },
-                OStmt::Dff { net, init, d } => Stmt::Dff { net, init: *init, d },
-                OStmt::Output { name } => Stmt::Output { name, net: name },
-            };
-            (*line, stmt)
-        })
-        .collect();
+    let mut stmts = Stmts::default();
+    for &(line, ref s) in &owned {
+        match s {
+            OStmt::Input { name } => stmts.push(line, Stmt::Input { name }),
+            OStmt::Const { net, value } => stmts.push(line, Stmt::Const { net, value: *value }),
+            OStmt::Gate { kind, net, pins } => {
+                stmts.gate(line, *kind, net, pins.iter().map(String::as_str));
+            }
+            OStmt::Dff { net, init, d } => stmts.push(line, Stmt::Dff { net, init: *init, d }),
+            OStmt::Output { name } => stmts.push(line, Stmt::Output { name, net: name }),
+        }
+    }
     lower(entity_name.to_owned(), &stmts)
 }
 

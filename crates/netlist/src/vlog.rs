@@ -59,7 +59,7 @@
 use std::collections::HashMap;
 
 use crate::ident::EmitNames;
-use crate::import::{lower, Stmt};
+use crate::import::{lower, Lowering, Stmt, Stmts};
 use crate::{CellKind, GateKind, Netlist, NetlistError};
 
 /// Serializes a netlist to the structural Verilog subset — the emitter
@@ -406,6 +406,12 @@ enum Decl {
 /// (combinational loops, duplicate definitions, dangling ports). All
 /// parse-layer errors carry 1-based line numbers.
 pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
+    parse_with(src, lower)
+}
+
+/// [`parse`] through the given lowering: the unit tests check the
+/// shared lowering against a reference one through here.
+pub(crate) fn parse_with(src: &str, lower: Lowering) -> Result<Netlist, NetlistError> {
     let toks = lex(src)?;
     let eof_line = src.lines().count().max(1);
     let mut p = Parser { toks, pos: 0, eof_line };
@@ -427,7 +433,7 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
     p.expect_sym(';')?;
 
     let mut decls: HashMap<&str, (Decl, usize)> = HashMap::new();
-    let mut body: Vec<(usize, Stmt<'_>)> = Vec::new();
+    let mut body = Stmts::default();
     let mut pending_init: Option<(bool, usize)> = None;
 
     loop {
@@ -489,11 +495,9 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
                 let (target, tline) = p.ident()?;
                 p.expect_sym('=')?;
                 let (rline, rhs) = p.next()?;
-                let stmt = match rhs {
-                    Tok::Lit(value) => Stmt::Const { net: target, value },
-                    Tok::Id(id) if !is_keyword(id) => {
-                        Stmt::Gate { kind: GateKind::Buf, net: target, pins: vec![id] }
-                    }
+                match rhs {
+                    Tok::Lit(value) => body.push(tline, Stmt::Const { net: target, value }),
+                    Tok::Id(id) if !is_keyword(id) => body.gate(tline, GateKind::Buf, target, [id]),
                     other => {
                         return Err(parse_err(
                             rline,
@@ -503,9 +507,8 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
                             ),
                         ));
                     }
-                };
+                }
                 p.expect_sym(';')?;
-                body.push((tline, stmt));
             }
             Tok::AttrOpen => {
                 p.pos += 1;
@@ -557,7 +560,7 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
                     ));
                 }
                 let init = pending_init.take().map_or(false, |(v, _)| v);
-                body.push((line, Stmt::Dff { net: args[0], init, d: args[1] }));
+                body.push(line, Stmt::Dff { net: args[0], init, d: args[1] });
             }
             Tok::Id(word) => {
                 let Some(kind) = prim_kind(word) else {
@@ -581,7 +584,7 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
                         format!("`{word}` needs an output and at least one input"),
                     ));
                 }
-                let pins = args[1..].to_vec();
+                let pins = &args[1..];
                 let (min, max) = kind.arity();
                 // Degenerate 1-input AND/OR/… collapse to buffers in the
                 // builder, matching the `.bench` frontend's convention.
@@ -592,7 +595,7 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
                         format!("`{word}` given {} inputs", pins.len()),
                     ));
                 }
-                body.push((line, Stmt::Gate { kind, net: args[0], pins }));
+                body.gate(line, kind, args[0], pins.iter().copied());
             }
             other => {
                 return Err(parse_err(
@@ -646,16 +649,17 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
     // Assemble in lowering order: inputs (header order), body, outputs
     // (header order). Output ports observe their own net, as in
     // `.bench`.
-    let mut stmts: Vec<(usize, Stmt<'_>)> = Vec::with_capacity(header.len() + body.len());
+    let mut stmts =
+        Stmts { list: Vec::with_capacity(header.len() + body.list.len()), pins: body.pins };
     for (port, hline) in &header {
         if matches!(decls[port], (Decl::Input, _)) {
-            stmts.push((*hline, Stmt::Input { name: port }));
+            stmts.push(*hline, Stmt::Input { name: port });
         }
     }
-    stmts.append(&mut body);
+    stmts.list.append(&mut body.list);
     for (port, hline) in &header {
         if matches!(decls[port], (Decl::Output, _)) {
-            stmts.push((*hline, Stmt::Output { name: port, net: port }));
+            stmts.push(*hline, Stmt::Output { name: port, net: port });
         }
     }
 

@@ -222,7 +222,13 @@ impl Job {
     /// Wilson intervals; a `failed` one carries the error.
     #[must_use]
     pub fn snapshot_value(&self) -> Value {
-        let st = self.status();
+        self.snapshot_of(&self.status())
+    }
+
+    /// [`snapshot_value`](Self::snapshot_value) of the round-boundary
+    /// status `st` instead of the current one.
+    #[must_use]
+    pub fn snapshot_of(&self, st: &JobStatus) -> Value {
         let live = self.live_faults.load(Ordering::Relaxed);
         let mut pairs = vec![
             ("id", Value::str(self.id.clone())),
@@ -243,8 +249,8 @@ impl Job {
                 pairs.push(("ci95", ci95));
             }
         }
-        if let Some(e) = st.error {
-            pairs.push(("error", Value::str(e)));
+        if let Some(e) = &st.error {
+            pairs.push(("error", Value::str(e.clone())));
         }
         Value::obj(pairs)
     }

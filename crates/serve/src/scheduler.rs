@@ -423,32 +423,37 @@ fn finalize_done(
     job: &Arc<Job>,
     timings: Option<[seugrade_emulation::controller::CampaignTiming; 3]>,
 ) {
-    let mut snapshot = None;
-    job.update_status(|st| {
-        st.state = JobState::Done;
-        snapshot = Some(st.clone());
-    });
-    let status = snapshot.expect("status set above");
-    let result = result_value(job, &status, timings.as_ref());
-    if let Err(e) = core.spool.write_result(&job.id, &result) {
-        eprintln!("spool: cannot write result for {}: {e}", job.id);
-    }
-    job.broadcast_terminal(&status);
+    finalize(core, job, |st| st.state = JobState::Done, timings.as_ref());
 }
 
 /// Marks the job failed, persists the failure and tells the subscribers.
 fn finalize_failed(core: &Arc<SchedCore>, job: &Arc<Job>, msg: &str) {
-    let mut snapshot = None;
-    job.update_status(|st| {
+    let failed = |st: &mut JobStatus| {
         st.state = JobState::Failed;
         st.error = Some(msg.to_owned());
-        snapshot = Some(st.clone());
-    });
-    let status = snapshot.expect("status set above");
-    let result = result_value(job, &status, None);
+    };
+    finalize(core, job, failed, None);
+}
+
+/// Moves the job to a terminal status (`terminal` sets it): writes its
+/// `result.json` first, then publishes the status and tells the
+/// subscribers, so whoever sees the job terminal — a status poll, a
+/// stream subscribing late — finds its result on disk. Only the job's
+/// worker changes a running job's status, so the status written is the
+/// one published.
+fn finalize(
+    core: &Arc<SchedCore>,
+    job: &Arc<Job>,
+    terminal: impl Fn(&mut JobStatus),
+    timings: Option<&[seugrade_emulation::controller::CampaignTiming; 3]>,
+) {
+    let mut status = job.status();
+    terminal(&mut status);
+    let result = result_value(job, &status, timings);
     if let Err(e) = core.spool.write_result(&job.id, &result) {
         eprintln!("spool: cannot write result for {}: {e}", job.id);
     }
+    job.update_status(terminal);
     job.broadcast_terminal(&status);
 }
 
@@ -460,7 +465,7 @@ fn result_value(
     status: &JobStatus,
     timings: Option<&[seugrade_emulation::controller::CampaignTiming; 3]>,
 ) -> Value {
-    let Value::Obj(mut pairs) = job.snapshot_value() else {
+    let Value::Obj(mut pairs) = job.snapshot_of(status) else {
         unreachable!("snapshots are objects");
     };
     pairs.push(("schema".to_owned(), Value::str(proto::SERVE_SCHEMA)));

@@ -3,7 +3,6 @@
 use seugrade_netlist::{CellKind, FanoutAdjacency, FfIndex, GateKind, Netlist, SigId};
 
 use crate::tape::{self, Tape};
-use crate::trace::pack_bits;
 use crate::{broadcast, GoldenTrace, Testbench, TracePolicy, TraceWindow};
 
 /// One evaluation step of the generic tape.
@@ -24,7 +23,8 @@ pub(crate) struct Instr {
 ///
 /// The tape is produced by levelization, so a single forward pass
 /// ([`eval`](Self::eval)) settles all combinational logic;
-/// [`step`](Self::step) then latches flip-flops.
+/// [`step`](Self::step) then latches flip-flops in one in-place pass
+/// over a latch order fixed at compile time.
 #[derive(Clone, Debug)]
 pub struct CompiledSim {
     pub(crate) num_cells: usize,
@@ -38,6 +38,18 @@ pub struct CompiledSim {
     pub(crate) ff_d: Vec<u32>,
     ff_init: Vec<bool>,
     consts: Vec<(u32, bool)>,
+    /// The in-place latch: `(Q slot, D slot)` pairs in an order where a
+    /// flip-flop whose `D` reads another flip-flop's `Q` comes before
+    /// that flip-flop. Self-loops (`D` = own `Q`) and ring members are
+    /// left out.
+    latch: Vec<(u32, u32)>,
+    /// Rings of direct `Q → D` wires, flattened: within a ring each
+    /// flip-flop's `D` is the next one's `Q` and the last one's `D` is
+    /// the first one's `Q`, so [`step`](Self::step) rotates the ring's
+    /// words through one temporary.
+    ring_slots: Vec<u32>,
+    /// End of each ring in `ring_slots`.
+    ring_ends: Vec<u32>,
     /// The specialized SoA evaluation tape behind [`eval`](Self::eval).
     tape: Tape,
     /// Levelized fanout rows: signal slot → consumer instruction
@@ -52,6 +64,10 @@ pub struct CompiledSim {
     /// flip-flop output: names the flip-flop behind a deviant `Q` slot
     /// (the alias scan of the differential kernel).
     pub(crate) ff_of_slot: Vec<u32>,
+    /// One bit per signal slot, set for the slots primary outputs read:
+    /// the differential kernel takes its output deviation from the
+    /// deviant slots through it.
+    pub(crate) is_output: Vec<u64>,
 }
 
 /// The mutable value store for a [`CompiledSim`]: one 64-lane word per
@@ -59,9 +75,6 @@ pub struct CompiledSim {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimState {
     pub(crate) values: Vec<u64>,
-    /// Scratch buffer for the two-phase flip-flop latch in
-    /// [`CompiledSim::step`].
-    ff_next: Vec<u64>,
 }
 
 impl SimState {
@@ -134,25 +147,31 @@ impl CompiledSim {
         for (i, &q) in ffs.iter().enumerate() {
             ff_of_slot[q as usize] = i as u32;
         }
+        let (latch, ring_slots, ring_ends) = latch_order(&ffs, &ff_d, &ff_of_slot);
+        let outputs: Vec<u32> = netlist.outputs().iter().map(|(_, s)| s.index() as u32).collect();
+        let mut is_output = vec![0u64; num_cells.div_ceil(64)];
+        for &o in &outputs {
+            is_output[o as usize / 64] |= 1 << (o % 64);
+        }
         CompiledSim {
             num_cells,
             instrs,
             pin_pool,
             inputs: netlist.inputs().iter().map(|i| i.index() as u32).collect(),
-            outputs: netlist
-                .outputs()
-                .iter()
-                .map(|(_, s)| s.index() as u32)
-                .collect(),
+            outputs,
             ffs,
             ff_d,
             ff_init: netlist.ff_init_values(),
             consts,
+            latch,
+            ring_slots,
+            ring_ends,
             tape: Tape::build(netlist, &lv),
             fanout: netlist.levelized_fanout(&lv),
             ff_q_start,
             ff_q_targets,
             ff_of_slot,
+            is_output,
         }
     }
 
@@ -184,10 +203,7 @@ impl CompiledSim {
     /// to all lanes), constants driven, and inputs low.
     #[must_use]
     pub fn new_state(&self) -> SimState {
-        let mut st = SimState {
-            values: vec![0u64; self.num_cells],
-            ff_next: vec![0u64; self.ffs.len()],
-        };
+        let mut st = SimState { values: vec![0u64; self.num_cells] };
         self.reset(&mut st);
         st
     }
@@ -258,15 +274,25 @@ impl CompiledSim {
 
     /// Latches every flip-flop: `Q <= D`. Call after [`eval`](Self::eval).
     ///
-    /// The latch is two-phase (all `D` values are sampled before any `Q`
-    /// is written) so flip-flops feeding flip-flops directly — shift
-    /// chains, scan chains — behave like real edge-triggered registers.
+    /// Every flip-flop samples its `D` as it stood before the clock
+    /// edge, so flip-flops feeding flip-flops directly — shift chains,
+    /// scan chains — behave like real edge-triggered registers. The
+    /// latch runs in place: a flip-flop that reads another's `Q` latches
+    /// before it, and a ring of direct `Q → D` wires rotates its words.
     pub fn step(&self, state: &mut SimState) {
-        for (i, &d) in self.ff_d.iter().enumerate() {
-            state.ff_next[i] = state.values[d as usize];
+        let values = &mut state.values;
+        for &(q, d) in &self.latch {
+            values[q as usize] = values[d as usize];
         }
-        for (i, &slot) in self.ffs.iter().enumerate() {
-            state.values[slot as usize] = state.ff_next[i];
+        let mut start = 0;
+        for &end in &self.ring_ends {
+            let ring = &self.ring_slots[start..end as usize];
+            let first = values[ring[0] as usize];
+            for pair in ring.windows(2) {
+                values[pair[0] as usize] = values[pair[1] as usize];
+            }
+            values[ring[ring.len() - 1] as usize] = first;
+            start = end as usize;
         }
     }
 
@@ -337,6 +363,19 @@ impl CompiledSim {
         }
     }
 
+    /// Appends lane 0's flip-flop vector to `out`, bit-packed
+    /// (flip-flop `64w + b` is bit `b` of word `w`): a golden
+    /// checkpoint.
+    fn pack_lane0(&self, state: &SimState, out: &mut Vec<u64>) {
+        for group in self.ffs.chunks(64) {
+            let word = group
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (b, &slot)| w | (state.values[slot as usize] & 1) << b);
+            out.push(word);
+        }
+    }
+
     /// Flips flip-flop `ff` in exactly one lane — the SEU bit-flip
     /// primitive of the whole toolkit.
     ///
@@ -386,7 +425,7 @@ impl CompiledSim {
         // Checkpoints are stored bit-packed, one after the other.
         let words = self.num_ffs().div_ceil(64);
         let mut checkpoints = Vec::with_capacity((tb.num_cycles() / k + 1) * words);
-        checkpoints.extend(pack_bits(&self.state_lane(&state, 0)));
+        self.pack_lane0(&state, &mut checkpoints);
         for (t, vector) in tb.iter().enumerate() {
             self.set_inputs(&mut state, vector);
             self.eval(&mut state);
@@ -394,12 +433,80 @@ impl CompiledSim {
             if (t + 1) % k == 0 {
                 // At the bench end the final state doubles as the last
                 // checkpoint.
-                checkpoints.extend(pack_bits(&self.state_lane(&state, 0)));
+                self.pack_lane0(&state, &mut checkpoints);
             }
         }
-        let final_state = self.state_lane(&state, 0);
-        GoldenTrace::new(self.num_outputs(), tb.num_cycles(), k, checkpoints, final_state)
+        let mut final_state = Vec::with_capacity(words);
+        self.pack_lane0(&state, &mut final_state);
+        GoldenTrace::new(
+            self.num_outputs(),
+            tb.num_cycles(),
+            k,
+            self.num_ffs(),
+            checkpoints,
+            final_state,
+        )
     }
+}
+
+/// The latch order of [`CompiledSim::step`] for flip-flops with output
+/// slots `ffs` and data slots `ff_d`: the in-place `(Q, D)` pairs, then
+/// the rings of direct `Q → D` wires (flattened slots and ring ends).
+///
+/// Each flip-flop reads at most one other flip-flop directly (its `D`
+/// may be that flip-flop's `Q`), so the read relation is a functional
+/// graph: trees hanging into rings. Kahn's algorithm over it emits
+/// every reader before the flip-flop it reads, which makes the
+/// in-place pass exact; what it never emits lies on a ring. A
+/// self-loop holds its value and needs no latch at all.
+fn latch_order(
+    ffs: &[u32],
+    ff_d: &[u32],
+    ff_of_slot: &[u32],
+) -> (Vec<(u32, u32)>, Vec<u32>, Vec<u32>) {
+    let n = ffs.len();
+    // The flip-flop read directly by flip-flop `i`, self-loops excluded.
+    let reads = |i: usize| {
+        let j = ff_of_slot[ff_d[i] as usize];
+        (j != u32::MAX && j as usize != i).then_some(j as usize)
+    };
+    let mut readers = vec![0u32; n];
+    for i in 0..n {
+        if let Some(j) = reads(i) {
+            readers[j] += 1;
+        }
+    }
+    let mut latch = Vec::with_capacity(n);
+    let mut ready: Vec<usize> = (0..n).filter(|&i| readers[i] == 0).collect();
+    let mut done = vec![false; n];
+    let mut next = 0;
+    while next < ready.len() {
+        let i = ready[next];
+        next += 1;
+        done[i] = true;
+        if ffs[i] != ff_d[i] {
+            latch.push((ffs[i], ff_d[i]));
+        }
+        if let Some(j) = reads(i) {
+            readers[j] -= 1;
+            if readers[j] == 0 {
+                ready.push(j);
+            }
+        }
+    }
+    let (mut ring_slots, mut ring_ends) = (Vec::new(), Vec::new());
+    for first in 0..n {
+        let mut i = first;
+        while !done[i] {
+            done[i] = true;
+            ring_slots.push(ffs[i]);
+            i = reads(i).expect("a flip-flop left over by Kahn's algorithm lies on a ring");
+        }
+        if ring_ends.last().map_or(0, |&e| e as usize) < ring_slots.len() {
+            ring_ends.push(ring_slots.len() as u32);
+        }
+    }
+    (latch, ring_slots, ring_ends)
 }
 
 #[cfg(test)]

@@ -356,6 +356,16 @@ impl BitCache {
         hit
     }
 
+    /// Drops the cached spans and look-ahead seeds that end at or
+    /// before cycle `t`: once a forward walk's next injection is at `t`,
+    /// no later chunk reads them.
+    pub fn forget_before(&mut self, t: usize) {
+        self.locked(|store| {
+            store.spans.retain(|(key, _)| key.1 > t);
+            store.seeds.retain(|(key, _)| key.1 > t);
+        });
+    }
+
     /// Spans currently held by the store.
     #[cfg(test)]
     fn held(&mut self) -> usize {
@@ -531,9 +541,19 @@ impl CompiledSim {
                 }
             }
         }
+        // Output deviations, from whichever list is shorter: the deviant
+        // slots (through the is-output bitset) or the outputs.
         let mut out_diff = 0u64;
-        for &o in &self.outputs {
-            out_diff |= dev[o as usize];
+        if touched.len() < self.outputs.len() {
+            for &slot in touched.iter() {
+                if self.is_output[slot as usize / 64] >> (slot % 64) & 1 == 1 {
+                    out_diff |= dev[slot as usize];
+                }
+            }
+        } else {
+            for &o in &self.outputs {
+                out_diff |= dev[o as usize];
+            }
         }
         // Dev-space flip-flop step, two-phase: sample every deviant `D`,
         // clear the old deviations, then write the new `Q` deviations.
@@ -1304,6 +1324,27 @@ mod tests {
         assert_eq!(cache.replay_steps(), 64 + 3 * 8);
         assert_eq!(cache.replayed_cycles(), 1024);
         assert_eq!(cache.seeded(), 0, "every seed was used");
+    }
+
+    #[test]
+    fn forgetting_drops_only_what_lies_behind_the_cursor() {
+        let live = ring_of(130);
+        let policy = TracePolicy::Checkpoint(64);
+        let mut cache = walk_all(&live, policy, 1024, BitCache::new(8));
+        // The walk ends with spans 8..16 cached (each 64 cycles).
+        assert_eq!(cache.held(), 8);
+        cache.forget_before(12 * 64);
+        assert_eq!(cache.held(), 4, "spans ending at or before cycle 768 are gone");
+        let sim = crate::CompiledSim::new(&live);
+        let tb = Testbench::random(live.num_inputs(), 1024, 17);
+        let trace = sim.run_golden_with(&tb, policy);
+        let misses = cache.misses();
+        for t in [12 * 64, 1023] {
+            let _ = trace.bit_span_cached(&sim, &tb, t, &mut cache);
+        }
+        assert_eq!(cache.misses(), misses, "spans ahead stay cached");
+        cache.forget_before(usize::MAX);
+        assert_eq!((cache.held(), cache.seeded()), (0, 0));
     }
 
     #[test]

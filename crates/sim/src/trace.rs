@@ -78,14 +78,15 @@ pub struct GoldenTrace {
     num_outputs: usize,
     num_cycles: usize,
     interval: usize,
+    num_ffs: usize,
     /// Checkpoint `i` = flip-flop vector at the start of cycle `i * K`,
     /// bit-packed (flip-flop `64w + b` is bit `b` of word `w`, the
     /// format of the span store's look-ahead seeds), stored one after
     /// the other, `ceil(FFs / 64)` words each.
     checkpoints: Vec<u64>,
-    /// The end-of-run state (needed by convergence checks at the final
-    /// cycle and by [`final_state`](Self::final_state)).
-    final_state: Vec<bool>,
+    /// The end-of-run state, bit-packed like a checkpoint (read through
+    /// [`final_state`](Self::final_state)).
+    final_state: Vec<u64>,
 }
 
 /// A contiguous span of golden values: outputs for cycles `start..end`
@@ -162,16 +163,19 @@ impl GoldenTrace {
         num_outputs: usize,
         num_cycles: usize,
         interval: usize,
+        num_ffs: usize,
         checkpoints: Vec<u64>,
-        final_state: Vec<bool>,
+        final_state: Vec<u64>,
     ) -> Self {
         assert!(interval >= 1, "checkpoint interval must be at least 1");
+        let words = num_ffs.div_ceil(64);
         assert_eq!(
             checkpoints.len(),
-            (num_cycles / interval + 1) * final_state.len().div_ceil(64),
+            (num_cycles / interval + 1) * words,
             "checkpoint count mismatch"
         );
-        GoldenTrace { num_outputs, num_cycles, interval, checkpoints, final_state }
+        assert_eq!(final_state.len(), words, "final state width");
+        GoldenTrace { num_outputs, num_cycles, interval, num_ffs, checkpoints, final_state }
     }
 
     /// Number of test-bench cycles in the trace.
@@ -189,7 +193,7 @@ impl GoldenTrace {
     /// Number of flip-flops.
     #[must_use]
     pub fn num_ffs(&self) -> usize {
-        self.final_state.len()
+        self.num_ffs
     }
 
     /// The storage policy this trace was captured under.
@@ -198,10 +202,10 @@ impl GoldenTrace {
         TracePolicy::Checkpoint(self.interval)
     }
 
-    /// The state after the last cycle.
+    /// The state after the last cycle, one `bool` per flip-flop.
     #[must_use]
-    pub fn final_state(&self) -> &[bool] {
-        &self.final_state
+    pub fn final_state(&self) -> Vec<bool> {
+        (0..self.num_ffs).map(|i| self.final_state[i / 64] >> (i % 64) & 1 == 1).collect()
     }
 
     /// A simulation state holding the golden machine at the start of
@@ -283,14 +287,6 @@ impl GoldenTrace {
     pub fn stored_bits(&self) -> u64 {
         ((self.num_cycles / self.interval + 2) * self.num_ffs()) as u64
     }
-}
-
-/// Packs `bits` into `u64` words, bit `i` at bit `i % 64` of word
-/// `i / 64`.
-pub(crate) fn pack_bits(bits: &[bool]) -> Vec<u64> {
-    bits.chunks(64)
-        .map(|c| c.iter().rev().fold(0, |w, &b| w << 1 | u64::from(b)))
-        .collect()
 }
 
 impl fmt::Debug for GoldenTrace {

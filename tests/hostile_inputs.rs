@@ -417,6 +417,57 @@ fn rejected_checkpoint_resumes_nothing() {
     assert!(matches!(err, EngineError::Resume(ResumeError::Corrupt { line: 1, .. })), "{err}");
 }
 
+/// `resume` without a checkpoint path is a typed error from both the
+/// one-shot entry point and a kept campaign state, not a panic.
+#[test]
+fn resume_without_a_checkpoint_path_is_a_typed_error() {
+    let circuit = generators::lfsr(8, &[7, 5, 4, 3]);
+    let tb = Testbench::random(circuit.num_inputs(), 24, 5);
+    let plan = sampled_plan(&circuit, &tb);
+    let engine = Engine::new(&plan);
+    let opts = ResumeOptions { resume: true, ..ResumeOptions::default() };
+    let err = resumable(&engine, &plan, &opts).expect_err("nothing to resume from");
+    assert_eq!(err, EngineError::ResumeWithoutCheckpoint);
+    assert!(err.to_string().contains("checkpoint path"), "{err}");
+    let err = CampaignState::<StreamAccumulator>::new(&engine, &plan, &opts)
+        .expect_err("nothing to resume from");
+    assert_eq!(err, EngineError::ResumeWithoutCheckpoint);
+}
+
+/// A `.bench` chain of `gates` one-input `gate`s behind one input, its
+/// statements in file order or reversed (every gate then reads a net
+/// defined further down).
+fn chain(gate: &str, gates: usize, reversed: bool) -> String {
+    let mut lines: Vec<String> =
+        (1..=gates).map(|i| format!("n{i} = {gate}(n{})", i - 1)).collect();
+    if reversed {
+        lines.reverse();
+    }
+    format!("INPUT(n0)\nOUTPUT(n{gates})\n{}\n", lines.join("\n"))
+}
+
+/// Statement order changes neither the imported netlist nor, beyond a
+/// constant factor, the import's cost: a reverse-ordered chain of 60k
+/// gates (every gate a forward reference) imports to its
+/// forward-ordered twin in well under the minutes a quadratic lowering
+/// takes. A chain of buffers, which the buffer sweep removes whole,
+/// must not be quadratic either.
+#[test]
+fn reverse_ordered_chain_imports_like_its_forward_twin() {
+    let gates = 60_000;
+    for gate in ["NOT", "BUFF"] {
+        let forward = import::import_str(&chain(gate, gates, false), SourceFormat::Bench)
+            .expect("forward chain imports");
+        let start = std::time::Instant::now();
+        let reversed = import::import_str(&chain(gate, gates, true), SourceFormat::Bench)
+            .expect("reversed chain imports");
+        let took = start.elapsed();
+        assert_eq!(reversed.netlist, forward.netlist, "{gate}");
+        assert_eq!(reversed.stats, forward.stats, "{gate}");
+        assert!(took.as_secs() < 20, "reverse-ordered {gate} chain took {took:?}");
+    }
+}
+
 /// The lfsr8 circuit, its test bench, and a per-test checkpoint path.
 fn lfsr8_campaign(tag: &str) -> (Netlist, Testbench, std::path::PathBuf) {
     let circuit = generators::lfsr(8, &[7, 5, 4, 3]);

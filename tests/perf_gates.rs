@@ -20,6 +20,7 @@
 use std::time::Instant;
 
 use seugrade::prelude::*;
+use seugrade_netlist::bench;
 
 /// Test-bench length of every gate.
 const VECTORS: usize = 512;
@@ -81,6 +82,7 @@ fn perf_gates() {
         alias_gate(&circuit, &tb),
         fold_gate(),
         rounds_gate(),
+        setup_gate(),
     ]
     .into_iter()
     .flatten()
@@ -268,4 +270,94 @@ fn rounds_gate() -> Option<String> {
             one_shot * 1e3
         )
     })
+}
+
+/// A `.bench` chain of `gates` inverters behind one input, its
+/// statements in file order or reversed (every gate then reads a net
+/// defined further down).
+fn inverter_chain(gates: usize, reversed: bool) -> String {
+    let mut lines: Vec<String> = (1..=gates).map(|i| format!("n{i} = NOT(n{})", i - 1)).collect();
+    if reversed {
+        lines.reverse();
+    }
+    format!("INPUT(n0)\nOUTPUT(n{gates})\n{}\n", lines.join("\n"))
+}
+
+/// The set-up before the first verdict must stay a small share of the
+/// work, layer by layer, on same-process ratios:
+///
+/// - golden run: one register latch (`step`) of s38417g at most 0.6x
+///   one tape pass (`eval`). The two-phase whole-register latch read
+///   0.92-0.97x; the in-place latch about 0.45x.
+/// - import: a reverse-ordered 20k-gate `.bench` chain at most 2x its
+///   forward-ordered twin. The fixpoint sweep read about 400x; the
+///   dependency worklist about 1x.
+/// - import: `import_str` of s38417g's `.bench` at most 3.5x
+///   `registry::build` of the same circuit. It read 4.5-7x before the
+///   one-pass `.bench` parser and the worklist lowering.
+fn setup_gate() -> Option<String> {
+    let mut failures = Vec::new();
+    let circuit = registry::build("s38417g").expect("registered");
+    let sim = CompiledSim::new(&circuit);
+    let (mut latched, mut evaluated) = (sim.new_state(), sim.new_state());
+    // 100 passes per sample; the two sides share no verdict to compare.
+    let (step, eval) = interleaved_runs(
+        [
+            &mut || {
+                (0..100).for_each(|_| sim.step(&mut latched));
+                (0, 0)
+            },
+            &mut || {
+                (0..100).for_each(|_| sim.eval(&mut evaluated));
+                (0, 0)
+            },
+        ],
+        15,
+    );
+    let ratio = step / eval;
+    println!("s38417g: step {:.2} us, eval {:.2} us, x{ratio:.2}", step * 1e4, eval * 1e4);
+    if ratio > 0.6 {
+        failures.push(format!("step took more than 0.6x eval: x{ratio:.2}"));
+    }
+
+    let (forward, reversed) = (inverter_chain(20_000, false), inverter_chain(20_000, true));
+    let import = |src: &str| {
+        let netlist = import::import_str(src, SourceFormat::Bench).unwrap().netlist;
+        (netlist.num_cells() as u64, netlist.num_gates())
+    };
+    let (rev, fwd) = interleaved_runs([&mut || import(&reversed), &mut || import(&forward)], 9);
+    let ratio = rev / fwd;
+    println!(
+        "20k-gate chain import: reversed {:.2} ms, forward {:.2} ms, x{ratio:.2}",
+        rev * 1e3,
+        fwd * 1e3
+    );
+    if ratio > 2.0 {
+        failures.push(format!("reverse-ordered import took more than 2x forward: x{ratio:.2}"));
+    }
+
+    let text = bench::emit(&circuit);
+    let (imported, built) = interleaved_runs(
+        [
+            &mut || {
+                let netlist = import::import_str(&text, SourceFormat::Bench).unwrap().netlist;
+                (netlist.num_ffs() as u64, netlist.num_inputs())
+            },
+            &mut || {
+                let netlist = registry::build("s38417g").expect("registered");
+                (netlist.num_ffs() as u64, netlist.num_inputs())
+            },
+        ],
+        9,
+    );
+    let ratio = imported / built;
+    println!(
+        "s38417g: import_str {:.2} ms, registry::build {:.2} ms, x{ratio:.2}",
+        imported * 1e3,
+        built * 1e3
+    );
+    if ratio > 3.5 {
+        failures.push(format!("import took more than 3.5x registry::build: x{ratio:.2}"));
+    }
+    (!failures.is_empty()).then(|| failures.join("\n"))
 }
