@@ -189,19 +189,14 @@ impl<'a> ChunkPlan<'a> {
     }
 
     /// The injection cycle of chunk `i`'s first fault, `None` past the
-    /// last chunk.
+    /// last chunk. Only an ordered plan walks forward, so only an
+    /// ordered plan is asked.
     pub(crate) fn first_cycle(&self, i: usize) -> Option<usize> {
-        if i >= self.num_chunks() {
-            return None;
-        }
-        Some(match self {
-            ChunkPlan::Exhaustive { num_cycles, per_cycle, .. } => {
-                Self::exhaustive_origin(*num_cycles, *per_cycle, i).0
-            }
-            ChunkPlan::Ordered { faults, order } => {
-                faults[order[self.faults_before(i)] as usize].cycle as usize
-            }
-        })
+        let ChunkPlan::Ordered { faults, order } = self else {
+            unreachable!("only ordered plans walk forward")
+        };
+        (i < self.num_chunks())
+            .then(|| faults[order[self.faults_before(i)] as usize].cycle as usize)
     }
 
     /// Writes chunk `i`'s faults, sorted by injection cycle, into `buf`.

@@ -51,7 +51,7 @@
 //! # Ok::<(), seugrade_netlist::NetlistError>(())
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::ident::EmitNames;
 use crate::import::{lower, Lowering, Stmt, Stmts};
@@ -167,29 +167,36 @@ fn call<'a>(
     Ok((head, start))
 }
 
-/// `.bench` gate keywords (case-insensitive) and their IR gate kinds.
-const GATES: [(&str, GateKind); 11] = [
-    ("AND", GateKind::And),
-    ("OR", GateKind::Or),
-    ("NAND", GateKind::Nand),
-    ("NOR", GateKind::Nor),
-    ("XOR", GateKind::Xor),
-    ("XNOR", GateKind::Xnor),
-    ("NOT", GateKind::Not),
-    ("INV", GateKind::Not),
-    ("BUF", GateKind::Buf),
-    ("BUFF", GateKind::Buf),
-    ("MUX", GateKind::Mux),
-];
-
-/// Maps a `.bench` gate keyword to the IR gate kind.
-fn gate_kind(name: &str) -> Option<GateKind> {
-    GATES.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|&(_, kind)| kind)
+/// What a `.bench` function keyword defines.
+#[derive(Clone, Copy)]
+enum Func {
+    Dff,
+    Const(bool),
+    Gate(GateKind),
 }
 
-/// Whether `word` is one of `keywords`, ignoring ASCII case.
-fn is_any(word: &str, keywords: &[&str]) -> bool {
-    keywords.iter().any(|k| k.eq_ignore_ascii_case(word))
+/// Maps a `.bench` function keyword (case-insensitive) to what it
+/// defines.
+fn func(name: &str) -> Option<Func> {
+    let mut upper = [0u8; 6];
+    let word = upper.get_mut(..name.len())?;
+    word.copy_from_slice(name.as_bytes());
+    word.make_ascii_uppercase();
+    Some(match &*word {
+        b"DFF" | b"FF" => Func::Dff,
+        b"CONST0" | b"GND" => Func::Const(false),
+        b"CONST1" | b"VCC" => Func::Const(true),
+        b"AND" => Func::Gate(GateKind::And),
+        b"OR" => Func::Gate(GateKind::Or),
+        b"NAND" => Func::Gate(GateKind::Nand),
+        b"NOR" => Func::Gate(GateKind::Nor),
+        b"XOR" => Func::Gate(GateKind::Xor),
+        b"XNOR" => Func::Gate(GateKind::Xnor),
+        b"NOT" | b"INV" => Func::Gate(GateKind::Not),
+        b"BUF" | b"BUFF" => Func::Gate(GateKind::Buf),
+        b"MUX" => Func::Gate(GateKind::Mux),
+        _ => return None,
+    })
 }
 
 /// Parses ISCAS `.bench` text into a validated [`Netlist`].
@@ -217,31 +224,34 @@ pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
 /// shared lowering against a reference one through here.
 pub(crate) fn parse_with(src: &str, lower: Lowering) -> Result<Netlist, NetlistError> {
     let mut stmts = Stmts::default();
-    // `#@ init <net> <0|1>` assigns a DFF's power-on value: net →
-    // (pragma line, value).
-    let mut inits: HashMap<&str, (usize, bool)> = HashMap::new();
+    // Nets named by `#@ init <net> <0|1>` pragmas; the lowering sets
+    // each one's power-on value once names resolve.
+    let mut pragma_nets: HashSet<&str> = HashSet::new();
     // The first malformed statement; later lines are still scanned for
     // pragmas, whose errors come first.
     let mut bad_stmt = None;
-    for (lineno, raw) in src.lines().enumerate() {
+    for (lineno, (raw, hash)) in lines(src).enumerate() {
         let line = lineno + 1;
         // `#` starts a comment; the pragma may stand alone or trail a
         // statement (`q = DFF(nx) #@ init q 1`), and is recognized
         // whenever the line's *first* `#` is immediately followed by
         // `@`. Any statement before it still parses.
-        let (text, comment) = match raw.find('#') {
-            Some(hash) => (&raw[..hash], Some(&raw[hash + 1..])),
-            None => (raw, None),
-        };
-        if let Some(rest) = comment.and_then(|c| c.strip_prefix('@')) {
-            let (net, value) = pragma(rest, line)?;
-            if inits.insert(net, (line, value)).is_some() {
-                return Err(NetlistError::Parse {
-                    line,
-                    msg: format!("duplicate init pragma for `{net}`"),
-                });
+        let text = match hash {
+            Some(hash) => {
+                if let Some(rest) = raw[hash + 1..].strip_prefix('@') {
+                    let (net, value) = pragma(rest, line)?;
+                    if !pragma_nets.insert(net) {
+                        return Err(NetlistError::Parse {
+                            line,
+                            msg: format!("duplicate init pragma for `{net}`"),
+                        });
+                    }
+                    stmts.inits.push((line, net, value));
+                }
+                &raw[..hash]
             }
-        }
+            None => raw,
+        };
         let text = text.trim();
         if bad_stmt.is_none() && !text.is_empty() {
             bad_stmt = statement(text, line, &mut stmts).err();
@@ -250,26 +260,36 @@ pub(crate) fn parse_with(src: &str, lower: Lowering) -> Result<Netlist, NetlistE
     if let Some(e) = bad_stmt {
         return Err(e);
     }
+    lower("bench".to_owned(), &stmts)
+}
 
-    // Patch pragma inits into their DFF statements; a pragma that names
-    // no DFF is an error (most likely a typo in the net name).
-    if !inits.is_empty() {
-        for (_, stmt) in &mut stmts.list {
-            if let Stmt::Dff { net, init, .. } = stmt {
-                if let Some((_, value)) = inits.remove(net) {
-                    *init = value;
-                }
+/// The lines of `src` as [`str::lines`] splits them, each with the
+/// position of its first `#`, in one scan over the bytes.
+fn lines(src: &str) -> impl Iterator<Item = (&str, Option<usize>)> {
+    let bytes = src.as_bytes();
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        if pos == bytes.len() {
+            return None;
+        }
+        let start = pos;
+        let mut hash = None;
+        while pos < bytes.len() && bytes[pos] != b'\n' {
+            if bytes[pos] == b'#' && hash.is_none() {
+                hash = Some(pos - start);
+            }
+            pos += 1;
+        }
+        let mut end = pos;
+        // A line ends at `\n` or `\r\n`; a final line may end at neither.
+        if pos < bytes.len() {
+            pos += 1;
+            if end > start && bytes[end - 1] == b'\r' {
+                end -= 1;
             }
         }
-        if let Some((net, (line, _))) = inits.into_iter().min_by_key(|(_, (line, _))| *line) {
-            return Err(NetlistError::Parse {
-                line,
-                msg: format!("init pragma names `{net}`, which is not a DFF"),
-            });
-        }
-    }
-
-    lower("bench".to_owned(), &stmts)
+        Some((&src[start..end], hash))
+    })
 }
 
 /// Parses the body of a `#@` pragma (the text after `#@`) on line
@@ -324,37 +344,40 @@ fn statement<'a>(text: &'a str, line: usize, stmts: &mut Stmts<'a>) -> Result<()
     if net.is_empty() || net.contains(char::is_whitespace) {
         return Err(err(format!("expected a single net name before `=` in `{text}`")));
     }
-    let (func, at) = call(text[eq + 1..].trim(), line, &mut stmts.pins)?;
+    let (name, at) = call(text[eq + 1..].trim(), line, &mut stmts.pins)?;
     let args = stmts.pins.len() - at;
-    if is_any(func, &["DFF", "FF"]) {
-        if args != 1 {
-            return Err(err(format!("DFF takes exactly one input, got {args}")));
+    match func(name) {
+        Some(Func::Dff) => {
+            if args != 1 {
+                return Err(err(format!("DFF takes exactly one input, got {args}")));
+            }
+            let d = stmts.pins[at];
+            stmts.pins.truncate(at);
+            // `#@ init` pragmas set the power-on value in the lowering.
+            stmts.push(line, Stmt::Dff { net, init: false, d });
         }
-        let d = stmts.pins[at];
-        stmts.pins.truncate(at);
-        // Init patched once pragmas are matched.
-        stmts.push(line, Stmt::Dff { net, init: false, d });
-    } else if is_any(func, &["CONST0", "GND", "CONST1", "VCC"]) {
-        if args != 0 {
-            return Err(err(format!("{} takes no arguments", func.to_ascii_uppercase())));
+        Some(Func::Const(value)) => {
+            if args != 0 {
+                return Err(err(format!("{} takes no arguments", name.to_ascii_uppercase())));
+            }
+            stmts.push(line, Stmt::Const { net, value });
         }
-        let value = is_any(func, &["CONST1", "VCC"]);
-        stmts.push(line, Stmt::Const { net, value });
-    } else {
-        let kind = gate_kind(func).ok_or_else(|| err(format!("unknown gate function `{func}`")))?;
-        if args == 0 {
-            return Err(err(format!("gate `{func}` needs at least one input")));
+        Some(Func::Gate(kind)) => {
+            if args == 0 {
+                return Err(err(format!("gate `{name}` needs at least one input")));
+            }
+            let (min, max) = kind.arity();
+            // Some suites write degenerate 1-input AND/OR/... gates; the
+            // builder collapses those to buffers. MUX gets no such
+            // exemption — a 1-input MUX is a truncated line, not a
+            // convention.
+            let collapsible = min == 2 && args == 1;
+            if args > max || (args < min && !collapsible) {
+                return Err(err(format!("gate `{name}` given {args} inputs")));
+            }
+            stmts.push(line, Stmt::Gate { kind, net, pins: at..stmts.pins.len() });
         }
-        let (min, max) = kind.arity();
-        // Some suites write degenerate 1-input AND/OR/... gates; the
-        // builder collapses those to buffers. MUX gets no such
-        // exemption — a 1-input MUX is a truncated line, not a
-        // convention.
-        let collapsible = min == 2 && args == 1;
-        if args > max || (args < min && !collapsible) {
-            return Err(err(format!("gate `{func}` given {args} inputs")));
-        }
-        stmts.push(line, Stmt::Gate { kind, net, pins: at..stmts.pins.len() });
+        None => return Err(err(format!("unknown gate function `{name}`"))),
     }
     Ok(())
 }
@@ -425,6 +448,17 @@ nx = XOR(a, q)  # plain trailing comment
         let src = "INPUT(a)\nOUTPUT(q)\nq = DFF(a) # note #@ init q 1\n";
         let n = parse(src).unwrap();
         assert_eq!(n.ff_init_values(), vec![false]);
+    }
+
+    #[test]
+    fn lines_split_like_str_lines() {
+        for src in
+            ["", "\n", "a\nb", "a\r\nb\r\n", "a\rb\r", "\r", "x # y\n#\n\n q#@ init q 1 # z\r\n"]
+        {
+            let ours: Vec<(&str, Option<usize>)> = lines(src).collect();
+            let std: Vec<(&str, Option<usize>)> = src.lines().map(|l| (l, l.find('#'))).collect();
+            assert_eq!(ours, std, "{src:?}");
+        }
     }
 
     #[test]

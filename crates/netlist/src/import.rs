@@ -14,8 +14,9 @@
 //!    source line numbers;
 //! 2. declares inputs, constants and flip-flops so forward references
 //!    resolve;
-//! 3. materializes gates to a fixpoint (any statement order is accepted)
-//!    and reports never-defined nets as [`NetlistError::UnknownNet`];
+//! 3. orders gates by a dependency worklist (any statement order is
+//!    accepted, at the same cost) and reports never-defined nets as
+//!    [`NetlistError::UnknownNet`];
 //! 4. closes sequential loops and validates the result through
 //!    [`NetlistBuilder::finish`] (dangling signals, levelization /
 //!    combinational-cycle check, flip-flop connectivity).
@@ -104,9 +105,13 @@ pub(crate) enum Stmt<'a> {
 #[derive(Debug, Default)]
 pub(crate) struct Stmts<'a> {
     pub(crate) list: Vec<(usize, Stmt<'a>)>,
-    /// Gate pin names, one gate's after the other; a frontend may also
-    /// stage a statement's arguments at the end and truncate them away.
+    /// Gate pin names; each gate reads its own range. A frontend may
+    /// also stage a statement's arguments at the end and truncate them
+    /// away.
     pub(crate) pins: Vec<&'a str>,
+    /// Power-on values set by flip-flop name (`.bench`'s `#@ init`
+    /// pragma) as `(line, net, value)`, in file order, one per net.
+    pub(crate) inits: Vec<(usize, &'a str, bool)>,
 }
 
 impl<'a> Stmts<'a> {
@@ -148,7 +153,9 @@ type StmtIx = u32;
 /// pending gates in file order, round after round, and creates each
 /// one as soon as its pins exist: by that sweep's round, then by file
 /// position. Statement order therefore changes neither the netlist nor
-/// the cost of building it.
+/// the cost of building it. Power-on values set by name
+/// ([`Stmts::inits`]) are matched to their flip-flops through the same
+/// name table.
 pub(crate) fn lower(model_name: String, stmts: &Stmts<'_>) -> Result<Netlist, NetlistError> {
     let list = &stmts.list;
     // The one name table: net name → its defining statement. Keyed by
@@ -174,34 +181,39 @@ pub(crate) fn lower(model_name: String, stmts: &Stmts<'_>) -> Result<Netlist, Ne
     }
     drop(out_ports);
 
-    // Resolve every name read to its defining statement: gate pins
-    // into `pin_def` (parallel to the pin pool), flip-flop data pins
-    // and output nets into `net_def`, in file order, `UNDEFINED` when
-    // no statement defines them. The first gate in file order that
-    // reads a never-defined net is the error; a flip-flop or output
-    // that does is reported after the gates are ordered.
+    // Power-on values set by name, in statement order; each must name
+    // a flip-flop (anything else is most likely a typo in the name).
+    let mut inits: Vec<(StmtIx, bool)> = Vec::with_capacity(stmts.inits.len());
+    for &(line, net, value) in &stmts.inits {
+        match defs.get(net) {
+            Some(&d) if matches!(list[d as usize].1, Stmt::Dff { .. }) => inits.push((d, value)),
+            _ => {
+                return Err(NetlistError::Parse {
+                    line,
+                    msg: format!("init pragma names `{net}`, which is not a DFF"),
+                })
+            }
+        }
+    }
+    inits.sort_unstable();
+
+    // Resolve every name read to its defining statement, `UNDEFINED`
+    // when no statement defines it: the pin pool into `pin_def` (entry
+    // for entry), flip-flop data pins and output nets into `net_def`,
+    // in file order. The first gate in file order that reads a
+    // never-defined net is the error; a flip-flop or output that does
+    // is reported after the gates are ordered.
     const UNDEFINED: StmtIx = StmtIx::MAX;
-    let mut pin_def: Vec<StmtIx> = Vec::with_capacity(stmts.pins.len());
+    let resolve = |net: &str| defs.get(net).copied().unwrap_or(UNDEFINED);
+    let pin_def: Vec<StmtIx> = stmts.pins.iter().map(|p| resolve(p)).collect();
     let mut net_def: Vec<StmtIx> = Vec::new();
-    for (line, stmt) in list {
-        match stmt {
-            Stmt::Gate { pins, .. } => {
-                for &p in &stmts.pins[pins.clone()] {
-                    let &d = defs.get(p).ok_or_else(|| NetlistError::UnknownNet {
-                        line: *line,
-                        name: p.to_owned(),
-                    })?;
-                    pin_def.push(d);
-                }
-            }
-            Stmt::Dff { d: net, .. } | Stmt::Output { net, .. } => {
-                net_def.push(defs.get(net).copied().unwrap_or(UNDEFINED));
-            }
-            Stmt::Input { .. } | Stmt::Const { .. } => {}
+    for (_, stmt) in list {
+        if let Stmt::Dff { d: net, .. } | Stmt::Output { net, .. } = stmt {
+            net_def.push(resolve(net));
         }
     }
     drop(defs);
-    let is_gate = |d: StmtIx| matches!(list[d as usize].1, Stmt::Gate { .. });
+    let gate: Vec<bool> = list.iter().map(|(_, s)| matches!(s, Stmt::Gate { .. })).collect();
     let gate_pins = |i: usize| match &list[i].1 {
         Stmt::Gate { pins, .. } => pins.clone(),
         _ => 0..0,
@@ -214,8 +226,13 @@ pub(crate) fn lower(model_name: String, stmts: &Stmts<'_>) -> Result<Netlist, Ne
     let mut readers_start: Vec<StmtIx> = vec![0; n + 1];
     let mut waiting: Vec<StmtIx> = vec![0; n];
     for g in 0..n {
-        for &d in &pin_def[gate_pins(g)] {
-            if is_gate(d) {
+        for k in gate_pins(g) {
+            let d = pin_def[k];
+            if d == UNDEFINED {
+                let (line, name) = (list[g].0, stmts.pins[k].to_owned());
+                return Err(NetlistError::UnknownNet { line, name });
+            }
+            if gate[d as usize] {
                 readers_start[d as usize] += 1;
                 waiting[g] += 1;
             }
@@ -229,7 +246,7 @@ pub(crate) fn lower(model_name: String, stmts: &Stmts<'_>) -> Result<Netlist, Ne
     let mut readers: Vec<StmtIx> = vec![0; total as usize];
     for g in (0..n).rev() {
         for &d in pin_def[gate_pins(g)].iter().rev() {
-            if is_gate(d) {
+            if gate[d as usize] {
                 readers_start[d as usize] -= 1;
                 readers[readers_start[d as usize] as usize] = g as StmtIx;
             }
@@ -241,7 +258,7 @@ pub(crate) fn lower(model_name: String, stmts: &Stmts<'_>) -> Result<Netlist, Ne
     // down the file, which a file-order sweep reaches only in the next
     // round.
     let mut ready: Vec<StmtIx> =
-        (0..n).filter(|&g| waiting[g] == 0 && is_gate(g as StmtIx)).map(|g| g as StmtIx).collect();
+        (0..n).filter(|&g| waiting[g] == 0 && gate[g]).map(|g| g as StmtIx).collect();
     let mut round: Vec<StmtIx> = vec![1; n];
     let mut next = 0;
     while next < ready.len() {
@@ -256,7 +273,7 @@ pub(crate) fn lower(model_name: String, stmts: &Stmts<'_>) -> Result<Netlist, Ne
             }
         }
     }
-    let num_gates = list.iter().filter(|(_, s)| matches!(s, Stmt::Gate { .. })).count();
+    let num_gates = gate.iter().filter(|&&g| g).count();
     if ready.len() < num_gates {
         // Every name exists but these gates never became ready: a
         // combinational loop. The cells were never created, so report
@@ -276,7 +293,7 @@ pub(crate) fn lower(model_name: String, stmts: &Stmts<'_>) -> Result<Netlist, Ne
         round_start[r + 1] += round_start[r];
     }
     let mut order: Vec<StmtIx> = vec![0; ready.len()];
-    for g in (0..n).filter(|&g| is_gate(g as StmtIx)) {
+    for g in (0..n).filter(|&g| gate[g]) {
         let at = &mut round_start[round[g] as usize];
         order[*at as usize] = g as StmtIx;
         *at += 1;
@@ -288,13 +305,17 @@ pub(crate) fn lower(model_name: String, stmts: &Stmts<'_>) -> Result<Netlist, Ne
     // first, so forward references resolve (flip-flop outputs are the
     // sequential feedback points).
     let mut sig: Vec<SigId> = vec![SigId::INVALID; n];
+    let mut inits = inits.into_iter().peekable();
     for (i, (_, stmt)) in list.iter().enumerate() {
         sig[i] = match stmt {
             Stmt::Input { name } => b.input(*name),
             // Constants are deduplicated by the builder: several const
             // nets of the same value alias one cell.
             Stmt::Const { value, .. } => b.constant(*value),
-            Stmt::Dff { init, .. } => b.dff(*init),
+            Stmt::Dff { init, .. } => {
+                let set = inits.next_if(|&(d, _)| d as usize == i);
+                b.dff(set.map_or(*init, |(_, value)| value))
+            }
             Stmt::Gate { .. } | Stmt::Output { .. } => continue,
         };
     }
@@ -724,8 +745,9 @@ mod tests {
     /// reproduce its netlist cell for cell, and its errors.
     fn sweep_lower(model_name: String, stmts: &Stmts<'_>) -> Result<Netlist, NetlistError> {
         let list = &stmts.list;
+        let mut inits: HashMap<&str, bool> = HashMap::new();
         {
-            let mut defined: HashMap<&str, usize> = HashMap::new();
+            let mut defined: HashMap<&str, &Stmt<'_>> = HashMap::new();
             let mut out_ports: HashMap<&str, usize> = HashMap::new();
             for (line, stmt) in list {
                 let (twice, msg) = match stmt {
@@ -733,7 +755,7 @@ mod tests {
                     | Stmt::Const { net, .. }
                     | Stmt::Dff { net, .. }
                     | Stmt::Gate { net, .. } => {
-                        (defined.insert(net, *line).is_some(), format!("net `{net}` defined twice"))
+                        (defined.insert(net, stmt).is_some(), format!("net `{net}` defined twice"))
                     }
                     Stmt::Output { name, .. } => (
                         out_ports.insert(name, *line).is_some(),
@@ -743,6 +765,13 @@ mod tests {
                 if twice {
                     return Err(NetlistError::Parse { line: *line, msg });
                 }
+            }
+            for &(line, net, value) in &stmts.inits {
+                if !matches!(defined.get(net), Some(Stmt::Dff { .. })) {
+                    let msg = format!("init pragma names `{net}`, which is not a DFF");
+                    return Err(NetlistError::Parse { line, msg });
+                }
+                inits.insert(net, value);
             }
         }
         let mut b = NetlistBuilder::new(model_name);
@@ -756,7 +785,7 @@ mod tests {
                     nets.insert(net, b.constant(*value));
                 }
                 Stmt::Dff { net, init, .. } => {
-                    nets.insert(net, b.dff(*init));
+                    nets.insert(net, b.dff(inits.get(net).copied().unwrap_or(*init)));
                 }
                 _ => {}
             }

@@ -649,8 +649,11 @@ pub(crate) fn parse_with(src: &str, lower: Lowering) -> Result<Netlist, NetlistE
     // Assemble in lowering order: inputs (header order), body, outputs
     // (header order). Output ports observe their own net, as in
     // `.bench`.
-    let mut stmts =
-        Stmts { list: Vec::with_capacity(header.len() + body.list.len()), pins: body.pins };
+    let mut stmts = Stmts {
+        list: Vec::with_capacity(header.len() + body.list.len()),
+        pins: body.pins,
+        inits: Vec::new(),
+    };
     for (port, hline) in &header {
         if matches!(decls[port], (Decl::Input, _)) {
             stmts.push(*hline, Stmt::Input { name: port });

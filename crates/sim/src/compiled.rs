@@ -436,16 +436,8 @@ impl CompiledSim {
                 self.pack_lane0(&state, &mut checkpoints);
             }
         }
-        let mut final_state = Vec::with_capacity(words);
-        self.pack_lane0(&state, &mut final_state);
-        GoldenTrace::new(
-            self.num_outputs(),
-            tb.num_cycles(),
-            k,
-            self.num_ffs(),
-            checkpoints,
-            final_state,
-        )
+        let final_state = self.state_lane(&state, 0);
+        GoldenTrace::new(self.num_outputs(), tb.num_cycles(), k, checkpoints, final_state)
     }
 }
 

@@ -78,15 +78,14 @@ pub struct GoldenTrace {
     num_outputs: usize,
     num_cycles: usize,
     interval: usize,
-    num_ffs: usize,
     /// Checkpoint `i` = flip-flop vector at the start of cycle `i * K`,
     /// bit-packed (flip-flop `64w + b` is bit `b` of word `w`, the
     /// format of the span store's look-ahead seeds), stored one after
     /// the other, `ceil(FFs / 64)` words each.
     checkpoints: Vec<u64>,
-    /// The end-of-run state, bit-packed like a checkpoint (read through
-    /// [`final_state`](Self::final_state)).
-    final_state: Vec<u64>,
+    /// The end-of-run state (needed by convergence checks at the final
+    /// cycle and by [`final_state`](Self::final_state)).
+    final_state: Vec<bool>,
 }
 
 /// A contiguous span of golden values: outputs for cycles `start..end`
@@ -163,19 +162,16 @@ impl GoldenTrace {
         num_outputs: usize,
         num_cycles: usize,
         interval: usize,
-        num_ffs: usize,
         checkpoints: Vec<u64>,
-        final_state: Vec<u64>,
+        final_state: Vec<bool>,
     ) -> Self {
         assert!(interval >= 1, "checkpoint interval must be at least 1");
-        let words = num_ffs.div_ceil(64);
         assert_eq!(
             checkpoints.len(),
-            (num_cycles / interval + 1) * words,
+            (num_cycles / interval + 1) * final_state.len().div_ceil(64),
             "checkpoint count mismatch"
         );
-        assert_eq!(final_state.len(), words, "final state width");
-        GoldenTrace { num_outputs, num_cycles, interval, num_ffs, checkpoints, final_state }
+        GoldenTrace { num_outputs, num_cycles, interval, checkpoints, final_state }
     }
 
     /// Number of test-bench cycles in the trace.
@@ -193,7 +189,7 @@ impl GoldenTrace {
     /// Number of flip-flops.
     #[must_use]
     pub fn num_ffs(&self) -> usize {
-        self.num_ffs
+        self.final_state.len()
     }
 
     /// The storage policy this trace was captured under.
@@ -202,10 +198,10 @@ impl GoldenTrace {
         TracePolicy::Checkpoint(self.interval)
     }
 
-    /// The state after the last cycle, one `bool` per flip-flop.
+    /// The state after the last cycle.
     #[must_use]
-    pub fn final_state(&self) -> Vec<bool> {
-        (0..self.num_ffs).map(|i| self.final_state[i / 64] >> (i % 64) & 1 == 1).collect()
+    pub fn final_state(&self) -> &[bool] {
+        &self.final_state
     }
 
     /// A simulation state holding the golden machine at the start of

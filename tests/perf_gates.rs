@@ -20,7 +20,6 @@
 use std::time::Instant;
 
 use seugrade::prelude::*;
-use seugrade_netlist::bench;
 
 /// Test-bench length of every gate.
 const VECTORS: usize = 512;
@@ -292,9 +291,6 @@ fn inverter_chain(gates: usize, reversed: bool) -> String {
 /// - import: a reverse-ordered 20k-gate `.bench` chain at most 2x its
 ///   forward-ordered twin. The fixpoint sweep read about 400x; the
 ///   dependency worklist about 1x.
-/// - import: `import_str` of s38417g's `.bench` at most 3.5x
-///   `registry::build` of the same circuit. It read 4.5-7x before the
-///   one-pass `.bench` parser and the worklist lowering.
 fn setup_gate() -> Option<String> {
     let mut failures = Vec::new();
     let circuit = registry::build("s38417g").expect("registered");
@@ -336,28 +332,5 @@ fn setup_gate() -> Option<String> {
         failures.push(format!("reverse-ordered import took more than 2x forward: x{ratio:.2}"));
     }
 
-    let text = bench::emit(&circuit);
-    let (imported, built) = interleaved_runs(
-        [
-            &mut || {
-                let netlist = import::import_str(&text, SourceFormat::Bench).unwrap().netlist;
-                (netlist.num_ffs() as u64, netlist.num_inputs())
-            },
-            &mut || {
-                let netlist = registry::build("s38417g").expect("registered");
-                (netlist.num_ffs() as u64, netlist.num_inputs())
-            },
-        ],
-        9,
-    );
-    let ratio = imported / built;
-    println!(
-        "s38417g: import_str {:.2} ms, registry::build {:.2} ms, x{ratio:.2}",
-        imported * 1e3,
-        built * 1e3
-    );
-    if ratio > 3.5 {
-        failures.push(format!("import took more than 3.5x registry::build: x{ratio:.2}"));
-    }
     (!failures.is_empty()).then(|| failures.join("\n"))
 }
