@@ -75,7 +75,6 @@ struct Options {
     vectors: usize,
     seed: u64,
     trace_policy: TracePolicy,
-    collapse: Collapse,
     /// `--kernel auto|generic|differential`: the faulty-evaluation
     /// kernel workers grade with (a pure speed knob; verdicts and
     /// digests never change).
@@ -119,7 +118,6 @@ fn main() {
         vectors: 100,
         seed: 42,
         trace_policy: TracePolicy::default(),
-        collapse: Collapse::Early,
         kernel: Kernel::Auto,
         sample: None,
         checkpoint: None,
@@ -155,16 +153,6 @@ fn main() {
                 });
                 opts.trace_policy = TracePolicy::from_label(&v).unwrap_or_else(|| {
                     eprintln!("--trace-policy expects checkpoint:<K>, got `{v}`");
-                    std::process::exit(2);
-                });
-            }
-            "--collapse" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--collapse needs a value");
-                    std::process::exit(2);
-                });
-                opts.collapse = Collapse::from_label(&v).unwrap_or_else(|| {
-                    eprintln!("--collapse expects on|off, got `{v}`");
                     std::process::exit(2);
                 });
             }
@@ -287,7 +275,7 @@ fn main() {
             eprintln!(
                 "usage: repro -- submit <file-or-registry-name> [--addr HOST:PORT] \
                  [--format bench|blif|snl|verilog|vhdl] [--threads N] [--vectors N] [--seed S] \
-                 [--trace-policy checkpoint:K] [--collapse on|off] [--sample N] [--wait]"
+                 [--trace-policy checkpoint:K] [--sample N] [--wait]"
             );
             std::process::exit(2);
         };
@@ -420,7 +408,6 @@ fn run_grade(target: &str, opts: &Options) {
     let mut builder = CampaignPlan::builder(&circuit, &tb)
         .policy(policy)
         .trace_policy(opts.trace_policy)
-        .collapse(opts.collapse)
         .kernel(opts.kernel);
     if let Some(count) = opts.sample {
         builder = builder.sampled(count, opts.seed);
@@ -514,7 +501,6 @@ fn run_resume(path: &str, opts: &Options) {
     let mut builder = CampaignPlan::builder(&circuit, &tb)
         .policy(policy)
         .trace_policy(trace_policy)
-        .collapse(opts.collapse)
         .kernel(opts.kernel);
     if let Some(count) = sample {
         builder = builder.sampled(count, seed);
@@ -610,7 +596,6 @@ fn run_submit(target: &str, opts: &Options) {
         seed: opts.seed,
         sample: opts.sample,
         trace_policy: opts.trace_policy,
-        collapse: opts.collapse,
         threads: opts.threads.unwrap_or(1),
         round: opts.checkpoint_every,
     };

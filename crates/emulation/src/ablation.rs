@@ -24,32 +24,7 @@
 use seugrade_faultsim::{Fault, FaultOutcome};
 
 use crate::campaign::Technique;
-use crate::controller::{CampaignTiming, TimingConfig};
-
-fn finish(
-    technique: Technique,
-    cfg: &TimingConfig,
-    num_faults: u64,
-    golden: u64,
-    scan: u64,
-    run: u64,
-    inject: u64,
-    restore: u64,
-) -> CampaignTiming {
-    let overhead = cfg.setup_cycles + cfg.per_fault_overhead * num_faults;
-    CampaignTiming {
-        technique,
-        num_faults,
-        golden_cycles: golden,
-        scan_cycles: scan,
-        run_cycles: run,
-        inject_cycles: inject,
-        restore_cycles: restore,
-        overhead_cycles: overhead,
-        total_cycles: golden + scan + run + inject + restore + overhead,
-        clock: cfg.clock,
-    }
-}
+use crate::controller::{finish, CampaignTiming, TimingConfig};
 
 /// Time-mux with the convergence detector removed: only failures stop
 /// early; silent and latent faults both emulate `2 × (n_cycles − t)`

@@ -110,7 +110,7 @@ impl CampaignTiming {
     }
 }
 
-fn finish(
+pub(crate) fn finish(
     technique: Technique,
     cfg: &TimingConfig,
     num_faults: u64,
@@ -149,28 +149,6 @@ pub fn mask_scan_timing(
     num_cycles: usize,
     cfg: &TimingConfig,
 ) -> CampaignTiming {
-    mask_scan_timing_collapsed(faults, outcomes, num_cycles, cfg, false)
-}
-
-/// [`mask_scan_timing`] with optional **early fault collapse**: when
-/// `collapse` is true a silent fault's replay aborts the cycle after its
-/// state re-converges with the golden machine (the comparator that spots
-/// failures also spots convergence), instead of walking to the horizon.
-/// Failure and latent faults are unchanged, as is every scan/overhead
-/// term — so with `collapse = false` this reproduces the paper-default
-/// numbers exactly.
-///
-/// # Panics
-///
-/// Panics if `faults` and `outcomes` lengths differ.
-#[must_use]
-pub fn mask_scan_timing_collapsed(
-    faults: &[Fault],
-    outcomes: &[FaultOutcome],
-    num_cycles: usize,
-    cfg: &TimingConfig,
-    collapse: bool,
-) -> CampaignTiming {
     assert_eq!(faults.len(), outcomes.len());
     let mut scan = 0u64;
     let mut run = 0u64;
@@ -181,8 +159,7 @@ pub fn mask_scan_timing_collapsed(
     ffs.dedup();
     scan += ffs.len() as u64;
     for (f, o) in faults.iter().zip(outcomes) {
-        let collapse_at = if collapse { o.converge_cycle } else { None };
-        let replay_end = match o.detect_cycle.or(collapse_at) {
+        let replay_end = match o.detect_cycle {
             Some(u) => u as u64 + 1,
             None => num_cycles as u64,
         };
@@ -578,10 +555,8 @@ mod tests {
         let outcomes =
             [FaultOutcome::latent(), FaultOutcome::silent(20), FaultOutcome::failure(8)];
         let plain = mask_scan_timing(&faults, &outcomes, 100, &cfg());
-        let off = mask_scan_timing_collapsed(&faults, &outcomes, 100, &cfg(), false);
-        // collapse = false reproduces the default schedule exactly.
-        assert_eq!(plain, off);
-        let on = mask_scan_timing_collapsed(&faults, &outcomes, 100, &cfg(), true);
+        // The state-compare ablation is mask-scan with early collapse.
+        let on = crate::ablation::mask_scan_with_state_compare(&faults, &outcomes, 100, &cfg());
         // Latent 100 + silent retired at 20+1 + failure aborted at 8+1;
         // only the silent fault's run shrinks, all other terms match.
         assert_eq!(on.run_cycles, 100 + 21 + 9);

@@ -148,7 +148,6 @@ pub struct CampaignPlan<'a> {
     techniques: Vec<Technique>,
     policy: ShardPolicy,
     trace_policy: TracePolicy,
-    collapse: Collapse,
     window_cache: usize,
     kernel: Kernel,
 }
@@ -158,8 +157,7 @@ impl<'a> CampaignPlan<'a> {
     ///
     /// Defaults: exhaustive fault list, all three techniques,
     /// [`ShardPolicy::auto`], [`TracePolicy::default`] (`checkpoint:64`),
-    /// [`Collapse::Early`], a
-    /// [`DEFAULT_WINDOW_CACHE_SPANS`]-span golden span cache per run,
+    /// a [`DEFAULT_WINDOW_CACHE_SPANS`]-span golden span cache per run,
     /// [`Kernel::Auto`].
     #[must_use]
     pub fn builder(circuit: &'a Netlist, tb: &'a Testbench) -> CampaignPlanBuilder<'a> {
@@ -170,7 +168,6 @@ impl<'a> CampaignPlan<'a> {
             techniques: Technique::ALL.to_vec(),
             policy: ShardPolicy::auto(),
             trace_policy: TracePolicy::default(),
-            collapse: Collapse::Early,
             window_cache: DEFAULT_WINDOW_CACHE_SPANS,
             kernel: Kernel::Auto,
         }
@@ -215,11 +212,13 @@ impl<'a> CampaignPlan<'a> {
         self.trace_policy
     }
 
-    /// The early-collapse mode grading runs under (verdicts are
-    /// collapse-independent; the work done is not).
+    /// Always [`Collapse::Early`], the only mode. It stays only because
+    /// the benchmark harness (`gradebench/`) passes it to
+    /// [`Grader::new_scratch`](seugrade_faultsim::Grader::new_scratch),
+    /// and goes with the next change to that harness.
     #[must_use]
     pub fn collapse(&self) -> Collapse {
-        self.collapse
+        Collapse::Early
     }
 
     /// Golden span-cache capacity in spans (0 disables caching): the size
@@ -228,7 +227,7 @@ impl<'a> CampaignPlan<'a> {
     /// spans) in one replay pass.
     /// Affects replay cost only, never verdicts — which is also why it
     /// is excluded from resume fingerprints: a campaign checkpointed
-    /// under one cache size (or collapse mode) can resume under another.
+    /// under one cache size can resume under another.
     #[must_use]
     pub fn window_cache(&self) -> usize {
         self.window_cache
@@ -260,7 +259,6 @@ pub struct CampaignPlanBuilder<'a> {
     techniques: Vec<Technique>,
     policy: ShardPolicy,
     trace_policy: TracePolicy,
-    collapse: Collapse,
     window_cache: usize,
     kernel: Kernel,
 }
@@ -333,15 +331,6 @@ impl<'a> CampaignPlanBuilder<'a> {
         self
     }
 
-    /// Sets the [`Collapse`] mode ([`Collapse::Horizon`] disables early
-    /// fault collapse — useful only as a benchmark baseline; verdicts
-    /// never change).
-    #[must_use]
-    pub fn collapse(mut self, collapse: Collapse) -> Self {
-        self.collapse = collapse;
-        self
-    }
-
     /// Sets the capacity, in replayed spans, of the run's one golden
     /// span store, shared by the whole worker pool; half of it (at most
     /// 64) is also the replay batch (0 disables caching and replays one
@@ -380,7 +369,6 @@ impl<'a> CampaignPlanBuilder<'a> {
             techniques: self.techniques,
             policy: self.policy,
             trace_policy: self.trace_policy,
-            collapse: self.collapse,
             window_cache: self.window_cache,
             kernel: self.kernel,
         }
@@ -414,13 +402,11 @@ mod tests {
             .sampled(10, 7)
             .techniques(&[Technique::TimeMux])
             .threads(2)
-            .collapse(Collapse::Horizon)
             .window_cache(0)
             .kernel(Kernel::Generic)
             .build();
         assert_eq!(plan.source(), &FaultSource::Sampled { count: 10, seed: 7 });
         assert_eq!(plan.techniques(), &[Technique::TimeMux]);
-        assert_eq!(plan.collapse(), Collapse::Horizon);
         assert_eq!(plan.window_cache(), 0);
         assert_eq!(plan.kernel(), Kernel::Generic);
         assert_eq!(plan.policy().threads, 2);

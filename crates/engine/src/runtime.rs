@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use seugrade_faultsim::{
-    Fault, FaultList, FaultOutcome, GradeScratch, Grader, GradingSummary, MultiFault,
+    Collapse, Fault, FaultList, FaultOutcome, GradeScratch, Grader, GradingSummary, MultiFault,
     VerdictWindow,
 };
 use seugrade_netlist::Netlist;
@@ -744,20 +744,20 @@ impl Engine {
     fn run_stores(&self, plan: &CampaignPlan<'_>, chunks: &ChunkPlan<'_>) -> RunStores {
         let walk = chunks.walk();
         RunStores {
-            bits: BitCache::shared(plan.window_cache()).walking(walk),
+            bits: BitCache::new(plan.window_cache()).walking(walk),
             verdicts: (walk == Walk::Backward)
                 .then(|| VerdictWindow::new(self.grader.sim().num_ffs())),
         }
     }
 
-    /// A worker's grading scratch, configured from the plan's collapse
-    /// mode and kernel, holding handles of the run's shared `stores`.
-    /// Cheap to rebuild — the pool recreates it after a contained worker
-    /// panic.
+    /// A worker's grading scratch, configured from the plan's kernel,
+    /// holding handles of the run's shared `stores` (its own span cache,
+    /// left empty, is replaced by the run's). Cheap to rebuild — the
+    /// pool recreates it after a contained worker panic.
     fn worker_scratch(&self, plan: &CampaignPlan<'_>, stores: &RunStores) -> GradeScratch {
         let scratch = self
             .grader
-            .new_scratch(plan.collapse(), plan.window_cache())
+            .new_scratch(Collapse::Early, 0)
             .with_kernel(plan.kernel())
             .with_bit_cache(stores.bits.clone_handle());
         match &stores.verdicts {

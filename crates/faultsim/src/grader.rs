@@ -18,71 +18,39 @@ use crate::{Fault, FaultClass, FaultOutcome};
 /// of at most 63 spans (`63 × 8 × FFs` bits), and none at capacity 0.
 pub const DEFAULT_WINDOW_CACHE_SPANS: usize = 8;
 
-/// When a decided fault lane stops being simulated — the paper's
-/// mask-scan early-abort knob.
+/// When a decided fault lane stops being simulated: always at its
+/// decision cycle.
 ///
 /// Every grading engine compares the faulty lanes against the golden
 /// machine *every cycle*, so a lane's verdict (first output mismatch =
 /// failure, first state reconvergence = silent) is known the cycle it
-/// happens. `Collapse` only controls what the engine does with the rest
-/// of the horizon:
-///
-/// - [`Early`](Collapse::Early) (default) — a chunk stops simulating the
-///   cycle its last live lane is decided, exactly like the autonomous
-///   emulator releasing the circuit for the next fault.
-/// - [`Horizon`](Collapse::Horizon) — the chunk runs to the observation
-///   horizon regardless; verdicts still record only the *first* event
-///   per lane.
-///
-/// Verdicts are bit-identical either way (the oracle battery,
-/// `tests/collapse_equivalence.rs`, enforces digest equality); only the work
-/// differs. `Horizon` exists as the measurable baseline that shows what
-/// early collapse buys.
+/// happens, and the lane stops there — exactly like the autonomous
+/// emulator releasing the circuit for the next fault. There is no other
+/// mode: the type stays only because the benchmark harness
+/// (`gradebench/`) calls `grader.new_scratch(plan.collapse(), …)`, and
+/// it goes with the next change to that harness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Collapse {
     /// Retire lanes at their decision cycle; stop the chunk when all
     /// lanes are decided.
     #[default]
     Early,
-    /// Simulate every chunk to the observation horizon.
-    Horizon,
-}
-
-impl Collapse {
-    /// Parses a collapse label: `on` (early) or `off` (horizon).
-    #[must_use]
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "on" => Some(Collapse::Early),
-            "off" => Some(Collapse::Horizon),
-            _ => None,
-        }
-    }
-
-    /// The label form parsed by [`from_label`](Self::from_label).
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            Collapse::Early => "on",
-            Collapse::Horizon => "off",
-        }
-    }
 }
 
 /// Per-worker grading scratch: a reusable [`SimState`], the
 /// differential kernel's [`DiffScratch`], a golden [`BitCache`] handle,
-/// an optional [`VerdictWindow`] handle, the [`Collapse`] mode and
-/// [`Kernel`], and work counters.
+/// an optional [`VerdictWindow`] handle, the [`Kernel`], and work
+/// counters.
 ///
-/// One `GradeScratch` belongs to exactly one worker thread (no sharing,
-/// no locks); the engine's thread pool creates one per worker via
+/// One `GradeScratch` belongs to exactly one worker thread (only the
+/// stores behind its span cache and window handles are shared); the
+/// engine's thread pool creates one per worker via
 /// [`Grader::new_scratch`] and rebuilds it after a contained panic.
 /// Scratch configuration affects only *speed* — verdicts are identical
-/// for every collapse mode, cache capacity and window.
+/// for every kernel, cache capacity and window.
 #[derive(Debug)]
 pub struct GradeScratch {
     st: SimState,
-    collapse: Collapse,
     sim_steps: u64,
     kernel: Kernel,
     diff: DiffScratch,
@@ -100,12 +68,6 @@ struct Alias {
 }
 
 impl GradeScratch {
-    /// The collapse mode this scratch grades under.
-    #[must_use]
-    pub fn collapse(&self) -> Collapse {
-        self.collapse
-    }
-
     /// The golden bit-span cache both kernels read (for hit/miss/replay
     /// statistics).
     #[must_use]
@@ -138,12 +100,11 @@ impl GradeScratch {
     }
 
     /// Hands the scratch a [`VerdictWindow`] handle (chainable): the
-    /// differential kernel under [`Collapse::Early`] then records every
-    /// graded verdict in it and retires a lane that has become a
-    /// single-bit upset the window holds (see
-    /// [`Grader::grade_chunk`]). The engine shares one window among the
-    /// workers of an exhaustive run, which walks cycles in descending
-    /// order so the upsets lanes turn into are graded first.
+    /// differential kernel then records every graded verdict in it and
+    /// retires a lane that has become a single-bit upset the window
+    /// holds (see [`Grader::grade_chunk`]). The engine shares one window
+    /// among the workers of an exhaustive run, which walks cycles in
+    /// descending order so the upsets lanes turn into are graded first.
     #[must_use]
     pub fn with_verdict_window(mut self, window: VerdictWindow) -> Self {
         self.alias.window = Some(window);
@@ -312,14 +273,14 @@ impl Grader {
         64
     }
 
-    /// Builds a per-worker [`GradeScratch`] with the given collapse mode
-    /// and the capacity of its private golden span cache, in spans; 0
-    /// disables caching.
+    /// Builds a per-worker [`GradeScratch`] whose golden span cache holds
+    /// `cache_spans` spans (0 disables caching). The [`Collapse`]
+    /// argument is ignored — early collapse is the only mode; it stays
+    /// only for the benchmark harness's call (see [`Collapse`]).
     #[must_use]
-    pub fn new_scratch(&self, collapse: Collapse, cache_spans: usize) -> GradeScratch {
+    pub fn new_scratch(&self, _collapse: Collapse, cache_spans: usize) -> GradeScratch {
         GradeScratch {
             st: self.sim.new_state(),
-            collapse,
             sim_steps: 0,
             kernel: Kernel::Auto,
             diff: self.sim.new_diff_scratch(),
@@ -330,9 +291,9 @@ impl Grader {
 
     /// Grades up to 64 faults in a single bit-parallel pass against a
     /// [`GradeScratch`], writing the verdicts into `out` (parallel to
-    /// `chunk`). The scratch's span cache shares replayed golden spans
-    /// across chunks, its collapse mode decides whether decided chunks stop
-    /// early, and its counters record the work done.
+    /// `chunk`). A lane stops being simulated the cycle it is decided,
+    /// the scratch's span cache shares replayed golden spans across
+    /// chunks, and its counters record the work done.
     ///
     /// The faults may carry different injection cycles, in non-decreasing
     /// order: the pass starts at the first lane's cycle and flips each
@@ -341,13 +302,13 @@ impl Grader {
     ///
     /// With a [`VerdictWindow`] in the scratch
     /// ([`GradeScratch::with_verdict_window`]), the differential kernel
-    /// under [`Collapse::Early`] also applies the **alias collapse**: a
-    /// lane whose state differs from golden in a single flip-flop `g`
-    /// after cycle `u`, within [`ALIAS_WINDOW`] cycles of the chunk's
-    /// first injection, takes the verdict of the upset `(g, u + 1)` if
-    /// the window holds it, and every verdict the chunk reaches goes
-    /// into the window. A lane whose upset is missing keeps simulating,
-    /// so the verdicts are the same with or without a window.
+    /// also applies the **alias collapse**: a lane whose state differs
+    /// from golden in a single flip-flop `g` after cycle `u`, within
+    /// [`ALIAS_WINDOW`] cycles of the chunk's first injection, takes the
+    /// verdict of the upset `(g, u + 1)` if the window holds it, and
+    /// every verdict the chunk reaches goes into the window. A lane
+    /// whose upset is missing keeps simulating, so the verdicts are the
+    /// same with or without a window.
     ///
     /// This is the shard-sized building block the batching engines are
     /// made of: an external runtime can cut any cycle-sorted fault list
@@ -367,10 +328,10 @@ impl Grader {
         chunk: &[Fault],
         out: &mut [FaultOutcome],
     ) {
-        let GradeScratch { st, collapse, sim_steps, kernel, diff, bits, alias } = scratch;
+        let GradeScratch { st, sim_steps, kernel, diff, bits, alias } = scratch;
         match kernel.resolve() {
-            Kernel::Generic => self.grade_chunk_generic(st, bits, *collapse, sim_steps, chunk, out),
-            _ => self.grade_chunk_diff(diff, bits, *collapse, alias, sim_steps, chunk, out),
+            Kernel::Generic => self.grade_chunk_generic(st, bits, sim_steps, chunk, out),
+            _ => self.grade_chunk_diff(diff, bits, alias, sim_steps, chunk, out),
         }
     }
 
@@ -432,7 +393,6 @@ impl Grader {
         &self,
         st: &mut SimState,
         bits: &mut BitCache,
-        collapse: Collapse,
         sim_steps: &mut u64,
         chunk: &[Fault],
         out: &mut [FaultOutcome],
@@ -459,7 +419,7 @@ impl Grader {
             let newly_silent = !state_diff & undecided;
             Self::mark(out, newly_silent, FaultOutcome::silent(u as u32));
             undecided &= !newly_silent;
-            if undecided == 0 && collapse == Collapse::Early && next == chunk.len() {
+            if undecided == 0 && next == chunk.len() {
                 return;
             }
             self.sim.step(st);
@@ -476,22 +436,22 @@ impl Grader {
     /// simply empty from then on).
     ///
     /// A lane not injected yet carries no deviation and costs nothing,
-    /// so each lane is seeded at its own cycle. Under
-    /// [`Collapse::Early`] a lane that fails is retired on the spot
-    /// ([`CompiledSim::diff_retire`]) and stops driving its cone; once
-    /// every injected lane is decided the deviation state is empty and
-    /// the walk jumps straight to the next lane's injection cycle.
+    /// so each lane is seeded at its own cycle. A lane that fails is
+    /// retired on the spot ([`CompiledSim::diff_retire`]) and stops
+    /// driving its cone; once every injected lane is decided the
+    /// deviation state is empty and the walk jumps straight to the next
+    /// lane's injection cycle.
     ///
     /// Verdict semantics are identical to the full-evaluation walk:
     /// failures are claimed before same-cycle silences, each lane
     /// records its first event only, and `sim_steps` counts one per
     /// walked cycle.
     ///
-    /// **Alias collapse.** With a verdict window under
-    /// [`Collapse::Early`], after the failed and silent masks are taken
-    /// at cycle `u` while `u + 1 − t ≤ ALIAS_WINDOW` (`t` the first
-    /// lane's cycle), [`CompiledSim::diff_lone_ffs`] names the
-    /// undecided lanes left with exactly one deviant flip-flop `g`. Such
+    /// **Alias collapse.** With a verdict window, after the failed and
+    /// silent masks are taken at cycle `u` while `u + 1 − t ≤
+    /// ALIAS_WINDOW` (`t` the first lane's cycle),
+    /// [`CompiledSim::diff_lone_ffs`] names the undecided lanes left
+    /// with exactly one deviant flip-flop `g`. Such
     /// a lane is the upset `(g, u + 1)` from here on — the same
     /// trajectory, so the same class, detection and convergence cycle —
     /// and when the window holds that verdict the lane takes it and is
@@ -500,12 +460,10 @@ impl Grader {
     /// cycles. The walk of cycles `u + 1 ..` is never needed to decide
     /// an aliased lane, so a window miss costs only the walk the lane
     /// would have taken anyway.
-    #[allow(clippy::too_many_arguments)]
     fn grade_chunk_diff(
         &self,
         sc: &mut DiffScratch,
         bits: &mut BitCache,
-        collapse: Collapse,
         alias: &mut Alias,
         sim_steps: &mut u64,
         chunk: &[Fault],
@@ -514,7 +472,7 @@ impl Grader {
         let mut u = self.validate_chunk(chunk, out);
         let first = u;
         let n_cycles = self.tb.num_cycles();
-        let window = alias.window.as_ref().filter(|_| collapse == Collapse::Early);
+        let window = alias.window.as_ref();
         let mut span = self.golden.bit_span_cached(&self.sim, &self.tb, u, bits);
         let (mut next, mut undecided) = (0, 0u64);
         while u < n_cycles {
@@ -550,16 +508,14 @@ impl Grader {
                 retired |= aliased;
             }
             u += 1;
-            if collapse == Collapse::Early {
-                if retired != 0 {
-                    self.sim.diff_retire(sc, retired);
-                }
-                if undecided == 0 {
-                    debug_assert_eq!(sc.active_signals(), 0, "decided lanes left deviations");
-                    match chunk.get(next) {
-                        Some(f) => u = f.cycle as usize,
-                        None => break,
-                    }
+            if retired != 0 {
+                self.sim.diff_retire(sc, retired);
+            }
+            if undecided == 0 {
+                debug_assert_eq!(sc.active_signals(), 0, "decided lanes left deviations");
+                match chunk.get(next) {
+                    Some(f) => u = f.cycle as usize,
+                    None => break,
                 }
             }
         }
@@ -588,7 +544,7 @@ impl Grader {
 #[cfg(test)]
 mod tests {
     use seugrade_circuits::generators;
-    use seugrade_netlist::NetlistBuilder;
+    use seugrade_netlist::{GateKind, NetlistBuilder};
     use seugrade_sim::Testbench;
 
     use crate::{FaultList, Oracle};
@@ -658,20 +614,18 @@ mod tests {
         g: &Grader,
         oracle: &mut Oracle,
         kernel: Kernel,
-        collapse: Collapse,
         chunk: &[Fault],
         what: &str,
     ) -> u64 {
-        let mut scratch = g.new_scratch(collapse, 4).with_kernel(kernel);
+        let mut scratch = g.new_scratch(Collapse::Early, 4).with_kernel(kernel);
         let mut out = vec![FaultOutcome::latent(); chunk.len()];
         g.grade_chunk(&mut scratch, chunk, &mut out);
         for (f, o) in chunk.iter().zip(&out) {
             assert_eq!(
                 *o,
                 oracle.classify(*f),
-                "{what}: {f} kernel {kernel} {} collapse {}",
-                g.trace_policy(),
-                collapse.label()
+                "{what}: {f} kernel {kernel} {}",
+                g.trace_policy()
             );
         }
         scratch.sim_steps()
@@ -717,24 +671,18 @@ mod tests {
         for policy in [1, 4, 64].map(TracePolicy::Checkpoint) {
             let g = Grader::with_policy(&n, &tb, policy);
             for kernel in Kernel::CONCRETE {
-                for collapse in [Collapse::Early, Collapse::Horizon] {
-                    for chunk in packed.chunks(g.chunk_lanes()) {
-                        check_chunk(&g, &mut oracle, kernel, collapse, chunk, "packed");
-                    }
-                    check_chunk(&g, &mut oracle, kernel, collapse, &wide, "wide");
-                    check_chunk(&g, &mut oracle, kernel, collapse, &quiet, "quiet");
-                    let steps = check_chunk(&g, &mut oracle, kernel, collapse, &gap, "gap");
-                    if kernel == Kernel::Differential && collapse == Collapse::Early {
-                        let mut walked = |f: Fault| {
-                            u64::from(oracle.classify(f).classify_cycle(cycles) - f.cycle) + 1
-                        };
-                        let expected = walked(first) + walked(late);
-                        assert_eq!(
-                            steps,
-                            expected,
-                            "{policy}: the walk jumps over the idle cycles"
-                        );
-                    }
+                for chunk in packed.chunks(g.chunk_lanes()) {
+                    check_chunk(&g, &mut oracle, kernel, chunk, "packed");
+                }
+                check_chunk(&g, &mut oracle, kernel, &wide, "wide");
+                check_chunk(&g, &mut oracle, kernel, &quiet, "quiet");
+                let steps = check_chunk(&g, &mut oracle, kernel, &gap, "gap");
+                if kernel == Kernel::Differential {
+                    let mut walked = |f: Fault| {
+                        u64::from(oracle.classify(f).classify_cycle(cycles) - f.cycle) + 1
+                    };
+                    let expected = walked(first) + walked(late);
+                    assert_eq!(steps, expected, "{policy}: the walk jumps over the idle cycles");
                 }
             }
         }
@@ -776,15 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn collapse_labels_round_trip() {
-        for c in [Collapse::Early, Collapse::Horizon] {
-            assert_eq!(Collapse::from_label(c.label()), Some(c));
-        }
-        assert_eq!(Collapse::default(), Collapse::Early);
-        assert_eq!(Collapse::from_label("sometimes"), None);
-    }
-
-    #[test]
     fn retired_chunk_is_never_resimulated_past_its_decision_cycle() {
         use seugrade_sim::TracePolicy;
         // q <= input every cycle: the fault is overwritten (silent) at
@@ -808,40 +747,48 @@ mod tests {
             1,
             "a lane decided at its injection cycle must simulate exactly one cycle"
         );
-        // The same chunk without collapse walks all the way out.
-        let mut horizon = g.new_scratch(Collapse::Horizon, 4);
-        g.grade_chunk(&mut horizon, &[Fault::new(FfIndex::new(0), t)], &mut out);
-        assert_eq!(out[0].converge_cycle, Some(t), "verdict unchanged");
-        assert_eq!(horizon.sim_steps(), 32 - u64::from(t));
+    }
+
+    /// A 12-bit LFSR whose state is never observed: its transition is
+    /// invertible, so a flip never reconverges and never fails — every
+    /// lane stays latent to the horizon.
+    fn hidden_lfsr() -> seugrade_netlist::Netlist {
+        let mut b = NetlistBuilder::new("hidden_lfsr");
+        let ffs: Vec<_> = (0..12).map(|i| b.dff(i == 0)).collect();
+        let taps: Vec<_> = [11, 9, 7, 4].iter().map(|&t| ffs[t]).collect();
+        let feedback = b.gate(GateKind::Xor, &taps);
+        b.connect_dff(ffs[0], feedback).unwrap();
+        for i in 1..12 {
+            b.connect_dff(ffs[i], ffs[i - 1]).unwrap();
+        }
+        let low = b.constant(false);
+        b.output("y", low);
+        b.finish().unwrap()
     }
 
     #[test]
     fn differential_kernel_replays_bit_spans_once() {
         use seugrade_sim::TracePolicy;
-        // Latent-heavy: faults walk to the horizon, crossing every span.
-        let n = generators::lfsr(12, &[11, 9, 7, 4]);
+        let n = hidden_lfsr();
         let tb = Testbench::random(0, 64, 9);
         let g = Grader::with_policy(&n, &tb, TracePolicy::Checkpoint(8));
-        // Early collapse decides the chunk inside its first span: one
-        // bit-span replay pass.
         let mut scratch = g.new_scratch(Collapse::Early, 16);
         let mut out = [FaultOutcome::latent(); 2];
         let chunk = [Fault::new(FfIndex::new(0), 10), Fault::new(FfIndex::new(3), 10)];
-        g.grade_chunk(&mut scratch, &chunk, &mut out);
-        assert_eq!(scratch.bit_cache().misses(), 1);
-        // A horizon walk from cycle 10 crosses spans 8..16 through
+        // Latent lanes walk from cycle 10 across spans 8..16 through
         // 56..64. A capacity of 16 batches up to 8 spans per pass, so
         // one pass rebuilds all 7 (56 cycles) and the walk hits the
         // other 6.
-        let mut horizon = g.new_scratch(Collapse::Horizon, 16);
-        g.grade_chunk(&mut horizon, &chunk, &mut out);
-        assert_eq!(horizon.bit_cache().misses(), 1);
-        assert_eq!(horizon.bit_cache().hits(), 6);
-        assert_eq!(horizon.bit_cache().replayed_cycles(), 56);
+        g.grade_chunk(&mut scratch, &chunk, &mut out);
+        assert_eq!(out, [FaultOutcome::latent(); 2]);
+        assert_eq!(scratch.sim_steps(), 54, "latent lanes walk to the horizon");
+        assert_eq!(scratch.bit_cache().misses(), 1);
+        assert_eq!(scratch.bit_cache().hits(), 6);
+        assert_eq!(scratch.bit_cache().replayed_cycles(), 56);
         // Re-walking the same chunk hits every span.
-        g.grade_chunk(&mut horizon, &chunk, &mut out);
-        assert_eq!(horizon.bit_cache().misses(), 1);
-        assert_eq!(horizon.bit_cache().hits(), 13);
+        g.grade_chunk(&mut scratch, &chunk, &mut out);
+        assert_eq!(scratch.bit_cache().misses(), 1);
+        assert_eq!(scratch.bit_cache().hits(), 13);
     }
 
     /// Four hold registers (`q <= en ? d : q`) whose XOR is observed
@@ -901,10 +848,9 @@ mod tests {
         let reference = Oracle::new(&n, &tb).run(faults.as_slice());
         // Descending cycles: every single-bit upset a lane turns into
         // within the window was graded before it, so every lookup hits.
-        let window = VerdictWindow::new(n.num_ffs());
         let mut backward = g
             .new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
-            .with_verdict_window(window.clone());
+            .with_verdict_window(VerdictWindow::new(n.num_ffs()));
         assert_eq!(grade_cycle_by_cycle(&g, &mut backward, true), reference);
         let aliased = backward.aliased_lanes() as usize;
         assert!(aliased * 8 > faults.len(), "{aliased} of {} faults aliased", faults.len());
@@ -919,10 +865,9 @@ mod tests {
         // A lane that misses may be a lone upset again a cycle later.
         assert!(forward.alias_misses() >= backward.aliased_lanes());
         assert!(forward.sim_steps() > backward.sim_steps());
-        // Without a window, or under horizon collapse, nothing aliases.
+        // Without a window, or on the generic kernel, nothing aliases.
         for scratch in [
             g.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS),
-            g.new_scratch(Collapse::Horizon, DEFAULT_WINDOW_CACHE_SPANS).with_verdict_window(window),
             g.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
                 .with_kernel(Kernel::Generic)
                 .with_verdict_window(VerdictWindow::new(n.num_ffs())),

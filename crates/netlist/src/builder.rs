@@ -216,13 +216,18 @@ impl NetlistBuilder {
 
     /// Validates and freezes the netlist.
     ///
+    /// A builder netlist holds no combinational loop: [`gate`](Self::gate)
+    /// only reads signals that already exist, and only
+    /// [`connect_dff`](Self::connect_dff) wires a pin later, through a
+    /// flip-flop. So `finish` does not levelize; the importers report
+    /// loops in their sources themselves.
+    ///
     /// # Errors
     ///
     /// - [`NetlistError::UnconnectedDff`] if any flip-flop's `d` is open;
     /// - [`NetlistError::DanglingSignal`] if an output references an
     ///   out-of-range signal;
-    /// - [`NetlistError::DuplicateName`] for repeated input/output names;
-    /// - [`NetlistError::CombinationalLoop`] if gates form a cycle.
+    /// - [`NetlistError::DuplicateName`] for repeated input/output names.
     pub fn finish(self) -> Result<Netlist, NetlistError> {
         for (&ff, _) in self.ffs.iter().zip(0u32..) {
             if !self.cells[ff.index()].pins()[0].is_valid() {
@@ -246,7 +251,7 @@ impl NetlistBuilder {
                 return Err(NetlistError::DuplicateName { name: name.clone() });
             }
         }
-        let netlist = Netlist {
+        Ok(Netlist {
             name: self.name,
             cells: self.cells,
             inputs: self.inputs,
@@ -254,10 +259,7 @@ impl NetlistBuilder {
             outputs: self.outputs,
             ffs: self.ffs,
             cell_names: self.cell_names,
-        };
-        // Levelization doubles as the combinational-cycle check.
-        netlist.levelize()?;
-        Ok(netlist)
+        })
     }
 }
 

@@ -15,11 +15,12 @@
 //! 2. declares inputs, constants and flip-flops so forward references
 //!    resolve;
 //! 3. orders gates by a dependency worklist (any statement order is
-//!    accepted, at the same cost) and reports never-defined nets as
-//!    [`NetlistError::UnknownNet`];
+//!    accepted, at the same cost), reports never-defined nets as
+//!    [`NetlistError::UnknownNet`] and gates that never become ready as
+//!    [`NetlistError::CombinationalLoop`];
 //! 4. closes sequential loops and validates the result through
-//!    [`NetlistBuilder::finish`] (dangling signals, levelization /
-//!    combinational-cycle check, flip-flop connectivity).
+//!    [`NetlistBuilder::finish`] (dangling signals, flip-flop
+//!    connectivity).
 //!
 //! The user-facing entry points are [`import_str`] and [`import_path`],
 //! which add [format detection](SourceFormat), an optional buffer sweep
@@ -1084,6 +1085,38 @@ mod tests {
             let fresh = crate::bench::parse_with(src, lower);
             assert!(fresh.is_err(), "{src}");
             assert_eq!(fresh, crate::bench::parse_with(src, sweep_lower), "{src}");
+        }
+    }
+
+    /// `NetlistBuilder::finish` does not levelize, so the lowering alone
+    /// must turn a gate cycle in any frontend's source into the typed
+    /// error.
+    #[test]
+    fn every_frontend_reports_a_combinational_loop() {
+        let cases = [
+            (SourceFormat::Bench, "INPUT(a)\nOUTPUT(y)\ny = AND(z, a)\nz = OR(y, a)\n"),
+            (SourceFormat::Snl, "model m\ninput a\ngate and y z a\ngate or z y a\noutput o y\nend"),
+            (
+                SourceFormat::Blif,
+                ".model m\n.inputs a\n.outputs y\n.names z a y\n11 1\n\
+                 .names y a z\n1- 1\n-1 1\n.end\n",
+            ),
+            (
+                SourceFormat::Verilog,
+                "module m (a, y);\n input a;\n output y;\n wire z;\n\
+                 and (y, z, a);\n or (z, y, a);\nendmodule\n",
+            ),
+            (
+                SourceFormat::Vhdl,
+                "entity m is\n port (a : in std_logic; y : out std_logic);\nend m;\n\
+                 architecture rtl of m is\n signal z : std_logic;\nbegin\n\
+                 y <= z and a;\n z <= y or a;\nend rtl;\n",
+            ),
+        ];
+        for (format, src) in cases {
+            let err = import_str(src, format).expect_err(format.label());
+            assert!(matches!(err, NetlistError::CombinationalLoop { .. }), "{format:?}: {err}");
+            assert_eq!(err.line(), None, "{format:?}");
         }
     }
 

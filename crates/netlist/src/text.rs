@@ -115,11 +115,12 @@ pub fn emit(netlist: &Netlist) -> String {
 /// # Errors
 ///
 /// Returns [`NetlistError::Parse`] for malformed lines,
-/// [`NetlistError::UnknownNet`] for references to nets never defined, and
+/// [`NetlistError::UnknownNet`] for references to nets never defined,
+/// [`NetlistError::CombinationalLoop`] for gates that form a cycle, and
 /// any validation error from
-/// [`NetlistBuilder::finish`](crate::NetlistBuilder::finish) (e.g.
-/// combinational loops). Parse-layer errors carry 1-based line numbers;
-/// see the [error contract](crate::NetlistError).
+/// [`NetlistBuilder::finish`](crate::NetlistBuilder::finish).
+/// Parse-layer errors carry 1-based line numbers; see the
+/// [error contract](crate::NetlistError).
 pub fn parse(src: &str) -> Result<Netlist, NetlistError> {
     parse_with(src, lower)
 }

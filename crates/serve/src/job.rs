@@ -375,8 +375,7 @@ pub fn build_plan<'a>(
 ) -> CampaignPlan<'a> {
     let mut builder = CampaignPlan::builder(circuit, testbench)
         .policy(ShardPolicy { threads: spec.threads, serial_below: 0 })
-        .trace_policy(spec.trace_policy)
-        .collapse(spec.collapse);
+        .trace_policy(spec.trace_policy);
     if let Some(count) = spec.sample {
         builder = builder.sampled(count, spec.seed);
     }

@@ -15,7 +15,7 @@ use std::io::{self, Write};
 
 use seugrade_engine::ProgressEvent;
 use seugrade_faultsim::sampling::estimate_classes;
-use seugrade_faultsim::{Collapse, FaultClass, GradingSummary};
+use seugrade_faultsim::{FaultClass, GradingSummary};
 use seugrade_netlist::SourceFormat;
 use seugrade_sim::TracePolicy;
 
@@ -96,8 +96,6 @@ pub struct JobSpec {
     /// Golden-trace checkpoint interval ([`TracePolicy::default`] unless
     /// the request names one).
     pub trace_policy: TracePolicy,
-    /// Early fault collapse on (`Early`) or off (`Horizon`).
-    pub collapse: Collapse,
     /// Engine worker threads while a round of this job runs.
     pub threads: usize,
     /// Chunks per scheduling round; also the checkpoint interval.
@@ -114,7 +112,6 @@ impl JobSpec {
             seed: DEFAULT_SEED,
             sample: None,
             trace_policy: TracePolicy::default(),
-            collapse: Collapse::Early,
             threads: 1,
             round: DEFAULT_ROUND,
         }
@@ -150,7 +147,6 @@ impl JobSpec {
             pairs.push(("sample", Value::count(n)));
         }
         pairs.push(("trace_policy", Value::str(self.trace_policy.label())));
-        pairs.push(("collapse", Value::str(self.collapse.label())));
         pairs.push(("threads", Value::count(self.threads)));
         pairs.push(("round", Value::count(self.round)));
         Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
@@ -259,18 +255,17 @@ impl JobSpec {
                 })?
             }
         };
-        let collapse = match v.get("collapse") {
-            None => Collapse::Early,
-            Some(c) => {
-                let label =
-                    c.as_str().ok_or_else(|| bad("job.collapse must be a string".to_owned()))?;
-                Collapse::from_label(label)
-                    .ok_or_else(|| bad(format!("job.collapse expects on|off, got {label:?}")))?
-            }
-        };
+        // Legacy: specs spooled before early collapse became the only
+        // mode carry `"collapse":"on"`, which still loads and means
+        // nothing; no other value is honoured.
+        if v.get("collapse").is_some_and(|c| c.as_str() != Some("on")) {
+            return Err(bad(
+                "job.collapse accepts only \"on\": early collapse is the only mode".to_owned()
+            ));
+        }
         let threads = count_field("threads", 1)?;
         let round = count_field("round", DEFAULT_ROUND)?;
-        let spec = JobSpec { circuit, vectors, seed, sample, trace_policy, collapse, threads, round };
+        let spec = JobSpec { circuit, vectors, seed, sample, trace_policy, threads, round };
         spec.check_limits()?;
         Ok(spec)
     }
@@ -497,10 +492,13 @@ mod tests {
         let mut spec = JobSpec::registry("s27");
         spec.sample = Some(128);
         spec.trace_policy = TracePolicy::Checkpoint(16);
-        spec.collapse = Collapse::Horizon;
         spec.round = 8;
         let back = JobSpec::from_value(&spec.to_value()).unwrap();
         assert_eq!(back, spec);
+        // A spec spooled with the legacy `"collapse":"on"` still loads.
+        let Value::Obj(mut pairs) = spec.to_value() else { panic!("job object") };
+        pairs.push(("collapse".to_owned(), Value::str("on")));
+        assert_eq!(JobSpec::from_value(&Value::Obj(pairs)).unwrap(), spec);
 
         let inline = JobSpec {
             circuit: CircuitSource::Inline {

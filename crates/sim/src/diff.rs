@@ -134,14 +134,6 @@ impl BitSpan {
     }
 }
 
-/// Where a [`BitCache`] keeps its spans and seeds: per-handle, or behind
-/// a mutex shared across a worker pool.
-#[derive(Debug)]
-enum BitStore {
-    Local(Store),
-    Shared(Arc<Mutex<Store>>),
-}
-
 /// A span's `(start, end)` cycles: the key of the span store.
 type SpanKey = (usize, usize);
 
@@ -204,9 +196,9 @@ pub enum Walk {
 /// read.
 ///
 /// Every span is replayed at most once per store and then served
-/// zero-copy to all 64-lane chunks grading inside it; with a
-/// [`shared`](Self::shared) store the replay is paid once across the
-/// whole worker pool. The capacity also sets the replay batch: a miss
+/// zero-copy to all 64-lane chunks grading inside it. The store sits
+/// behind a mutex that every [`clone_handle`](Self::clone_handle)
+/// shares, so the replay is paid once across the whole worker pool. The capacity also sets the replay batch: a miss
 /// rebuilds up to `max(1, capacity / 2)` spans (at most 64) in one
 /// lane-parallel pass, so the spans a walk is in stay cached while the
 /// next batch lands.
@@ -217,7 +209,7 @@ pub enum Walk {
 /// [`GoldenTrace::bit_span_cached`]). An entry is removed when its span
 /// is replayed, and the table holds at most 63 spans' seeds (one pass's
 /// free lanes), so it is bounded by `63 × 8 × FFs` bits; the oldest
-/// entry goes first. Handles of a shared store share the table too.
+/// entry goes first. Handles of one store share the table too.
 ///
 /// A capacity of `0` disables retention: every request replays its own
 /// span, and no seeds are kept. Hit/miss/replay counters are always
@@ -226,7 +218,7 @@ pub enum Walk {
 pub struct BitCache {
     capacity: usize,
     walk: Walk,
-    store: BitStore,
+    store: Arc<Mutex<Store>>,
     hits: u64,
     misses: u64,
     replayed_cycles: u64,
@@ -234,21 +226,14 @@ pub struct BitCache {
 }
 
 impl BitCache {
-    /// A private (lock-free) cache holding up to `capacity` spans.
+    /// A cache holding up to `capacity` spans, in a store shared with
+    /// every handle cloned off it via [`clone_handle`](Self::clone_handle).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        Self::with_store(capacity, BitStore::Local(Store::with_capacity(capacity)))
+        Self::with_store(capacity, Arc::new(Mutex::new(Store::with_capacity(capacity))))
     }
 
-    /// A cache whose span store is shared with every handle cloned off
-    /// it via [`clone_handle`](Self::clone_handle).
-    #[must_use]
-    pub fn shared(capacity: usize) -> Self {
-        let store = Store::with_capacity(capacity);
-        Self::with_store(capacity, BitStore::Shared(Arc::new(Mutex::new(store))))
-    }
-
-    fn with_store(capacity: usize, store: BitStore) -> Self {
+    fn with_store(capacity: usize, store: Arc<Mutex<Store>>) -> Self {
         BitCache {
             capacity,
             walk: Walk::Forward,
@@ -271,18 +256,11 @@ impl BitCache {
         self
     }
 
-    /// A new handle with zeroed counters and the same walk order: same
-    /// store for a [`shared`](Self::shared) cache, a fresh empty cache
-    /// otherwise.
+    /// A new handle on the same store, with zeroed counters and the same
+    /// walk order.
     #[must_use]
     pub fn clone_handle(&self) -> Self {
-        let handle = match &self.store {
-            BitStore::Local(_) => Self::new(self.capacity),
-            BitStore::Shared(store) => {
-                Self::with_store(self.capacity, BitStore::Shared(Arc::clone(store)))
-            }
-        };
-        handle.walking(self.walk)
+        Self::with_store(self.capacity, Arc::clone(&self.store)).walking(self.walk)
     }
 
     /// A capacity-0 cache: every span request replays from a checkpoint.
@@ -331,14 +309,9 @@ impl BitCache {
         (self.capacity / 2).clamp(1, 64)
     }
 
-    /// Runs `f` on the store, locking a shared one.
+    /// Runs `f` on the locked store.
     fn locked<R>(&mut self, f: impl FnOnce(&mut Store) -> R) -> R {
-        match &mut self.store {
-            BitStore::Local(store) => f(store),
-            BitStore::Shared(store) => {
-                f(&mut store.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-            }
-        }
+        f(&mut self.store.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
     }
 
     /// The span keyed `key`, marked most recently used.
@@ -1363,7 +1336,7 @@ mod tests {
         assert_eq!(backward.seeded(), 0, "every seed was used");
         // A backward walk that batched forward would find every later
         // span cached and replay one span per pass.
-        let mut shared = BitCache::shared(8).walking(Walk::Backward);
+        let mut shared = BitCache::new(8).walking(Walk::Backward);
         assert_eq!(shared.clone_handle().walk, Walk::Backward, "handles keep the walk");
         assert_eq!(walk_all(&live, policy, 1024, shared.clone_handle()).misses(), 4);
         assert_eq!(shared.held(), 8);
@@ -1427,7 +1400,7 @@ mod tests {
         let tb = Testbench::random(n.num_inputs(), 1024, 23);
         let golden = brute_force_values(&sim, &tb);
         let trace = sim.run_golden_with(&tb, TracePolicy::Checkpoint(64));
-        let root = BitCache::shared(8);
+        let root = BitCache::new(8);
         let mut a = root.clone_handle();
         let mut b = root.clone_handle();
         let _ = trace.bit_span_cached(&sim, &tb, 0, &mut a);
@@ -1629,7 +1602,7 @@ mod tests {
         let sim = crate::CompiledSim::new(&n);
         let tb = Testbench::constant_low(1, 16);
         let trace = sim.run_golden_with(&tb, TracePolicy::Checkpoint(4));
-        let root = BitCache::shared(4);
+        let root = BitCache::new(4);
         let mut a = root.clone_handle();
         let mut b = root.clone_handle();
         // A capacity of 4 replays two spans per pass: 4..8 and 8..12.

@@ -3,14 +3,13 @@
 //! paper's definitions alone, sharing no evaluation code with the
 //! compiled tape, the golden span store or either faulty kernel —
 //! grades each circuit's fault set once. [`Fixture::check`] grades it
-//! again under production configurations along six axes (kernel,
-//! collapse mode, trace policy, thread count, span store capacity and
-//! entry point) and checks every verdict, or the digest and summary,
-//! against the oracle's. `engine_agreement`, `kernel_equivalence` and
-//! `collapse_equivalence` each check one slice of that space; between
-//! them, the small registry circuits and generated netlists run the full
-//! cross product of the axes, and every other circuit a rotation that
-//! visits every axis value.
+//! again under production configurations along five axes (kernel,
+//! trace policy, thread count, span store capacity and entry point) and
+//! checks every verdict, or the digest and summary, against the
+//! oracle's. `engine_agreement` and `kernel_equivalence` each check one
+//! slice of that space; between them, the small registry circuits and
+//! generated netlists run the full cross product of the axes, and every
+//! other circuit a rotation that visits every axis value.
 
 // Each suite uses part of this module.
 #![allow(dead_code)]
@@ -26,7 +25,6 @@ use seugrade::prelude::*;
 pub const POLICIES: [usize; 4] = [1, 3, 7, 64];
 pub const THREADS: [usize; 4] = [1, 2, 4, 8];
 pub const CACHES: [usize; 3] = [0, 1, DEFAULT_WINDOW_CACHE_SPANS];
-pub const COLLAPSES: [Collapse; 2] = [Collapse::Early, Collapse::Horizon];
 pub const ENTRIES: [Entry; 3] = [Entry::Run, Entry::Streamed, Entry::Rounds];
 pub const KERNELS: [Kernel; 3] = [Kernel::Generic, Kernel::Differential, Kernel::Auto];
 
@@ -53,7 +51,6 @@ pub enum Entry {
 #[derive(Clone, Copy, Debug)]
 pub struct Config {
     pub kernel: Kernel,
-    pub collapse: Collapse,
     pub policy: usize,
     pub threads: usize,
     pub cache: usize,
@@ -68,7 +65,6 @@ impl Config {
         (0..n)
             .map(|i| Config {
                 kernel: KERNELS[i % KERNELS.len()],
-                collapse: COLLAPSES[i / 3 % 2],
                 policy: policies[i % policies.len()],
                 threads: THREADS[(i + 1) % THREADS.len()],
                 cache: CACHES[2 * i % CACHES.len()],
@@ -82,7 +78,6 @@ impl Config {
 #[derive(Clone, Copy)]
 pub struct Grid<'a> {
     pub kernels: &'a [Kernel],
-    pub collapses: &'a [Collapse],
     pub policies: &'a [usize],
     pub threads: &'a [usize],
     pub caches: &'a [usize],
@@ -94,7 +89,6 @@ impl<'a> Grid<'a> {
     /// sweeps the axes it is about.
     pub const ONE: Grid<'static> = Grid {
         kernels: &[Kernel::Auto],
-        collapses: &[Collapse::Early],
         policies: &[7],
         threads: &[2],
         caches: &[DEFAULT_WINDOW_CACHE_SPANS],
@@ -106,7 +100,6 @@ impl<'a> Grid<'a> {
     pub fn all(policies: &'a [usize]) -> Self {
         Grid {
             kernels: &Kernel::CONCRETE,
-            collapses: &COLLAPSES,
             policies,
             threads: &THREADS,
             caches: &CACHES,
@@ -118,14 +111,11 @@ impl<'a> Grid<'a> {
     pub fn configs(&self) -> Vec<Config> {
         let mut all = Vec::new();
         for &kernel in self.kernels {
-            for &collapse in self.collapses {
-                for &policy in self.policies {
-                    for &threads in self.threads {
-                        for &cache in self.caches {
-                            for &entry in self.entries {
-                                let cfg = Config { kernel, collapse, policy, threads, cache, entry };
-                                all.push(cfg);
-                            }
+            for &policy in self.policies {
+                for &threads in self.threads {
+                    for &cache in self.caches {
+                        for &entry in self.entries {
+                            all.push(Config { kernel, policy, threads, cache, entry });
                         }
                     }
                 }
@@ -243,7 +233,6 @@ impl Fixture {
             .source(source.clone())
             .trace_policy(TracePolicy::Checkpoint(cfg.policy))
             .kernel(cfg.kernel)
-            .collapse(cfg.collapse)
             .window_cache(cfg.cache)
             .policy(ShardPolicy { threads: cfg.threads, serial_below: 0 })
             .build();

@@ -111,9 +111,8 @@ proptest! {
 
     /// Generated netlists with a random trace policy: the exhaustive
     /// space under the full cross product of the axes — every kernel,
-    /// collapse mode, trace policy, thread count, span store capacity
-    /// and entry point — grades to the oracle's verdicts, whatever the
-    /// shard schedule.
+    /// trace policy, thread count, span store capacity and entry point —
+    /// grades to the oracle's verdicts, whatever the shard schedule.
     #[test]
     fn sharded_engine_matches_serial_on_generated_circuits(
         config in arb_config(),

@@ -777,6 +777,53 @@ fn dense_trace_policy_is_rejected_on_the_wire_and_in_the_spool() {
     let _ = std::fs::remove_dir_all(&config.spool);
 }
 
+/// Early collapse is the only mode. A spooled `job.json` that carries the
+/// legacy `"collapse":"on"` (every spec an older daemon wrote) still
+/// loads; a live submit that asks for `"collapse":"off"` is a structured,
+/// line-numbered rejection that creates no job, and the connection
+/// survives it.
+#[test]
+fn horizon_collapse_is_rejected_on_the_wire() {
+    use seugrade_serve::json::Value;
+    use seugrade_serve::{Client, ClientError, JobSpec, Server, ServerConfig, Spool};
+
+    let spool_dir = std::env::temp_dir()
+        .join(format!("seugrade-hostile-collapse-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&spool_dir);
+    let spool = Spool::open(&spool_dir).expect("open spool");
+    let spec = JobSpec::registry("s27");
+    spool.write_spec("j1", &spec).expect("spool a job");
+    let spec_path = spool.spec_path("j1");
+    let text = std::fs::read_to_string(&spec_path).expect("job.json written");
+    let old = text.replace(r#""threads":"#, r#""collapse":"on","threads":"#);
+    assert_ne!(old, text, "the spec names its thread count");
+    std::fs::write(&spec_path, &old).expect("rewrite job.json");
+    let jobs = spool.scan().expect("scan");
+    assert_eq!(jobs.len(), 1, "the legacy spec is not skipped");
+    assert_eq!(jobs[0].spec, spec);
+    std::fs::remove_dir_all(&spool_dir).expect("clear the spool");
+
+    let config = ServerConfig { addr: "127.0.0.1:0".to_owned(), workers: 1, spool: spool_dir };
+    let server = Server::bind(&config).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.request_line(r#"{"cmd":"ping"}"#).expect("ping");
+    let err = client
+        .request_line(r#"{"cmd":"submit","job":{"circuit":"s27","collapse":"off"}}"#)
+        .expect_err("a horizon submit must be rejected");
+    match err {
+        ClientError::Server { line, msg } => {
+            assert_eq!(line, 2);
+            assert!(msg.contains("job.collapse"), "{msg}");
+        }
+        other => panic!("expected a structured rejection, got {other:?}"),
+    }
+    let v = client.request_line(r#"{"cmd":"ping"}"#).expect("connection survives");
+    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
+    assert!(client.list().expect("list").is_empty(), "no job was created");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&config.spool);
+}
+
 /// Per-job resource limits hold where a spec enters the daemon: a count
 /// over its limit is a parse error naming the field, and a fault space
 /// or test bench over its limit is a structured submit error, raised

@@ -2,13 +2,12 @@
 //! [`Oracle`] as the reference: the compiled simulator's golden run,
 //! simulation steps of retired lanes, span store hits and replays, alias
 //! counts, the resume fingerprint, and the emulation techniques'
-//! reports. The verdicts themselves are checked in `engine_agreement`,
-//! `kernel_equivalence` and `collapse_equivalence` (see
-//! `battery/mod.rs`).
+//! reports. The verdicts themselves are checked in `engine_agreement`
+//! and `kernel_equivalence` (see `battery/mod.rs`).
 
 mod battery;
 
-use battery::{arb_config, COLLAPSES};
+use battery::arb_config;
 use proptest::prelude::*;
 use seugrade::generators::random_sequential;
 use seugrade::prelude::*;
@@ -29,10 +28,10 @@ fn compiled_and_event_sim_agree_everywhere() {
     }
 }
 
-/// A lane retired at cycle `c` is never re-simulated after `c`: under
-/// early collapse the per-chunk simulation-step counter stops at the
-/// chunk's last decision cycle, while the horizon mode walks every
-/// chunk to the end of the bench. Verdicts are the oracle's either way.
+/// A lane retired at cycle `c` is never re-simulated after `c`: the
+/// per-chunk simulation-step counter stops at the chunk's last decision
+/// cycle, which the oracle's verdicts give, and the verdicts are the
+/// oracle's.
 #[test]
 fn retired_lanes_are_never_resimulated() {
     let circuit = registry::build("b01s").expect("registered");
@@ -43,19 +42,16 @@ fn retired_lanes_are_never_resimulated() {
     for policy in [TracePolicy::Checkpoint(1), TracePolicy::Checkpoint(8)] {
         let grader = Grader::with_policy(&circuit, &tb, policy);
         let mut early = grader.new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS);
-        let mut horizon = grader.new_scratch(Collapse::Horizon, DEFAULT_WINDOW_CACHE_SPANS);
         let mut expected_early = 0u64;
-        let mut expected_horizon = 0u64;
+        // The steps of walks to the end of the bench, for scale.
+        let mut to_horizon = 0u64;
         let mut cursor = 0;
         for cycle_group in faults.as_slice().chunks(circuit.num_ffs()) {
             for chunk in cycle_group.chunks(grader.chunk_lanes()) {
-                let mut out_e = vec![FaultOutcome::latent(); chunk.len()];
-                let mut out_h = vec![FaultOutcome::latent(); chunk.len()];
-                grader.grade_chunk(&mut early, chunk, &mut out_e);
-                grader.grade_chunk(&mut horizon, chunk, &mut out_h);
+                let mut out = vec![FaultOutcome::latent(); chunk.len()];
+                grader.grade_chunk(&mut early, chunk, &mut out);
                 let want = &reference[cursor..cursor + chunk.len()];
-                assert_eq!(out_e, want, "{}: early verdicts", policy.label());
-                assert_eq!(out_h, want, "{}: horizon verdicts", policy.label());
+                assert_eq!(out, want, "{}: verdicts", policy.label());
                 cursor += chunk.len();
 
                 // The chunk's walk may stop the cycle its last lane
@@ -67,7 +63,7 @@ fn retired_lanes_are_never_resimulated() {
                     .max()
                     .expect("non-empty chunk");
                 expected_early += last_decision - t + 1;
-                expected_horizon += cycles as u64 - t;
+                to_horizon += cycles as u64 - t;
             }
         }
         assert_eq!(
@@ -76,13 +72,7 @@ fn retired_lanes_are_never_resimulated() {
             "{}: early collapse must stop at each chunk's last decision",
             policy.label()
         );
-        assert_eq!(
-            horizon.sim_steps(),
-            expected_horizon,
-            "{}: horizon mode walks every chunk to the end",
-            policy.label()
-        );
-        assert!(early.sim_steps() < horizon.sim_steps(), "{}", policy.label());
+        assert!(early.sim_steps() < to_horizon, "{}", policy.label());
     }
 }
 
@@ -131,9 +121,7 @@ fn cycle_major_walk_mostly_hits_the_window_cache() {
 
 /// The sampled streaming path reconstructs each golden span exactly
 /// once: sparse same-cycle chunks seed from the span store instead of
-/// re-replaying the span per chunk, under both kernels alike. Horizon
-/// walks cross every later span edge, so they compare the kernels'
-/// requests past the seed too.
+/// re-replaying the span per chunk, under both kernels alike.
 #[test]
 fn sampled_checkpoint_grading_reconstructs_each_span_once() {
     let circuit = registry::build("s344a").expect("registered");
@@ -157,31 +145,23 @@ fn sampled_checkpoint_grading_reconstructs_each_span_once() {
     // The store holds every span, so each is rebuilt once, in passes of
     // half the store's capacity; every other seed request is a hit.
     let passes = spans.len().div_ceil(DEFAULT_WINDOW_CACHE_SPANS / 2) as u64;
-    for collapse in COLLAPSES {
-        let mut counters = Vec::new();
-        for kernel in Kernel::CONCRETE {
-            let mut scratch = grader
-                .new_scratch(collapse, DEFAULT_WINDOW_CACHE_SPANS)
-                .with_kernel(kernel);
-            for chunk in &chunks {
-                let mut out = vec![FaultOutcome::latent(); chunk.len()];
-                grader.grade_chunk(&mut scratch, chunk, &mut out);
-            }
-            let bits = scratch.bit_cache();
-            let what = format!("kernel {kernel} collapse {}", collapse.label());
-            assert_eq!(bits.misses(), passes, "{what}");
-            let seeds = chunks.len() as u64;
-            assert!(bits.hits() >= seeds - passes, "{what}: {} hits", bits.hits());
-            assert_eq!(bits.replayed_cycles(), cycles as u64, "{what}");
-            counters.push((bits.misses(), bits.hits(), bits.replayed_cycles()));
+    let mut counters = Vec::new();
+    for kernel in Kernel::CONCRETE {
+        let mut scratch = grader
+            .new_scratch(Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS)
+            .with_kernel(kernel);
+        for chunk in &chunks {
+            let mut out = vec![FaultOutcome::latent(); chunk.len()];
+            grader.grade_chunk(&mut scratch, chunk, &mut out);
         }
-        assert_eq!(
-            counters[0],
-            counters[1],
-            "{}: both kernels request the same spans",
-            collapse.label()
-        );
+        let bits = scratch.bit_cache();
+        assert_eq!(bits.misses(), passes, "kernel {kernel}");
+        let seeds = chunks.len() as u64;
+        assert!(bits.hits() >= seeds - passes, "kernel {kernel}: {} hits", bits.hits());
+        assert_eq!(bits.replayed_cycles(), cycles as u64, "kernel {kernel}");
+        counters.push((bits.misses(), bits.hits(), bits.replayed_cycles()));
     }
+    assert_eq!(counters[0], counters[1], "both kernels request the same spans");
 }
 
 /// The single-bit upset `(g, u + 1)` that `fault` turns into, if its
@@ -282,11 +262,10 @@ fn kernel_does_not_perturb_the_resume_fingerprint() {
 }
 
 /// Every modelled emulation technique reports the same campaign from
-/// the engine's verdicts — early collapse or horizon walks, under 1- and
-/// 3-cycle checkpoint intervals — as from the oracle's: same summary,
-/// same cycle-accurate timing.
+/// the engine's verdicts — under 1- and 3-cycle checkpoint intervals —
+/// as from the oracle's: same summary, same cycle-accurate timing.
 #[test]
-fn every_technique_reports_identically_under_both_collapse_modes() {
+fn every_technique_reports_identically_under_every_trace_policy() {
     let circuit = registry::build("b13s").expect("registered");
     let cycles = 20;
     let tb = Testbench::random(circuit.num_inputs(), cycles, 47);
@@ -297,20 +276,13 @@ fn every_technique_reports_identically_under_both_collapse_modes() {
     };
     let reference = campaign(faults, verdicts);
     for policy in [TracePolicy::Checkpoint(1), TracePolicy::Checkpoint(3)] {
-        for collapse in COLLAPSES {
-            let plan = CampaignPlan::builder(&circuit, &tb)
-                .trace_policy(policy)
-                .collapse(collapse)
-                .threads(2)
-                .build();
-            let (faults, outcomes) = Engine::new(&plan).run(&plan).into_single().expect("single");
-            let graded = campaign(faults, outcomes);
-            for tech in Technique::ALL {
-                let (got, want) = (graded.run(tech), reference.run(tech));
-                let what = format!("{tech} {policy} collapse {}", collapse.label());
-                assert_eq!(got.summary, want.summary, "{what}: summary");
-                assert_eq!(got.timing, want.timing, "{what}: timing");
-            }
+        let plan = CampaignPlan::builder(&circuit, &tb).trace_policy(policy).threads(2).build();
+        let (faults, outcomes) = Engine::new(&plan).run(&plan).into_single().expect("single");
+        let graded = campaign(faults, outcomes);
+        for tech in Technique::ALL {
+            let (got, want) = (graded.run(tech), reference.run(tech));
+            assert_eq!(got.summary, want.summary, "{tech} {policy}: summary");
+            assert_eq!(got.timing, want.timing, "{tech} {policy}: timing");
         }
     }
 }

@@ -356,28 +356,24 @@ fn exhausted_retry_budget_is_a_structured_error() {
 }
 
 #[test]
-fn collapse_and_cache_settings_resume_across_each_other() {
-    // Early collapse and the window cache are work optimisations outside
+fn cache_and_thread_settings_resume_across_each_other() {
+    // The window cache and the thread count are work settings outside
     // the resume fingerprint: a campaign interrupted under one
-    // (collapse, cache, threads) configuration must resume under a
-    // *different* one to the exact uninterrupted digest.
+    // (cache, threads) configuration must resume under a *different*
+    // one to the exact uninterrupted digest.
     let (circuit, tb) = fixture();
     let reference = {
         let p = plan(&circuit, &tb, 1, TracePolicy::Checkpoint(8));
         Engine::new(&p).try_run_streamed(&p).unwrap()
     };
-    let legs = [
-        // (first collapse, first cache, resume collapse, resume cache)
-        (Collapse::Early, DEFAULT_WINDOW_CACHE_SPANS, Collapse::Horizon, 0),
-        (Collapse::Horizon, 0, Collapse::Early, 64),
-        (Collapse::Early, 1, Collapse::Early, 0),
-    ];
-    for (i, (c1, w1, c2, w2)) in legs.into_iter().enumerate() {
-        let path = ckpt_path(&format!("collapse-leg{i}"));
+    // (first cache, resume cache); every first leg runs 2 threads and
+    // every resume 8.
+    let legs = [(DEFAULT_WINDOW_CACHE_SPANS, 0), (0, 64), (1, 0)];
+    for (i, (w1, w2)) in legs.into_iter().enumerate() {
+        let path = ckpt_path(&format!("cache-leg{i}"));
         let first_plan = CampaignPlan::builder(&circuit, &tb)
             .policy(ShardPolicy { threads: 2, serial_below: 0 })
             .trace_policy(TracePolicy::Checkpoint(8))
-            .collapse(c1)
             .window_cache(w1)
             .build();
         let mut first = ResumeOptions::checkpoint_to(&path);
@@ -389,20 +385,17 @@ fn collapse_and_cache_settings_resume_across_each_other() {
         let second_plan = CampaignPlan::builder(&circuit, &tb)
             .policy(ShardPolicy { threads: 8, serial_below: 0 })
             .trace_policy(TracePolicy::Checkpoint(8))
-            .collapse(c2)
             .window_cache(w2)
             .build();
         let second_engine = Engine::new(&second_plan);
         let resumed = resumable(&second_engine, &second_plan, &ResumeOptions::resume_from(&path))
-            .expect("resume leg under different collapse/cache settings");
+            .expect("resume leg under different cache/thread settings");
         std::fs::remove_file(&path).ok();
         assert!(resumed.is_complete());
         assert_eq!(
             resumed.sink.digest(),
             reference.digest(),
-            "leg {i}: {}+cache {w1} resumed as {}+cache {w2}",
-            c1.label(),
-            c2.label(),
+            "leg {i}: cache {w1} @ 2 threads resumed as cache {w2} @ 8 threads",
         );
         assert_eq!(resumed.sink.summary(), reference.summary());
     }
